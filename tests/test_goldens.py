@@ -11,15 +11,21 @@ intentional, refresh with::
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import RunConfig, run_cluster
+from repro.api.run import build_requests
 from repro.baselines import FlexGenSystem
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
+from repro.cluster.faults import FaultConfig, RetryPolicy
+from repro.compression import SparseAttentionConfig
 from repro.core.engine import KlotskiOptions, KlotskiSystem
 from repro.runtime.executor import Executor
 from repro.scenario import Scenario
 from repro.serving.requests import ArrivalConfig, assign_hot_experts, generate_requests
+from repro.serving.scheduler import ContinuousScheduler
 from repro.serving.server import BatchingConfig
 from repro.validation import (
     GoldenStore,
@@ -115,6 +121,106 @@ def _fleet_snapshot(
     return {"fleet": snapshot_fleet(report, stride=997)}
 
 
+TENANTS = ("interactive", "standard", "batch")
+
+
+def _tenants(requests: list) -> list:
+    """Cycle SLO classes by request id so per-class admission is exercised."""
+    return [
+        dataclasses.replace(r, slo_class=TENANTS[r.request_id % len(TENANTS)])
+        for r in requests
+    ]
+
+
+def _scheduled_fleet_snapshot(*, scheduler: str, faults: str) -> dict:
+    """Mid-size fleet under a dispatch discipline and fault preset.
+
+    Pins the paths the fleet goldens above never reach: the continuous
+    scheduler (with and without faults) and the faulted group loop. The
+    full report — record order, counters, availability, per-class
+    targets — is hashed, and the fleet view inlines sampled records.
+    """
+    config = RunConfig.from_dict(
+        {
+            "scenario": {
+                "model": "mixtral-8x7b", "env": "env1", "batch_size": 8,
+                "prompt_len": 64, "gen_len": 8, "seed": 13,
+            },
+            "system": {"name": "klotski", "options": {}},
+            "cluster": {
+                "replicas": 4, "envs": ["env1", "env2"],
+                "router": "least-outstanding", "group_batches": 2,
+                "max_wait_s": 2.0, "slo_s": 60.0, "scheduler": scheduler,
+                "faults": faults,
+            },
+            "serve": {"arrival": "bursty", "requests": 2_000, "rate_per_s": 12.0},
+        }
+    )
+    requests = _tenants(build_requests(config))
+    report = run_cluster(config, shared_cache={}, requests=requests)
+    violations = check_cluster(report, requests)
+    assert not violations, "\n".join(map(str, violations))
+    return {
+        "cluster": snapshot_cluster(report),
+        "fleet": snapshot_fleet(report, stride=97),
+    }
+
+
+def _preemption_snapshot(*, faults: FaultConfig | None) -> dict:
+    """Small KV budget: preemption-heavy, one sink+window streaming replica.
+
+    The explicit ``kv_budget_tokens`` forces preemption (front
+    reinsertion into the class queues) on every dense replica; replica 2
+    streams with sink+window retention, so its footprints saturate. With
+    ``faults`` the same run also crashes, drains, and retries, pinning
+    the merged-queue order crash and drain requeue from.
+    """
+    model = SMALL_MIXTRAL
+    requests = _tenants(
+        assign_hot_experts(
+            generate_requests(
+                ArrivalConfig(rate_per_s=400.0, prompt_len_mean=32, gen_len=8, seed=9),
+                240,
+            ),
+            model.num_experts,
+            skew=1.2,
+            seed=9,
+        )
+    )
+    streaming = KlotskiOptions(
+        sparse_attention=SparseAttentionConfig(enabled=True, sinks=4, window=40)
+    )
+    replicas = build_cluster(
+        model,
+        [small_hardware()] * 3,
+        BatchingConfig(batch_size=4, group_batches=2, max_wait_s=5.0),
+        system_factory=[
+            KlotskiSystem,
+            KlotskiSystem,
+            lambda: KlotskiSystem(streaming),
+        ],
+        prompt_len=32,
+        gen_len=8,
+        seed=3,
+        shared_cache={},
+    )
+    simulator = ClusterSimulator(
+        replicas,
+        make_router("least-outstanding"),
+        ClusterConfig(slo_s=60.0, scheduler="continuous"),
+        faults=faults,
+        retry=RetryPolicy(max_attempts=4) if faults is not None else None,
+    )
+    report = ContinuousScheduler(simulator, kv_budget_tokens=150).run(requests)
+    violations = check_cluster(report, requests)
+    assert not violations, "\n".join(map(str, violations))
+    assert report.counters["preemptions"] > 0
+    if faults is not None:
+        assert report.counters["crashes"] > 0
+        assert report.counters["drains"] > 0
+    return {"cluster": snapshot_cluster(report)}
+
+
 GOLDEN_CASES = {
     "pipeline-klotski-small": lambda: _pipeline_snapshots(KlotskiSystem()),
     "pipeline-klotski-quantized-small": lambda: _pipeline_snapshots(
@@ -129,6 +235,27 @@ GOLDEN_CASES = {
     "fleet-affinity-bursty-8replica": lambda: _fleet_snapshot(
         router="expert-affinity", arrival="bursty", engine="batched",
         replicas=8, requests=20_000,
+    ),
+    "fleet-continuous-4replica": lambda: _scheduled_fleet_snapshot(
+        scheduler="continuous", faults=""
+    ),
+    "fleet-continuous-chaos-4replica": lambda: _scheduled_fleet_snapshot(
+        scheduler="continuous", faults="chaos"
+    ),
+    "fleet-group-chaos-4replica": lambda: _scheduled_fleet_snapshot(
+        scheduler="group", faults="chaos"
+    ),
+    "continuous-preempt-streaming-3replica": lambda: _preemption_snapshot(
+        faults=None
+    ),
+    "continuous-preempt-crash-drain-3replica": lambda: _preemption_snapshot(
+        faults=FaultConfig(
+            seed=4,
+            crash_rate_per_hour=300.0,
+            crash_downtime_s=1.0,
+            transient_failure_prob=0.1,
+            drains=((6.0, 1),),
+        )
     ),
 }
 
