@@ -13,8 +13,8 @@ same order, same floats, same counters), proven continuously by
   partitioned per replica and each replica is swept by a *group-granular*
   greedy scan (one iteration per dispatched group, not per event) that
   reproduces the serial loop's grouping, timing, and tie-breaking
-  analytically. Load-coupled routers fall back to an in-order event walk
-  that still skips the per-event heap churn for arrivals.
+  analytically. Load-coupled routers fall back to the serial event loop
+  itself (whose queue already reads arrivals by pointer, not by heap).
 * ``sharded`` — the same per-replica scans fanned out over a
   ``multiprocessing`` fork pool, merged deterministically in replica
   order (counters, records, and obs buffers folded shard by shard, the
@@ -55,7 +55,6 @@ last bit rather than merely close.
 
 from __future__ import annotations
 
-import heapq
 import os
 from bisect import bisect_left, bisect_right
 from math import ulp
@@ -82,9 +81,9 @@ _EPS = 1e-9  # matches the serial loop's deadline tolerance
 # (plain ints here so group tuples stay cheap to build and pickle). The
 # fast engines never see fault/control kinds — a simulator with an
 # active fault plan falls back to the faulted serial loop before
-# reaching this module — so only these three ranks are mirrored; their
+# reaching this module — and group records are only ever triggered by
+# arrivals or deadlines, so only these two ranks are mirrored; their
 # relative order is what matters and matches the heap's.
-_P_COMPLETION = 0
 _P_ARRIVAL = 8
 _P_DEADLINE = 9
 
@@ -113,9 +112,9 @@ def _run_planned(
     if plan is None:
         # Load-coupled routing (least-outstanding, affinity with overload
         # fallback) cannot be partitioned without replaying the global
-        # event order, so both fast engines drop to the in-order walk.
+        # event order, so both fast engines run the serial loop.
         count("cluster.engine.inorder_fallback")
-        return _run_inorder(sim, srt)
+        return sim._run(srt)
     shards: list[list[int]] = [[] for _ in sim.replicas]
     for gi, rid in enumerate(plan):
         shards[rid].append(gi)
@@ -418,89 +417,3 @@ def _scan_pooled(
         )
         outcomes[0], outcomes[first] = outcomes[first], outcomes[0]
     return outcomes
-
-
-# ---------------------------------------------------------------------------
-# in-order fallback: serial semantics, leaner event plumbing
-# ---------------------------------------------------------------------------
-
-
-def _run_inorder(sim: "ClusterSimulator", srt: list[Request]) -> ClusterReport:
-    """Replay the serial event order without the serial loop's overheads.
-
-    Used when the router is load-coupled. Arrivals are consumed straight
-    from the sorted stream through an index pointer instead of being heap
-    entries, and deadline/completion events are bare tuples rather than
-    Event dataclasses — same pops in the same order, roughly half the
-    constant factor. Routing calls and replica mutations are identical to
-    the serial loop, so the report is bit-identical by construction.
-    """
-    replicas, router = sim.replicas, sim.router
-    report = ClusterReport(router=router.name, slo_s=sim.config.slo_s)
-    n = len(srt)
-    heap: list[tuple] = []
-    seq = n  # serial seqs 0..n-1 went to the up-front arrival pushes
-    fulls = deadline_fires = completions = 0
-    next_arrival = 0
-
-    while next_arrival < n or heap:
-        if next_arrival < n:
-            request = srt[next_arrival]
-            if not heap or (request.arrival_s, _P_ARRIVAL, next_arrival) < (
-                heap[0][0],
-                heap[0][1],
-                heap[0][2],
-            ):
-                now = request.arrival_s
-                next_arrival += 1
-                replica = router.choose(request, replicas, now)
-                replica.enqueue(request, now)
-                if replica.group_ready():
-                    fulls += 1
-                    group = replica.dispatch(now)
-                    heapq.heappush(
-                        heap,
-                        (group.completion_s, _P_COMPLETION, seq, replica, group),
-                    )
-                    seq += 1
-                    sim._record(report, replica, group)
-                else:
-                    heapq.heappush(
-                        heap,
-                        (
-                            request.arrival_s + replica.batching.max_wait_s,
-                            _P_DEADLINE,
-                            seq,
-                            replica,
-                            None,
-                        ),
-                    )
-                    seq += 1
-                continue
-        now, priority, _seq, replica, group = heapq.heappop(heap)
-        if priority == _P_COMPLETION:
-            completions += 1
-            replica.complete(group)
-        elif replica.queue and replica.oldest_deadline() <= now + _EPS:
-            deadline_fires += 1
-            group = replica.dispatch(now)
-            heapq.heappush(
-                heap, (group.completion_s, _P_COMPLETION, seq, replica, group)
-            )
-            seq += 1
-            sim._record(report, replica, group)
-
-    report.makespan_s = max(
-        (r.free_at for r in replicas if r.groups), default=0.0
-    )
-    report.replicas = [sim._replica_stats(r) for r in replicas]
-    report.counters = {
-        "arrivals": n,
-        "full_group_dispatches": fulls,
-        "deadline_dispatches": deadline_fires,
-        "dispatched_groups": fulls + deadline_fires,
-        "completions": completions,
-    }
-    for name, value in report.counters.items():
-        count(f"cluster.{name}", value)
-    return report

@@ -26,14 +26,21 @@ Deadline events are scheduled eagerly (one per enqueued request) and
 validated lazily when popped: a stale deadline — its request already
 dispatched — is a no-op. This keeps the queue O(N log N) without the
 bookkeeping of cancellable timers.
+
+Representation: an :class:`Event` is a ``NamedTuple`` whose first three
+fields are the key, so heap sifts run as C tuple comparisons; ``seq`` is
+unique per queue, so a comparison never reaches ``kind`` or ``payload``.
+The arrival stream is never pushed: :class:`EventQueue` takes it pre-sorted
+and reads it through an index pointer, assigning arrival *i* the sequence
+number *i* — exactly the seqs the arrivals would have drawn had they been
+pushed first — so the pop order is unchanged while the heap only holds
+the (far fewer) scheduled events.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from heapq import heappop, heappush
+from typing import Any, NamedTuple, Sequence
 
 ARRIVAL = "arrival"
 DEADLINE = "deadline"
@@ -78,43 +85,67 @@ KIND_PRIORITY = {
 }
 
 
-@dataclass(order=True)
-class Event:
+_ARRIVAL_PRIORITY = KIND_PRIORITY[ARRIVAL]
+_new = tuple.__new__  # builds an Event without the Python-level __new__
+
+
+class Event(NamedTuple):
     """One scheduled simulator event; ordering key is (time, kind, seq).
 
     Attributes:
         time: simulation timestamp (seconds).
         priority: kind rank within a timestamp (:data:`KIND_PRIORITY`).
-        seq: FIFO tie-breaker within a (timestamp, kind) class.
-        kind: event type (ARRIVAL / DEADLINE / COMPLETION).
+        seq: FIFO tie-breaker within a (timestamp, kind) class; unique
+            per queue, so ordering never compares ``kind``/``payload``.
+        kind: event type (ARRIVAL / DEADLINE / COMPLETION / ...).
         payload: event-specific data (request, replica id, ...).
     """
 
     time: float
     priority: int
     seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: str
+    payload: Any = None
 
 
 class EventQueue:
-    """Time-ordered event heap with (kind, FIFO) tie-breaking."""
+    """Time-ordered event heap with (kind, FIFO) tie-breaking.
 
-    def __init__(self) -> None:
+    Args:
+        arrivals: requests sorted by ``arrival_s`` (stable). They become
+            ``ARRIVAL`` events with seqs ``0..n-1`` without entering the
+            heap; events pushed later draw seqs from ``n`` on.
+    """
+
+    def __init__(self, arrivals: Sequence = ()) -> None:
         self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._arrivals = arrivals
+        self._next = 0
+        self._seq = len(arrivals)
 
     def push(self, time: float, kind: str, payload: Any = None) -> None:
-        heapq.heappush(
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(
             self._heap,
-            Event(time, KIND_PRIORITY[kind], next(self._counter), kind, payload),
+            _new(Event, (time, KIND_PRIORITY[kind], seq, kind, payload)),
         )
 
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)
+        i = self._next
+        heap = self._heap
+        if i < len(self._arrivals):
+            request = self._arrivals[i]
+            event = _new(
+                Event, (request.arrival_s, _ARRIVAL_PRIORITY, i, ARRIVAL, request)
+            )
+            if not heap or event < heap[0]:
+                self._next = i + 1
+                return event
+        return heappop(heap)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._arrivals) - self._next
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._heap) or self._next < len(self._arrivals)

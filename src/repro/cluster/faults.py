@@ -403,6 +403,19 @@ def compile_fault_plan(
     return plan
 
 
+def fault_horizon_s(config: FaultConfig, requests: list[Request]) -> float:
+    """How far past time zero to sample a run's fault windows.
+
+    The last arrival plus one crash downtime, one straggler window, and a
+    minute of slack — long enough that faults can still hit the tail of
+    the stream. Every loop that compiles a plan for a request stream uses
+    this one formula, so the group and continuous disciplines see the
+    same schedule for the same config and stream.
+    """
+    last = max((r.arrival_s for r in requests), default=0.0)
+    return last + config.crash_downtime_s + config.straggler_duration_s + 60.0
+
+
 def finalize_availability(
     report: ClusterReport,
     crash_open_s: list,
@@ -497,7 +510,7 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
     replicas = sim.replicas
     n = len(replicas)
     report = ClusterReport(router=sim.router.name, slo_s=sim.config.slo_s)
-    events = EventQueue()
+    events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
 
     # Per-replica health/bookkeeping state, indexed by replica_id.
     up = [True] * n
@@ -537,8 +550,6 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
     for t, rid in cfg.joins:
         up[rid] = False  # joins start down; the JOIN event brings them up
         join_s[rid] = t
-    for request in sorted(requests, key=lambda r: r.arrival_s):
-        events.push(request.arrival_s, ARRIVAL, request)
     for t, kind, rid, value in plan.events:
         events.push(t, kind, (rid, value))
 
@@ -636,15 +647,14 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
                 replica,
             )
 
+    pop = events.pop
     while events:
-        event = events.pop()
-        now = event.time
-        kind = event.kind
+        now, _, _, kind, payload = pop()
         if kind == ARRIVAL:
             counters["arrivals"] += 1
-            route(event.payload, now)
+            route(payload, now)
         elif kind == DEADLINE:
-            replica = event.payload
+            replica = payload
             rid = replica.replica_id
             if (
                 up[rid]
@@ -653,7 +663,7 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
             ):
                 commit_dispatch(replica, now, full=False)
         elif kind == COMPLETION:
-            replica, group, ev_epoch = event.payload
+            replica, group, ev_epoch = payload
             rid = replica.replica_id
             if ev_epoch != epoch[rid]:
                 continue  # group was aborted by a crash
@@ -674,9 +684,9 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
                     )
                 )
         elif kind == RETRY:
-            route(event.payload, now)
+            route(payload, now)
         elif kind == CRASH:
-            rid, recover_at = event.payload
+            rid, recover_at = payload
             replica = replicas[rid]
             if not up[rid] or draining[rid]:
                 continue  # stale: replica already down or leaving
@@ -710,7 +720,7 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
             for request in victims_queued:
                 route(request, now)
         elif kind == RECOVER:
-            rid, _ = event.payload
+            rid, _ = payload
             if crash_open_s[rid] is None:
                 continue
             up[rid] = True
@@ -718,13 +728,13 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
             crash_open_s[rid] = None
             counters["recoveries"] += 1
         elif kind == JOIN:
-            rid, _ = event.payload
+            rid, _ = payload
             replica = replicas[rid]
             up[rid] = True
             replica.free_at = max(replica.free_at, now)
             counters["joins"] += 1
         elif kind == DRAIN:
-            rid, _ = event.payload
+            rid, _ = payload
             replica = replicas[rid]
             if draining[rid]:
                 continue
@@ -740,11 +750,11 @@ def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolic
             for request in victims:
                 route(request, now)
         elif kind == SLOW_START:
-            rid, factor = event.payload
+            rid, factor = payload
             replicas[rid].slow_factor = factor
             counters["straggler_windows"] += 1
         elif kind == SLOW_END:
-            rid, _ = event.payload
+            rid, _ = payload
             replicas[rid].slow_factor = 1.0
 
     # Defensive flush: the loop's deadline/crash/drain handling should

@@ -120,6 +120,10 @@ class ReplicaStats:
         up_time_s: billable serving time — makespan minus crash downtime,
             clipped to the replica's join/drain window. ``None`` (the
             fault-free default) means the full makespan.
+        batch_capacity: most requests the replica may run at once under
+            iteration-level scheduling (set by the continuous scheduler,
+            checked by :func:`repro.validation.check_cluster`; never
+            serialized). ``None`` for group-granular reports.
     """
 
     replica_id: int
@@ -132,6 +136,7 @@ class ReplicaStats:
     resident_experts: tuple[int, ...] = ()
     queue_depth_timeline: list[tuple[float, int]] = field(default_factory=list)
     up_time_s: float | None = None
+    batch_capacity: int | None = None
 
     def utilization(self, makespan_s: float) -> float:
         if makespan_s <= 0:

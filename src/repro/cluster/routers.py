@@ -26,6 +26,23 @@ from repro.errors import ReproDeprecationWarning
 from repro.serving.requests import Request
 
 
+def least_loaded(replicas: list[Replica]) -> Replica:
+    """The replica minimizing ``(outstanding(), replica_id)``.
+
+    One inline scan per arrival: the load is read as ``len(queue) +
+    inflight`` (the body of :meth:`Replica.outstanding`), with no key
+    lambda or method call per replica.
+    """
+    best = replicas[0]
+    best_load = len(best.queue) + best.inflight
+    best_id = best.replica_id
+    for replica in replicas:
+        load = len(replica.queue) + replica.inflight
+        if load < best_load or (load == best_load and replica.replica_id < best_id):
+            best, best_load, best_id = replica, load, replica.replica_id
+    return best
+
+
 class Router:
     """Base class: stateless or stateful replica selection.
 
@@ -100,7 +117,7 @@ class LeastOutstandingRouter(Router):
     def choose(
         self, request: Request, replicas: list[Replica], now: float
     ) -> Replica:
-        return min(replicas, key=lambda r: (r.outstanding(), r.replica_id))
+        return least_loaded(replicas)
 
 
 @register_router("expert-affinity")
@@ -125,7 +142,7 @@ class ExpertAffinityRouter(Router):
     def choose(
         self, request: Request, replicas: list[Replica], now: float
     ) -> Replica:
-        fallback = min(replicas, key=lambda r: (r.outstanding(), r.replica_id))
+        fallback = least_loaded(replicas)
         if request.hot_expert is None:
             return fallback
         affine = [
@@ -133,7 +150,7 @@ class ExpertAffinityRouter(Router):
         ]
         if not affine:
             return fallback
-        best = min(affine, key=lambda r: (r.outstanding(), r.replica_id))
+        best = least_loaded(affine)
         if best.outstanding() - fallback.outstanding() > self.slack:
             return fallback
         return best

@@ -281,74 +281,67 @@ class ClusterSimulator:
                 scheduler_cls = SCHEDULERS.get(self.config.scheduler)
                 return scheduler_cls(self).run(requests)
             if self.faults is not None and self.faults.active():
-                from repro.cluster.faults import (
-                    RetryPolicy,
-                    compile_fault_plan,
-                    run_faulted,
-                )
-
                 if engine != "serial":
                     count("cluster.engine.fault_fallback")
-                last = max((r.arrival_s for r in requests), default=0.0)
-                horizon = (
-                    last
-                    + self.faults.crash_downtime_s
-                    + self.faults.straggler_duration_s
-                    + 60.0
-                )
-                plan = compile_fault_plan(
-                    self.faults, len(self.replicas), horizon
-                )
-                return run_faulted(
-                    self, requests, plan, self.retry or RetryPolicy()
-                )
+                return self._run_faulted(requests)
             if engine == "serial":
                 return self._run(requests)
             from repro.cluster.engines import run_engine
 
             return run_engine(self, requests, engine=engine, jobs=jobs)
 
+    def _run_faulted(self, requests: list[Request]) -> ClusterReport:
+        """The faulted serial loop over this stream's compiled plan."""
+        from repro.cluster.faults import (
+            RetryPolicy,
+            compile_fault_plan,
+            fault_horizon_s,
+            run_faulted,
+        )
+
+        plan = compile_fault_plan(
+            self.faults, len(self.replicas), fault_horizon_s(self.faults, requests)
+        )
+        return run_faulted(self, requests, plan, self.retry or RetryPolicy())
+
     def _run(self, requests: list[Request]) -> ClusterReport:
         report = ClusterReport(router=self.router.name, slo_s=self.config.slo_s)
         # Event-loop accounting: folded into the report (deterministic per
         # stream) and mirrored to the process counters for the manifest.
         arrivals = full_dispatches = deadline_dispatches = completions = 0
-        events = EventQueue()
-        for request in sorted(requests, key=lambda r: r.arrival_s):
-            events.push(request.arrival_s, ARRIVAL, request)
+        events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
+        push, pop = events.push, events.pop
+        choose, replicas = self.router.choose, self.replicas
 
         def dispatch(replica: Replica, now: float) -> None:
             with span("cluster.dispatch", {"replica": replica.replica_id}):
                 group = replica.dispatch(now)
-            events.push(group.completion_s, COMPLETION, (replica, group))
+            push(group.completion_s, COMPLETION, (replica, group))
             self._record(report, replica, group)
 
         while events:
-            event = events.pop()
-            now = event.time
-            if event.kind == ARRIVAL:
+            now, _, _, kind, payload = pop()
+            if kind == ARRIVAL:
                 arrivals += 1
-                request: Request = event.payload
                 with span("cluster.route"):
-                    replica = self.router.choose(request, self.replicas, now)
-                replica.enqueue(request, now)
+                    replica = choose(payload, replicas, now)
+                replica.enqueue(payload, now)
                 if replica.group_ready():
                     full_dispatches += 1
                     dispatch(replica, now)
                 else:
-                    events.push(
-                        request.arrival_s + replica.batching.max_wait_s,
+                    push(
+                        payload.arrival_s + replica.batching.max_wait_s,
                         DEADLINE,
                         replica,
                     )
-            elif event.kind == DEADLINE:
-                replica = event.payload
-                if replica.queue and replica.oldest_deadline() <= now + _EPS:
+            elif kind == DEADLINE:
+                if payload.queue and payload.oldest_deadline() <= now + _EPS:
                     deadline_dispatches += 1
-                    dispatch(replica, now)
+                    dispatch(payload, now)
             else:  # COMPLETION
                 completions += 1
-                replica, group = event.payload
+                replica, group = payload
                 replica.complete(group)
 
         report.makespan_s = max(

@@ -43,9 +43,19 @@ Per-request records keep the causality contract of
 :func:`repro.validation.check_cluster`: ``dispatch_s == start_s`` is the
 admission boundary, ``completion_s`` the final step's end, and ``ttft_s``
 the end of the admission step (prefill happens within it). Requests on
-one replica legitimately overlap in time, so the checker skips the
-replica-serialization invariant for continuous reports and bounds
-``busy_s`` by the makespan instead.
+one replica legitimately overlap in time, so instead of the group loop's
+replica-serialization invariant the checker bounds ``busy_s`` by the
+makespan and the number of overlapping completed intervals by the
+replica's batch capacity (``ReplicaStats.batch_capacity``).
+
+Cost per step boundary is proportional to the requests it touches, not
+to the queue or batch size: waiting requests sit in per-class FIFO
+deques (admission pops heads, preemption pushes a head back), the KV
+footprint of the running batch is a counter kept current as requests
+join, step and leave, and each running request is filed under the step
+on which it will finish, so a commit visits only its finishers. Only
+sink+window streaming replicas recount the footprint per entry each
+step, since theirs saturates.
 
 Everything is deterministic: same seed, same stream, same report —
 bit for bit — which the group-vs-continuous conservation differential
@@ -54,7 +64,10 @@ bit for bit — which the group-vs-continuous conservation differential
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, count as counter
+from operator import attrgetter, itemgetter
 
 from repro.api.registry import register_scheduler
 from repro.cluster.events import (
@@ -86,14 +99,22 @@ KV_FRACTION = 0.5
 SLO_CLASS_TARGETS = {"interactive": 0.5, "standard": 1.0, "batch": 2.0}
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Active:
-    """One request currently in a replica's running batch."""
+    """One request in a replica's running batch.
+
+    Its generated-token count is implicit: ``steps - start_step`` for the
+    replica's committed step count ``steps``. ``alive`` goes False when
+    the entry is preempted, so the step it was filed under skips it.
+    Identity equality/hash: entries are members of ordered-set dicts.
+    """
 
     request: Request
     admitted_s: float
+    start_step: int
+    ordinal: int
     first_token_s: float | None = None
-    generated: int = 0
+    alive: bool = True
 
 
 def _streaming(replica):
@@ -145,21 +166,7 @@ class GroupScheduler(Scheduler):
     def run(self, requests: list[Request]) -> ClusterReport:
         sim = self.sim
         if sim.faults is not None and sim.faults.active():
-            from repro.cluster.faults import (
-                RetryPolicy,
-                compile_fault_plan,
-                run_faulted,
-            )
-
-            last = max((r.arrival_s for r in requests), default=0.0)
-            horizon = (
-                last
-                + sim.faults.crash_downtime_s
-                + sim.faults.straggler_duration_s
-                + 60.0
-            )
-            plan = compile_fault_plan(sim.faults, len(sim.replicas), horizon)
-            return run_faulted(sim, requests, plan, sim.retry or RetryPolicy())
+            return sim._run_faulted(requests)
         return sim._run(requests)
 
 
@@ -213,19 +220,20 @@ class ContinuousScheduler(Scheduler):
         replicas = sim.replicas
         n = len(replicas)
         report = ClusterReport(router=sim.router.name, slo_s=sim.config.slo_s)
-        events = EventQueue()
+        events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
+        push = events.push
 
         cfg = sim.faults if sim.faults is not None and sim.faults.active() else None
         plan = None
         retry = None
         if cfg is not None:
-            from repro.cluster.faults import RetryPolicy, compile_fault_plan
-
-            last = max((r.arrival_s for r in requests), default=0.0)
-            horizon = (
-                last + cfg.crash_downtime_s + cfg.straggler_duration_s + 60.0
+            from repro.cluster.faults import (
+                RetryPolicy,
+                compile_fault_plan,
+                fault_horizon_s,
             )
-            plan = compile_fault_plan(cfg, n, horizon)
+
+            plan = compile_fault_plan(cfg, n, fault_horizon_s(cfg, requests))
             retry = sim.retry or RetryPolicy()
         protect_class = cfg.shed_protect_class if cfg is not None else "interactive"
 
@@ -257,7 +265,29 @@ class ContinuousScheduler(Scheduler):
             fetch_s.append(replica.expert_fetch_time_s())
 
         # Per-replica scheduler state, indexed by replica_id.
-        running: list[list[_Active]] = [[] for _ in range(n)]
+        #
+        # Waiting requests live in two FIFO deques of ``(key, request)``:
+        # the protected class and the rest. Admission takes a prefix of
+        # "protected, then the rest", so it only ever pops deque heads.
+        # Keys rebuild the single merged queue that crash, drain and the
+        # final flush requeue from: appends draw increasing keys from
+        # ``back``, preemption's front reinsertions decreasing negative
+        # ones from ``front``, so both deques stay key-sorted.
+        queue_p = [deque() for _ in range(n)]
+        queue_o = [deque() for _ in range(n)]
+        queued = [0] * n
+        back = counter()
+        front = counter(-1, -1)
+        # The running batch: admission-ordered dicts used as ordered sets
+        # (protected, rest); the latest-admitted non-protected entry is
+        # the rest dict's ``popitem()``.
+        run_p: list[dict[_Active, None]] = [{} for _ in range(n)]
+        run_o: list[dict[_Active, None]] = [{} for _ in range(n)]
+        kv_used = [0] * n  # KV tokens the running batch holds
+        # Running entries filed by the step count at which they finish,
+        # so a step commit touches only its finishers.
+        finish_at: list[dict[int, list[_Active]]] = [{} for _ in range(n)]
+        ordinal = counter()  # admission order across run_p/run_o
         step_pending = [False] * n
         epoch = [0] * n  # bumped on crash; stale step events are skipped
         steps = [0] * n  # committed decode steps (ReplicaStats.groups)
@@ -302,11 +332,9 @@ class ContinuousScheduler(Scheduler):
                 up[rid] = False
                 join_s[rid] = t
 
-        for request in sorted(requests, key=lambda r: r.arrival_s):
-            events.push(request.arrival_s, ARRIVAL, request)
         if plan is not None:
             for t, kind, rid, value in plan.events:
-                events.push(t, kind, (rid, value))
+                push(t, kind, (rid, value))
 
         def terminal(request: Request, now: float, outcome: str, rid: int) -> None:
             report.records.append(
@@ -335,9 +363,24 @@ class ContinuousScheduler(Scheduler):
                 return
             budget_used += 1
             counters["retries_scheduled"] += 1
-            events.push(
-                now + retry.backoff_s(request.request_id, done), RETRY, request
-            )
+            push(now + retry.backoff_s(request.request_id, done), RETRY, request)
+
+        def take_queue(rid: int) -> list[Request]:
+            """Empty ``rid``'s queues, returning them in merged queue order."""
+            merged = sorted(chain(queue_p[rid], queue_o[rid]), key=itemgetter(0))
+            queue_p[rid].clear()
+            queue_o[rid].clear()
+            queued[rid] = 0
+            return [request for _, request in merged]
+
+        def take_running(rid: int) -> list[_Active]:
+            """Empty ``rid``'s running batch, returning it in admission order."""
+            merged = sorted(chain(run_p[rid], run_o[rid]), key=attrgetter("ordinal"))
+            run_p[rid].clear()
+            run_o[rid].clear()
+            finish_at[rid].clear()
+            kv_used[rid] = 0
+            return merged
 
         def kick(rid: int, now: float) -> None:
             """Schedule a boundary at ``now`` unless one is pending.
@@ -348,7 +391,7 @@ class ContinuousScheduler(Scheduler):
             """
             if not step_pending[rid]:
                 step_pending[rid] = True
-                events.push(now, DECODE_STEP, (rid, epoch[rid], 0.0, 0, None))
+                push(now, DECODE_STEP, (rid, epoch[rid], 0.0, 0, None))
 
         def route(request: Request, now: float) -> None:
             healthy = [
@@ -362,13 +405,19 @@ class ContinuousScheduler(Scheduler):
             with span("cluster.route"):
                 replica = sim.router.choose(request, healthy, now)
             rid = replica.replica_id
+            protected = request.slo_class == protect_class
             if cfg is not None and cfg.shed_queue_depth:
-                protected = request.slo_class == protect_class
                 limit = cfg.shed_queue_depth * (2 if protected else 1)
-                if len(replica.queue) >= limit:
+                if queued[rid] >= limit:
                     terminal(request, now, "shed", rid)
                     return
-            replica.enqueue(request, now)
+            (queue_p if protected else queue_o)[rid].append((next(back), request))
+            queued[rid] += 1
+            # The queues are private to this loop, so the replica's
+            # router-visible load (``outstanding()``: its always-empty
+            # ``queue`` plus ``inflight``) carries queued + running.
+            replica.inflight += 1
+            replica.sample_queue_depth(now, queued[rid])
             kick(rid, now)
 
         def boundary(replica, now: float) -> None:
@@ -376,62 +425,62 @@ class ContinuousScheduler(Scheduler):
             rid = replica.replica_id
             if step_pending[rid] or not up[rid]:
                 return
-            state = running[rid]
+            rp = run_p[rid]
+            ro = run_o[rid]
             streaming = streamings[rid]
             budget = budgets[rid]
+            step = steps[rid]
+            used = kv_used[rid]
             queue_touched = False
 
-            def used_tokens() -> int:
-                return sum(
-                    _footprint(streaming, e.request.prompt_len + e.generated)
-                    for e in state
-                )
-
             # Deterministic preemption under KV pressure: non-protected
-            # classes first, latest-admitted first, ties by request id;
-            # never preempt the last running request. Progress is
-            # discarded and the victim rejoins the queue *front*.
-            while len(state) > 1 and used_tokens() > budget:
-                ranked = sorted(
-                    range(len(state)),
-                    key=lambda i: (
-                        state[i].request.slo_class == protect_class,
-                        -i,
-                        -state[i].request.request_id,
-                    ),
+            # classes first, latest-admitted first; never preempt the
+            # last running request. Progress is discarded and the victim
+            # rejoins the front of its class queue.
+            while used > budget and len(rp) + len(ro) > 1:
+                victim = (ro or rp).popitem()[0]
+                victim.alive = False
+                request = victim.request
+                used -= _footprint(
+                    streaming, request.prompt_len + step - victim.start_step
                 )
-                victim = state.pop(ranked[0])
                 counters["preemptions"] += 1
-                attempts[victim.request.request_id] = (
-                    attempts.get(victim.request.request_id, 1) - 1
+                attempts[request.request_id] = (
+                    attempts.get(request.request_id, 1) - 1
                 )
-                replica.queue.insert(0, victim.request)
+                queue = queue_p if request.slo_class == protect_class else queue_o
+                queue[rid].appendleft((next(front), request))
+                queued[rid] += 1
                 queue_touched = True
 
             # Admission: protected class first, FIFO within a class,
             # head-of-line blocking on the KV budget (an empty batch
             # force-admits its head so oversized requests cannot starve).
             admitted: list[_Active] = []
-            if not draining[rid] and replica.queue:
-                candidates = [
-                    r for r in replica.queue if r.slo_class == protect_class
-                ] + [r for r in replica.queue if r.slo_class != protect_class]
-                used = used_tokens()
-                for request in candidates:
-                    if len(state) >= caps[rid]:
-                        break
-                    footprint = _footprint(streaming, request.prompt_len)
-                    if state and used + footprint > budget:
-                        break
-                    replica.queue.remove(request)
+            if not draining[rid] and queued[rid]:
+                cap = caps[rid]
+                size = len(rp) + len(ro)
+                for queue, batch in ((queue_p[rid], rp), (queue_o[rid], ro)):
+                    while queue and size < cap:
+                        request = queue[0][1]
+                        footprint = _footprint(streaming, request.prompt_len)
+                        if size and used + footprint > budget:
+                            break
+                        queue.popleft()
+                        used += footprint
+                        entry = _Active(request, now, step, next(ordinal))
+                        batch[entry] = None
+                        admitted.append(entry)
+                        size += 1
+                        attempts[request.request_id] = (
+                            attempts.get(request.request_id, 0) + 1
+                        )
+                    else:
+                        continue
+                    break  # head-of-line budget block ends admission
+                if admitted:
+                    queued[rid] -= len(admitted)
                     queue_touched = True
-                    used += footprint
-                    entry = _Active(request, now)
-                    state.append(entry)
-                    admitted.append(entry)
-                    attempts[request.request_id] = (
-                        attempts.get(request.request_id, 0) + 1
-                    )
 
             # Transient admission failure (per-boundary oracle, same
             # breaker semantics as the group loop's per-dispatch one).
@@ -449,16 +498,21 @@ class ContinuousScheduler(Scheduler):
                         consec_fail[rid] = 0
                         counters["breaker_trips"] += 1
                     for entry in admitted:
-                        state.remove(entry)
-                        retry_or_fail(entry.request, now, rid)
+                        request = entry.request
+                        batch = rp if request.slo_class == protect_class else ro
+                        del batch[entry]
+                        used -= _footprint(streaming, request.prompt_len)
+                        retry_or_fail(request, now, rid)
                     admitted = []
                 else:
                     consec_fail[rid] = 0
 
+            kv_used[rid] = used
             if queue_touched:
-                replica.sample_queue_depth(now, len(replica.queue))
-            replica.inflight = len(state)
-            if not state:
+                replica.sample_queue_depth(now, queued[rid])
+            size = len(rp) + len(ro)
+            replica.inflight = queued[rid] + size
+            if not size:
                 return
             counters["admitted_requests"] += len(admitted)
             missing = {
@@ -468,14 +522,21 @@ class ContinuousScheduler(Scheduler):
                 and e.request.hot_expert not in replica.resident_experts
             }
             duration = (
-                decode_ref[rid] * (len(state) / caps[rid])
+                decode_ref[rid] * (size / caps[rid])
                 + sum(e.request.prompt_len for e in admitted)
                 / prefill_tok_s[rid]
                 + len(missing) * fetch_s[rid]
             ) * replica.slow_factor
+            # An entry admitted after ``step`` committed steps has
+            # generated ``steps - step`` tokens; it finishes at the commit
+            # that brings that to its gen_len.
+            finishing = finish_at[rid]
+            for entry in admitted:
+                due = step + max(entry.request.gen_len, 1)
+                finishing.setdefault(due, []).append(entry)
             step_pending[rid] = True
             replica.free_at = now + duration
-            events.push(
+            push(
                 now + duration,
                 DECODE_STEP,
                 (rid, epoch[rid], duration, len(missing), admitted),
@@ -483,48 +544,59 @@ class ContinuousScheduler(Scheduler):
 
         def commit_step(rid: int, now: float, duration, misses, admitted) -> None:
             replica = replicas[rid]
-            state = running[rid]
+            rp = run_p[rid]
+            ro = run_o[rid]
+            streaming = streamings[rid]
             counters["decode_steps"] += 1
-            steps[rid] += 1
+            step = steps[rid] + 1
+            steps[rid] = step
             replica.busy_s += duration
             replica.expert_misses += misses
             last_step_end[rid] = now
             for entry in admitted:
                 entry.first_token_s = now
-            finished = [
-                entry
-                for entry in state
-                if entry.generated + 1 >= max(entry.request.gen_len, 1)
-            ]
-            for entry in state:
-                entry.generated += 1
-            for entry in finished:
-                state.remove(entry)
+            if streaming is None:
+                kv_used[rid] += len(rp) + len(ro)  # one token each
+            # Finishers in admission order (the order they were filed).
+            for entry in finish_at[rid].pop(step, ()):
+                if not entry.alive:
+                    continue  # preempted after it was filed
+                request = entry.request
+                del (rp if request.slo_class == protect_class else ro)[entry]
+                if streaming is None:
+                    kv_used[rid] -= request.prompt_len + step - entry.start_step
                 completed_on[rid] += 1
                 counters["completions"] += 1
                 report.records.append(
                     make_record(
-                        entry.request,
+                        request,
                         rid,
                         entry.admitted_s,
                         entry.admitted_s,
                         now,
-                        entry.first_token_s - entry.request.arrival_s,
+                        entry.first_token_s - request.arrival_s,
                         "completed",
-                        attempts.get(entry.request.request_id, 1),
+                        attempts.get(request.request_id, 1),
                     )
                 )
-            replica.inflight = len(state)
+            if streaming is not None:
+                # Sink+window footprints saturate, so recount per entry.
+                kv_used[rid] = sum(
+                    _footprint(
+                        streaming, e.request.prompt_len + step - e.start_step
+                    )
+                    for e in chain(rp, ro)
+                )
+            replica.inflight = queued[rid] + len(rp) + len(ro)
 
+        pop = events.pop
         while events:
-            event = events.pop()
-            now = event.time
-            kind = event.kind
+            now, _, _, kind, payload = pop()
             if kind == ARRIVAL:
                 counters["arrivals"] += 1
-                route(event.payload, now)
+                route(payload, now)
             elif kind == DECODE_STEP:
-                rid, ev_epoch, duration, misses, admitted = event.payload
+                rid, ev_epoch, duration, misses, admitted = payload
                 if ev_epoch != epoch[rid]:
                     continue  # step aborted by a crash
                 step_pending[rid] = False
@@ -532,9 +604,9 @@ class ContinuousScheduler(Scheduler):
                     commit_step(rid, now, duration, misses, admitted)
                 boundary(replicas[rid], now)
             elif kind == RETRY:
-                route(event.payload, now)
+                route(payload, now)
             elif kind == CRASH:
-                rid, recover_at = event.payload
+                rid, recover_at = payload
                 replica = replicas[rid]
                 if not up[rid] or draining[rid]:
                     continue  # stale: replica already down or leaving
@@ -543,11 +615,9 @@ class ContinuousScheduler(Scheduler):
                 counters["crashes"] += 1
                 epoch[rid] += 1
                 step_pending[rid] = False
-                victims_running = running[rid][:]
-                running[rid].clear()
+                victims_running = take_running(rid)
+                victims_queued = take_queue(rid)
                 replica.inflight = 0
-                victims_queued = replica.queue[:]
-                replica.queue.clear()
                 replica.sample_queue_depth(now, 0)
                 replica.free_at = recover_at
                 counters["requeued_from_crash"] += len(victims_running) + len(
@@ -560,7 +630,7 @@ class ContinuousScheduler(Scheduler):
                 for request in victims_queued:
                     route(request, now)
             elif kind == RECOVER:
-                rid, _ = event.payload
+                rid, _ = payload
                 if crash_open_s[rid] is None:
                     continue
                 up[rid] = True
@@ -568,48 +638,44 @@ class ContinuousScheduler(Scheduler):
                 crash_open_s[rid] = None
                 counters["recoveries"] += 1
             elif kind == JOIN:
-                rid, _ = event.payload
+                rid, _ = payload
                 up[rid] = True
                 replicas[rid].free_at = max(replicas[rid].free_at, now)
                 counters["joins"] += 1
             elif kind == DRAIN:
-                rid, _ = event.payload
+                rid, _ = payload
                 replica = replicas[rid]
                 if draining[rid]:
                     continue
                 draining[rid] = True
                 drain_s[rid] = now
                 counters["drains"] += 1
-                victims = replica.queue[:]
-                replica.queue.clear()
+                victims = take_queue(rid)
+                replica.inflight = len(run_p[rid]) + len(run_o[rid])
                 replica.sample_queue_depth(now, 0)
                 counters["requeued_from_drain"] += len(victims)
                 for request in victims:
                     route(request, now)
             elif kind == SLOW_START:
-                rid, factor = event.payload
+                rid, factor = payload
                 replicas[rid].slow_factor = factor
                 counters["straggler_windows"] += 1
             elif kind == SLOW_END:
-                rid, _ = event.payload
+                rid, _ = payload
                 replicas[rid].slow_factor = 1.0
 
         # Defensive flush: the loop should drain every queue and batch;
         # anything left is a conservation bug surfaced as a counted
         # terminal record rather than a silently lost request.
         for rid, replica in enumerate(replicas):
-            for request in replica.queue:
+            stranded = take_queue(rid)
+            stranded.extend(entry.request for entry in take_running(rid))
+            for request in stranded:
                 terminal(request, replica.free_at, "failed", rid)
                 counters["stranded_requests"] = (
                     counters.get("stranded_requests", 0) + 1
                 )
-            replica.queue.clear()
-            for entry in running[rid]:
-                terminal(entry.request, replica.free_at, "failed", rid)
-                counters["stranded_requests"] = (
-                    counters.get("stranded_requests", 0) + 1
-                )
-            running[rid].clear()
+            replica.inflight = 0
             replica.slow_factor = 1.0
 
         report.makespan_s = max(
@@ -631,6 +697,7 @@ class ContinuousScheduler(Scheduler):
                 expert_misses=replica.expert_misses,
                 resident_experts=tuple(sorted(replica.resident_experts)),
                 queue_depth_timeline=list(replica.queue_depth_timeline),
+                batch_capacity=caps[rid],
             )
             for rid, replica in enumerate(replicas)
         ]

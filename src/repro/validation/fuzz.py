@@ -18,14 +18,17 @@ Two case families:
   multiplier of the observed peak, forcing both engines to agree on
   whether — and exactly how — the run dies;
 * **cluster cases** — a random fleet (heterogeneous hardware, random
-  registry router, adversarial hot-expert skews) serving a random
-  arrival process (Poisson, bursty MMPP, or trace replay), all encoded
-  in the config's ``cluster``/``serve`` sections. The report is checked
-  against the cluster conservation/causality/accounting invariants, the
-  whole simulation is re-run from scratch to prove determinism under a
-  fixed seed, and (in ``both`` engine mode) the serial, batched, and
-  sharded cluster engines are diffed bit-for-bit through
-  :mod:`repro.validation.cluster_differential`.
+  registry router and dispatch discipline, adversarial hot-expert
+  skews) serving a random arrival process (Poisson, bursty MMPP, or
+  trace replay), all encoded in the config's ``cluster``/``serve``
+  sections. The report is checked against the cluster
+  conservation/causality/accounting invariants, the whole simulation is
+  re-run from scratch to prove determinism under a fixed seed, (in
+  ``both`` engine mode) the serial, batched, and sharded cluster engines
+  are diffed bit-for-bit through
+  :mod:`repro.validation.cluster_differential`, and cases that sampled a
+  non-group scheduler also run the group-vs-continuous conservation
+  differential (:mod:`repro.validation.scheduler_differential`).
 
 The generated models/machines are deliberately tiny (a case runs in tens
 of milliseconds) but structurally adversarial: dense and MoE models,
@@ -52,6 +55,7 @@ from repro.api import (
     build_system,
     router_names,
     run_cluster,
+    scheduler_names,
 )
 from repro.errors import OutOfMemoryError, ReproError
 from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
@@ -591,7 +595,7 @@ def random_cluster_run_config(
     Returns:
         A :class:`~repro.api.RunConfig` with ``cluster`` and ``serve``
         sections: a heterogeneous fleet behind a random registry router
-        serving a random arrival process.
+        and dispatch discipline serving a random arrival process.
     """
     model = random_model(rng)
     n_replicas = int(rng.integers(1, 5))
@@ -617,6 +621,11 @@ def random_cluster_run_config(
         retry=random_retry_config(rng) if chaos else {},
     )
     serve = random_serve_config(rng, model)
+    # Drawn last so every earlier draw — and hence every case seed's
+    # fleet, stream, and fault plan — replays unchanged.
+    cluster = dataclasses.replace(
+        cluster, scheduler=str(rng.choice(scheduler_names()))
+    )
     return RunConfig(scenario=scenario, cluster=cluster, serve=serve)
 
 
@@ -648,7 +657,7 @@ def run_cluster_case(
     kind = "chaos" if chaos else "cluster"
     tag = (
         f"{kind} {label or f'case-seed={case_seed}'} "
-        f"router={config.cluster.router}"
+        f"router={config.cluster.router} scheduler={config.cluster.scheduler}"
     )
     report.cluster_cases += 1
     requests = build_requests(config)
@@ -693,6 +702,23 @@ def run_cluster_case(
             config, jobs=1, shared_cache={}, requests=requests
         )
         report.record(tag, config, diffs=result.diffs, engine=engine)
+
+    if config.cluster.scheduler != "group":
+        # Non-default disciplines are also held to the group loop by the
+        # conservation oracle: same terminal id set, exactly once each.
+        from repro.validation.scheduler_differential import (
+            run_scheduler_differential,
+        )
+
+        try:
+            outcome = run_scheduler_differential(
+                config, shared_cache={}, requests=requests
+            )
+        except OutOfMemoryError:
+            # The group loop runs group shapes the continuous calibration
+            # never probed; an infeasible one is a fleet limit, not a bug.
+            return
+        report.record(tag, config, diffs=outcome.diffs, scheduler_differential=True)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:

@@ -293,6 +293,25 @@ def _check_memory(
     return violations
 
 
+def _peak_overlap(intervals: list[tuple[float, float]]) -> tuple[int, float]:
+    """Most half-open ``[start, end)`` intervals alive at one instant.
+
+    A sweep over the sorted endpoints; at equal times ends (-1) sort
+    before starts (+1), so an interval ending exactly where another
+    begins does not overlap it. Returns ``(peak, first instant)``.
+    """
+    points = sorted(
+        [(start, 1) for start, _ in intervals] + [(end, -1) for _, end in intervals]
+    )
+    live = peak = 0
+    at = 0.0
+    for time, delta in points:
+        live += delta
+        if live > peak:
+            peak, at = live, time
+    return peak, at
+
+
 def check_cluster(
     report: ClusterReport, requests: list[Request]
 ) -> list[Violation]:
@@ -443,8 +462,10 @@ def check_cluster(
     # and may legitimately fall inside another group's interval.
     # Under the continuous scheduler requests on one replica overlap by
     # design (iteration-level admission interleaves them), so the
-    # serialization invariant does not apply; the slot discipline is
-    # instead bounded by busy time never exceeding the makespan.
+    # serialization invariant does not apply. Instead busy time never
+    # exceeds the makespan (decode steps do not overlap), and at no
+    # instant do more completed half-open [start, completion) intervals
+    # overlap than the replica's running-batch capacity.
     continuous = getattr(report, "scheduler", "group") == "continuous"
     by_replica: dict[int, set[tuple[float, float]]] = {}
     for record in completed:
@@ -453,6 +474,11 @@ def check_cluster(
         )
     stats_by_id = {stats.replica_id: stats for stats in report.replicas}
     if continuous:
+        spans: dict[int, list[tuple[float, float]]] = {}
+        for record in completed:
+            spans.setdefault(record.replica_id, []).append(
+                (record.start_s, record.completion_s)
+            )
         for stats in report.replicas:
             if stats.busy_s > report.makespan_s + _EPS:
                 violations.append(
@@ -461,6 +487,18 @@ def check_cluster(
                         f"replica {stats.replica_id}: busy {stats.busy_s!r} s "
                         f"exceeds makespan {report.makespan_s!r} s "
                         "(overlapping decode steps)",
+                    )
+                )
+            if stats.batch_capacity is None:
+                continue
+            peak, at = _peak_overlap(spans.get(stats.replica_id, []))
+            if peak > stats.batch_capacity:
+                violations.append(
+                    Violation(
+                        "batch-capacity",
+                        f"replica {stats.replica_id}: {peak} completed "
+                        f"requests running at {at!r} s exceed its batch "
+                        f"capacity {stats.batch_capacity}",
                     )
                 )
     else:
@@ -491,6 +529,21 @@ def check_cluster(
                             "slot intervals (double-booked execution slot)",
                         )
                     )
+
+    # Replica exclusivity: a request completes on one replica only — a
+    # completed interval on a second replica means it ran twice.
+    completed_on: dict[int, int] = {}
+    for record in completed:
+        rid = record.request.request_id
+        first = completed_on.setdefault(rid, record.replica_id)
+        if first != record.replica_id:
+            violations.append(
+                Violation(
+                    "replica-exclusivity",
+                    f"request {rid} completed on replicas {first} and "
+                    f"{record.replica_id}",
+                )
+            )
 
     # Downtime exclusion: a completed group's interval must never
     # overlap a downtime window of its replica — a crash aborts every

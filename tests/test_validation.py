@@ -122,9 +122,9 @@ class TestTimelineInvariants:
         assert "op-count" in {v.invariant for v in check_timeline(s, t)}
 
 
-def tiny_cluster_run():
+def tiny_cluster_run(scheduler: str = "group", count: int = 10, rate: float = 4.0):
     requests = generate_requests(
-        ArrivalConfig(rate_per_s=4.0, prompt_len_mean=16, gen_len=2, seed=9), 10
+        ArrivalConfig(rate_per_s=rate, prompt_len_mean=16, gen_len=2, seed=9), count
     )
     replicas = build_cluster(
         TINY_MOE,
@@ -135,9 +135,28 @@ def tiny_cluster_run():
         seed=1,
     )
     simulator = ClusterSimulator(
-        replicas, make_router("least-outstanding"), ClusterConfig(slo_s=60.0)
+        replicas,
+        make_router("least-outstanding"),
+        ClusterConfig(slo_s=60.0, scheduler=scheduler),
     )
     return simulator.run(requests), requests
+
+
+def busy_continuous_run():
+    """A continuous run whose queues build, so batches fill to capacity."""
+    from repro.validation.invariants import _peak_overlap
+
+    report, requests = tiny_cluster_run("continuous", count=40, rate=500.0)
+    assert report.scheduler == "continuous"
+    assert check_cluster(report, requests) == []
+    stats = report.replicas[0]
+    intervals = [
+        (r.start_s, r.completion_s)
+        for r in report.records
+        if r.replica_id == stats.replica_id
+    ]
+    assert _peak_overlap(intervals)[0] == stats.batch_capacity
+    return report, requests
 
 
 class TestClusterInvariants:
@@ -208,6 +227,48 @@ class TestClusterInvariants:
             )
         names = {v.invariant for v in check_cluster(report, requests)}
         assert "replica-serialization" in names
+
+
+    def test_peak_overlap_is_half_open(self):
+        from repro.validation.invariants import _peak_overlap
+
+        assert _peak_overlap([(0.0, 1.0), (1.0, 2.0)]) == (1, 0.0)
+        assert _peak_overlap([(0.0, 2.0), (1.0, 3.0), (1.5, 1.75)]) == (3, 1.5)
+        assert _peak_overlap([]) == (0, 0.0)
+
+    def test_continuous_batch_over_capacity_detected(self):
+        import dataclasses
+
+        report, requests = busy_continuous_run()
+        # Stretch every completion on one replica to its last one: all
+        # of its intervals then overlap at the latest start.
+        stats = report.replicas[0]
+        target = [
+            i for i, r in enumerate(report.records)
+            if r.replica_id == stats.replica_id and r.outcome == "completed"
+        ]
+        assert len(target) > stats.batch_capacity
+        last = max(report.records[i].completion_s for i in target)
+        for i in target:
+            report.records[i] = dataclasses.replace(
+                report.records[i], completion_s=last
+            )
+        report.invalidate_metrics()
+        names = {v.invariant for v in check_cluster(report, requests)}
+        assert "batch-capacity" in names
+
+    def test_request_completed_on_two_replicas_detected(self):
+        import dataclasses
+
+        report, requests = busy_continuous_run()
+        record = report.records[0]
+        other = next(
+            s.replica_id for s in report.replicas
+            if s.replica_id != record.replica_id
+        )
+        report.records.append(dataclasses.replace(record, replica_id=other))
+        names = {v.invariant for v in check_cluster(report, requests)}
+        assert "replica-exclusivity" in names
 
 
 class TestDifferential:
