@@ -17,11 +17,20 @@ import pytest
 
 from repro.api import RunConfig, run_cluster
 from repro.api.run import build_requests
-from repro.baselines import FlexGenSystem
+from repro.baselines import (
+    AccelerateSystem,
+    FastGenSystem,
+    FiddlerSystem,
+    FlexGenSystem,
+    MixtralOffloadingSystem,
+    MoEInfinitySystem,
+    SiDASystem,
+)
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.cluster.faults import FaultConfig, RetryPolicy
 from repro.compression import SparseAttentionConfig
 from repro.core.engine import KlotskiOptions, KlotskiSystem
+from repro.passes import DEFAULT_PASS_QUEUE, PassPipeline
 from repro.runtime.executor import Executor
 from repro.scenario import Scenario
 from repro.serving.requests import ArrivalConfig, assign_hot_experts, generate_requests
@@ -58,6 +67,21 @@ def _pipeline_snapshots(system) -> dict:
     return {
         "schedule": snapshot_schedule(built.schedule),
         "timeline": snapshot_timeline(built.schedule, timeline),
+    }
+
+
+def _passes_snapshots() -> dict:
+    """Klotski plus the default pass queue: pins the optimized schedule
+    and its timeline (what ``klotski+passes`` executes)."""
+    scenario = _scenario()
+    built = KlotskiSystem().build(scenario)
+    result = PassPipeline(DEFAULT_PASS_QUEUE).run(built.schedule, scenario.hardware)
+    assert result.accepted, "no pass accepted: the case no longer pins a rewrite"
+    violations = check_timeline(result.schedule, result.timeline)
+    assert not violations, "\n".join(map(str, violations))
+    return {
+        "schedule": snapshot_schedule(result.schedule),
+        "timeline": snapshot_timeline(result.schedule, result.timeline),
     }
 
 
@@ -227,6 +251,17 @@ GOLDEN_CASES = {
         KlotskiSystem(KlotskiOptions(quantize=True))
     ),
     "pipeline-flexgen-small": lambda: _pipeline_snapshots(FlexGenSystem()),
+    "pipeline-klotski-passes-small": _passes_snapshots,
+    # Sequential baselines: one batch at a time through the shared builder.
+    "pipeline-accelerate-small": lambda: _pipeline_snapshots(AccelerateSystem()),
+    "pipeline-fastgen-small": lambda: _pipeline_snapshots(FastGenSystem()),
+    "pipeline-moe-infinity-small": lambda: _pipeline_snapshots(MoEInfinitySystem()),
+    "pipeline-fiddler-small": lambda: _pipeline_snapshots(FiddlerSystem()),
+    "pipeline-mixtral-offloading-small": lambda: _pipeline_snapshots(
+        MixtralOffloadingSystem()
+    ),
+    # Fresh prefetcher per batch (offline predictor bound to each batch).
+    "pipeline-sida-small": lambda: _pipeline_snapshots(SiDASystem()),
     "cluster-affinity-2replica": _cluster_snapshot,
     "fleet-roundrobin-poisson-16replica": lambda: _fleet_snapshot(
         router="round-robin", arrival="poisson", engine="sharded",
