@@ -20,7 +20,7 @@ from repro.baselines.placement import expert_offload_placement
 from repro.core.pipeline import PipelineFeatures
 from repro.core.placement import PlacementPlan
 from repro.core.prefetcher import ExpertPrefetcher
-from repro.routing.trace import expert_token_counts, hot_experts
+from repro.routing.trace import hot_experts
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
 from repro.systems import InferenceSystem
@@ -66,10 +66,9 @@ class OfflinePredictorPrefetcher(ExpertPrefetcher):
         self._step += 1
         self._true_hot = []
         for routing in self._oracle.step_routing(self._step, self._group):
-            counts = expert_token_counts(
-                routing.assignments, self.table.num_experts
-            )
-            self._true_hot.append(hot_experts(counts, self.prefetch_k))
+            # The builder reads the same memoized routing with n == 1.
+            totals = routing.stats(1, self.table.num_experts).totals
+            self._true_hot.append(hot_experts(totals, self.prefetch_k))
 
     def predict(self, layer: int) -> list[int]:
         fallback = super().predict(layer)

@@ -47,7 +47,7 @@ def warm_up_prefetcher(
     """Build the expert correlation table from a pre-run (paper §8:
     wikitext-2 samples at batch size 8, sequence length 512)."""
     oracle = scenario.make_oracle(batch_offset=-1)  # distinct warm-up data
-    key = (oracle.router.config, scenario.seed, steps, tokens_per_step)
+    key = (oracle.config, scenario.seed, steps, tokens_per_step)
     traces = _WARMUP_TRACE_MEMO.get(key)
     if traces is None:
         count("memo.warmup_trace.miss")

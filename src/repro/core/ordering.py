@@ -40,9 +40,10 @@ def ordered_active_experts(
 
     The ordering logic of :func:`order_experts` without the per-expert
     :class:`ExpertWork` wrappers — the schedule builder's hot loop only
-    needs the ids.
+    needs the ids. ``counts`` may be an array or an int sequence.
     """
-    active = [int(e) for e in np.nonzero(counts)[0]]
+    counts_list = np.asarray(counts).tolist()
+    active = [e for e, c in enumerate(counts_list) if c]
     if not adjust:
         return active
     in_vram_first = set(prefetched) | set(resident)
@@ -51,7 +52,6 @@ def ordered_active_experts(
     # Hot/resident experts: busiest first so cold transfers get cover.
     # Cold experts keep their transfer (issue) order: ascending expert id
     # is the order the builder issues on-demand transfers in.
-    counts_list = counts.tolist()
     ready.sort(key=lambda e: (-counts_list[e], e))
     return ready + cold
 

@@ -23,10 +23,17 @@ CPU expert computation), all on identical substrates.
 
 Emission is *batched*: everything that is constant within a generation
 step (attention / KV-movement durations, batch-slice shapes) is computed
-once per step, per-batch expert token counts come from a single 2-D
-``bincount`` over the step's routing, and per-expert durations are
-evaluated through the vectorized cost model — the emitted schedule is
-bit-identical to per-op emission, just without the per-op Python cost.
+once per step, per-batch expert token counts come from the routing's
+memoized :class:`~repro.routing.oracle.RoutingStats` (shared by every
+system reading the same routing), and expert durations are looked up in
+a per-builder table indexed by routed token count, evaluated once through
+the vectorized cost model — the emitted schedule is bit-identical to
+per-op emission, just without the per-op Python cost.
+
+One builder serves a whole run: sequential systems call :meth:`build`
+once per batch with a new oracle (and prefetcher), so only the per-group
+emission state resets between calls, while placement-derived caches
+(weight bytes, tensor ids, residency, split shapes) persist.
 """
 
 from __future__ import annotations
@@ -36,14 +43,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compression.sparse_attention import SparseAttentionConfig
-from repro.core.ordering import cold_transfer_order, ordered_active_experts
-from repro.core.placement import PlacementPlan
+from repro.core.ordering import ordered_active_experts
+from repro.core.placement import DISK, PlacementPlan
 from repro.core.prefetcher import ExpertPrefetcher
 from repro.hardware.costmodel import CostModel, OpCost
 from repro.model.tensors import TensorInventory, attn_id, expert_id, gate_id
-from repro.routing.oracle import RoutingOracle
+from repro.routing.oracle import (
+    LayerRouting,
+    RoutingOracle,
+    RoutingStats,
+    batch_slice_sizes,
+)
 from repro.routing.workload import Workload
 from repro.runtime.schedule import (
+    CPU,
     D2H,
     DISK_IO,
     EV_ALLOC,
@@ -65,6 +78,7 @@ from repro.runtime.schedule import (
 QUANT_BYTES_FACTOR = 0.28  # 4-bit weights + group scale/zero metadata
 
 _GPU_CODE = RESOURCE_CODES[GPU]
+_CPU_CODE = RESOURCE_CODES[CPU]
 _H2D_CODE = RESOURCE_CODES[H2D]
 _H2D_OD_CODE = RESOURCE_CODES[H2D_OD]
 _D2H_CODE = RESOURCE_CODES[D2H]
@@ -110,7 +124,7 @@ class _StepCosts:
     kv_store_dur: float
     kv_alloc_delta: int
     batch_sizes: list[int]  # rows per batch slice (array_split shapes)
-    row_offsets: np.ndarray  # per-row (batch index * num_experts)
+    rows: int  # routed rows of the step across the batch group
     scale: float = 1.0  # prefill-subsampling token multiplier
     gate_dur_b: list[float] = field(default_factory=list)  # per batch slice
     attn_block_durs: list[float] = field(default_factory=list)  # interleaved
@@ -141,17 +155,11 @@ class PipelineBuilder:
         self.features = features or PipelineFeatures()
         self.sparse_attention = sparse_attention or SparseAttentionConfig()
         self.n = workload.num_batches
-        # tensor_id -> op id of the transfer that made it VRAM-ready.
-        self._ready: dict[str, int] = {}
-        self._pending_hot: dict[int, list[int]] = {}
-        self._last_compute: int | None = None
-        self._last_transfer: int | None = None
-        self._layer_first_compute: int | None = None
-        self._kv_allocs: list[MemEffect] = []
         self._kv_bytes_per_token = self.model.kv_bytes_per_token()
-        # (rows,) -> (sizes list, per-row batch*E offsets) split cache.
-        self._split_cache: dict[int, tuple[list[int], np.ndarray]] = {}
-        self._step: _StepCosts | None = None
+        # rows -> batch-slice sizes split cache.
+        self._split_cache: dict[int, list[int]] = {}
+        # (scale, on_cpu) -> expert duration by routed token count.
+        self._dur_tables: dict[tuple[float, bool], list[float]] = {}
         # Placement residency is static across a build; cache it per layer
         # together with the expert tensor-id strings, and keep the
         # VRAM-resident tensor ids as a set for O(1) checks on the
@@ -160,6 +168,9 @@ class PipelineBuilder:
         self._expert_ids: dict[int, list[str]] = {}
         self._resident_ids = {
             tid for tid in placement.location if placement.is_resident(tid)
+        }
+        self._disk_ids = {
+            tid for tid, level in placement.location.items() if level == DISK
         }
         self._wbytes_cache: dict[str, int] = {}
         # Constant block columns, shared across every layer's extend_raw
@@ -228,13 +239,18 @@ class PipelineBuilder:
     def _gpu(self, cost: OpCost, label: str, **kw) -> int:
         return self._gpu_dur(self.cost.gpu_time(cost), label, **kw)
 
-    def _gpu_dur(self, duration: float, label: str, **kw) -> int:
+    def _gpu_dur(
+        self, duration: float, label: str, *, deps: list[int], layer: int = -1,
+        phase: str = PHASE_OTHER,
+    ) -> int:
         """Emit a GPU op from a precomputed duration."""
         if not self.features.overlap and self._last_transfer is not None:
             # Synchronous (Accelerate-style) execution: computation also
             # waits for every weight transfer issued so far.
-            kw["deps"] = list(kw.get("deps", ())) + [self._last_transfer]
-        op = self._schedule.compute(duration, label, **kw)
+            deps = deps + [self._last_transfer]
+        op = self._schedule.append_row(
+            _GPU_CODE, duration, label, self._sorted_deps(deps), layer, phase
+        )
         self._last_compute = op
         return op
 
@@ -260,11 +276,10 @@ class PipelineBuilder:
             return ready
         sched = self._schedule
         nbytes = self._weight_bytes(tensor_id, kind)
-        level = self.placement.level_of(tensor_id)
         all_deps = list(deps)
         if not self.features.overlap and self._last_compute is not None:
             all_deps.append(self._last_compute)
-        if level == "disk":
+        if tensor_id in self._disk_ids:
             disk_op = sched.append_row(
                 _DISK_CODE,
                 self.cost.transfer_time(nbytes, "disk", "dram"),
@@ -294,15 +309,31 @@ class PipelineBuilder:
             return tuple(deps)
         return tuple(sorted(set(deps)))
 
-    def _free_weight(self, tensor_id: str, kind: str, op_id: int) -> None:
+    def _free_weight(self, tensor_id: str, op_id: int) -> None:
         """Attach the free effect for a weight to ``op_id`` (no-op if
-        resident or never transferred)."""
-        if tensor_id not in self._ready or tensor_id in self._resident_ids:
-            return
-        del self._ready[tensor_id]
-        self._schedule.append_effect(
-            op_id, EV_FREE, "vram", tensor_id, self._weight_bytes(tensor_id, kind)
-        )
+        resident or never transferred: only transfers enter ``_ready``)."""
+        if self._ready.pop(tensor_id, None) is not None:
+            self._schedule.append_effect(
+                op_id, EV_FREE, "vram", tensor_id, self._wbytes_cache[tensor_id]
+            )
+
+    def _free_experts(self, layer: int, pairs) -> None:
+        """Attach free effects for ``(expert, op id)`` pairs of ``layer``,
+        in order, skipping experts that are resident or not in flight."""
+        eids = self._layer_expert_ids(layer)
+        pop = self._ready.pop
+        ops: list[int] = []
+        tids: list[str] = []
+        for e, op in pairs:
+            tid = eids[e]
+            if pop(tid, None) is not None:
+                ops.append(op)
+                tids.append(tid)
+        if ops:
+            wbytes = self._wbytes_cache
+            self._schedule.extend_effects(
+                ops, EV_FREE, "vram", tids, [wbytes[t] for t in tids]
+            )
 
     def _dep(self, *ops: int | None) -> list[int]:
         return [op for op in ops if op is not None]
@@ -324,23 +355,12 @@ class PipelineBuilder:
 
     # ---- per-step precomputation ------------------------------------------------
 
-    def _batch_split(self, rows: int) -> tuple[list[int], np.ndarray]:
-        """Batch-slice sizes and per-row ``batch * E`` offsets for ``rows``.
-
-        Matches ``np.array_split(np.arange(rows), n)``: the first
-        ``rows % n`` slices get one extra row.
-        """
-        cached = self._split_cache.get(rows)
-        if cached is None:
-            base, extra = divmod(rows, self.n)
-            sizes = [base + 1 if b < extra else base for b in range(self.n)]
-            offsets = np.repeat(
-                np.arange(self.n, dtype=np.int64) * self.model.num_experts,
-                sizes,
-            )
-            cached = (sizes, offsets)
-            self._split_cache[rows] = cached
-        return cached
+    def _batch_sizes(self, rows: int) -> list[int]:
+        """Batch-slice sizes for ``rows`` (cached per row count)."""
+        sizes = self._split_cache.get(rows)
+        if sizes is None:
+            sizes = self._split_cache[rows] = batch_slice_sizes(rows, self.n)
+        return sizes
 
     def _step_costs(self, step: int, new_tokens: int, context: int) -> _StepCosts:
         """Everything constant across the layers and batches of one step."""
@@ -375,7 +395,7 @@ class PipelineBuilder:
             if hasattr(self.oracle, "tokens_for_step")
             else (wl.total_sequences, 1.0)
         )
-        sizes, offsets = self._batch_split(rows)
+        sizes = self._batch_sizes(rows)
         kv_store = self.placement.kv_level != "vram"
         if kv_stream and kv_store:
             attn_block_durs = [kv_load_dur, attn_dur, kv_store_dur] * self.n
@@ -390,7 +410,7 @@ class PipelineBuilder:
             kv_store_dur=kv_store_dur,
             kv_alloc_delta=kv_alloc_delta,
             batch_sizes=sizes,
-            row_offsets=offsets,
+            rows=rows,
             scale=scale,
             gate_dur_b=self._gate_durations(sizes, scale)
             if not self.model.is_dense
@@ -411,12 +431,29 @@ class PipelineBuilder:
             durs.append(dur)
         return durs
 
-    def _expert_durations(self, counts: np.ndarray, scale: float) -> list[float]:
-        """Per-expert GPU durations for an array of routed token counts."""
-        tokens = np.maximum(1.0, counts * scale)
-        return self.cost.expert_times(
-            tokens, quantize=self.features.quantize
-        ).tolist()
+    def _duration_table(
+        self, routing: LayerRouting, on_cpu: bool = False
+    ) -> list[float]:
+        """Expert durations indexed by routed token count for ``routing``.
+
+        Entry ``c`` costs ``max(1, c * scale)`` tokens. One vectorized
+        ``expert_times`` call fills the table per ``(scale, on_cpu)``; its
+        operations are elementwise IEEE ones, so every entry is
+        bit-identical to costing that count on its own. A token routes to
+        each expert at most once per top-k slot, so no count exceeds the
+        assignment size.
+        """
+        key = (routing.scale, on_cpu)
+        table = self._dur_tables.get(key)
+        size = routing.assignments.size
+        if table is None or len(table) <= size:
+            table = self.cost.expert_times(
+                np.maximum(1.0, np.arange(size + 1) * routing.scale),
+                quantize=self.features.quantize,
+                on_cpu=on_cpu,
+            ).tolist()
+            self._dur_tables[key] = table
+        return table
 
     # ---- block emission --------------------------------------------------------------
 
@@ -479,18 +516,31 @@ class PipelineBuilder:
         self._last_compute = attn_ops[-1]
         if not kv_store and stp.kv_alloc_delta > 0:
             # KV stays in VRAM: the cache growth lands on each attention op.
-            for b, op in enumerate(attn_ops):
-                effect = MemEffect(
-                    "vram", f"kv.{layer}.{b}.s{step}", stp.kv_alloc_delta
-                )
-                sched.add_allocs(op, [effect])
-                self._kv_allocs.append(effect)
+            tids = [f"kv.{layer}.{b}.s{step}" for b in rng]
+            sched.extend_effects(
+                attn_ops, EV_ALLOC, "vram", tids, [stp.kv_alloc_delta] * n
+            )
+            self._kv_allocs.extend((tid, stp.kv_alloc_delta) for tid in tids)
         return attn_ops
 
     # ---- main build -----------------------------------------------------------------
 
     def build(self, schedule: Schedule | None = None) -> BuildResult:
+        """Emit one batch group's generation into ``schedule``.
+
+        Sequential systems call this once per batch on one builder,
+        swapping :attr:`oracle` (and :attr:`prefetcher`) in between; the
+        per-group emission state below starts fresh on every call.
+        """
         self._schedule = schedule if schedule is not None else Schedule()
+        # tensor_id -> op id of the transfer that made it VRAM-ready.
+        self._ready: dict[str, int] = {}
+        self._pending_hot: dict[int, list[int]] = {}
+        self._last_compute: int | None = None
+        self._last_transfer: int | None = None
+        self._layer_first_compute: int | None = None
+        self._kv_allocs: list[tuple[str, int]] = []  # (tensor id, bytes)
+        self._step: _StepCosts | None = None
         result = BuildResult(schedule=self._schedule, groups_built=1)
         wl = self.workload
 
@@ -525,7 +575,10 @@ class PipelineBuilder:
         if self._kv_allocs and prev_step_tail is not None:
             # The group's KV cache is released when its generation completes
             # (sequential systems reuse the space for the next batch).
-            self._schedule.add_frees(prev_step_tail, self._kv_allocs)
+            tids, nbytes = zip(*self._kv_allocs)
+            self._schedule.extend_effects(
+                [prev_step_tail] * len(tids), EV_FREE, "vram", tids, nbytes
+            )
             self._kv_allocs = []
         return result
 
@@ -559,73 +612,67 @@ class PipelineBuilder:
     def _issue_layer_transfers(self, layer: int, deps: list[int]) -> None:
         """Issue attention/gate/expert weight transfers for ``layer``."""
         model = self.model
-        self._load_weight(attn_id(layer), "attn", layer, deps)
+        weights = [(attn_id(layer), "attn")]
         if model.is_dense:
-            # The single FFN "expert" is the dense MoE layer.
-            self._load_weight(expert_id(layer, 0), "expert", layer, deps)
-            self._pending_hot[layer] = [0]
-            return
-        self._load_weight(gate_id(layer), "gate", layer, deps)
-        if self.features.cpu_experts:
-            self._pending_hot[layer] = []
-            return
-        if self.features.hot_prefetch:
-            if self.prefetcher is not None:
+            hot = [0]  # the single FFN "expert" is the dense MoE layer
+        else:
+            weights.append((gate_id(layer), "gate"))
+            if self.features.cpu_experts:
+                hot = []
+            elif not self.features.hot_prefetch:
+                hot = list(range(model.num_experts))
+            elif self.prefetcher is not None:
                 hot = self.prefetcher.predict(layer)
             else:
                 hot = list(range(min(model.top_k, model.num_experts)))
-        else:
-            hot = list(range(model.num_experts))
-        self._load_expert_block(layer, hot, deps)
+        eids = self._layer_expert_ids(layer)
+        weights.extend((eids[e], "expert") for e in hot)
+        self._load_block(layer, weights, deps)
         self._pending_hot[layer] = hot
 
-    def _load_expert_block(self, layer: int, hot: list[int], deps: list[int]) -> None:
-        """Issue the layer's expert prefetch transfers, block-emitted.
+    def _load_block(
+        self, layer: int, weights: list[tuple[str, str]], deps: list[int]
+    ) -> None:
+        """Issue prefetch transfers for ``(tensor_id, kind)`` weights in order.
 
-        Every expert of a layer shares transfer size, duration, and the
-        dependency prefix, so the common case (all pending experts stream
-        from DRAM) is one :meth:`Schedule.extend_raw` call. Experts spilled
-        to disk (or a singleton) fall back to :meth:`_load_weight`, which
-        preserves the exact legacy op order.
+        Every pending weight shares the dependency prefix, so the common
+        case (all stream from DRAM) is one :meth:`Schedule.extend_raw`
+        call, row for row what :meth:`_load_weight` would emit per weight.
+        A layer with a weight spilled to disk falls back to
+        :meth:`_load_weight`, which interleaves the disk reads.
         """
-        eids = self._layer_expert_ids(layer)
+        resident, ready = self._resident_ids, self._ready
         pending = [
-            e
-            for e in hot
-            if eids[e] not in self._resident_ids and eids[e] not in self._ready
+            (tid, kind)
+            for tid, kind in weights
+            if tid not in resident and tid not in ready
         ]
-        nb_list = [self._weight_bytes(eids[e], "expert") for e in pending]
-        if (
-            len(pending) < 2
-            or len(set(nb_list)) > 1
-            or any(self.placement.level_of(eids[e]) == "disk" for e in pending)
-        ):
-            for e in hot:
-                self._load_weight(eids[e], "expert", layer, deps)
+        if not pending:
             return
-        sched = self._schedule
-        nbytes = nb_list[0]
-        duration = self.cost.transfer_time(
-            nbytes, "dram", "vram", pinned=self.placement.pinned
-        )
+        tids = [tid for tid, _ in pending]
+        if not self._disk_ids.isdisjoint(tids):
+            for tid, kind in weights:
+                self._load_weight(tid, kind, layer, deps)
+            return
+        nbytes = [self._weight_bytes(tid, kind) for tid, kind in pending]
+        transfer_time, pinned = self.cost.transfer_time, self.placement.pinned
         all_deps = list(deps)
         if not self.features.overlap and self._last_compute is not None:
             all_deps.append(self._last_compute)
-        dep_tuple = self._sorted_deps(all_deps)
-        k = len(pending)
+        k = len(tids)
+        sched = self._schedule
         base = sched.extend_raw(
             [_H2D_CODE] * k,
-            [duration] * k,
-            [dep_tuple] * k,
-            [f"h2d:{eids[e]}" for e in pending],
+            [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes],
+            [self._sorted_deps(all_deps)] * k,
+            [f"h2d:{tid}" for tid in tids],
             [layer] * k,
             [PHASE_TRANSFER] * k,
             [-1] * k,
         )
-        for i, e in enumerate(pending):
-            tid = eids[e]
-            sched.append_effect(base + i, EV_ALLOC, "vram", tid, nbytes)
-            self._ready[tid] = base + i
+        ops = range(base, base + k)
+        sched.extend_effects(list(ops), EV_ALLOC, "vram", tids, nbytes)
+        ready.update(zip(tids, ops))
         self._last_transfer = base + k - 1
 
     def _emit_embed(self, step: int, new_tokens: int, deps: list[int]) -> int:
@@ -644,7 +691,7 @@ class PipelineBuilder:
         self,
         step: int,
         layer: int,
-        routing,
+        routing: LayerRouting,
         barrier: list[int],
     ) -> list[int]:
         """Emit one MoE block (attention + gate + experts); returns barrier."""
@@ -652,24 +699,17 @@ class PipelineBuilder:
         stp = self._step
         attn_ops = self._emit_attention_block(step, layer, barrier)
 
-        assignments = routing.assignments
         scale = routing.scale
-        rows = assignments.shape[0]
-        if rows == len(stp.row_offsets):
-            sizes, offsets = stp.batch_sizes, stp.row_offsets
+        rows = routing.assignments.shape[0]
+        if rows == stp.rows:
+            sizes = stp.batch_sizes
         else:  # trace oracles may vary rows per layer
-            sizes, offsets = self._batch_split(rows)
+            sizes = self._batch_sizes(rows)
 
         if model.is_dense:
             return self._emit_dense_ffn(step, layer, attn_ops, sizes, scale)
 
-        # One bincount yields the whole (batch, expert) token-count matrix.
-        counts2d = np.bincount(
-            (offsets[:, None] + assignments).ravel(),
-            minlength=self.n * model.num_experts,
-        ).reshape(self.n, model.num_experts)
-        total_counts = counts2d.sum(axis=0)
-
+        stats = routing.stats(self.n, model.num_experts)
         gate_dep = self._ready.get(gate_id(layer))
         if self.features.overlap:
             prefix = () if gate_dep is None else (gate_dep,)
@@ -694,33 +734,38 @@ class PipelineBuilder:
 
         predicted = self._pending_hot.get(layer, [])
         if self.prefetcher is not None:
-            self.prefetcher.observe(layer, assignments, predicted, counts=total_counts)
+            self.prefetcher.observe(
+                layer, routing.assignments, predicted, counts=stats.totals
+            )
 
         resident = self._resident_experts(layer)
+        features = self.features
+        if features.cpu_experts or features.hot_prefetch or features.adjust_order:
+            # Per-expert gate dependencies: gate ops of the batches that
+            # routed tokens to the expert, in batch (= op id) order.
+            num_experts = model.num_experts
+            involved_by_e: list[list[int]] = [[] for _ in range(num_experts)]
+            for p in stats.pairs:
+                b, e = divmod(p, num_experts)
+                involved_by_e[e].append(base_id + b)
 
-        # Per-expert gate dependencies: gate ops of the batches that routed
-        # tokens to the expert, in batch (= op id) order.
-        involved_by_e: list[list[int]] = [[] for _ in range(model.num_experts)]
-        nz_b, nz_e = np.nonzero(counts2d)
-        for b, e in zip(nz_b.tolist(), nz_e.tolist()):
-            involved_by_e[e].append(gate_ops[b])
-
-        if self.features.cpu_experts:
+        if features.cpu_experts:
             expert_ops = self._emit_cpu_experts(
-                step, layer, total_counts, involved_by_e, gate_ops, scale, resident
+                step, layer, routing, stats, involved_by_e, resident
             )
         else:
-            self._issue_cold_transfers(
-                layer, total_counts, involved_by_e, predicted, resident
-            )
-            if self.features.adjust_order:
+            if features.hot_prefetch:
+                self._issue_cold_transfers(
+                    layer, stats, involved_by_e, predicted, resident
+                )
+            if features.adjust_order:
                 expert_ops = self._emit_experts_expert_major(
-                    step, layer, total_counts, involved_by_e, predicted,
-                    resident, scale,
+                    step, layer, routing, stats, involved_by_e, predicted,
+                    resident,
                 )
             else:
                 expert_ops = self._emit_experts_batch_major(
-                    step, layer, counts2d, total_counts, gate_ops, scale
+                    step, layer, routing, stats, gate_ops
                 )
 
         self._attach_layer_frees(layer, attn_ops, gate_ops, expert_ops)
@@ -731,24 +776,23 @@ class PipelineBuilder:
     def _issue_cold_transfers(
         self,
         layer: int,
-        total_counts: np.ndarray,
+        stats: RoutingStats,
         involved_by_e: list[list[int]],
         predicted: list[int],
         resident: set[int],
     ) -> None:
-        """On-demand transfers for activated non-prefetched experts."""
-        if not self.features.hot_prefetch:
-            return  # whole layer already in the prefetch stream
+        """On-demand transfers for activated non-prefetched experts, in
+        ascending expert id (the order :func:`ordered_active_experts`
+        assumes for cold experts). Without hot prefetch the whole layer is
+        already in the prefetch stream, so this is not called."""
+        skip = resident.union(predicted)
         eids = self._layer_expert_ids(layer)
-        for e in cold_transfer_order(total_counts, predicted, resident):
-            # The transfer fires off the first gate that routed tokens here.
-            self._load_weight(
-                eids[e],
-                "expert",
-                layer,
-                [involved_by_e[e][0]],
-                on_demand=True,
-            )
+        for e in stats.active:
+            if e not in skip:
+                # The transfer fires off the first gate that routed tokens here.
+                self._load_weight(
+                    eids[e], "expert", layer, [involved_by_e[e][0]], on_demand=True
+                )
 
     def _expert_cost(self, tokens: float) -> OpCost:
         cost = self.cost.expert_cost(max(1.0, tokens))
@@ -760,24 +804,24 @@ class PipelineBuilder:
         self,
         step: int,
         layer: int,
-        total_counts: np.ndarray,
+        routing: LayerRouting,
+        stats: RoutingStats,
         involved_by_e: list[list[int]],
         predicted: list[int],
         resident: set[int],
-        scale: float,
     ) -> list[int]:
         order = ordered_active_experts(
-            total_counts, predicted, resident=resident, adjust=True
+            stats.totals, predicted, resident=resident, adjust=True
         )
         if not order:
             return []
-        durs_by_e = self._expert_durations(total_counts, scale)
+        table = self._duration_table(routing)
+        totals = stats.totals
         no_overlap_dep = (
             self._last_transfer if not self.features.overlap else None
         )
         durs: list[float] = []
         deps: list[tuple[int, ...]] = []
-        experts: list[int] = []
         eids = self._layer_expert_ids(layer)
         ready_get = self._ready.get
         for e in order:
@@ -795,42 +839,34 @@ class PipelineBuilder:
                 dep = tuple(involved) + (transfer,)
             else:  # prefetched: issued before the attention block
                 dep = (transfer,) + tuple(involved)
-            durs.append(durs_by_e[e])
+            durs.append(table[totals[e]])
             deps.append(dep)
-            experts.append(e)
         k = len(order)
         base_id = self._schedule.extend_raw(
             [_GPU_CODE] * k, durs, deps, None,
             [layer] * k, [PHASE_EXPERT] * k, [-1] * k,
-            label_plan=(("exp",), layer, step), label_tags=experts,
+            label_plan=(("exp",), layer, step), label_tags=order,
         )
         ops = list(range(base_id, base_id + k))
         self._last_compute = ops[-1]
-        for e, op in zip(experts, ops):
-            self._free_expert_after(layer, e, op)
+        self._free_experts(layer, zip(order, ops))
         return ops
 
     def _emit_experts_batch_major(
         self,
         step: int,
         layer: int,
-        counts2d: np.ndarray,
-        total_counts: np.ndarray,
+        routing: LayerRouting,
+        stats: RoutingStats,
         gate_ops: list[int],
-        scale: float,
     ) -> list[int]:
         """Unorchestrated order: batch by batch, expert id ascending."""
-        remaining = total_counts.tolist()
-        counts_list = counts2d.tolist()
+        num_experts = self.model.num_experts
+        counts = stats.counts
+        table = self._duration_table(routing)
         no_overlap_dep = (
             self._last_transfer if not self.features.overlap else None
         )
-        # One vectorized cost evaluation covers every (batch, expert) op,
-        # and one nonzero scan yields them in emission (b, e) order.
-        durs2d = self.cost.expert_times(
-            np.maximum(1.0, counts2d * scale), quantize=self.features.quantize
-        ).tolist()
-        nz_b, nz_e = np.nonzero(counts2d)
         eids = self._layer_expert_ids(layer)
         ready_get = self._ready.get
         base_id = len(self._schedule)
@@ -838,73 +874,69 @@ class PipelineBuilder:
         deps: list[tuple[int, ...]] = []
         experts: list[int] = []
         batches: list[int] = []
-        free_after: list[tuple[int, int]] = []  # (expert, op id)
-        for b, e in zip(nz_b.tolist(), nz_e.tolist()):
-            op = base_id + len(durs)
+        last_op: dict[int, int] = {}  # expert -> op of its last batch
+        for i, p in enumerate(stats.pairs):
+            b, e = divmod(p, num_experts)
             gate = gate_ops[b]
             transfer = ready_get(eids[e])
-            if transfer is None and no_overlap_dep is None:
-                dep = (gate,)
-            else:
-                dep_set = {gate}
+            if no_overlap_dep is not None:
+                dep_set = {gate, no_overlap_dep}
                 if transfer is not None:
                     dep_set.add(transfer)
-                if no_overlap_dep is not None:
-                    dep_set.add(no_overlap_dep)
                 dep = tuple(sorted(dep_set))
-            durs.append(durs2d[b][e])
+            elif transfer is None:
+                dep = (gate,)
+            elif transfer < gate:  # prefetched: issued before the gates
+                dep = (transfer, gate)
+            else:  # on-demand: issued after the gates
+                dep = (gate, transfer)
+            durs.append(table[counts[p]])
             deps.append(dep)
             experts.append(e)
             batches.append(b)
-            remaining[e] -= counts_list[b][e]
-            if remaining[e] <= 0:
-                free_after.append((e, op))
+            last_op[e] = base_id + i
         k = len(durs)
         self._schedule.extend_raw(
             [_GPU_CODE] * k, durs, deps, None,
             [layer] * k, [PHASE_EXPERT] * k, batches,
             label_plan=(("exp",), layer, step), label_tags=experts,
         )
-        ops = list(range(base_id, base_id + k))
-        if ops:
-            self._last_compute = ops[-1]
-        for e, op in free_after:
-            self._free_expert_after(layer, e, op)
-        # Inactive loaded experts (whole-layer prefetch) are pure I/O waste;
-        # free them at the layer barrier.
-        for e in np.nonzero(total_counts == 0)[0]:
-            self._free_expert_after(layer, int(e), ops[-1] if ops else gate_ops[-1])
-        return ops
+        # Each expert is freed after its last computation (in op order);
+        # inactive loaded experts (whole-layer prefetch) are pure I/O
+        # waste, freed at the layer barrier.
+        tail = base_id + k - 1 if k else gate_ops[-1]
+        frees = sorted(last_op.items(), key=lambda item: item[1])
+        frees.extend((e, tail) for e in stats.inactive)
+        self._free_experts(layer, frees)
+        if k:
+            self._last_compute = tail
+        return list(range(base_id, base_id + k))
 
     def _emit_cpu_experts(
         self,
         step: int,
         layer: int,
-        total_counts: np.ndarray,
+        routing: LayerRouting,
+        stats: RoutingStats,
         involved_by_e: list[list[int]],
-        gate_ops: list[int],
-        scale: float,
         resident: set[int],
     ) -> list[int]:
         """Fiddler-style: run DRAM-resident experts on the CPU when faster."""
         model = self.model
+        scale = routing.scale
         ops: list[int] = []
-        tokens_arr = np.maximum(1.0, total_counts * scale)
-        gpu_durs = self.cost.expert_times(
-            tokens_arr, quantize=self.features.quantize
-        ).tolist()
-        cpu_durs = self.cost.expert_times(
-            tokens_arr, quantize=self.features.quantize, on_cpu=True
-        ).tolist()
+        gpu_durs = self._duration_table(routing)
+        cpu_durs = self._duration_table(routing, on_cpu=True)
         eids = self._layer_expert_ids(layer)
-        for e in np.nonzero(total_counts)[0]:
-            e = int(e)
-            tokens = float(total_counts[e]) * scale
+        append_row = self._schedule.append_row
+        for e in stats.active:
+            count = stats.totals[e]
+            tokens = count * scale
             involved = involved_by_e[e]
             if e in resident:
                 ops.append(
                     self._gpu_dur(
-                        gpu_durs[e],
+                        gpu_durs[count],
                         f"exp{e}:L{layer}s{step}",
                         deps=list(involved),
                         layer=layer,
@@ -916,30 +948,21 @@ class PipelineBuilder:
                 self._weight_bytes(eids[e], "expert"), "dram", "vram",
                 pinned=self.placement.pinned,
             )
-            gpu_path = transfer_s + gpu_durs[e]
-            cpu_path = cpu_durs[e]
+            gpu_path = transfer_s + gpu_durs[count]
+            cpu_path = cpu_durs[count]
             hidden_bytes = int(tokens * model.hidden_size * model.dtype_bytes)
             if cpu_path <= gpu_path:
-                down = self._schedule.transfer_out(
-                    self.cost.transfer_time(hidden_bytes, "vram", "dram"),
-                    f"d2h:hid:L{layer}e{e}s{step}",
-                    deps=list(involved),
-                    layer=layer,
-                    phase=PHASE_EXPERT,
+                down = append_row(
+                    _D2H_CODE, self.cost.transfer_time(hidden_bytes, "vram", "dram"),
+                    f"d2h:hid:L{layer}e{e}s{step}", tuple(involved), layer, PHASE_EXPERT,
                 )
-                cpu_op = self._schedule.cpu_compute(
-                    cpu_durs[e],
-                    f"cpu-exp{e}:L{layer}s{step}",
-                    deps=[down],
-                    layer=layer,
-                    phase=PHASE_EXPERT,
+                cpu_op = append_row(
+                    _CPU_CODE, cpu_path, f"cpu-exp{e}:L{layer}s{step}",
+                    (down,), layer, PHASE_EXPERT,
                 )
-                up = self._schedule.transfer_in(
-                    self.cost.transfer_time(hidden_bytes, "dram", "vram"),
-                    f"h2d:hid:L{layer}e{e}s{step}",
-                    deps=[cpu_op],
-                    layer=layer,
-                    phase=PHASE_EXPERT,
+                up = append_row(
+                    _H2D_CODE, self.cost.transfer_time(hidden_bytes, "dram", "vram"),
+                    f"h2d:hid:L{layer}e{e}s{step}", (cpu_op,), layer, PHASE_EXPERT,
                 )
                 ops.append(up)
             else:
@@ -951,13 +974,13 @@ class PipelineBuilder:
                     on_demand=True,
                 )
                 op = self._gpu_dur(
-                    gpu_durs[e],
+                    gpu_durs[count],
                     f"exp{e}:L{layer}s{step}",
                     deps=self._dep(transfer, *involved),
                     layer=layer,
                     phase=PHASE_EXPERT,
                 )
-                self._free_expert_after(layer, e, op)
+                self._free_experts(layer, ((e, op),))
                 ops.append(op)
         return ops
 
@@ -998,9 +1021,6 @@ class PipelineBuilder:
 
     # ---- frees & KV -------------------------------------------------------------------
 
-    def _free_expert_after(self, layer: int, expert: int, op_id: int) -> None:
-        self._free_weight(self._layer_expert_ids(layer)[expert], "expert", op_id)
-
     def _attach_layer_frees(
         self,
         layer: int,
@@ -1009,13 +1029,18 @@ class PipelineBuilder:
         expert_ops: list[int],
     ) -> None:
         if attn_ops:
-            self._free_weight(attn_id(layer), "attn", attn_ops[-1])
+            self._free_weight(attn_id(layer), attn_ops[-1])
         if gate_ops and not self.model.is_dense:
-            self._free_weight(gate_id(layer), "gate", gate_ops[-1])
+            self._free_weight(gate_id(layer), gate_ops[-1])
         # Any experts still ready (e.g. prefetched but unused) are freed at
         # the layer barrier to cap peak memory.
         tail = (expert_ops or gate_ops or attn_ops)[-1]
-        for tid in self._layer_expert_ids(layer):
-            if tid in self._ready:
-                self._free_weight(tid, "expert", tail)
+        ready = self._ready
+        leftover = [
+            (e, tail)
+            for e, tid in enumerate(self._layer_expert_ids(layer))
+            if tid in ready
+        ]
+        if leftover:
+            self._free_experts(layer, leftover)
 

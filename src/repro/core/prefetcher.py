@@ -17,6 +17,8 @@ most tokens).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.routing.trace import expert_token_counts, hot_experts
@@ -167,18 +169,20 @@ class ExpertPrefetcher:
         layer: int,
         assignments: np.ndarray,
         predicted: list[int],
-        counts: np.ndarray | None = None,
+        counts: np.ndarray | Sequence[int] | None = None,
     ) -> None:
         """Feed back the gate's actual routing for ``layer``.
 
         ``counts`` may pass a precomputed per-expert token histogram of
-        ``assignments`` (the schedule builder already has it) to skip the
-        recount.
+        ``assignments`` (an array or int sequence; the schedule builder
+        reads it from the routing's stats) to skip the recount.
         """
         assignments = np.asarray(assignments)
         self._history.append(assignments[:, 0])
         if counts is None:
             counts = expert_token_counts(assignments, self.table.num_experts)
+        else:
+            counts = np.asarray(counts)
         self.stats.record(layer, counts, predicted, self.prefetch_k)
         if self.online_update:
             self.table._marginal[layer] += counts

@@ -3,6 +3,7 @@
 from repro.routing.oracle import (
     LayerRouting,
     RoutingOracle,
+    RoutingStats,
     SyntheticOracle,
     TraceOracle,
     clear_step_routing_memo,
@@ -21,6 +22,7 @@ from repro.routing.workload import Workload, paper_workload
 __all__ = [
     "LayerRouting",
     "RoutingOracle",
+    "RoutingStats",
     "SyntheticOracle",
     "TraceOracle",
     "clear_step_routing_memo",

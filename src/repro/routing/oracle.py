@@ -16,8 +16,8 @@ costing expert computation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,17 +27,86 @@ from repro.routing.trace import ExpertTrace
 from repro.routing.workload import Workload
 
 
+def batch_slice_sizes(rows: int, n: int) -> list[int]:
+    """Rows per batch slice, matching ``np.array_split(np.arange(rows), n)``:
+    the first ``rows % n`` slices get one extra row."""
+    base, extra = divmod(rows, n)
+    return [base + 1 if b < extra else base for b in range(n)]
+
+
+class RoutingStats(NamedTuple):
+    """Token counts of one layer's routing split into ``n`` batch slices.
+
+    Slices follow :func:`batch_slice_sizes`. Every field is an int
+    tuple, so the stats are read-only and compact; with ``n == 1`` the
+    per-batch fields share the per-expert objects.
+
+    Attributes:
+        counts: flat ``[n * E]`` tokens routed by batch ``b`` to expert
+            ``e`` at index ``b * E + e``.
+        totals: ``[E]`` tokens routed to each expert over all batches.
+        pairs: flat indices ``b * E + e`` of the nonzero ``counts``, in
+            ``(batch, expert)`` order.
+        active: experts with at least one token, ascending.
+        inactive: experts with no tokens, ascending.
+    """
+
+    counts: tuple[int, ...]
+    totals: tuple[int, ...]
+    pairs: tuple[int, ...]
+    active: tuple[int, ...]
+    inactive: tuple[int, ...]
+
+    @classmethod
+    def of(cls, assignments: np.ndarray, n: int, num_experts: int) -> "RoutingStats":
+        """Derive the stats with one ``bincount`` over ``assignments``."""
+        sizes = batch_slice_sizes(assignments.shape[0], n)
+        offsets = np.repeat(np.arange(n, dtype=np.int64) * num_experts, sizes)
+        counts2d = np.bincount(
+            (offsets[:, None] + assignments).ravel(), minlength=n * num_experts
+        ).reshape(n, num_experts)
+        totals = tuple(counts2d.sum(axis=0).tolist())
+        active = tuple(e for e, c in enumerate(totals) if c)
+        inactive = tuple(e for e, c in enumerate(totals) if not c)
+        if n == 1:
+            return cls(totals, totals, active, active, inactive)
+        flat = counts2d.ravel()
+        pairs = tuple(np.flatnonzero(flat).tolist())
+        return cls(tuple(flat.tolist()), totals, pairs, active, inactive)
+
+
 @dataclass(frozen=True)
 class LayerRouting:
-    """Routing of one layer at one step."""
+    """Routing of one layer at one step.
+
+    :meth:`stats` is derived on first use and kept on the instance, so
+    every system reading a memoized routing with the same split shares
+    one derivation.
+    """
 
     layer: int
     assignments: np.ndarray  # [n_tokens, top_k]
     scale: float = 1.0  # token-count multiplier (prefill subsampling)
+    _stats: RoutingStats | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_tokens(self) -> int:
         return int(self.assignments.shape[0])
+
+    def stats(self, n: int, num_experts: int) -> RoutingStats:
+        """Routing stats over ``n`` batch slices (the last split is cached;
+        its field lengths identify ``(n, num_experts)``)."""
+        stats = self._stats
+        if (
+            stats is None
+            or len(stats.totals) != num_experts
+            or len(stats.counts) != n * num_experts
+        ):
+            stats = RoutingStats.of(self.assignments, n, num_experts)
+            object.__setattr__(self, "_stats", stats)
+        return stats
 
 
 class RoutingOracle:
@@ -55,7 +124,9 @@ class RoutingOracle:
 # functions of (router config, prefill cap, oracle seed, step, token count),
 # and comparison studies run many systems against the *same* oracle, so one
 # sampling pass serves every system sharing the evaluation point. Bounded
-# LRU: a full-scale step is ~0.5 MB, so the cap keeps this under ~64 MB.
+# LRU: a full-scale step is ~0.5 MB of assignments plus each layer's
+# routing stats once a builder reads them (int tuples, a few hundred bytes
+# per layer), so the cap keeps this under ~64 MB.
 _STEP_ROUTING_MEMO: OrderedDict = OrderedDict()
 _STEP_ROUTING_MEMO_CAP = 96
 
@@ -71,7 +142,8 @@ class SyntheticOracle(RoutingOracle):
     Sampled steps are memoized process-wide (the stream is a pure function
     of the oracle's configuration), so the baselines of a comparison study
     reuse the routing Klotski already sampled; assignments are returned
-    read-only. See :func:`clear_step_routing_memo`.
+    read-only. See :func:`clear_step_routing_memo`. The router is built on
+    first use: memo hits need only the config.
     """
 
     def __init__(
@@ -81,12 +153,20 @@ class SyntheticOracle(RoutingOracle):
         prefill_token_cap: int = 2048,
         seed: int = 1234,
     ):
-        self.router = SyntheticRouter(config)
+        self.config = config
+        self._router: SyntheticRouter | None = None
         self.num_layers = config.num_layers
         self.num_experts = config.num_experts
         self.top_k = config.top_k
         self.prefill_token_cap = prefill_token_cap
         self.seed = seed
+
+    @property
+    def router(self) -> SyntheticRouter:
+        """The synthetic router (built on first use)."""
+        if self._router is None:
+            self._router = SyntheticRouter(self.config)
+        return self._router
 
     def tokens_for_step(self, step: int, workload: Workload) -> tuple[int, float]:
         """(sampled token count, scale) for one step across the batch group."""
@@ -99,7 +179,7 @@ class SyntheticOracle(RoutingOracle):
     def step_routing(self, step: int, workload: Workload) -> Iterator[LayerRouting]:
         n_tokens, scale = self.tokens_for_step(step, workload)
         key = (
-            self.router.config,
+            self.config,
             self.prefill_token_cap,
             self.seed,
             step,

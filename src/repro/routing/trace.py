@@ -29,7 +29,11 @@ def activated_experts(assignments: np.ndarray) -> list[int]:
 
 
 def hot_experts(counts: np.ndarray, k: int) -> list[int]:
-    """The ``k`` most-loaded experts, busiest first (ties by expert id)."""
+    """The ``k`` most-loaded experts, busiest first (ties by expert id).
+
+    ``counts`` may be an array or an int sequence.
+    """
+    counts = np.asarray(counts)
     order = np.lexsort((np.arange(len(counts)), -counts))
     return [int(e) for e in order[:k]]
 

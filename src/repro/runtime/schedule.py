@@ -30,6 +30,7 @@ not write back; memory effects attached after emission must go through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -90,6 +91,17 @@ class Op:
             raise ScheduleError(f"unknown resource {self.resource!r}")
         if self.duration < 0:
             raise ScheduleError("op duration must be non-negative")
+
+
+def _deps_csr(deps: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` int64 arrays of per-op dependency tuples."""
+    n = len(deps)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, deps), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(deps), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, indices
 
 
 class CompiledSchedule:
@@ -171,22 +183,7 @@ class CompiledSchedule:
         self.pool_names = tuple(pool_names)
 
     def _build_csr(self) -> None:
-        n = self.num_ops
-        counts = np.fromiter(
-            (len(d) for d in self._deps_list), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if indptr[-1]:
-            indices = np.fromiter(
-                (d for deps in self._deps_list for d in deps),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-        else:
-            indices = np.zeros(0, dtype=np.int64)
-        self._dep_indptr = indptr
-        self._dep_indices = indices
+        self._dep_indptr, self._dep_indices = _deps_csr(self._deps_list)
 
     @property
     def dep_indptr(self) -> np.ndarray:
@@ -429,6 +426,26 @@ class Schedule:
         self._ops_cache = None
         self._frozen = None
 
+    def extend_effects(
+        self,
+        op_ids: list[int],
+        kind: int,
+        pool: str,
+        tensor_ids: list[str],
+        nbytes: list[int],
+    ) -> None:
+        """Attach one memory effect per ``(op_ids[i], tensor_ids[i],
+        nbytes[i])``, all of one ``kind`` and ``pool``, in list order
+        (bulk :meth:`append_effect`)."""
+        k = len(op_ids)
+        self._ev_op.extend(op_ids)
+        self._ev_kind.extend([kind] * k)
+        self._ev_pool.extend([pool] * k)
+        self._ev_tensor.extend(tensor_ids)
+        self._ev_nbytes.extend(nbytes)
+        self._ops_cache = None
+        self._frozen = None
+
     def add_allocs(self, op_id: int, effects: Iterable[MemEffect]) -> None:
         """Attach allocation effects (applied at op start) to ``op_id``."""
         self._add_effects(op_id, effects, EV_ALLOC)
@@ -482,15 +499,16 @@ class Schedule:
             raise ScheduleError(
                 f"op {bad} has negative duration {self._dur[bad]!r}"
             )
-        for op_id, deps in enumerate(self._deps):
-            # min/max run at C speed; only a failing op pays for the
-            # per-dep scan that names the offender.
-            if deps and not (0 <= min(deps) and max(deps) < op_id):
-                bad = next(d for d in deps if not 0 <= d < op_id)
-                kind = "forward or self" if bad >= op_id else "negative"
-                raise ScheduleError(
-                    f"op {op_id} has {kind} dependency {bad}"
-                )
+        # Range-check every dep at once over transient CSR arrays; argmax
+        # finds the first offender in (op, position-in-deps) order.
+        indptr, indices = _deps_csr(self._deps)
+        owners = np.repeat(np.arange(len(self._deps)), np.diff(indptr))
+        bad_mask = (indices < 0) | (indices >= owners)
+        if bad_mask.any():
+            pos = int(np.argmax(bad_mask))
+            op_id, bad = int(owners[pos]), int(indices[pos])
+            kind = "forward or self" if bad >= op_id else "negative"
+            raise ScheduleError(f"op {op_id} has {kind} dependency {bad}")
 
     def freeze(self) -> CompiledSchedule:
         """Compile to the structure-of-arrays form (cached until mutated).

@@ -134,46 +134,40 @@ class InferenceSystem:
             :class:`BuiltRun`.
         """
         workload = scenario.workload
-        features = self.make_features(scenario)
         schedule = Schedule()
-        build = BuildResult(schedule=schedule)
         prefetcher = self.make_prefetcher(scenario)
-        sparse_attention = self.make_sparse_attention(scenario)
-
         if self.sequential:
             group = Workload(
                 workload.batch_size, 1, workload.prompt_len, workload.gen_len
             )
-            placement = self.make_placement(scenario, group)
+        else:
+            group = workload
+        placement = self.make_placement(scenario, group)
+        builder = PipelineBuilder(
+            cost_model=scenario.cost_model(),
+            inventory=scenario.inventory(),
+            oracle=scenario.make_oracle(),
+            workload=group,
+            placement=placement,
+            prefetcher=prefetcher,
+            features=self.make_features(scenario),
+            sparse_attention=self.make_sparse_attention(scenario),
+        )
+        if self.sequential:
+            # One builder for the whole run: each batch swaps in its own
+            # oracle stream (and, if coupled to it, its own prefetcher).
+            build = BuildResult(schedule=schedule)
             for b in range(workload.num_batches):
-                if b > 0 and self.fresh_prefetcher_per_batch:
-                    prefetcher = self.make_prefetcher(scenario, batch_offset=b)
-                builder = PipelineBuilder(
-                    cost_model=scenario.cost_model(),
-                    inventory=scenario.inventory(),
-                    oracle=scenario.make_oracle(batch_offset=b),
-                    workload=group,
-                    placement=placement,
-                    prefetcher=prefetcher,
-                    features=features,
-                    sparse_attention=sparse_attention,
-                )
+                if b > 0:
+                    builder.oracle = scenario.make_oracle(batch_offset=b)
+                    if self.fresh_prefetcher_per_batch:
+                        prefetcher = self.make_prefetcher(scenario, batch_offset=b)
+                        builder.prefetcher = prefetcher
                 part = builder.build(schedule)
                 if b == 0:
                     build.step_last_op = part.step_last_op
                 build.groups_built += 1
         else:
-            placement = self.make_placement(scenario, workload)
-            builder = PipelineBuilder(
-                cost_model=scenario.cost_model(),
-                inventory=scenario.inventory(),
-                oracle=scenario.make_oracle(),
-                workload=workload,
-                placement=placement,
-                prefetcher=prefetcher,
-                features=features,
-                sparse_attention=sparse_attention,
-            )
             build = builder.build(schedule)
         return BuiltRun(
             schedule=schedule,

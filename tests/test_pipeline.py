@@ -212,3 +212,155 @@ class TestExecution:
         schedule.validate()
         timeline = Executor(small_scenario.hardware).run(schedule)
         assert timeline.makespan > 0
+
+
+def _rows(schedule):
+    """Every authored column of a schedule, memory effects in attachment order."""
+    ops = [
+        (op.resource, op.duration, op.label, op.deps, op.layer, op.phase, op.batch)
+        for op in schedule
+    ]
+    effects = list(
+        zip(
+            schedule._ev_op, schedule._ev_kind, schedule._ev_pool,
+            schedule._ev_tensor, schedule._ev_nbytes,
+        )
+    )
+    return ops, effects
+
+
+class TestBuilderReuse:
+    """Sequential systems emit every batch through one builder."""
+
+    @pytest.mark.parametrize(
+        "system_name",
+        ["accelerate", "fastgen", "moe-infinity", "fiddler", "mixtral-offloading", "sida"],
+    )
+    def test_one_builder_matches_a_builder_per_batch(self, small_scenario, system_name):
+        from repro.api.registry import SYSTEMS
+        from repro.routing.workload import Workload
+        from repro.runtime.schedule import Schedule
+
+        system = SYSTEMS.get(system_name)()
+        assert system.sequential
+        built = system.build(small_scenario)
+
+        wl = small_scenario.workload
+        group = Workload(wl.batch_size, 1, wl.prompt_len, wl.gen_len)
+        placement = system.make_placement(small_scenario, group)
+        prefetcher = system.make_prefetcher(small_scenario)
+        reference = Schedule()
+        for b in range(wl.num_batches):
+            if b > 0 and system.fresh_prefetcher_per_batch:
+                prefetcher = system.make_prefetcher(small_scenario, batch_offset=b)
+            PipelineBuilder(
+                cost_model=small_scenario.cost_model(),
+                inventory=small_scenario.inventory(),
+                oracle=small_scenario.make_oracle(batch_offset=b),
+                workload=group,
+                placement=placement,
+                prefetcher=prefetcher,
+                features=system.make_features(small_scenario),
+                sparse_attention=system.make_sparse_attention(small_scenario),
+            ).build(reference)
+        assert _rows(built.schedule) == _rows(reference)
+        assert built.build.groups_built == wl.num_batches
+
+    def test_build_resets_group_state(self, small_scenario):
+        from repro.routing.workload import Workload
+
+        single = Workload(4, 1, 32, 2)
+        placement = plan_placement(
+            small_scenario.inventory(), small_scenario.hardware, single, 1
+        )
+        builder = PipelineBuilder(
+            cost_model=small_scenario.cost_model(),
+            inventory=small_scenario.inventory(),
+            oracle=small_scenario.make_oracle(),
+            workload=single,
+            placement=placement,
+            prefetcher=None,
+        )
+        first = builder.build()
+        second = builder.build()
+        assert _rows(first.schedule) == _rows(second.schedule)
+        assert first.step_last_op == second.step_last_op
+
+
+class TestDurationTable:
+    @pytest.mark.parametrize(
+        "quantize,on_cpu,scale",
+        [(False, False, 1.0), (True, False, 1.0), (False, True, 1.0), (True, True, 16.0),
+         (False, False, 7.25)],
+    )
+    def test_bitwise_equal_to_expert_times(self, small_scenario, quantize, on_cpu, scale):
+        from repro.routing.oracle import LayerRouting
+
+        wl = small_scenario.workload
+        placement = plan_placement(
+            small_scenario.inventory(), small_scenario.hardware, wl, wl.num_batches
+        )
+        cost = small_scenario.cost_model()
+        builder = PipelineBuilder(
+            cost_model=cost,
+            inventory=small_scenario.inventory(),
+            oracle=small_scenario.make_oracle(),
+            workload=wl,
+            placement=placement,
+            prefetcher=None,
+            features=PipelineFeatures(quantize=quantize),
+        )
+        routing = LayerRouting(0, np.zeros((37, 2), dtype=np.int64), scale)
+        table = builder._duration_table(routing, on_cpu=on_cpu)
+        assert len(table) > routing.assignments.size
+        for count in range(len(table)):
+            direct = cost.expert_times(
+                np.maximum(1.0, np.array([count]) * scale),
+                quantize=quantize,
+                on_cpu=on_cpu,
+            )[0]
+            assert table[count] == direct  # bit-identical, no tolerance
+
+
+class TestTraceOracleBuild:
+    def test_build_with_rows_varying_per_layer(self, small_scenario):
+        from repro.routing.oracle import TraceOracle
+        from repro.routing.trace import ExpertTrace, StepTrace
+
+        model = small_scenario.model
+        rng = np.random.default_rng(3)
+        trace = ExpertTrace(num_experts=model.num_experts)
+        for step in range(2):
+            layers = StepTrace()
+            for layer in range(model.num_layers):
+                rows = 9 + (layer + step) % 4  # uneven batch splits, varying rows
+                layers.append(
+                    np.stack(
+                        [rng.choice(model.num_experts, 2, replace=False) for _ in range(rows)]
+                    )
+                )
+            trace.append(layers)
+        wl = small_scenario.workload
+        placement = plan_placement(
+            small_scenario.inventory(), small_scenario.hardware, wl, wl.num_batches
+        )
+        for features in (
+            PipelineFeatures(),
+            PipelineFeatures(adjust_order=False, hot_prefetch=False),
+            PipelineFeatures(cpu_experts=True),
+        ):
+            builder = PipelineBuilder(
+                cost_model=small_scenario.cost_model(),
+                inventory=small_scenario.inventory(),
+                oracle=TraceOracle(trace, top_k=2),
+                workload=wl,
+                placement=placement,
+                prefetcher=None,
+                features=features,
+            )
+            result = builder.build()
+            result.schedule.validate()
+            expert_ops = [op for op in result.schedule if op.phase == PHASE_EXPERT]
+            assert expert_ops
+            timeline = Executor(small_scenario.hardware).run(result.schedule)
+            assert timeline.makespan > 0

@@ -6,6 +6,8 @@ from repro.errors import ScheduleError
 from repro.runtime.schedule import (
     CPU,
     D2H,
+    EV_ALLOC,
+    EV_FREE,
     GPU,
     H2D,
     MemEffect,
@@ -87,3 +89,63 @@ class TestSchedule:
         a = s.compute(1.0, "a")
         s.compute(1.0, "b", deps=[a])
         s.validate()
+
+
+class TestValidate:
+    """validate() checks the flattened deps at once and names the first
+    offender (lowest op id, then the dep's position in its tuple)."""
+
+    @staticmethod
+    def chain(n=6):
+        s = Schedule()
+        for i in range(n):
+            s.append_row(0, 1.0, f"op{i}", (i - 1,) if i else (), -1, "other")
+        return s
+
+    @pytest.mark.parametrize(
+        "op_id,deps,message",
+        [
+            (3, (1, -2), "op 3 has negative dependency -2"),
+            (4, (4,), "op 4 has forward or self dependency 4"),
+            (2, (0, 5, -1), "op 2 has forward or self dependency 5"),
+        ],
+    )
+    def test_names_first_offender(self, op_id, deps, message):
+        s = self.chain()
+        s._deps[op_id] = deps
+        s._deps[5] = (9,)  # a later offender is not reported
+        with pytest.raises(ScheduleError, match=f"^{message}$"):
+            s.validate()
+
+    def test_negative_duration(self):
+        s = self.chain()
+        s._dur[2] = -0.5
+        with pytest.raises(ScheduleError, match="op 2 has negative duration -0.5"):
+            s.validate()
+
+    def test_empty_and_depless_schedules_pass(self):
+        Schedule().validate()
+        s = Schedule()
+        s.append_row(0, 1.0, "a", (), -1, "other")
+        s.validate()
+
+
+class TestExtendEffects:
+    def test_matches_per_effect_appends(self):
+        bulk, single = Schedule(), Schedule()
+        for s in (bulk, single):
+            s.compute(1.0, "a")
+            s.compute(1.0, "b")
+        bulk.extend_effects([1, 0, 1], EV_FREE, "vram", ["x", "y", "z"], [3, 4, 5])
+        for op, tid, nbytes in ((1, "x", 3), (0, "y", 4), (1, "z", 5)):
+            single.append_effect(op, EV_FREE, "vram", tid, nbytes)
+        assert [op.frees for op in bulk] == [op.frees for op in single]
+        assert bulk[1].frees == (MemEffect("vram", "x", 3), MemEffect("vram", "z", 5))
+
+    def test_invalidates_compiled_form(self):
+        s = Schedule()
+        s.compute(1.0, "a")
+        frozen = s.freeze()
+        s.extend_effects([0], EV_ALLOC, "vram", ["w"], [8])
+        assert s.freeze() is not frozen
+        assert s.freeze().ev_delta.tolist() == [8]
