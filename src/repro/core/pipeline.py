@@ -739,26 +739,24 @@ class PipelineBuilder:
             )
 
         resident = self._resident_experts(layer)
-        features = self.features
-        if features.cpu_experts or features.hot_prefetch or features.adjust_order:
-            # Per-expert gate dependencies: gate ops of the batches that
-            # routed tokens to the expert, in batch (= op id) order.
-            num_experts = model.num_experts
-            involved_by_e: list[list[int]] = [[] for _ in range(num_experts)]
-            for p in stats.pairs:
-                b, e = divmod(p, num_experts)
-                involved_by_e[e].append(base_id + b)
 
-        if features.cpu_experts:
+        # Per-expert gate dependencies: gate ops of the batches that routed
+        # tokens to the expert, in batch (= op id) order.
+        num_experts = model.num_experts
+        involved_by_e: list[list[int]] = [[] for _ in range(num_experts)]
+        for p in stats.pairs:
+            b, e = divmod(p, num_experts)
+            involved_by_e[e].append(base_id + b)
+
+        if self.features.cpu_experts:
             expert_ops = self._emit_cpu_experts(
                 step, layer, routing, stats, involved_by_e, resident
             )
         else:
-            if features.hot_prefetch:
-                self._issue_cold_transfers(
-                    layer, stats, involved_by_e, predicted, resident
-                )
-            if features.adjust_order:
+            self._issue_cold_transfers(
+                layer, stats, involved_by_e, predicted, resident
+            )
+            if self.features.adjust_order:
                 expert_ops = self._emit_experts_expert_major(
                     step, layer, routing, stats, involved_by_e, predicted,
                     resident,
@@ -783,8 +781,9 @@ class PipelineBuilder:
     ) -> None:
         """On-demand transfers for activated non-prefetched experts, in
         ascending expert id (the order :func:`ordered_active_experts`
-        assumes for cold experts). Without hot prefetch the whole layer is
-        already in the prefetch stream, so this is not called."""
+        assumes for cold experts)."""
+        if not self.features.hot_prefetch:
+            return  # whole layer already in the prefetch stream
         skip = resident.union(predicted)
         eids = self._layer_expert_ids(layer)
         for e in stats.active:

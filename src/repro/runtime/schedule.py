@@ -380,6 +380,10 @@ class Schedule:
         if labels is None:
             patterns, layer, step = label_plan
             self._labels.extend([None] * k)
+            if label_tags is not None:
+                # An owned int tuple: immune to caller mutation, and left
+                # untracked by the garbage collector like the plan itself.
+                label_tags = tuple(label_tags)
             self._label_plans.append((base, k, patterns, layer, step, label_tags))
         else:
             self._labels.extend(labels)

@@ -149,3 +149,14 @@ class TestExtendEffects:
         s.extend_effects([0], EV_ALLOC, "vram", ["w"], [8])
         assert s.freeze() is not frozen
         assert s.freeze().ev_delta.tolist() == [8]
+
+
+def test_label_tags_are_copied_at_extend():
+    s = Schedule()
+    tags = [3, 5]
+    s.extend_raw(
+        [0, 0], [1.0, 1.0], [(), ()], None, [2, 2], ["expert", "expert"], [-1, -1],
+        label_plan=(("exp",), 2, 0), label_tags=tags,
+    )
+    tags[0] = 9  # the caller reuses its list
+    assert [op.label for op in s] == ["exp3:L2s0", "exp5:L2s0"]
