@@ -156,8 +156,22 @@ def _tenants(requests: list) -> list:
     ]
 
 
-def _scheduled_fleet_snapshot(*, scheduler: str, faults: str) -> dict:
-    """Mid-size fleet under a dispatch discipline and fault preset.
+# Every fault kind the presets leave at zero in one inline config: a late
+# join, a drain, transient failures that trip breakers, depth and slack
+# shedding, crashes, and a retry budget small enough to run out.
+MIXED_FAULTS = {
+    "seed": 7, "crash_rate_per_hour": 30.0, "crash_downtime_s": 10.0,
+    "transient_failure_prob": 0.15, "breaker_threshold": 2,
+    "breaker_cooldown_s": 5.0, "joins": [[20.0, 3]], "drains": [[60.0, 1]],
+    "shed_queue_depth": 24, "shed_slack_s": 60.0,
+}
+MIXED_RETRY = {"max_attempts": 3, "retry_budget": 120}
+
+
+def _scheduled_fleet_snapshot(
+    *, scheduler: str, faults: str | dict, retry: dict | None = None
+) -> dict:
+    """Mid-size fleet under a dispatch discipline and fault model.
 
     Pins the paths the fleet goldens above never reach: the continuous
     scheduler (with and without faults) and the faulted group loop. The
@@ -175,7 +189,7 @@ def _scheduled_fleet_snapshot(*, scheduler: str, faults: str) -> dict:
                 "replicas": 4, "envs": ["env1", "env2"],
                 "router": "least-outstanding", "group_batches": 2,
                 "max_wait_s": 2.0, "slo_s": 60.0, "scheduler": scheduler,
-                "faults": faults,
+                "faults": faults, "retry": retry or {},
             },
             "serve": {"arrival": "bursty", "requests": 2_000, "rate_per_s": 12.0},
         }
@@ -184,6 +198,12 @@ def _scheduled_fleet_snapshot(*, scheduler: str, faults: str) -> dict:
     report = run_cluster(config, shared_cache={}, requests=requests)
     violations = check_cluster(report, requests)
     assert not violations, "\n".join(map(str, violations))
+    if faults == MIXED_FAULTS:
+        counters = report.counters
+        for name in ("joins", "drains", "breaker_trips", "shed_requests"):
+            assert counters[name] > 0, f"the mixed config no longer pins {name}"
+        assert counters["retries_scheduled"] == MIXED_RETRY["retry_budget"]
+        assert counters["failed_requests"] > 0
     return {
         "cluster": snapshot_cluster(report),
         "fleet": snapshot_fleet(report, stride=97),
@@ -279,6 +299,12 @@ GOLDEN_CASES = {
     ),
     "fleet-group-chaos-4replica": lambda: _scheduled_fleet_snapshot(
         scheduler="group", faults="chaos"
+    ),
+    "fleet-group-faults-mixed-4replica": lambda: _scheduled_fleet_snapshot(
+        scheduler="group", faults=MIXED_FAULTS, retry=MIXED_RETRY
+    ),
+    "fleet-continuous-faults-mixed-4replica": lambda: _scheduled_fleet_snapshot(
+        scheduler="continuous", faults=MIXED_FAULTS, retry=MIXED_RETRY
     ),
     "continuous-preempt-streaming-3replica": lambda: _preemption_snapshot(
         faults=None
