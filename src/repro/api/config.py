@@ -550,7 +550,7 @@ class ClusterConfig:
             :data:`~repro.api.registry.FAULT_PRESETS` name or an inline
             :class:`~repro.cluster.faults.FaultConfig` dict; the empty
             string (default) disables fault injection entirely. Active
-            fault configs force the faulted serial event loop regardless
+            fault configs force the serial event loop regardless
             of ``engine`` (see ``docs/robustness.md``).
         retry: :class:`~repro.cluster.faults.RetryPolicy` overrides as a
             dict (empty: the default policy); only consulted when

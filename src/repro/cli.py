@@ -1136,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default="",
         help="fault injection: a fault-preset name (see docs/robustness.md) "
         "or an inline FaultConfig JSON object; active faults force the "
-        "faulted serial event loop",
+        "serial event loop",
     )
     p.add_argument(
         "--fault-seed", type=int, default=None,

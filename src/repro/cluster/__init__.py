@@ -35,7 +35,6 @@ from repro.cluster.faults import (
     FaultPlan,
     RetryPolicy,
     compile_fault_plan,
-    run_faulted,
 )
 from repro.cluster.replica import (
     DispatchedGroup,
@@ -58,15 +57,6 @@ from repro.cluster.routers import (
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator, build_cluster
 
 
-def __getattr__(name: str):
-    if name == "ROUTERS":
-        # Deprecated: forwards to repro.cluster.routers.__getattr__, which
-        # emits the ReproDeprecationWarning and returns a registry view.
-        from repro.cluster import routers
-
-        return routers.ROUTERS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ARRIVAL",
     "COMPLETION",
@@ -86,7 +76,6 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "compile_fault_plan",
-    "run_faulted",
     "DispatchedGroup",
     "GroupTiming",
     "Replica",

@@ -80,7 +80,7 @@ _EPS = 1e-9  # matches the serial loop's deadline tolerance
 # Event-kind priorities, mirrored from repro.cluster.events.KIND_PRIORITY
 # (plain ints here so group tuples stay cheap to build and pickle). The
 # fast engines never see fault/control kinds — a simulator with an
-# active fault plan falls back to the faulted serial loop before
+# active fault plan falls back to the serial loop before
 # reaching this module — and group records are only ever triggered by
 # arrivals or deadlines, so only these two ranks are mirrored; their
 # relative order is what matters and matches the heap's.
@@ -188,7 +188,7 @@ def _scan_replica(
             full, time_s, j, trigger = True, arr[i], i + 1, indices[i]
         else:
             # Earliest live deadline event that can fire this group. The
-            # serial loop decides `oldest_deadline() <= now + _EPS` in
+            # serial loop decides `head.arrival_s + max_wait_s <= now + _EPS` in
             # plain float arithmetic at deadline magnitude, so the scan
             # must evaluate the very same expressions rather than the
             # algebraically equivalent `arr[k] >= arr[i] - eps` (the two

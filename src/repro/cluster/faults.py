@@ -34,35 +34,38 @@ Every request terminates exactly once as ``completed`` | ``shed`` |
 ``failed`` — the conservation invariant enforced by
 :func:`repro.validation.check_cluster` and fuzzed by ``validate
 --chaos`` — and reports gain availability metrics (downtime windows,
-retried/shed/failed counts, per-replica up-time billing). The fast
-engines (:mod:`repro.cluster.engines`) do not model faults; a simulator
-with an active fault config deterministically falls back to the faulted
-serial loop here, which the differential harness treats as trivially
+retried/shed/failed counts, per-replica up-time billing).
+
+:class:`FaultLayer` applies all of this to one run. Both dispatch loops
+— the group loop in :mod:`repro.cluster.simulator` and the continuous
+scheduler in :mod:`repro.serving.scheduler` — build one and route every
+health, retry and shedding decision through it. The fast engines
+(:mod:`repro.cluster.engines`) do not model faults; a simulator with an
+active fault config deterministically falls back to the serial group
+loop, which the differential harness treats as trivially
 engine-identical.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from repro.api.registry import register_fault_preset
 from repro.cluster.events import (
-    ARRIVAL,
-    COMPLETION,
     CRASH,
-    DEADLINE,
     DRAIN,
     JOIN,
     RECOVER,
     RETRY,
     SLOW_END,
     SLOW_START,
-    EventQueue,
 )
 from repro.cluster.report import ClusterReport, make_record
-from repro.obs import count, span
+from repro.obs import count
 from repro.serving.requests import Request
 
 _EPS = 1e-9  # matches the serial loop's deadline tolerance
@@ -73,6 +76,15 @@ _TAG_CRASH = 3
 _TAG_STRAGGLER = 5
 _TAG_TRANSIENT = 13
 _TAG_JITTER = 11
+
+# Report counters a faulted run always carries (fault-free runs add a
+# terminal-outcome key only if one occurs).
+FAULT_COUNTERS = (
+    "crashes", "recoveries", "joins", "drains", "straggler_windows",
+    "transient_failures", "breaker_trips", "retries_scheduled",
+    "requeued_from_crash", "requeued_from_drain", "shed_requests",
+    "failed_requests", "stranded_requests",
+)
 
 
 def _pairs(value, label: str) -> tuple[tuple[float, int], ...]:
@@ -103,8 +115,8 @@ class FaultConfig:
     All stochastic schedules (crashes, stragglers, transient failures)
     are driven purely by ``seed`` — two runs with the same config and
     request stream produce byte-identical reports. The default config is
-    inert: :meth:`active` is False and the simulator takes its normal
-    fault-free path, bit-identical to a run with no fault config at all.
+    inert: :meth:`active` is False and the run's :class:`FaultLayer` is
+    the inactive one, bit-identical to a run with no fault config at all.
 
     Attributes:
         seed: root seed for every fault sub-stream.
@@ -168,9 +180,9 @@ class FaultConfig:
     def active(self) -> bool:
         """Whether this config changes anything at all.
 
-        An inactive config keeps the simulator on its fault-free path —
-        the property the "empty plan reproduces the goldens" invariant
-        rests on.
+        An inactive config yields the inactive :class:`FaultLayer` — the
+        property the "empty plan reproduces the goldens" invariant rests
+        on.
         """
         return bool(
             self.crash_rate_per_hour > 0
@@ -403,390 +415,297 @@ def compile_fault_plan(
     return plan
 
 
-def fault_horizon_s(config: FaultConfig, requests: list[Request]) -> float:
-    """How far past time zero to sample a run's fault windows.
+class FaultLayer:
+    """Health, retries and shedding for one cluster run.
 
-    The last arrival plus one crash downtime, one straggler window, and a
-    minute of slack — long enough that faults can still hit the tail of
-    the stream. Every loop that compiles a plan for a request stream uses
-    this one formula, so the group and continuous disciplines see the
-    same schedule for the same config and stream.
+    Built per run by a dispatch loop (the group loop in
+    :meth:`~repro.cluster.simulator.ClusterSimulator._run` or
+    :class:`~repro.serving.scheduler.ContinuousScheduler`), it is the only
+    code that reads the fault config, replica health and retry state.
+    Without an active config it is the inactive layer: no events, every
+    replica healthy, nothing shed or failed, no fault keys in the report
+    — faults off is the same loop, not another one.
+
+    The loop keeps its queues and in-flight work and lends the layer five
+    callables: ``route(request, now)``; ``evict(rid, now)``, which empties
+    a crashed replica and returns its ``(in-flight, queued)`` requests;
+    ``release(rid, now)``, which empties a draining replica's queue and
+    returns it; ``strand(rid)``, which returns whatever is left at the
+    end; and ``last_end(rid)``, when the replica's last committed work
+    ended.
+
+    Attributes:
+        active: whether the run injects faults at all.
+        config: the fault config (the inert default when inactive).
+        up: per-replica up flag (down while crashed or before a join).
+        draining: per-replica drain flag.
+        epoch: per-replica crash count; work stamped with an older epoch
+            was aborted.
+        attempts: dispatch attempts consumed per request id; the loop
+            counts each dispatch or admission here.
+        shedding: whether admission control can shed at all.
+        transient: whether dispatches can fail transiently.
     """
-    last = max((r.arrival_s for r in requests), default=0.0)
-    return last + config.crash_downtime_s + config.straggler_duration_s + 60.0
 
-
-def finalize_availability(
-    report: ClusterReport,
-    crash_open_s: list,
-    down_windows: list,
-    join_s: list,
-    drain_bill_end: list,
-    retries_scheduled: int,
-) -> None:
-    """Fill per-replica up-time billing and ``report.availability``.
-
-    Shared by the faulted group loop and the continuous scheduler's
-    fault path so both produce the same availability surface. Expects
-    ``report.makespan_s`` and ``report.replicas`` to be final; mutates
-    ``report.replicas[*].up_time_s`` and ``report.availability``.
-
-    Args:
-        report: the report under assembly.
-        crash_open_s: per-replica open-crash start (None: currently up).
-        down_windows: per-replica closed ``(start, end)`` crash windows.
-        join_s: per-replica billing start (0.0 unless a late join).
-        drain_bill_end: per-replica billing end (None: the makespan).
-        retries_scheduled: the loop's retry counter, surfaced verbatim.
-    """
-    outcome_counts = {"completed": 0, "shed": 0, "failed": 0}
-    retried = 0
-    for record in report.records:
-        outcome_counts[record.outcome] += 1
-        if record.attempts > 1:
-            retried += 1
-
-    total_down = 0.0
-    downtime_s: dict[str, float] = {}
-    windows_out: dict[str, list[list[float]]] = {}
-    for rid, stats in enumerate(report.replicas):
-        if crash_open_s[rid] is not None:
-            # Still down at the end of the run: close the window at the
-            # makespan (or at the crash instant if traffic ended first).
-            down_windows[rid].append(
-                (crash_open_s[rid], max(report.makespan_s, crash_open_s[rid]))
-            )
-        start = join_s[rid]
-        end = (
-            drain_bill_end[rid]
-            if drain_bill_end[rid] is not None
-            else report.makespan_s
-        )
-        end = max(end, start)
-        down = 0.0
-        for w_start, w_end in down_windows[rid]:
-            down += max(0.0, min(w_end, end) - max(w_start, start))
-        stats.up_time_s = max(0.0, end - start - down)
-        total_down += down
-        if down_windows[rid]:
-            downtime_s[str(rid)] = down
-            windows_out[str(rid)] = [[s, e] for s, e in down_windows[rid]]
-
-    fleet_span = len(report.replicas) * report.makespan_s
-    report.availability = {
-        "completed": outcome_counts["completed"],
-        "shed": outcome_counts["shed"],
-        "failed": outcome_counts["failed"],
-        "retried_requests": retried,
-        "retries_scheduled": retries_scheduled,
-        "downtime_s": downtime_s,
-        "downtime_windows": windows_out,
-        "availability": (
-            1.0 - total_down / fleet_span if fleet_span > 0 else 1.0
-        ),
-        "goodput_under_faults_tok_s": report.goodput,
-    }
-
-
-def run_faulted(sim, requests: list[Request], plan: FaultPlan, retry: RetryPolicy):
-    """The faulted serial event loop (reference semantics under faults).
-
-    Mirrors ``ClusterSimulator._run`` exactly on the happy path and adds
-    the fault/control kinds. Every request submitted terminates exactly
-    once — ``completed``, ``shed``, or ``failed`` — which
-    :func:`repro.validation.check_cluster` verifies.
-
-    Args:
-        sim: the :class:`~repro.cluster.simulator.ClusterSimulator`.
-        requests: the request stream (any order; sorted internally).
-        plan: the compiled fault schedule.
-        retry: the retry policy for crashed/failed dispatches.
-
-    Returns:
-        A :class:`~repro.cluster.report.ClusterReport` with availability
-        metrics populated.
-    """
-    cfg = plan.config
-    replicas = sim.replicas
-    n = len(replicas)
-    report = ClusterReport(router=sim.router.name, slo_s=sim.config.slo_s)
-    events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
-
-    # Per-replica health/bookkeeping state, indexed by replica_id.
-    up = [True] * n
-    draining = [False] * n
-    join_s = [0.0] * n
-    drain_bill_end: list[float | None] = [None] * n
-    crash_open_s: list[float | None] = [None] * n
-    down_windows: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    epoch = [0] * n  # bumped on crash; stale completions are skipped
-    pending_groups: list[list] = [[] for _ in range(n)]
-    dispatch_seq = [0] * n  # transient-oracle ordinal per replica
-    consec_fail = [0] * n
-    breaker_until = [0.0] * n
-    attempts: dict[int, int] = {}
-    budget_used = 0
-
-    counters = {
-        "arrivals": 0,
-        "full_group_dispatches": 0,
-        "deadline_dispatches": 0,
-        "completions": 0,
-        "crashes": 0,
-        "recoveries": 0,
-        "joins": 0,
-        "drains": 0,
-        "straggler_windows": 0,
-        "transient_failures": 0,
-        "breaker_trips": 0,
-        "retries_scheduled": 0,
-        "requeued_from_crash": 0,
-        "requeued_from_drain": 0,
-        "shed_requests": 0,
-        "failed_requests": 0,
-        "stranded_requests": 0,
-    }
-
-    for t, rid in cfg.joins:
-        up[rid] = False  # joins start down; the JOIN event brings them up
-        join_s[rid] = t
-    for t, kind, rid, value in plan.events:
-        events.push(t, kind, (rid, value))
-
-    def terminal(request: Request, now: float, outcome: str, rid: int) -> None:
-        report.records.append(
-            make_record(
-                request,
-                rid,
-                now,
-                now,
-                now,
-                0.0,
-                outcome,
-                attempts.get(request.request_id, 0),
-            )
-        )
-        if outcome == "shed":
-            counters["shed_requests"] += 1
-        else:
-            counters["failed_requests"] += 1
-
-    def retry_or_fail(request: Request, now: float, rid: int) -> None:
-        nonlocal budget_used
-        done = attempts.get(request.request_id, 0)
-        if done >= retry.max_attempts:
-            terminal(request, now, "failed", rid)
+    def __init__(
+        self, sim, requests, events, report, *, route, evict, release, strand, last_end
+    ):
+        config = sim.faults
+        n = len(sim.replicas)
+        self.active = config is not None and config.active()
+        self.config = cfg = config if self.active else FaultConfig()
+        self.retry_policy = sim.retry or RetryPolicy()
+        self.replicas, self.events, self.report = sim.replicas, events, report
+        self.route, self.evict, self.release = route, evict, release
+        self.strand, self.last_end = strand, last_end
+        self.up = [True] * n
+        self.draining = [False] * n
+        self.epoch = [0] * n
+        self.attempts: dict[int, int] = {}
+        self.join_s = [0.0] * n
+        self.drain_s: list[float | None] = [None] * n
+        self.crash_open_s: list[float | None] = [None] * n
+        self.down_windows: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+        self.dispatch_seq = [0] * n  # transient-oracle ordinal per replica
+        self.consec_fail = [0] * n
+        self.breaker_until = [0.0] * n
+        self.budget_used = 0
+        # healthy() caches its list until health changes (which sets
+        # _expires to -inf) or ``now`` reaches the earliest breaker expiry.
+        self._healthy = sim.replicas
+        self._expires = float("inf")
+        self.shedding = cfg.shed_queue_depth > 0 or cfg.shed_slack_s > 0
+        self.transient = cfg.transient_failure_prob > 0
+        self.counters: dict[str, int] = {}
+        self.plan = None
+        if not self.active:
             return
-        if retry.retry_budget > 0 and budget_used >= retry.retry_budget:
-            terminal(request, now, "failed", rid)
-            return
-        budget_used += 1
-        counters["retries_scheduled"] += 1
-        events.push(now + retry.backoff_s(request.request_id, done), RETRY, request)
+        self.counters = dict.fromkeys(FAULT_COUNTERS, 0)
+        self._expires = float("-inf")
+        for t, rid in cfg.joins:
+            self.up[rid] = False  # joins start down; the JOIN event brings them up
+            self.join_s[rid] = t
+        # Sample faults up to the last arrival plus one crash downtime,
+        # one straggler window and a minute of slack, so they can still
+        # hit the tail of the stream.
+        last = max((r.arrival_s for r in requests), default=0.0)
+        horizon = last + cfg.crash_downtime_s + cfg.straggler_duration_s + 60.0
+        self.plan = compile_fault_plan(cfg, n, horizon)
+        for t, kind, rid, value in self.plan.events:
+            events.push(t, kind, (rid, value))
 
-    def commit_dispatch(replica, now: float, full: bool) -> None:
-        rid = replica.replica_id
-        seq = dispatch_seq[rid]
-        dispatch_seq[rid] += 1
-        if plan.transient_fails(rid, seq):
-            capacity = replica.batching.group_capacity
-            members = replica.queue[:capacity]
-            del replica.queue[: len(members)]
-            replica.sample_queue_depth(now, len(replica.queue))
-            counters["transient_failures"] += 1
-            consec_fail[rid] += 1
-            if cfg.breaker_threshold and consec_fail[rid] >= cfg.breaker_threshold:
-                breaker_until[rid] = now + cfg.breaker_cooldown_s
-                consec_fail[rid] = 0
-                counters["breaker_trips"] += 1
-            for request in members:
-                attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
-                retry_or_fail(request, now, rid)
-            return
-        consec_fail[rid] = 0
-        counters["full_group_dispatches" if full else "deadline_dispatches"] += 1
-        with span("cluster.dispatch", {"replica": rid}):
-            group = replica.dispatch(now)
-        for request in group.requests:
-            attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
-        pending_groups[rid].append(group)
-        events.push(group.completion_s, COMPLETION, (replica, group, epoch[rid]))
+    # ---- routing and admission ---------------------------------------------
 
-    def route(request: Request, now: float) -> None:
-        healthy = [
-            rep
-            for i, rep in enumerate(replicas)
-            if up[i] and not draining[i] and breaker_until[i] <= now
-        ]
-        if not healthy:
-            terminal(request, now, "shed", -1)
-            return
-        with span("cluster.route"):
-            replica = sim.router.choose(request, healthy, now)
-        rid = replica.replica_id
+    def healthy(self, now: float) -> list:
+        """Replicas a router may choose at ``now``: up, not draining, and
+        breaker closed (a breaker closes at exactly ``breaker_until``)."""
+        if now >= self._expires:
+            up, draining, until = self.up, self.draining, self.breaker_until
+            self._healthy = [
+                replica
+                for i, replica in enumerate(self.replicas)
+                if up[i] and not draining[i] and until[i] <= now
+            ]
+            self._expires = min((t for t in until if t > now), default=float("inf"))
+        return self._healthy
+
+    def shed(
+        self, request: Request, rid: int, now: float, depth: int, backlog=None
+    ) -> bool:
+        """Shed ``request`` (recording it) when replica ``rid``'s queue
+        ``depth`` — or, if the caller passes it, its ``backlog`` in
+        seconds — is over its bound; the protected class gets a doubled
+        depth bound and is never slack-shed."""
+        cfg = self.config
         protected = request.slo_class == cfg.shed_protect_class
-        if cfg.shed_queue_depth:
-            limit = cfg.shed_queue_depth * (2 if protected else 1)
-            if len(replica.queue) >= limit:
-                terminal(request, now, "shed", rid)
-                return
-        if cfg.shed_slack_s > 0 and not protected:
-            if replica.free_at - now > cfg.shed_slack_s:
-                terminal(request, now, "shed", rid)
-                return
-        replica.enqueue(request, now)
-        if replica.group_ready():
-            commit_dispatch(replica, now, full=True)
-        else:
-            # Retried requests may re-enqueue long after their batching
-            # deadline; clamping to `now` keeps event time monotone (a
-            # plain arrival's deadline is always >= its arrival time).
-            events.push(
-                max(now, request.arrival_s + replica.batching.max_wait_s),
-                DEADLINE,
-                replica,
-            )
+        limit = cfg.shed_queue_depth * (2 if protected else 1)
+        slack = cfg.shed_slack_s
+        if (limit and depth >= limit) or (
+            backlog is not None and slack > 0 and not protected and backlog > slack
+        ):
+            self.terminal(request, now, "shed", rid)
+            return True
+        return False
 
-    pop = events.pop
-    while events:
-        now, _, _, kind, payload = pop()
-        if kind == ARRIVAL:
-            counters["arrivals"] += 1
-            route(payload, now)
-        elif kind == DEADLINE:
-            replica = payload
-            rid = replica.replica_id
-            if (
-                up[rid]
-                and replica.queue
-                and replica.oldest_deadline() <= now + _EPS
-            ):
-                commit_dispatch(replica, now, full=False)
-        elif kind == COMPLETION:
-            replica, group, ev_epoch = payload
-            rid = replica.replica_id
-            if ev_epoch != epoch[rid]:
-                continue  # group was aborted by a crash
-            counters["completions"] += 1
-            replica.complete(group)
-            pending_groups[rid].remove(group)
-            for request in group.requests:
-                report.records.append(
-                    make_record(
-                        request,
-                        rid,
-                        group.dispatch_s,
-                        group.start_s,
-                        group.completion_s,
-                        group.start_s + group.prefill_s - request.arrival_s,
-                        "completed",
-                        attempts[request.request_id],
-                    )
-                )
-        elif kind == RETRY:
-            route(payload, now)
-        elif kind == CRASH:
-            rid, recover_at = payload
-            replica = replicas[rid]
-            if not up[rid] or draining[rid]:
-                continue  # stale: replica already down or leaving
-            up[rid] = False
-            crash_open_s[rid] = now
+    def transient_fails(self, rid: int, now: float) -> bool:
+        """Draw the transient oracle for ``rid``'s next dispatch; a failure
+        is counted and may open the replica's circuit breaker."""
+        seq = self.dispatch_seq[rid]
+        self.dispatch_seq[rid] = seq + 1
+        if not self.plan.transient_fails(rid, seq):
+            self.consec_fail[rid] = 0
+            return False
+        cfg = self.config
+        self.counters["transient_failures"] += 1
+        self.consec_fail[rid] += 1
+        if cfg.breaker_threshold and self.consec_fail[rid] >= cfg.breaker_threshold:
+            self.breaker_until[rid] = now + cfg.breaker_cooldown_s
+            self.consec_fail[rid] = 0
+            self.counters["breaker_trips"] += 1
+            self._expires = float("-inf")
+        return True
+
+    # ---- terminal outcomes and retries ---------------------------------------
+
+    def terminal(self, request: Request, now: float, outcome: str, rid: int) -> None:
+        """Record ``request``'s ``shed`` or ``failed`` outcome at ``now``."""
+        attempts = self.attempts.get(request.request_id, 0)
+        self.report.records.append(
+            make_record(request, rid, now, now, now, 0.0, outcome, attempts)
+        )
+        key = "shed_requests" if outcome == "shed" else "failed_requests"
+        self.counters[key] = self.counters.get(key, 0) + 1
+
+    def retry_or_fail(self, request: Request, now: float, rid: int) -> None:
+        """Schedule a backed-off retry, or fail the request once its
+        attempts or the run's retry budget are spent."""
+        policy = self.retry_policy
+        done = self.attempts.get(request.request_id, 0)
+        if done >= policy.max_attempts or (
+            policy.retry_budget > 0 and self.budget_used >= policy.retry_budget
+        ):
+            self.terminal(request, now, "failed", rid)
+            return
+        self.budget_used += 1
+        self.counters["retries_scheduled"] += 1
+        delay = policy.backoff_s(request.request_id, done)
+        self.events.push(now + delay, RETRY, request)
+
+    # ---- fault and control events --------------------------------------------
+
+    def handle(self, kind: str, payload, now: float) -> None:
+        """Apply one fault or control event the loop popped."""
+        if kind == RETRY:
+            self.route(payload, now)
+            return
+        rid, value = payload
+        replica = self.replicas[rid]
+        counters = self.counters
+        if kind == SLOW_START:
+            replica.slow_factor = value
+            counters["straggler_windows"] += 1
+            return
+        if kind == SLOW_END:
+            replica.slow_factor = 1.0
+            return
+        if kind == CRASH:
+            if not self.up[rid] or self.draining[rid]:
+                return  # stale: replica already down or leaving
+            self.up[rid] = False
+            self._expires = float("-inf")  # health changed
+            self.crash_open_s[rid] = now
             counters["crashes"] += 1
-            epoch[rid] += 1
-            aborted = pending_groups[rid]
-            pending_groups[rid] = []
-            if aborted:
-                aborted_ids = {id(g) for g in aborted}
-                replica.groups = [
-                    g for g in replica.groups if id(g) not in aborted_ids
-                ]
-                for g in aborted:
-                    replica.busy_s -= g.completion_s - g.start_s
-                    replica.inflight -= len(g.requests)
-                    replica.expert_misses -= g.expert_misses
-            victims_queued = replica.queue[:]
-            replica.queue.clear()
-            replica.sample_queue_depth(now, 0)
-            replica.free_at = recover_at
-            counters["requeued_from_crash"] += len(victims_queued) + sum(
-                len(g.requests) for g in aborted
-            )
+            self.epoch[rid] += 1
+            running, queued = self.evict(rid, now)
+            replica.free_at = value  # the recovery time
+            counters["requeued_from_crash"] += len(running) + len(queued)
             # In-flight work consumed its dispatch attempt; queued work
             # did not and re-routes immediately through the router.
-            for g in aborted:
-                for request in g.requests:
-                    retry_or_fail(request, now, rid)
-            for request in victims_queued:
-                route(request, now)
+            for request in running:
+                self.retry_or_fail(request, now, rid)
+            for request in queued:
+                self.route(request, now)
         elif kind == RECOVER:
-            rid, _ = payload
-            if crash_open_s[rid] is None:
-                continue
-            up[rid] = True
-            down_windows[rid].append((crash_open_s[rid], now))
-            crash_open_s[rid] = None
+            if self.crash_open_s[rid] is None:
+                return
+            self.up[rid] = True
+            self._expires = float("-inf")
+            self.down_windows[rid].append((self.crash_open_s[rid], now))
+            self.crash_open_s[rid] = None
             counters["recoveries"] += 1
         elif kind == JOIN:
-            rid, _ = payload
-            replica = replicas[rid]
-            up[rid] = True
+            self.up[rid] = True
+            self._expires = float("-inf")
             replica.free_at = max(replica.free_at, now)
             counters["joins"] += 1
-        elif kind == DRAIN:
-            rid, _ = payload
-            replica = replicas[rid]
-            if draining[rid]:
-                continue
-            draining[rid] = True
+        else:  # DRAIN
+            if self.draining[rid]:
+                return
+            self.draining[rid] = True
+            self._expires = float("-inf")
+            self.drain_s[rid] = now
             counters["drains"] += 1
-            drain_bill_end[rid] = max(
-                [now] + [g.completion_s for g in pending_groups[rid]]
-            )
-            victims = replica.queue[:]
-            replica.queue.clear()
-            replica.sample_queue_depth(now, 0)
-            counters["requeued_from_drain"] += len(victims)
-            for request in victims:
-                route(request, now)
-        elif kind == SLOW_START:
-            rid, factor = payload
-            replicas[rid].slow_factor = factor
-            counters["straggler_windows"] += 1
-        elif kind == SLOW_END:
-            rid, _ = payload
-            replicas[rid].slow_factor = 1.0
+            queued = self.release(rid, now)
+            counters["requeued_from_drain"] += len(queued)
+            for request in queued:
+                self.route(request, now)
 
-    # Defensive flush: the loop's deadline/crash/drain handling should
-    # drain every queue; anything left is a conservation bug we surface
-    # as a counted terminal record rather than a silently lost request.
-    for replica in replicas:
-        for request in replica.queue:
-            terminal(request, replica.free_at, "failed", replica.replica_id)
-            counters["stranded_requests"] += 1
-        replica.queue.clear()
-        replica.slow_factor = 1.0
+    # ---- end of run ----------------------------------------------------------
 
-    # Makespan is the last terminal event, not replica free_at — a crash
-    # sets free_at to its recovery time, which may outlive all traffic.
-    report.makespan_s = max((r.completion_s for r in report.records), default=0.0)
-    report.replicas = [sim._replica_stats(r) for r in replicas]
+    def finish(self, report: ClusterReport) -> None:
+        """Close the run: fail stranded work, set the makespan, fill the
+        availability (fault runs only) and fold in the fault counters.
 
-    finalize_availability(
-        report,
-        crash_open_s,
-        down_windows,
-        join_s,
-        drain_bill_end,
-        counters["retries_scheduled"],
-    )
-    counters["dispatched_groups"] = (
-        counters["full_group_dispatches"] + counters["deadline_dispatches"]
-    )
-    report.counters = counters
-    for name, value in counters.items():
-        count(f"cluster.{name}", value)
-    return report
+        Expects ``report.replicas`` and the loop's ``report.counters``.
+        """
+        counters = self.counters
+        # Defensive flush: the loop should drain every queue; anything
+        # left is a conservation bug surfaced as a counted terminal
+        # record rather than a silently lost request.
+        for rid, replica in enumerate(self.replicas):
+            for request in self.strand(rid):
+                self.terminal(request, replica.free_at, "failed", rid)
+                counters["stranded_requests"] = counters.get("stranded_requests", 0) + 1
+            replica.slow_factor = 1.0
+        # Makespan is the last terminal event, not replica free_at — a
+        # crash sets free_at to its recovery time, which may outlive all
+        # traffic.
+        report.makespan_s = max(
+            map(attrgetter("completion_s"), report.records), default=0.0
+        )
+        if self.active:
+            self._availability(report)
+        report.counters.update(counters)
+        for name, value in report.counters.items():
+            count(f"cluster.{name}", value)
+        # The loop's callables close over this layer: drop them so the
+        # run's state is freed by reference counting, not left for the
+        # cyclic collector.
+        self.route = self.evict = self.release = self.strand = self.last_end = None
+
+    def _availability(self, report: ClusterReport) -> None:
+        """Per-replica up-time billing and ``report.availability``."""
+        outcomes = Counter(record.outcome for record in report.records)
+        retried = sum(1 for record in report.records if record.attempts > 1)
+        total_down = 0.0
+        downtime_s: dict[str, float] = {}
+        windows_out: dict[str, list[list[float]]] = {}
+        for rid, stats in enumerate(report.replicas):
+            windows = self.down_windows[rid]
+            opened = self.crash_open_s[rid]
+            if opened is not None:
+                # Still down at the end of the run: close the window at the
+                # makespan (or at the crash instant if traffic ended first).
+                windows.append((opened, max(report.makespan_s, opened)))
+            start = self.join_s[rid]
+            drained = self.drain_s[rid]
+            end = report.makespan_s
+            if drained is not None:
+                end = max(drained, self.last_end(rid))
+            end = max(end, start)
+            down = 0.0
+            for w_start, w_end in windows:
+                down += max(0.0, min(w_end, end) - max(w_start, start))
+            stats.up_time_s = max(0.0, end - start - down)
+            total_down += down
+            if windows:
+                downtime_s[str(rid)] = down
+                windows_out[str(rid)] = [[s, e] for s, e in windows]
+
+        fleet_span = len(report.replicas) * report.makespan_s
+        report.availability = {
+            "completed": outcomes["completed"],
+            "shed": outcomes["shed"],
+            "failed": outcomes["failed"],
+            "retried_requests": retried,
+            "retries_scheduled": self.counters["retries_scheduled"],
+            "downtime_s": downtime_s,
+            "downtime_windows": windows_out,
+            "availability": (
+                1.0 - total_down / fleet_span if fleet_span > 0 else 1.0
+            ),
+            "goodput_under_faults_tok_s": report.goodput,
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -228,17 +228,12 @@ class Replica:
         if tick % self.timeline_stride == 0:
             self.queue_depth_timeline.append((now, depth))
 
-    def enqueue(self, request: Request, now: float) -> None:
-        self.queue.append(request)
-        self.sample_queue_depth(now, len(self.queue))
-
-    def group_ready(self) -> bool:
-        return len(self.queue) >= self.batching.group_capacity
-
-    def oldest_deadline(self) -> float:
-        if not self.queue:
-            return float("inf")
-        return self.queue[0].arrival_s + self.batching.max_wait_s
+    def enqueue(self, request: Request, now: float) -> bool:
+        """Queue ``request``; True when a full group is now waiting."""
+        queue = self.queue
+        queue.append(request)
+        self.sample_queue_depth(now, len(queue))
+        return len(queue) >= self.batching.group_capacity
 
     def _group_timing(self, n_batches: int, prompt: int, gen: int) -> GroupTiming:
         prompt = -(-prompt // self.prompt_quantum) * self.prompt_quantum

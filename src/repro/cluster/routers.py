@@ -17,12 +17,9 @@ are exactly reproducible for a fixed seed:
 
 from __future__ import annotations
 
-import warnings
-
 from repro.api.registry import ROUTERS as _ROUTER_REGISTRY
 from repro.api.registry import register_router
 from repro.cluster.replica import Replica
-from repro.errors import ReproDeprecationWarning
 from repro.serving.requests import Request
 
 
@@ -201,17 +198,3 @@ def make_router(name: str, **options) -> Router:
         ValueError: for an unknown name (with a typo suggestion).
     """
     return _ROUTER_REGISTRY.get(name)(**options)
-
-
-def __getattr__(name: str):
-    if name == "ROUTERS":
-        # Deprecated dict view of the repro.api router registry; kept so
-        # `from repro.cluster.routers import ROUTERS` keeps working.
-        warnings.warn(
-            "repro.cluster.routers.ROUTERS is deprecated; use "
-            "repro.api.ROUTERS (or repro.api.router_names()) instead",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        return dict(_ROUTER_REGISTRY.items())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

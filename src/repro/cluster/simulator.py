@@ -25,10 +25,12 @@ reproduces byte-identical reports across router policies.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.cluster.events import ARRIVAL, COMPLETION, DEADLINE, EventQueue
-from repro.cluster.replica import DispatchedGroup, Replica
+from repro.cluster.faults import FaultLayer
+from repro.cluster.replica import Replica
 from repro.cluster.report import ClusterReport, ReplicaStats, make_record
 from repro.cluster.routers import Router
 from repro.hardware.spec import HardwareSpec
@@ -151,9 +153,9 @@ class ClusterSimulator:
         replicas: the fleet (at least one :class:`Replica`).
         router: request-routing policy.
         config: fleet-level knobs (default :class:`ClusterConfig`).
-        faults: optional :class:`~repro.cluster.faults.FaultConfig`; when
-            active, the run takes the faulted serial event loop
-            (:func:`repro.cluster.faults.run_faulted`).
+        faults: optional :class:`~repro.cluster.faults.FaultConfig`,
+            applied by the run's :class:`~repro.cluster.faults.FaultLayer`
+            (an active config forces the serial event loop).
         retry: optional :class:`~repro.cluster.faults.RetryPolicy` used
             under fault injection (default policy when omitted).
     """
@@ -242,8 +244,8 @@ class ClusterSimulator:
                 ``repro.api.build_fleet``) per run.
 
         With an active fault config every engine deterministically runs
-        the faulted serial loop (the fast engines do not model faults);
-        the fallback is counted as ``cluster.engine.fault_fallback``.
+        the serial loop (the fast engines do not model faults); the
+        fallback is counted as ``cluster.engine.fault_fallback``.
         A non-default ``config.scheduler`` likewise always runs its own
         serial event loop (counted ``cluster.engine.scheduler_fallback``
         when a fast engine was requested).
@@ -280,74 +282,183 @@ class ClusterSimulator:
                     count("cluster.engine.scheduler_fallback")
                 scheduler_cls = SCHEDULERS.get(self.config.scheduler)
                 return scheduler_cls(self).run(requests)
-            if self.faults is not None and self.faults.active():
-                if engine != "serial":
-                    count("cluster.engine.fault_fallback")
-                return self._run_faulted(requests)
             if engine == "serial":
+                return self._run(requests)
+            if self.faults is not None and self.faults.active():
+                count("cluster.engine.fault_fallback")
                 return self._run(requests)
             from repro.cluster.engines import run_engine
 
             return run_engine(self, requests, engine=engine, jobs=jobs)
 
-    def _run_faulted(self, requests: list[Request]) -> ClusterReport:
-        """The faulted serial loop over this stream's compiled plan."""
-        from repro.cluster.faults import (
-            RetryPolicy,
-            compile_fault_plan,
-            fault_horizon_s,
-            run_faulted,
-        )
-
-        plan = compile_fault_plan(
-            self.faults, len(self.replicas), fault_horizon_s(self.faults, requests)
-        )
-        return run_faulted(self, requests, plan, self.retry or RetryPolicy())
-
     def _run(self, requests: list[Request]) -> ClusterReport:
+        """The group event loop: the reference for every engine, faulted
+        or not (the :class:`~repro.cluster.faults.FaultLayer` is inactive
+        without faults)."""
         report = ClusterReport(router=self.router.name, slo_s=self.config.slo_s)
-        # Event-loop accounting: folded into the report (deterministic per
-        # stream) and mirrored to the process counters for the manifest.
-        arrivals = full_dispatches = deadline_dispatches = completions = 0
+        records = report.records
+        append = records.append
         events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
         push, pop = events.push, events.pop
         choose, replicas = self.router.choose, self.replicas
+        # Per replica, the index of the first record of each in-flight
+        # group, in dispatch (= completion) order: a crash turns the
+        # aborted groups' records into tombstones, compacted once at the
+        # end.
+        pending: list[deque] = [deque() for _ in replicas]
+        # Event-loop accounting: folded into the report (deterministic per
+        # stream) and mirrored to the process counters for the manifest.
+        arrivals = full_dispatches = deadline_dispatches = completions = 0
+        dead = 0
 
-        def dispatch(replica: Replica, now: float) -> None:
-            with span("cluster.dispatch", {"replica": replica.replica_id}):
+        def route(request: Request, now: float) -> None:
+            nonlocal full_dispatches
+            healthy = replicas
+            if faulted:
+                healthy = layer.healthy(now)
+                if not healthy:
+                    layer.terminal(request, now, "shed", -1)
+                    return
+            with span("cluster.route"):
+                replica = choose(request, healthy, now)
+            if shedding and layer.shed(
+                request,
+                replica.replica_id,
+                now,
+                len(replica.queue),
+                replica.free_at - now,
+            ):
+                return
+            if replica.enqueue(request, now):
+                full_dispatches += dispatch(replica, now)
+            else:
+                # A retried or requeued request may re-enqueue after its
+                # batching deadline; clamping to `now` keeps event time
+                # monotone (an arrival's deadline is never before it).
+                deadline = request.arrival_s + replica.batching.max_wait_s
+                if deadline < now:
+                    deadline = now
+                push(deadline, DEADLINE, replica)
+
+        def dispatch(replica: Replica, now: float) -> int:
+            """Commit the replica's head group; 0 if it failed transiently."""
+            rid = replica.replica_id
+            if transient and layer.transient_fails(rid, now):
+                members = replica.queue[: replica.batching.group_capacity]
+                del replica.queue[: len(members)]
+                replica.sample_queue_depth(now, len(replica.queue))
+                for request in members:
+                    attempts[request.request_id] = (
+                        attempts.get(request.request_id, 0) + 1
+                    )
+                    layer.retry_or_fail(request, now, rid)
+                return 0
+            with span("cluster.dispatch", {"replica": rid}):
                 group = replica.dispatch(now)
-            push(group.completion_s, COMPLETION, (replica, group))
-            self._record(report, replica, group)
+            pending[rid].append(len(records))
+            push(group.completion_s, COMPLETION, (replica, group, epoch[rid]))
+            start, completion = group.start_s, group.completion_s
+            first_token = start + group.prefill_s
+            n = 1  # fault-free runs never retry
+            for request in group.requests:
+                if faulted:
+                    n = attempts[request.request_id] = (
+                        attempts.get(request.request_id, 0) + 1
+                    )
+                append(
+                    make_record(
+                        request,
+                        rid,
+                        now,
+                        start,
+                        completion,
+                        first_token - request.arrival_s,
+                        "completed",
+                        n,
+                    )
+                )
+            return 1
+
+        def evict(rid: int, now: float) -> tuple[list, list]:
+            nonlocal dead
+            replica = replicas[rid]
+            slots = pending[rid]
+            pending[rid] = deque()
+            running: list[Request] = []
+            if slots:
+                # In-flight groups are the newest ones on the replica.
+                first = len(replica.groups) - len(slots)
+                aborted = replica.groups[first:]
+                del replica.groups[first:]
+                for group, slot in zip(aborted, slots):
+                    size = len(group.requests)
+                    replica.busy_s -= group.completion_s - group.start_s
+                    replica.inflight -= size
+                    replica.expert_misses -= group.expert_misses
+                    records[slot : slot + size] = [None] * size
+                    running.extend(group.requests)
+                dead += len(running)
+            return running, release(rid, now)
+
+        def release(rid: int, now: float) -> list[Request]:
+            replica = replicas[rid]
+            queued = strand(rid)
+            replica.sample_queue_depth(now, 0)
+            return queued
+
+        def strand(rid: int) -> list[Request]:
+            queue = replicas[rid].queue
+            queued = queue[:]
+            queue.clear()
+            return queued
+
+        def last_end(rid: int) -> float:
+            groups = replicas[rid].groups
+            return groups[-1].completion_s if groups else 0.0
+
+        layer = FaultLayer(
+            self,
+            requests,
+            events,
+            report,
+            route=route,
+            evict=evict,
+            release=release,
+            strand=strand,
+            last_end=last_end,
+        )
+        up, epoch, attempts = layer.up, layer.epoch, layer.attempts
+        faulted = layer.active
+        shedding, transient, handle = layer.shedding, layer.transient, layer.handle
 
         while events:
             now, _, _, kind, payload = pop()
             if kind == ARRIVAL:
                 arrivals += 1
-                with span("cluster.route"):
-                    replica = choose(payload, replicas, now)
-                replica.enqueue(payload, now)
-                if replica.group_ready():
-                    full_dispatches += 1
-                    dispatch(replica, now)
-                else:
-                    push(
-                        payload.arrival_s + replica.batching.max_wait_s,
-                        DEADLINE,
-                        replica,
-                    )
+                route(payload, now)
             elif kind == DEADLINE:
-                if payload.queue and payload.oldest_deadline() <= now + _EPS:
-                    deadline_dispatches += 1
-                    dispatch(payload, now)
-            else:  # COMPLETION
-                completions += 1
-                replica, group = payload
-                replica.complete(group)
+                # Fires when the queue head's batching deadline has passed.
+                queue = payload.queue
+                if (
+                    queue
+                    and queue[0].arrival_s + payload.batching.max_wait_s
+                    <= now + _EPS
+                    and up[payload.replica_id]
+                ):
+                    deadline_dispatches += dispatch(payload, now)
+            elif kind == COMPLETION:
+                replica, group, group_epoch = payload
+                rid = replica.replica_id
+                if group_epoch == epoch[rid]:  # else aborted by a crash
+                    completions += 1
+                    replica.complete(group)
+                    pending[rid].popleft()
+            else:
+                handle(kind, payload, now)
 
-        report.makespan_s = max(
-            (r.free_at for r in self.replicas if r.groups), default=0.0
-        )
-        report.replicas = [self._replica_stats(r) for r in self.replicas]
+        if dead:
+            report.records = [r for r in records if r is not None]
+        report.replicas = [self._replica_stats(r) for r in replicas]
         report.counters = {
             "arrivals": arrivals,
             "full_group_dispatches": full_dispatches,
@@ -355,25 +466,8 @@ class ClusterSimulator:
             "dispatched_groups": full_dispatches + deadline_dispatches,
             "completions": completions,
         }
-        for name, value in report.counters.items():
-            count(f"cluster.{name}", value)
+        layer.finish(report)
         return report
-
-    @staticmethod
-    def _record(
-        report: ClusterReport, replica: Replica, group: DispatchedGroup
-    ) -> None:
-        for request in group.requests:
-            report.records.append(
-                make_record(
-                    request,
-                    replica.replica_id,
-                    group.dispatch_s,
-                    group.start_s,
-                    group.completion_s,
-                    group.start_s + group.prefill_s - request.arrival_s,
-                )
-            )
 
     @staticmethod
     def _replica_stats(replica: Replica) -> ReplicaStats:

@@ -167,34 +167,6 @@ def _scenario_overrides_with_n(full: bool) -> tuple:
     )
 
 
-def make_system(name: str):
-    """Deprecated: instantiate a comparison system by its paper name.
-
-    Superseded by the ``repro.api`` system registry
-    (:func:`repro.api.build_system`), which every cell function now uses.
-
-    Args:
-        name: a registered system name.
-
-    Returns:
-        A fresh :class:`~repro.systems.InferenceSystem`.
-
-    Raises:
-        ValueError: for an unknown system name.
-    """
-    import warnings
-
-    from repro.errors import ReproDeprecationWarning
-
-    warnings.warn(
-        "repro.experiments.paper.make_system is deprecated; use "
-        "repro.api.build_system (the registry-backed factory) instead",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    return build_system(name)
-
-
 def _cell_scenario(params: dict) -> Scenario:
     """Materialize a cell's scenario through the declarative config."""
     return build_scenario(scenario_from_cell_params(params))

@@ -32,12 +32,12 @@ mid-step bumps the epoch, so the step's work is discarded and its
 in-flight requests retry, which is what makes preempt-then-crash-then-
 retry sequences conserve requests exactly once.
 
-Fault composition mirrors :mod:`repro.cluster.faults`: crash/recover,
-join/drain, straggler windows, transient admission failures with circuit
-breakers, retries with seeded backoff, and depth-based load shedding all
-behave as in the group loop. Deadline-slack shedding is depth-only here:
-with per-step admission a replica's backlog horizon is one decode step,
-so the slack signal the group loop sheds on does not exist.
+Faults come from the same :class:`~repro.cluster.faults.FaultLayer` the
+group loop uses: crash/recover, join/drain, straggler windows, transient
+admission failures with circuit breakers, retries with seeded backoff,
+and load shedding all behave as there. Shedding is depth-only here: with
+per-step admission a replica's backlog horizon is one decode step, so
+the loop passes the layer no slack signal.
 
 Per-request records keep the causality contract of
 :func:`repro.validation.check_cluster`: ``dispatch_s == start_s`` is the
@@ -70,20 +70,10 @@ from itertools import chain, count as counter
 from operator import attrgetter, itemgetter
 
 from repro.api.registry import register_scheduler
-from repro.cluster.events import (
-    ARRIVAL,
-    CRASH,
-    DECODE_STEP,
-    DRAIN,
-    JOIN,
-    RECOVER,
-    RETRY,
-    SLOW_END,
-    SLOW_START,
-    EventQueue,
-)
+from repro.cluster.events import ARRIVAL, DECODE_STEP, EventQueue
+from repro.cluster.faults import FaultLayer
 from repro.cluster.report import ClusterReport, ReplicaStats, make_record
-from repro.obs import count, span
+from repro.obs import span
 from repro.serving.requests import Request
 
 _EPS = 1e-9
@@ -164,10 +154,7 @@ class GroupScheduler(Scheduler):
     name = "group"
 
     def run(self, requests: list[Request]) -> ClusterReport:
-        sim = self.sim
-        if sim.faults is not None and sim.faults.active():
-            return sim._run_faulted(requests)
-        return sim._run(requests)
+        return self.sim._run(requests)
 
 
 @register_scheduler("continuous")
@@ -223,20 +210,6 @@ class ContinuousScheduler(Scheduler):
         events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
         push = events.push
 
-        cfg = sim.faults if sim.faults is not None and sim.faults.active() else None
-        plan = None
-        retry = None
-        if cfg is not None:
-            from repro.cluster.faults import (
-                RetryPolicy,
-                compile_fault_plan,
-                fault_horizon_s,
-            )
-
-            plan = compile_fault_plan(cfg, n, fault_horizon_s(cfg, requests))
-            retry = sim.retry or RetryPolicy()
-        protect_class = cfg.shed_protect_class if cfg is not None else "interactive"
-
         # Per-replica calibration (one group-timing probe each, memoized).
         caps = [r.batching.group_capacity for r in replicas]
         streamings = [_streaming(r) for r in replicas]
@@ -289,21 +262,9 @@ class ContinuousScheduler(Scheduler):
         finish_at: list[dict[int, list[_Active]]] = [{} for _ in range(n)]
         ordinal = counter()  # admission order across run_p/run_o
         step_pending = [False] * n
-        epoch = [0] * n  # bumped on crash; stale step events are skipped
         steps = [0] * n  # committed decode steps (ReplicaStats.groups)
         completed_on = [0] * n
         last_step_end = [0.0] * n
-        up = [True] * n
-        draining = [False] * n
-        join_s = [0.0] * n
-        drain_s: list[float | None] = [None] * n
-        crash_open_s: list[float | None] = [None] * n
-        down_windows: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        dispatch_seq = [0] * n  # transient-oracle ordinal per replica
-        consec_fail = [0] * n
-        breaker_until = [0.0] * n
-        attempts: dict[int, int] = {}
-        budget_used = 0
 
         counters = {
             "arrivals": 0,
@@ -312,58 +273,6 @@ class ContinuousScheduler(Scheduler):
             "preemptions": 0,
             "completions": 0,
         }
-        if cfg is not None:
-            counters.update(
-                crashes=0,
-                recoveries=0,
-                joins=0,
-                drains=0,
-                straggler_windows=0,
-                transient_failures=0,
-                breaker_trips=0,
-                retries_scheduled=0,
-                requeued_from_crash=0,
-                requeued_from_drain=0,
-                shed_requests=0,
-                failed_requests=0,
-                stranded_requests=0,
-            )
-            for t, rid in cfg.joins:
-                up[rid] = False
-                join_s[rid] = t
-
-        if plan is not None:
-            for t, kind, rid, value in plan.events:
-                push(t, kind, (rid, value))
-
-        def terminal(request: Request, now: float, outcome: str, rid: int) -> None:
-            report.records.append(
-                make_record(
-                    request,
-                    rid,
-                    now,
-                    now,
-                    now,
-                    0.0,
-                    outcome,
-                    attempts.get(request.request_id, 0),
-                )
-            )
-            key = "shed_requests" if outcome == "shed" else "failed_requests"
-            counters[key] = counters.get(key, 0) + 1
-
-        def retry_or_fail(request: Request, now: float, rid: int) -> None:
-            nonlocal budget_used
-            done = attempts.get(request.request_id, 0)
-            if retry is None or done >= retry.max_attempts:
-                terminal(request, now, "failed", rid)
-                return
-            if retry.retry_budget > 0 and budget_used >= retry.retry_budget:
-                terminal(request, now, "failed", rid)
-                return
-            budget_used += 1
-            counters["retries_scheduled"] += 1
-            push(now + retry.backoff_s(request.request_id, done), RETRY, request)
 
         def take_queue(rid: int) -> list[Request]:
             """Empty ``rid``'s queues, returning them in merged queue order."""
@@ -373,14 +282,33 @@ class ContinuousScheduler(Scheduler):
             queued[rid] = 0
             return [request for _, request in merged]
 
-        def take_running(rid: int) -> list[_Active]:
+        def take_running(rid: int) -> list[Request]:
             """Empty ``rid``'s running batch, returning it in admission order."""
             merged = sorted(chain(run_p[rid], run_o[rid]), key=attrgetter("ordinal"))
             run_p[rid].clear()
             run_o[rid].clear()
             finish_at[rid].clear()
             kv_used[rid] = 0
-            return merged
+            return [entry.request for entry in merged]
+
+        def evict(rid: int, now: float) -> tuple[list, list]:
+            step_pending[rid] = False
+            running = take_running(rid)
+            waiting = take_queue(rid)
+            replicas[rid].inflight = 0
+            replicas[rid].sample_queue_depth(now, 0)
+            return running, waiting
+
+        def release(rid: int, now: float) -> list[Request]:
+            waiting = take_queue(rid)
+            replicas[rid].inflight = len(run_p[rid]) + len(run_o[rid])
+            replicas[rid].sample_queue_depth(now, 0)
+            return waiting
+
+        def strand(rid: int) -> list[Request]:
+            stranded = take_queue(rid) + take_running(rid)
+            replicas[rid].inflight = 0
+            return stranded
 
         def kick(rid: int, now: float) -> None:
             """Schedule a boundary at ``now`` unless one is pending.
@@ -394,23 +322,18 @@ class ContinuousScheduler(Scheduler):
                 push(now, DECODE_STEP, (rid, epoch[rid], 0.0, 0, None))
 
         def route(request: Request, now: float) -> None:
-            healthy = [
-                rep
-                for i, rep in enumerate(replicas)
-                if up[i] and not draining[i] and breaker_until[i] <= now
-            ]
+            healthy = layer.healthy(now)
             if not healthy:
-                terminal(request, now, "shed", -1)
+                layer.terminal(request, now, "shed", -1)
                 return
             with span("cluster.route"):
                 replica = sim.router.choose(request, healthy, now)
             rid = replica.replica_id
+            # Depth-only shedding: with per-step admission a replica's
+            # backlog horizon is one decode step, so no slack signal.
+            if shedding and layer.shed(request, rid, now, queued[rid]):
+                return
             protected = request.slo_class == protect_class
-            if cfg is not None and cfg.shed_queue_depth:
-                limit = cfg.shed_queue_depth * (2 if protected else 1)
-                if queued[rid] >= limit:
-                    terminal(request, now, "shed", rid)
-                    return
             (queue_p if protected else queue_o)[rid].append((next(back), request))
             queued[rid] += 1
             # The queues are private to this loop, so the replica's
@@ -419,6 +342,22 @@ class ContinuousScheduler(Scheduler):
             replica.inflight += 1
             replica.sample_queue_depth(now, queued[rid])
             kick(rid, now)
+
+        layer = FaultLayer(
+            sim,
+            requests,
+            events,
+            report,
+            route=route,
+            evict=evict,
+            release=release,
+            strand=strand,
+            last_end=last_step_end.__getitem__,
+        )
+        up, draining = layer.up, layer.draining
+        epoch, attempts = layer.epoch, layer.attempts
+        shedding, transient = layer.shedding, layer.transient
+        protect_class = layer.config.shed_protect_class
 
         def boundary(replica, now: float) -> None:
             """Preempt, admit, and schedule the next decode step."""
@@ -484,28 +423,14 @@ class ContinuousScheduler(Scheduler):
 
             # Transient admission failure (per-boundary oracle, same
             # breaker semantics as the group loop's per-dispatch one).
-            if admitted and plan is not None:
-                seq = dispatch_seq[rid]
-                dispatch_seq[rid] += 1
-                if plan.transient_fails(rid, seq):
-                    counters["transient_failures"] += 1
-                    consec_fail[rid] += 1
-                    if (
-                        cfg.breaker_threshold
-                        and consec_fail[rid] >= cfg.breaker_threshold
-                    ):
-                        breaker_until[rid] = now + cfg.breaker_cooldown_s
-                        consec_fail[rid] = 0
-                        counters["breaker_trips"] += 1
-                    for entry in admitted:
-                        request = entry.request
-                        batch = rp if request.slo_class == protect_class else ro
-                        del batch[entry]
-                        used -= _footprint(streaming, request.prompt_len)
-                        retry_or_fail(request, now, rid)
-                    admitted = []
-                else:
-                    consec_fail[rid] = 0
+            if admitted and transient and layer.transient_fails(rid, now):
+                for entry in admitted:
+                    request = entry.request
+                    batch = rp if request.slo_class == protect_class else ro
+                    del batch[entry]
+                    used -= _footprint(streaming, request.prompt_len)
+                    layer.retry_or_fail(request, now, rid)
+                admitted = []
 
             kv_used[rid] = used
             if queue_touched:
@@ -603,84 +528,9 @@ class ContinuousScheduler(Scheduler):
                 if admitted is not None:
                     commit_step(rid, now, duration, misses, admitted)
                 boundary(replicas[rid], now)
-            elif kind == RETRY:
-                route(payload, now)
-            elif kind == CRASH:
-                rid, recover_at = payload
-                replica = replicas[rid]
-                if not up[rid] or draining[rid]:
-                    continue  # stale: replica already down or leaving
-                up[rid] = False
-                crash_open_s[rid] = now
-                counters["crashes"] += 1
-                epoch[rid] += 1
-                step_pending[rid] = False
-                victims_running = take_running(rid)
-                victims_queued = take_queue(rid)
-                replica.inflight = 0
-                replica.sample_queue_depth(now, 0)
-                replica.free_at = recover_at
-                counters["requeued_from_crash"] += len(victims_running) + len(
-                    victims_queued
-                )
-                # In-flight work consumed its admission attempt; queued
-                # work did not and re-routes immediately.
-                for entry in victims_running:
-                    retry_or_fail(entry.request, now, rid)
-                for request in victims_queued:
-                    route(request, now)
-            elif kind == RECOVER:
-                rid, _ = payload
-                if crash_open_s[rid] is None:
-                    continue
-                up[rid] = True
-                down_windows[rid].append((crash_open_s[rid], now))
-                crash_open_s[rid] = None
-                counters["recoveries"] += 1
-            elif kind == JOIN:
-                rid, _ = payload
-                up[rid] = True
-                replicas[rid].free_at = max(replicas[rid].free_at, now)
-                counters["joins"] += 1
-            elif kind == DRAIN:
-                rid, _ = payload
-                replica = replicas[rid]
-                if draining[rid]:
-                    continue
-                draining[rid] = True
-                drain_s[rid] = now
-                counters["drains"] += 1
-                victims = take_queue(rid)
-                replica.inflight = len(run_p[rid]) + len(run_o[rid])
-                replica.sample_queue_depth(now, 0)
-                counters["requeued_from_drain"] += len(victims)
-                for request in victims:
-                    route(request, now)
-            elif kind == SLOW_START:
-                rid, factor = payload
-                replicas[rid].slow_factor = factor
-                counters["straggler_windows"] += 1
-            elif kind == SLOW_END:
-                rid, _ = payload
-                replicas[rid].slow_factor = 1.0
+            else:
+                layer.handle(kind, payload, now)
 
-        # Defensive flush: the loop should drain every queue and batch;
-        # anything left is a conservation bug surfaced as a counted
-        # terminal record rather than a silently lost request.
-        for rid, replica in enumerate(replicas):
-            stranded = take_queue(rid)
-            stranded.extend(entry.request for entry in take_running(rid))
-            for request in stranded:
-                terminal(request, replica.free_at, "failed", rid)
-                counters["stranded_requests"] = (
-                    counters.get("stranded_requests", 0) + 1
-                )
-            replica.inflight = 0
-            replica.slow_factor = 1.0
-
-        report.makespan_s = max(
-            (r.completion_s for r in report.records), default=0.0
-        )
         report.scheduler = self.name
         report.slo_class_targets = {
             cls: sim.config.slo_s * SLO_CLASS_TARGETS.get(cls, 1.0)
@@ -701,24 +551,6 @@ class ContinuousScheduler(Scheduler):
             )
             for rid, replica in enumerate(replicas)
         ]
-        if cfg is not None:
-            from repro.cluster.faults import finalize_availability
-
-            drain_bill_end = [
-                max(drain_s[rid], last_step_end[rid])
-                if drain_s[rid] is not None
-                else None
-                for rid in range(n)
-            ]
-            finalize_availability(
-                report,
-                crash_open_s,
-                down_windows,
-                join_s,
-                drain_bill_end,
-                counters["retries_scheduled"],
-            )
         report.counters = counters
-        for name, value in counters.items():
-            count(f"cluster.{name}", value)
+        layer.finish(report)
         return report

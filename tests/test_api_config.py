@@ -10,10 +10,7 @@ The contract under test (docs/api.md):
   :class:`~repro.errors.ConfigValidationError` report;
 * the flat experiment-cell dialect round-trips bit-identically, so
   content addresses (and with them the artifact cache and goldens) are
-  pinned;
-* the legacy shims still work but warn with
-  :class:`~repro.errors.ReproDeprecationWarning` (promoted to errors
-  suite-wide by ``pytest.ini``).
+  pinned.
 """
 
 from __future__ import annotations
@@ -42,10 +39,7 @@ from repro.api import (
     run_pipeline,
     system_names,
 )
-from repro.errors import (
-    ConfigValidationError,
-    ReproDeprecationWarning,
-)
+from repro.errors import ConfigValidationError
 from repro.experiments.spec import cell_key
 from repro.validation.fuzz import random_run_config
 
@@ -318,24 +312,3 @@ class TestServeBuilders:
         assert all(r.hot_expert is not None for r in build_requests(config))
 
 
-class TestDeprecationShims:
-    def test_make_system_warns_and_delegates(self):
-        from repro.experiments.paper import make_system
-
-        with pytest.warns(ReproDeprecationWarning, match="repro.api.build_system"):
-            system = make_system("flexgen")
-        assert system.name == "flexgen"
-
-    def test_cluster_routers_dict_warns_and_mirrors_registry(self):
-        import repro.cluster.routers as routers
-
-        with pytest.warns(ReproDeprecationWarning, match="repro.api.ROUTERS"):
-            legacy = routers.ROUTERS
-        assert sorted(legacy) == router_names()
-
-    def test_cluster_package_reexport_warns(self):
-        import repro.cluster as cluster
-
-        with pytest.warns(ReproDeprecationWarning):
-            legacy = cluster.ROUTERS
-        assert sorted(legacy) == router_names()

@@ -6,8 +6,8 @@ The tentpole properties of :mod:`repro.cluster.faults`:
   request stream): hypothesis drives random fault models and the report
   must reproduce byte-for-byte, counters included;
 * **golden safety** — an *inactive* ``FaultConfig`` (and ``faults=None``)
-  keeps the simulator on the fault-free path, bit-identical to a run
-  with no fault config at all;
+  yields the inactive fault layer, bit-identical to a run with no fault
+  config at all, under both dispatch disciplines;
 * **conservation** — every request terminates exactly once as
   ``completed`` | ``shed`` | ``failed`` under arbitrary fault plans
   (:func:`repro.validation.check_cluster`);
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import FAULT_PRESETS, fault_preset_names
 from repro.cluster import (
     ClusterConfig,
     ClusterSimulator,
@@ -98,16 +99,20 @@ def simulate(
     retry: RetryPolicy | None = None,
     router: str = "least-outstanding",
     engine: str = "serial",
+    scheduler: str = "group",
 ):
     requests = build_requests(spec)
     simulator = ClusterSimulator(
         build_fleet(n_replicas),
         make_router(router),
-        ClusterConfig(slo_s=30.0),
+        ClusterConfig(slo_s=30.0, scheduler=scheduler),
         faults=faults,
         retry=retry,
     )
     return simulator.run(requests, engine=engine), requests
+
+
+SCHEDULERS = ("group", "continuous")
 
 
 # (gap, prompt_len, gen_len) triples; short gaps keep queues contended.
@@ -153,14 +158,15 @@ retry_policies = st.builds(
        n=st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_faulted_runs_conserve_requests(spec, faults, retry, n):
-    report, requests = simulate(spec, n, faults, retry)
-    violations = check_cluster(report, requests)
-    assert not violations, "\n".join(map(str, violations))
-    terminal = sorted(r.request.request_id for r in report.records)
-    assert terminal == [r.request_id for r in requests]
-    for record in report.records:
-        assert record.outcome in ("completed", "shed", "failed")
-        assert record.attempts <= retry.max_attempts
+    for scheduler in SCHEDULERS:
+        report, requests = simulate(spec, n, faults, retry, scheduler=scheduler)
+        violations = check_cluster(report, requests)
+        assert not violations, "\n".join(map(str, violations))
+        terminal = sorted(r.request.request_id for r in report.records)
+        assert terminal == [r.request_id for r in requests]
+        for record in report.records:
+            assert record.outcome in ("completed", "shed", "failed")
+            assert record.attempts <= retry.max_attempts
 
 
 @given(spec=request_stream, faults=fault_configs, retry=retry_policies,
@@ -178,12 +184,13 @@ def test_same_seed_reproduces_report_and_counters(spec, faults, retry, n):
 @given(spec=request_stream, n=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_inactive_fault_config_is_bit_identical_to_fault_free(spec, n, seed):
-    """Empty plan ⇒ the fault-free path, byte for byte (golden safety)."""
-    plain, _ = simulate(spec, n, None)
-    inactive, _ = simulate(spec, n, FaultConfig(seed=seed))
-    assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
-        inactive.to_dict(), sort_keys=True
-    )
+    """Empty plan ⇒ the inactive layer, byte for byte (golden safety)."""
+    for scheduler in SCHEDULERS:
+        plain, _ = simulate(spec, n, None, scheduler=scheduler)
+        inactive, _ = simulate(spec, n, FaultConfig(seed=seed), scheduler=scheduler)
+        assert json.dumps(plain.to_dict(), sort_keys=True) == json.dumps(
+            inactive.to_dict(), sort_keys=True
+        )
 
 
 @given(spec=request_stream, faults=fault_configs)
@@ -284,6 +291,17 @@ def test_drain_requeues_backlog_to_survivors():
     assert report.counters["drains"] == 1
 
 
+def test_drained_backlog_never_routes_back_to_the_draining_replica():
+    # Round-robin leaves replica 1 a partial group when it drains at t=1;
+    # the requeued requests must land on replica 0 only.
+    faults = FaultConfig(drains=((1.0, 1),))
+    report, requests = simulate([(0.2, 32, 2)] * 8, 2, faults, router="round-robin")
+    assert not check_cluster(report, requests)
+    assert report.counters["requeued_from_drain"] > 0
+    assert {r.replica_id for r in report.records} == {0}
+    assert all(r.outcome == "completed" for r in report.records)
+
+
 def test_join_brings_capacity_online_late():
     faults = FaultConfig(joins=((5.0, 1),))
     spec = [(0.0, 32, 2)] + [(2.0, 32, 2)] * 7
@@ -328,6 +346,69 @@ def test_breaker_opens_after_consecutive_transients():
     assert report.counters["breaker_trips"] >= 1
     # Every dispatch fails, so nothing ever completes.
     assert all(r.outcome in ("failed", "shed") for r in report.records)
+
+
+@pytest.mark.parametrize("scheduler,fails_at", [("group", 5.0), ("continuous", 0.0)])
+def test_breaker_admits_a_request_arriving_exactly_at_expiry(scheduler, fails_at):
+    # The only replica's first dispatch (at its batching deadline for the
+    # group loop, at admission for the continuous one) fails and opens a
+    # 2 s breaker. A request inside the window is shed with no replica to
+    # route to; one arriving exactly at ``breaker_until`` is routed.
+    faults = FaultConfig(transient_failure_prob=1.0, breaker_threshold=1,
+                         breaker_cooldown_s=2.0)
+    retry = RetryPolicy(max_attempts=1)
+    until = fails_at + 2.0
+    spec = [(0.0, 32, 2), (until - 0.5, 32, 2), (0.5, 32, 2)]
+    report, requests = simulate(spec, 1, faults, retry, scheduler=scheduler)
+    assert not check_cluster(report, requests)
+    assert report.counters["breaker_trips"] >= 1
+    by_id = {r.request.request_id: r for r in report.records}
+    assert by_id[1].outcome == "shed" and by_id[1].replica_id == -1
+    assert requests[2].arrival_s == until
+    assert by_id[2].outcome == "failed" and by_id[2].replica_id == 0
+    assert by_id[2].attempts == 1
+
+
+# Fault seeds whose first crash lands inside the first attempt and whose
+# retries then run crash-free, per discipline (the admission timings
+# differ, so the seeds do too).
+CRASH_SEED = {"group": 2, "continuous": 21}
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_crash_abort_leaves_one_record_per_request(scheduler):
+    # Four long requests on one replica; a crash lands while they are in
+    # flight, the replica recovers within a second, and the 2 s backoff
+    # retries them there. Each request ends with exactly one record: the
+    # aborted attempt leaves none, the retry completes on attempt 2.
+    faults = FaultConfig(seed=CRASH_SEED[scheduler], crash_rate_per_hour=720.0,
+                         crash_downtime_s=1.0)
+    retry = RetryPolicy(max_attempts=3, backoff_base_s=2.0, jitter_frac=0.0)
+    report, requests = simulate(
+        [(0.0, 32, 400)] * 4, 1, faults, retry, scheduler=scheduler
+    )
+    assert not check_cluster(report, requests)
+    assert report.counters["requeued_from_crash"] == len(requests)
+    assert len(report.records) == len(requests)
+    assert sorted(r.request.request_id for r in report.records) == [0, 1, 2, 3]
+    for record in report.records:
+        assert record.outcome == "completed"
+        assert record.attempts == 2
+    assert report.availability["retried_requests"] == len(requests)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("preset", fault_preset_names())
+def test_every_fault_preset_terminates_each_request_once(preset, scheduler):
+    spec = [(0.4 + 0.3 * (i % 3), 32, 1 + i % 3,
+             ("interactive", "standard", "batch")[i % 3]) for i in range(90)]
+    report, requests = simulate(
+        spec, 3, FAULT_PRESETS.get(preset)(), scheduler=scheduler
+    )
+    violations = check_cluster(report, requests)
+    assert not violations, "\n".join(map(str, violations))
+    terminal = sorted(r.request.request_id for r in report.records)
+    assert terminal == [r.request_id for r in requests]
 
 
 def test_crashed_replica_bills_only_up_time():
