@@ -25,13 +25,12 @@ reproduces byte-identical reports across router policies.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from repro.cluster.events import ARRIVAL, COMPLETION, DEADLINE, EventQueue
+from repro.cluster.events import ARRIVAL, EventQueue
 from repro.cluster.faults import FaultLayer
 from repro.cluster.replica import Replica
-from repro.cluster.report import ClusterReport, ReplicaStats, make_record
+from repro.cluster.report import ClusterReport, ReplicaStats
 from repro.cluster.routers import Router
 from repro.hardware.spec import HardwareSpec
 from repro.model.config import ModelConfig
@@ -41,8 +40,6 @@ from repro.routing.workload import Workload
 from repro.scenario import Scenario
 from repro.serving.requests import Request
 from repro.serving.server import BatchingConfig
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -291,28 +288,28 @@ class ClusterSimulator:
 
             return run_engine(self, requests, engine=engine, jobs=jobs)
 
-    def _run(self, requests: list[Request]) -> ClusterReport:
-        """The group event loop: the reference for every engine, faulted
-        or not (the :class:`~repro.cluster.faults.FaultLayer` is inactive
-        without faults)."""
-        report = ClusterReport(router=self.router.name, slo_s=self.config.slo_s)
-        records = report.records
-        append = records.append
+    def _run(self, requests: list[Request], policy=None) -> ClusterReport:
+        """The one event loop, under a dispatch ``policy``.
+
+        The loop owns the report, the event queue, the run's
+        :class:`~repro.cluster.faults.FaultLayer` (inactive without
+        faults), arrival counting, routing (health, ``router.choose``,
+        shedding) and the per-replica stats; the policy — a
+        :class:`~repro.serving.scheduler.Scheduler`, by default the
+        group policy that every fast engine reproduces — owns what
+        happens to a routed request and to its own event kinds.
+        """
+        if policy is None:
+            from repro.serving.scheduler import GroupScheduler
+
+            policy = GroupScheduler(self)
+        report = ClusterReport(
+            router=self.router.name, slo_s=self.config.slo_s, scheduler=policy.name
+        )
         events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
-        push, pop = events.push, events.pop
         choose, replicas = self.router.choose, self.replicas
-        # Per replica, the index of the first record of each in-flight
-        # group, in dispatch (= completion) order: a crash turns the
-        # aborted groups' records into tombstones, compacted once at the
-        # end.
-        pending: list[deque] = [deque() for _ in replicas]
-        # Event-loop accounting: folded into the report (deterministic per
-        # stream) and mirrored to the process counters for the manifest.
-        arrivals = full_dispatches = deadline_dispatches = completions = 0
-        dead = 0
 
         def route(request: Request, now: float) -> None:
-            nonlocal full_dispatches
             healthy = replicas
             if faulted:
                 healthy = layer.healthy(now)
@@ -322,99 +319,10 @@ class ClusterSimulator:
             with span("cluster.route"):
                 replica = choose(request, healthy, now)
             if shedding and layer.shed(
-                request,
-                replica.replica_id,
-                now,
-                len(replica.queue),
-                replica.free_at - now,
+                request, replica.replica_id, now, *load(replica, now)
             ):
                 return
-            if replica.enqueue(request, now):
-                full_dispatches += dispatch(replica, now)
-            else:
-                # A retried or requeued request may re-enqueue after its
-                # batching deadline; clamping to `now` keeps event time
-                # monotone (an arrival's deadline is never before it).
-                deadline = request.arrival_s + replica.batching.max_wait_s
-                if deadline < now:
-                    deadline = now
-                push(deadline, DEADLINE, replica)
-
-        def dispatch(replica: Replica, now: float) -> int:
-            """Commit the replica's head group; 0 if it failed transiently."""
-            rid = replica.replica_id
-            if transient and layer.transient_fails(rid, now):
-                members = replica.queue[: replica.batching.group_capacity]
-                del replica.queue[: len(members)]
-                replica.sample_queue_depth(now, len(replica.queue))
-                for request in members:
-                    attempts[request.request_id] = (
-                        attempts.get(request.request_id, 0) + 1
-                    )
-                    layer.retry_or_fail(request, now, rid)
-                return 0
-            with span("cluster.dispatch", {"replica": rid}):
-                group = replica.dispatch(now)
-            pending[rid].append(len(records))
-            push(group.completion_s, COMPLETION, (replica, group, epoch[rid]))
-            start, completion = group.start_s, group.completion_s
-            first_token = start + group.prefill_s
-            n = 1  # fault-free runs never retry
-            for request in group.requests:
-                if faulted:
-                    n = attempts[request.request_id] = (
-                        attempts.get(request.request_id, 0) + 1
-                    )
-                append(
-                    make_record(
-                        request,
-                        rid,
-                        now,
-                        start,
-                        completion,
-                        first_token - request.arrival_s,
-                        "completed",
-                        n,
-                    )
-                )
-            return 1
-
-        def evict(rid: int, now: float) -> tuple[list, list]:
-            nonlocal dead
-            replica = replicas[rid]
-            slots = pending[rid]
-            pending[rid] = deque()
-            running: list[Request] = []
-            if slots:
-                # In-flight groups are the newest ones on the replica.
-                first = len(replica.groups) - len(slots)
-                aborted = replica.groups[first:]
-                del replica.groups[first:]
-                for group, slot in zip(aborted, slots):
-                    size = len(group.requests)
-                    replica.busy_s -= group.completion_s - group.start_s
-                    replica.inflight -= size
-                    replica.expert_misses -= group.expert_misses
-                    records[slot : slot + size] = [None] * size
-                    running.extend(group.requests)
-                dead += len(running)
-            return running, release(rid, now)
-
-        def release(rid: int, now: float) -> list[Request]:
-            replica = replicas[rid]
-            queued = strand(rid)
-            replica.sample_queue_depth(now, 0)
-            return queued
-
-        def strand(rid: int) -> list[Request]:
-            queue = replicas[rid].queue
-            queued = queue[:]
-            queue.clear()
-            return queued
-
-        def last_end(rid: int) -> float:
-            groups = replicas[rid].groups
-            return groups[-1].completion_s if groups else 0.0
+            admit(request, replica, now)
 
         layer = FaultLayer(
             self,
@@ -422,63 +330,43 @@ class ClusterSimulator:
             events,
             report,
             route=route,
-            evict=evict,
-            release=release,
-            strand=strand,
-            last_end=last_end,
+            evict=policy.evict,
+            release=policy.release,
+            strand=policy.strand,
+            last_end=policy.last_end,
         )
-        up, epoch, attempts = layer.up, layer.epoch, layer.attempts
-        faulted = layer.active
-        shedding, transient, handle = layer.shedding, layer.transient, layer.handle
+        faulted, shedding, handle = layer.active, layer.shedding, layer.handle
+        policy.start(requests, layer, events, report)
+        admit, load, on_event, kinds = (
+            policy.admit, policy.load, policy.on_event, policy.kinds
+        )
 
+        pop = events.pop
+        arrivals = 0
         while events:
             now, _, _, kind, payload = pop()
             if kind == ARRIVAL:
                 arrivals += 1
                 route(payload, now)
-            elif kind == DEADLINE:
-                # Fires when the queue head's batching deadline has passed.
-                queue = payload.queue
-                if (
-                    queue
-                    and queue[0].arrival_s + payload.batching.max_wait_s
-                    <= now + _EPS
-                    and up[payload.replica_id]
-                ):
-                    deadline_dispatches += dispatch(payload, now)
-            elif kind == COMPLETION:
-                replica, group, group_epoch = payload
-                rid = replica.replica_id
-                if group_epoch == epoch[rid]:  # else aborted by a crash
-                    completions += 1
-                    replica.complete(group)
-                    pending[rid].popleft()
+            elif kind in kinds:
+                on_event(kind, payload, now)
             else:
                 handle(kind, payload, now)
 
-        if dead:
-            report.records = [r for r in records if r is not None]
-        report.replicas = [self._replica_stats(r) for r in replicas]
-        report.counters = {
-            "arrivals": arrivals,
-            "full_group_dispatches": full_dispatches,
-            "deadline_dispatches": deadline_dispatches,
-            "dispatched_groups": full_dispatches + deadline_dispatches,
-            "completions": completions,
-        }
+        policy.close(report)
+        report.replicas = [
+            ReplicaStats(
+                replica_id=replica.replica_id,
+                hardware=replica.hardware_name,
+                system=replica.system_name,
+                busy_s=replica.busy_s,
+                expert_misses=replica.expert_misses,
+                resident_experts=tuple(sorted(replica.resident_experts)),
+                queue_depth_timeline=list(replica.queue_depth_timeline),
+                **policy.stats(rid),
+            )
+            for rid, replica in enumerate(replicas)
+        ]
+        report.counters = {"arrivals": arrivals, **policy.counters()}
         layer.finish(report)
         return report
-
-    @staticmethod
-    def _replica_stats(replica: Replica) -> ReplicaStats:
-        return ReplicaStats(
-            replica_id=replica.replica_id,
-            hardware=replica.hardware_name,
-            system=replica.system_name,
-            requests=sum(len(g.requests) for g in replica.groups),
-            groups=len(replica.groups),
-            busy_s=replica.busy_s,
-            expert_misses=replica.expert_misses,
-            resident_experts=tuple(sorted(replica.resident_experts)),
-            queue_depth_timeline=list(replica.queue_depth_timeline),
-        )

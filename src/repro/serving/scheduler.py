@@ -1,11 +1,19 @@
-"""Iteration-level (continuous-batching) cluster scheduling.
+"""Cluster dispatch policies: group-granular and iteration-level batching.
 
-The historical cluster loop (:class:`~repro.cluster.simulator.ClusterSimulator`)
-is *group-granular*: a batch group is formed, dispatched, and holds its
-replica's execution slot until every member finishes — the straightforward
-serving shape of the paper's throughput-oriented design. This module adds
-the iteration-level alternative popularized by Orca/vLLM: replicas advance
-in *decode steps*, and at every step boundary the scheduler
+There is one event loop, :meth:`ClusterSimulator._run
+<repro.cluster.simulator.ClusterSimulator._run>`. It owns the report, the
+event queue, the fault layer and routing; a registered :class:`Scheduler`
+is the *dispatch policy* that decides what runs when. Two are built in.
+
+**group** (:class:`GroupScheduler`, the default) is *group-granular*: a
+batch group is formed, dispatched, and holds its replica's execution slot
+until every member finishes — the straightforward serving shape of the
+paper's throughput-oriented design, and the reference for the fast
+engines of :mod:`repro.cluster.engines`.
+
+**continuous** (:class:`ContinuousScheduler`) is the iteration-level
+alternative popularized by Orca/vLLM: replicas advance in *decode steps*,
+and at every step boundary the scheduler
 
 * **admits** queued requests into the running batch (SLO-class priority:
   interactive tenants are admitted first, FIFO within a class),
@@ -22,35 +30,36 @@ usable VRAM, with :class:`~repro.model.kvcache.StreamingConfig` sink+window
 retention honored when the replica's system enables sparse attention
 (a streaming request's footprint saturates at ``sinks + window``).
 
-Event model: one new kind, :data:`~repro.cluster.events.DECODE_STEP`,
-rides the existing ``(time, kind-priority, seq)`` heap. It is ranked
-*after* every other kind so all arrivals and retries stamped at time *t*
-are routed before the boundary at *t* admits. Step results (token
-increments, first-token stamps, completions) are committed when the
-boundary event pops and its epoch still matches the replica's — a crash
-mid-step bumps the epoch, so the step's work is discarded and its
-in-flight requests retry, which is what makes preempt-then-crash-then-
-retry sequences conserve requests exactly once.
+Event model: the continuous policy's one event kind,
+:data:`~repro.cluster.events.DECODE_STEP`, rides the loop's
+``(time, kind-priority, seq)`` heap. It is ranked *after* every other kind
+so all arrivals and retries stamped at time *t* are routed before the
+boundary at *t* admits. Step results (token increments, first-token
+stamps, completions) are committed when the boundary event pops and its
+epoch still matches the replica's — a crash mid-step bumps the epoch, so
+the step's work is discarded and its in-flight requests retry, which is
+what makes preempt-then-crash-then-retry sequences conserve requests
+exactly once.
 
-Faults come from the same :class:`~repro.cluster.faults.FaultLayer` the
-group loop uses: crash/recover, join/drain, straggler windows, transient
-admission failures with circuit breakers, retries with seeded backoff,
-and load shedding all behave as there. Shedding is depth-only here: with
-per-step admission a replica's backlog horizon is one decode step, so
-the loop passes the layer no slack signal.
+Faults come from the loop's :class:`~repro.cluster.faults.FaultLayer`,
+the same for both policies: crash/recover, join/drain, straggler windows,
+transient dispatch or admission failures with circuit breakers, retries
+with seeded backoff, and load shedding. Continuous shedding is depth-only:
+with per-step admission a replica's backlog horizon is one decode step,
+so the policy gives the layer no slack signal.
 
-Per-request records keep the causality contract of
+Per-request continuous records keep the causality contract of
 :func:`repro.validation.check_cluster`: ``dispatch_s == start_s`` is the
 admission boundary, ``completion_s`` the final step's end, and ``ttft_s``
 the end of the admission step (prefill happens within it). Requests on
-one replica legitimately overlap in time, so instead of the group loop's
+one replica legitimately overlap in time, so instead of the group policy's
 replica-serialization invariant the checker bounds ``busy_s`` by the
 makespan and the number of overlapping completed intervals by the
 replica's batch capacity (``ReplicaStats.batch_capacity``).
 
-Cost per step boundary is proportional to the requests it touches, not
-to the queue or batch size: waiting requests sit in per-class FIFO
-deques (admission pops heads, preemption pushes a head back), the KV
+Continuous cost per step boundary is proportional to the requests it
+touches, not to the queue or batch size: waiting requests sit in per-class
+FIFO deques (admission pops heads, preemption pushes a head back), the KV
 footprint of the running batch is a counter kept current as requests
 join, step and leave, and each running request is filed under the step
 on which it will finish, so a commit visits only its finishers. Only
@@ -70,9 +79,8 @@ from itertools import chain, count as counter
 from operator import attrgetter, itemgetter
 
 from repro.api.registry import register_scheduler
-from repro.cluster.events import ARRIVAL, DECODE_STEP, EventQueue
-from repro.cluster.faults import FaultLayer
-from repro.cluster.report import ClusterReport, ReplicaStats, make_record
+from repro.cluster.events import COMPLETION, DEADLINE, DECODE_STEP
+from repro.cluster.report import ClusterReport, make_record
 from repro.obs import span
 from repro.serving.requests import Request
 
@@ -124,37 +132,194 @@ def _footprint(streaming, tokens: int) -> int:
 
 
 class Scheduler:
-    """Base class for registry-backed cluster dispatch disciplines.
+    """Base class for registry-backed dispatch policies.
 
-    A scheduler owns the full event loop for one simulation run. It is
-    instantiated per run as ``cls(simulator)`` and consumes the
-    simulator's replicas/router/config exactly like the built-in loop.
+    A policy is instantiated per run as ``cls(simulator)`` and plugs into
+    the simulator's one event loop; :meth:`run` drives that loop with it.
+    The loop owns the report, the event queue, the fault layer, arrival
+    counting and routing (health, ``router.choose``, shedding). The
+    policy owns what happens to a routed request, and the loop calls it:
+
+    * ``start(requests, layer, events, report)`` once the run's
+      :class:`~repro.cluster.faults.FaultLayer` exists;
+    * ``admit(request, replica, now)`` for every routed request, after
+      ``load(replica, now) -> (depth, backlog)`` when shedding is on
+      (``backlog`` is ``None`` when the policy has no slack signal);
+    * ``on_event(kind, payload, now)`` for each event of its ``kinds``;
+    * ``evict`` / ``release`` / ``strand`` / ``last_end``, lent to the
+      fault layer (see :class:`~repro.cluster.faults.FaultLayer`);
+    * at the end ``close(report)``, then ``stats(rid)`` — the policy's
+      own :class:`~repro.cluster.report.ReplicaStats` fields — per
+      replica and ``counters()``, folded into the report after the
+      loop's ``arrivals``.
     """
 
     name = "base"
+    kinds: tuple[str, ...] = ()
 
     def __init__(self, sim):
         self.sim = sim
 
     def run(self, requests: list[Request]) -> ClusterReport:
-        raise NotImplementedError
+        return self.sim._run(requests, self)
+
+    def close(self, report: ClusterReport) -> None:
+        """Final fix-ups of the report before the loop fills its stats."""
 
 
 @register_scheduler("group")
 class GroupScheduler(Scheduler):
-    """The historical group-granular loop, as a registry entry.
+    """Group-granular dispatch: the default policy and the engines' reference.
 
-    ``ClusterSimulator.run`` never diverts for the default ``"group"``
-    name (golden safety: that path stays byte-identical), so this class
-    exists for registry completeness — ``scheduler_names()`` lists it,
-    and driving it directly reproduces the simulator's own loops,
-    faulted or not.
+    A routed request joins its replica's FIFO queue. A full group
+    dispatches at once; otherwise a ``DEADLINE`` event dispatches the
+    partial group at exactly ``oldest.arrival_s + max_wait_s``. Deadlines
+    are checked lazily, so stale ones (their group already dispatched)
+    are no-ops. A dispatch commits the head group to the replica's
+    execution slot and appends its records; a ``COMPLETION`` releases
+    it. Under faults a dispatch may fail transiently (its members retry)
+    and a crash turns the aborted groups' records into tombstones,
+    compacted once at the end. Shedding sees the queue depth and the
+    replica's backlog ``free_at - now``.
     """
 
     name = "group"
+    kinds = (DEADLINE, COMPLETION)
 
-    def run(self, requests: list[Request]) -> ClusterReport:
-        return self.sim._run(requests)
+    def start(self, requests, layer, events, report) -> None:
+        self.layer = layer
+        self.push = events.push
+        self.records = report.records
+        # Per replica, the index of the first record of each in-flight
+        # group, in dispatch (= completion) order.
+        self.pending = [deque() for _ in self.sim.replicas]
+        self.full = self.deadline = self.completions = self.dead = 0
+
+    def admit(self, request: Request, replica, now: float) -> None:
+        if replica.enqueue(request, now):
+            self.full += self._dispatch(replica, now)
+        else:
+            # A retried or requeued request may re-enqueue after its
+            # batching deadline; clamping to `now` keeps event time
+            # monotone (an arrival's deadline is never before it).
+            deadline = request.arrival_s + replica.batching.max_wait_s
+            if deadline < now:
+                deadline = now
+            self.push(deadline, DEADLINE, replica)
+
+    def load(self, replica, now: float) -> tuple[int, float]:
+        return len(replica.queue), replica.free_at - now
+
+    def on_event(self, kind: str, payload, now: float) -> None:
+        if kind == DEADLINE:
+            # Fires when the queue head's batching deadline has passed.
+            queue = payload.queue
+            if (
+                queue
+                and queue[0].arrival_s + payload.batching.max_wait_s <= now + _EPS
+                and self.layer.up[payload.replica_id]
+            ):
+                self.deadline += self._dispatch(payload, now)
+            return
+        replica, group, group_epoch = payload
+        rid = replica.replica_id
+        if group_epoch == self.layer.epoch[rid]:  # else aborted by a crash
+            self.completions += 1
+            replica.complete(group)
+            self.pending[rid].popleft()
+
+    def _dispatch(self, replica, now: float) -> int:
+        """Commit the replica's head group; 0 if it failed transiently."""
+        layer = self.layer
+        rid = replica.replica_id
+        attempts = layer.attempts
+        if layer.transient and layer.transient_fails(rid, now):
+            members = replica.queue[: replica.batching.group_capacity]
+            del replica.queue[: len(members)]
+            replica.sample_queue_depth(now, len(replica.queue))
+            for request in members:
+                attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
+                layer.retry_or_fail(request, now, rid)
+            return 0
+        with span("cluster.dispatch", {"replica": rid}):
+            group = replica.dispatch(now)
+        records = self.records
+        self.pending[rid].append(len(records))
+        self.push(group.completion_s, COMPLETION, (replica, group, layer.epoch[rid]))
+        start, completion = group.start_s, group.completion_s
+        first_token = start + group.prefill_s
+        faulted, append = layer.active, records.append
+        n = 1  # fault-free runs never retry
+        for request in group.requests:
+            if faulted:
+                n = attempts[request.request_id] = (
+                    attempts.get(request.request_id, 0) + 1
+                )
+            append(
+                make_record(
+                    request,
+                    rid,
+                    now,
+                    start,
+                    completion,
+                    first_token - request.arrival_s,
+                    "completed",
+                    n,
+                )
+            )
+        return 1
+
+    def evict(self, rid: int, now: float) -> tuple[list, list]:
+        replica = self.sim.replicas[rid]
+        slots = self.pending[rid]
+        self.pending[rid] = deque()
+        running: list[Request] = []
+        if slots:
+            # In-flight groups are the newest ones on the replica.
+            first = len(replica.groups) - len(slots)
+            aborted = replica.groups[first:]
+            del replica.groups[first:]
+            records = self.records
+            for group, slot in zip(aborted, slots):
+                size = len(group.requests)
+                replica.busy_s -= group.completion_s - group.start_s
+                replica.inflight -= size
+                replica.expert_misses -= group.expert_misses
+                records[slot : slot + size] = [None] * size
+                running.extend(group.requests)
+            self.dead += len(running)
+        return running, self.release(rid, now)
+
+    def release(self, rid: int, now: float) -> list[Request]:
+        queued = self.strand(rid)
+        self.sim.replicas[rid].sample_queue_depth(now, 0)
+        return queued
+
+    def strand(self, rid: int) -> list[Request]:
+        queue = self.sim.replicas[rid].queue
+        queued = queue[:]
+        queue.clear()
+        return queued
+
+    def last_end(self, rid: int) -> float:
+        groups = self.sim.replicas[rid].groups
+        return groups[-1].completion_s if groups else 0.0
+
+    def close(self, report: ClusterReport) -> None:
+        if self.dead:
+            report.records = [r for r in report.records if r is not None]
+
+    def stats(self, rid: int) -> dict:
+        groups = self.sim.replicas[rid].groups
+        return {"requests": sum(len(g.requests) for g in groups), "groups": len(groups)}
+
+    def counters(self) -> dict:
+        return {
+            "full_group_dispatches": self.full,
+            "deadline_dispatches": self.deadline,
+            "dispatched_groups": self.full + self.deadline,
+            "completions": self.completions,
+        }
 
 
 @register_scheduler("continuous")
@@ -184,6 +349,7 @@ class ContinuousScheduler(Scheduler):
     """
 
     name = "continuous"
+    kinds = (DECODE_STEP,)
 
     def __init__(self, sim, *, kv_budget_tokens: int | None = None):
         super().__init__(sim)
@@ -202,23 +368,27 @@ class ContinuousScheduler(Scheduler):
         floor = _footprint(streaming, workload.prompt_len + workload.gen_len)
         return max(derived, floor, 1)
 
-    def run(self, requests: list[Request]) -> ClusterReport:
-        sim = self.sim
-        replicas = sim.replicas
+    def start(self, requests, layer, events, report) -> None:
+        replicas = self.replicas = self.sim.replicas
         n = len(replicas)
-        report = ClusterReport(router=sim.router.name, slo_s=sim.config.slo_s)
-        events = EventQueue(sorted(requests, key=lambda r: r.arrival_s))
-        push = events.push
+        self.layer = layer
+        self.push = events.push
+        self.records = report.records
+        self.protect_class = layer.config.shed_protect_class
+        report.slo_class_targets = {
+            cls: self.sim.config.slo_s * SLO_CLASS_TARGETS.get(cls, 1.0)
+            for cls in sorted({r.slo_class for r in requests})
+        }
 
         # Per-replica calibration (one group-timing probe each, memoized).
-        caps = [r.batching.group_capacity for r in replicas]
-        streamings = [_streaming(r) for r in replicas]
-        budgets = [
-            self._kv_budget(r, s) for r, s in zip(replicas, streamings)
+        self.caps = [r.batching.group_capacity for r in replicas]
+        self.streamings = [_streaming(r) for r in replicas]
+        self.budgets = [
+            self._kv_budget(r, s) for r, s in zip(replicas, self.streamings)
         ]
-        decode_ref = []
-        prefill_tok_s = []
-        fetch_s = []
+        self.decode_ref = []
+        self.prefill_tok_s = []
+        self.fetch_s = []
         for replica in replicas:
             workload = replica.scenario.workload
             gen_ref = max(workload.gen_len, 1)
@@ -227,17 +397,17 @@ class ContinuousScheduler(Scheduler):
                 workload.prompt_len,
                 workload.gen_len,
             )
-            decode_ref.append(
+            self.decode_ref.append(
                 max(timing.total_s - timing.prefill_s, _EPS) / gen_ref
             )
-            prefill_tok_s.append(
+            self.prefill_tok_s.append(
                 replica.batching.group_capacity
                 * max(workload.prompt_len, 1)
                 / max(timing.prefill_s, _EPS)
             )
-            fetch_s.append(replica.expert_fetch_time_s())
+            self.fetch_s.append(replica.expert_fetch_time_s())
 
-        # Per-replica scheduler state, indexed by replica_id.
+        # Per-replica policy state, indexed by replica_id.
         #
         # Waiting requests live in two FIFO deques of ``(key, request)``:
         # the protected class and the rest. Admission takes a prefix of
@@ -246,311 +416,271 @@ class ContinuousScheduler(Scheduler):
         # final flush requeue from: appends draw increasing keys from
         # ``back``, preemption's front reinsertions decreasing negative
         # ones from ``front``, so both deques stay key-sorted.
-        queue_p = [deque() for _ in range(n)]
-        queue_o = [deque() for _ in range(n)]
-        queued = [0] * n
-        back = counter()
-        front = counter(-1, -1)
+        self.queue_p = [deque() for _ in range(n)]
+        self.queue_o = [deque() for _ in range(n)]
+        self.queued = [0] * n
+        self.back = counter()
+        self.front = counter(-1, -1)
         # The running batch: admission-ordered dicts used as ordered sets
         # (protected, rest); the latest-admitted non-protected entry is
         # the rest dict's ``popitem()``.
-        run_p: list[dict[_Active, None]] = [{} for _ in range(n)]
-        run_o: list[dict[_Active, None]] = [{} for _ in range(n)]
-        kv_used = [0] * n  # KV tokens the running batch holds
+        self.run_p: list[dict[_Active, None]] = [{} for _ in range(n)]
+        self.run_o: list[dict[_Active, None]] = [{} for _ in range(n)]
+        self.kv_used = [0] * n  # KV tokens the running batch holds
         # Running entries filed by the step count at which they finish,
         # so a step commit touches only its finishers.
-        finish_at: list[dict[int, list[_Active]]] = [{} for _ in range(n)]
-        ordinal = counter()  # admission order across run_p/run_o
-        step_pending = [False] * n
-        steps = [0] * n  # committed decode steps (ReplicaStats.groups)
-        completed_on = [0] * n
-        last_step_end = [0.0] * n
-
-        counters = {
-            "arrivals": 0,
-            "admitted_requests": 0,
-            "decode_steps": 0,
-            "preemptions": 0,
-            "completions": 0,
-        }
-
-        def take_queue(rid: int) -> list[Request]:
-            """Empty ``rid``'s queues, returning them in merged queue order."""
-            merged = sorted(chain(queue_p[rid], queue_o[rid]), key=itemgetter(0))
-            queue_p[rid].clear()
-            queue_o[rid].clear()
-            queued[rid] = 0
-            return [request for _, request in merged]
-
-        def take_running(rid: int) -> list[Request]:
-            """Empty ``rid``'s running batch, returning it in admission order."""
-            merged = sorted(chain(run_p[rid], run_o[rid]), key=attrgetter("ordinal"))
-            run_p[rid].clear()
-            run_o[rid].clear()
-            finish_at[rid].clear()
-            kv_used[rid] = 0
-            return [entry.request for entry in merged]
-
-        def evict(rid: int, now: float) -> tuple[list, list]:
-            step_pending[rid] = False
-            running = take_running(rid)
-            waiting = take_queue(rid)
-            replicas[rid].inflight = 0
-            replicas[rid].sample_queue_depth(now, 0)
-            return running, waiting
-
-        def release(rid: int, now: float) -> list[Request]:
-            waiting = take_queue(rid)
-            replicas[rid].inflight = len(run_p[rid]) + len(run_o[rid])
-            replicas[rid].sample_queue_depth(now, 0)
-            return waiting
-
-        def strand(rid: int) -> list[Request]:
-            stranded = take_queue(rid) + take_running(rid)
-            replicas[rid].inflight = 0
-            return stranded
-
-        def kick(rid: int, now: float) -> None:
-            """Schedule a boundary at ``now`` unless one is pending.
-
-            A kick carries no step work (``admitted is None``); it exists
-            so all same-time arrivals are routed before admission runs —
-            DECODE_STEP is the lowest-ranked kind at any timestamp.
-            """
-            if not step_pending[rid]:
-                step_pending[rid] = True
-                push(now, DECODE_STEP, (rid, epoch[rid], 0.0, 0, None))
-
-        def route(request: Request, now: float) -> None:
-            healthy = layer.healthy(now)
-            if not healthy:
-                layer.terminal(request, now, "shed", -1)
-                return
-            with span("cluster.route"):
-                replica = sim.router.choose(request, healthy, now)
-            rid = replica.replica_id
-            # Depth-only shedding: with per-step admission a replica's
-            # backlog horizon is one decode step, so no slack signal.
-            if shedding and layer.shed(request, rid, now, queued[rid]):
-                return
-            protected = request.slo_class == protect_class
-            (queue_p if protected else queue_o)[rid].append((next(back), request))
-            queued[rid] += 1
-            # The queues are private to this loop, so the replica's
-            # router-visible load (``outstanding()``: its always-empty
-            # ``queue`` plus ``inflight``) carries queued + running.
-            replica.inflight += 1
-            replica.sample_queue_depth(now, queued[rid])
-            kick(rid, now)
-
-        layer = FaultLayer(
-            sim,
-            requests,
-            events,
-            report,
-            route=route,
-            evict=evict,
-            release=release,
-            strand=strand,
-            last_end=last_step_end.__getitem__,
+        self.finish_at: list[dict[int, list[_Active]]] = [{} for _ in range(n)]
+        self.ordinal = counter()  # admission order across run_p/run_o
+        self.step_pending = [False] * n
+        self.steps = [0] * n  # committed decode steps (ReplicaStats.groups)
+        self.completed_on = [0] * n
+        self.last_step_end = [0.0] * n
+        self.counts = dict.fromkeys(
+            ("admitted_requests", "decode_steps", "preemptions", "completions"), 0
         )
-        up, draining = layer.up, layer.draining
-        epoch, attempts = layer.epoch, layer.attempts
-        shedding, transient = layer.shedding, layer.transient
-        protect_class = layer.config.shed_protect_class
 
-        def boundary(replica, now: float) -> None:
-            """Preempt, admit, and schedule the next decode step."""
-            rid = replica.replica_id
-            if step_pending[rid] or not up[rid]:
-                return
-            rp = run_p[rid]
-            ro = run_o[rid]
-            streaming = streamings[rid]
-            budget = budgets[rid]
-            step = steps[rid]
-            used = kv_used[rid]
-            queue_touched = False
+    def _take_queue(self, rid: int) -> list[Request]:
+        """Empty ``rid``'s queues, returning them in merged queue order."""
+        queue_p, queue_o = self.queue_p[rid], self.queue_o[rid]
+        merged = sorted(chain(queue_p, queue_o), key=itemgetter(0))
+        queue_p.clear()
+        queue_o.clear()
+        self.queued[rid] = 0
+        return [request for _, request in merged]
 
-            # Deterministic preemption under KV pressure: non-protected
-            # classes first, latest-admitted first; never preempt the
-            # last running request. Progress is discarded and the victim
-            # rejoins the front of its class queue.
-            while used > budget and len(rp) + len(ro) > 1:
-                victim = (ro or rp).popitem()[0]
-                victim.alive = False
-                request = victim.request
-                used -= _footprint(
-                    streaming, request.prompt_len + step - victim.start_step
-                )
-                counters["preemptions"] += 1
-                attempts[request.request_id] = (
-                    attempts.get(request.request_id, 1) - 1
-                )
-                queue = queue_p if request.slo_class == protect_class else queue_o
-                queue[rid].appendleft((next(front), request))
-                queued[rid] += 1
+    def _take_running(self, rid: int) -> list[Request]:
+        """Empty ``rid``'s running batch, returning it in admission order."""
+        run_p, run_o = self.run_p[rid], self.run_o[rid]
+        merged = sorted(chain(run_p, run_o), key=attrgetter("ordinal"))
+        run_p.clear()
+        run_o.clear()
+        self.finish_at[rid].clear()
+        self.kv_used[rid] = 0
+        return [entry.request for entry in merged]
+
+    def evict(self, rid: int, now: float) -> tuple[list, list]:
+        self.step_pending[rid] = False
+        running = self._take_running(rid)
+        waiting = self._take_queue(rid)
+        self.replicas[rid].inflight = 0
+        self.replicas[rid].sample_queue_depth(now, 0)
+        return running, waiting
+
+    def release(self, rid: int, now: float) -> list[Request]:
+        waiting = self._take_queue(rid)
+        self.replicas[rid].inflight = len(self.run_p[rid]) + len(self.run_o[rid])
+        self.replicas[rid].sample_queue_depth(now, 0)
+        return waiting
+
+    def strand(self, rid: int) -> list[Request]:
+        stranded = self._take_queue(rid) + self._take_running(rid)
+        self.replicas[rid].inflight = 0
+        return stranded
+
+    def last_end(self, rid: int) -> float:
+        return self.last_step_end[rid]
+
+    def _kick(self, rid: int, now: float) -> None:
+        """Schedule a boundary at ``now`` unless one is pending.
+
+        A kick carries no step work (``admitted is None``); it exists
+        so all same-time arrivals are routed before admission runs —
+        DECODE_STEP is the lowest-ranked kind at any timestamp.
+        """
+        if not self.step_pending[rid]:
+            self.step_pending[rid] = True
+            self.push(now, DECODE_STEP, (rid, self.layer.epoch[rid], 0.0, 0, None))
+
+    def admit(self, request: Request, replica, now: float) -> None:
+        rid = replica.replica_id
+        protected = request.slo_class == self.protect_class
+        queue = (self.queue_p if protected else self.queue_o)[rid]
+        queue.append((next(self.back), request))
+        queued = self.queued[rid] = self.queued[rid] + 1
+        # The queues are private to this policy, so the replica's
+        # router-visible load (``outstanding()``: its always-empty
+        # ``queue`` plus ``inflight``) carries queued + running.
+        replica.inflight += 1
+        replica.sample_queue_depth(now, queued)
+        self._kick(rid, now)
+
+    def load(self, replica, now: float) -> tuple[int, None]:
+        return self.queued[replica.replica_id], None
+
+    def on_event(self, kind: str, payload, now: float) -> None:
+        rid, ev_epoch, duration, misses, admitted = payload
+        if ev_epoch != self.layer.epoch[rid]:
+            return  # step aborted by a crash
+        self.step_pending[rid] = False
+        if admitted is not None:
+            self._commit(rid, now, duration, misses, admitted)
+        self._boundary(self.replicas[rid], now)
+
+    def _boundary(self, replica, now: float) -> None:
+        """Preempt, admit, and schedule the next decode step."""
+        rid = replica.replica_id
+        layer = self.layer
+        if self.step_pending[rid] or not layer.up[rid]:
+            return
+        rp = self.run_p[rid]
+        ro = self.run_o[rid]
+        queue_p, queue_o = self.queue_p, self.queue_o
+        attempts = layer.attempts
+        protect_class = self.protect_class
+        streaming = self.streamings[rid]
+        budget = self.budgets[rid]
+        step = self.steps[rid]
+        used = self.kv_used[rid]
+        queue_touched = False
+
+        # Deterministic preemption under KV pressure: non-protected
+        # classes first, latest-admitted first; never preempt the
+        # last running request. Progress is discarded and the victim
+        # rejoins the front of its class queue.
+        while used > budget and len(rp) + len(ro) > 1:
+            victim = (ro or rp).popitem()[0]
+            victim.alive = False
+            request = victim.request
+            used -= _footprint(
+                streaming, request.prompt_len + step - victim.start_step
+            )
+            self.counts["preemptions"] += 1
+            attempts[request.request_id] = attempts.get(request.request_id, 1) - 1
+            queue = queue_p if request.slo_class == protect_class else queue_o
+            queue[rid].appendleft((next(self.front), request))
+            self.queued[rid] += 1
+            queue_touched = True
+
+        # Admission: protected class first, FIFO within a class,
+        # head-of-line blocking on the KV budget (an empty batch
+        # force-admits its head so oversized requests cannot starve).
+        admitted: list[_Active] = []
+        if not layer.draining[rid] and self.queued[rid]:
+            cap = self.caps[rid]
+            size = len(rp) + len(ro)
+            ordinal = self.ordinal
+            for queue, batch in ((queue_p[rid], rp), (queue_o[rid], ro)):
+                while queue and size < cap:
+                    request = queue[0][1]
+                    footprint = _footprint(streaming, request.prompt_len)
+                    if size and used + footprint > budget:
+                        break
+                    queue.popleft()
+                    used += footprint
+                    entry = _Active(request, now, step, next(ordinal))
+                    batch[entry] = None
+                    admitted.append(entry)
+                    size += 1
+                    attempts[request.request_id] = (
+                        attempts.get(request.request_id, 0) + 1
+                    )
+                else:
+                    continue
+                break  # head-of-line budget block ends admission
+            if admitted:
+                self.queued[rid] -= len(admitted)
                 queue_touched = True
 
-            # Admission: protected class first, FIFO within a class,
-            # head-of-line blocking on the KV budget (an empty batch
-            # force-admits its head so oversized requests cannot starve).
-            admitted: list[_Active] = []
-            if not draining[rid] and queued[rid]:
-                cap = caps[rid]
-                size = len(rp) + len(ro)
-                for queue, batch in ((queue_p[rid], rp), (queue_o[rid], ro)):
-                    while queue and size < cap:
-                        request = queue[0][1]
-                        footprint = _footprint(streaming, request.prompt_len)
-                        if size and used + footprint > budget:
-                            break
-                        queue.popleft()
-                        used += footprint
-                        entry = _Active(request, now, step, next(ordinal))
-                        batch[entry] = None
-                        admitted.append(entry)
-                        size += 1
-                        attempts[request.request_id] = (
-                            attempts.get(request.request_id, 0) + 1
-                        )
-                    else:
-                        continue
-                    break  # head-of-line budget block ends admission
-                if admitted:
-                    queued[rid] -= len(admitted)
-                    queue_touched = True
-
-            # Transient admission failure (per-boundary oracle, same
-            # breaker semantics as the group loop's per-dispatch one).
-            if admitted and transient and layer.transient_fails(rid, now):
-                for entry in admitted:
-                    request = entry.request
-                    batch = rp if request.slo_class == protect_class else ro
-                    del batch[entry]
-                    used -= _footprint(streaming, request.prompt_len)
-                    layer.retry_or_fail(request, now, rid)
-                admitted = []
-
-            kv_used[rid] = used
-            if queue_touched:
-                replica.sample_queue_depth(now, queued[rid])
-            size = len(rp) + len(ro)
-            replica.inflight = queued[rid] + size
-            if not size:
-                return
-            counters["admitted_requests"] += len(admitted)
-            missing = {
-                e.request.hot_expert
-                for e in admitted
-                if e.request.hot_expert is not None
-                and e.request.hot_expert not in replica.resident_experts
-            }
-            duration = (
-                decode_ref[rid] * (size / caps[rid])
-                + sum(e.request.prompt_len for e in admitted)
-                / prefill_tok_s[rid]
-                + len(missing) * fetch_s[rid]
-            ) * replica.slow_factor
-            # An entry admitted after ``step`` committed steps has
-            # generated ``steps - step`` tokens; it finishes at the commit
-            # that brings that to its gen_len.
-            finishing = finish_at[rid]
+        # Transient admission failure (per-boundary oracle, same
+        # breaker semantics as the group policy's per-dispatch one).
+        if admitted and layer.transient and layer.transient_fails(rid, now):
             for entry in admitted:
-                due = step + max(entry.request.gen_len, 1)
-                finishing.setdefault(due, []).append(entry)
-            step_pending[rid] = True
-            replica.free_at = now + duration
-            push(
-                now + duration,
-                DECODE_STEP,
-                (rid, epoch[rid], duration, len(missing), admitted),
-            )
-
-        def commit_step(rid: int, now: float, duration, misses, admitted) -> None:
-            replica = replicas[rid]
-            rp = run_p[rid]
-            ro = run_o[rid]
-            streaming = streamings[rid]
-            counters["decode_steps"] += 1
-            step = steps[rid] + 1
-            steps[rid] = step
-            replica.busy_s += duration
-            replica.expert_misses += misses
-            last_step_end[rid] = now
-            for entry in admitted:
-                entry.first_token_s = now
-            if streaming is None:
-                kv_used[rid] += len(rp) + len(ro)  # one token each
-            # Finishers in admission order (the order they were filed).
-            for entry in finish_at[rid].pop(step, ()):
-                if not entry.alive:
-                    continue  # preempted after it was filed
                 request = entry.request
-                del (rp if request.slo_class == protect_class else ro)[entry]
-                if streaming is None:
-                    kv_used[rid] -= request.prompt_len + step - entry.start_step
-                completed_on[rid] += 1
-                counters["completions"] += 1
-                report.records.append(
-                    make_record(
-                        request,
-                        rid,
-                        entry.admitted_s,
-                        entry.admitted_s,
-                        now,
-                        entry.first_token_s - request.arrival_s,
-                        "completed",
-                        attempts.get(request.request_id, 1),
-                    )
-                )
-            if streaming is not None:
-                # Sink+window footprints saturate, so recount per entry.
-                kv_used[rid] = sum(
-                    _footprint(
-                        streaming, e.request.prompt_len + step - e.start_step
-                    )
-                    for e in chain(rp, ro)
-                )
-            replica.inflight = queued[rid] + len(rp) + len(ro)
+                batch = rp if request.slo_class == protect_class else ro
+                del batch[entry]
+                used -= _footprint(streaming, request.prompt_len)
+                layer.retry_or_fail(request, now, rid)
+            admitted = []
 
-        pop = events.pop
-        while events:
-            now, _, _, kind, payload = pop()
-            if kind == ARRIVAL:
-                counters["arrivals"] += 1
-                route(payload, now)
-            elif kind == DECODE_STEP:
-                rid, ev_epoch, duration, misses, admitted = payload
-                if ev_epoch != epoch[rid]:
-                    continue  # step aborted by a crash
-                step_pending[rid] = False
-                if admitted is not None:
-                    commit_step(rid, now, duration, misses, admitted)
-                boundary(replicas[rid], now)
-            else:
-                layer.handle(kind, payload, now)
-
-        report.scheduler = self.name
-        report.slo_class_targets = {
-            cls: sim.config.slo_s * SLO_CLASS_TARGETS.get(cls, 1.0)
-            for cls in sorted({r.slo_class for r in requests})
+        self.kv_used[rid] = used
+        if queue_touched:
+            replica.sample_queue_depth(now, self.queued[rid])
+        size = len(rp) + len(ro)
+        replica.inflight = self.queued[rid] + size
+        if not size:
+            return
+        self.counts["admitted_requests"] += len(admitted)
+        missing = {
+            e.request.hot_expert
+            for e in admitted
+            if e.request.hot_expert is not None
+            and e.request.hot_expert not in replica.resident_experts
         }
-        report.replicas = [
-            ReplicaStats(
-                replica_id=replica.replica_id,
-                hardware=replica.hardware_name,
-                system=replica.system_name,
-                requests=completed_on[rid],
-                groups=steps[rid],
-                busy_s=replica.busy_s,
-                expert_misses=replica.expert_misses,
-                resident_experts=tuple(sorted(replica.resident_experts)),
-                queue_depth_timeline=list(replica.queue_depth_timeline),
-                batch_capacity=caps[rid],
+        duration = (
+            self.decode_ref[rid] * (size / self.caps[rid])
+            + sum(e.request.prompt_len for e in admitted) / self.prefill_tok_s[rid]
+            + len(missing) * self.fetch_s[rid]
+        ) * replica.slow_factor
+        # An entry admitted after ``step`` committed steps has
+        # generated ``steps - step`` tokens; it finishes at the commit
+        # that brings that to its gen_len.
+        finishing = self.finish_at[rid]
+        for entry in admitted:
+            due = step + max(entry.request.gen_len, 1)
+            finishing.setdefault(due, []).append(entry)
+        self.step_pending[rid] = True
+        replica.free_at = now + duration
+        self.push(
+            now + duration,
+            DECODE_STEP,
+            (rid, layer.epoch[rid], duration, len(missing), admitted),
+        )
+
+    def _commit(self, rid: int, now: float, duration, misses, admitted) -> None:
+        replica = self.replicas[rid]
+        rp = self.run_p[rid]
+        ro = self.run_o[rid]
+        streaming = self.streamings[rid]
+        protect_class = self.protect_class
+        counts = self.counts
+        attempts = self.layer.attempts
+        kv_used = self.kv_used
+        counts["decode_steps"] += 1
+        step = self.steps[rid] + 1
+        self.steps[rid] = step
+        replica.busy_s += duration
+        replica.expert_misses += misses
+        self.last_step_end[rid] = now
+        for entry in admitted:
+            entry.first_token_s = now
+        if streaming is None:
+            kv_used[rid] += len(rp) + len(ro)  # one token each
+        # Finishers in admission order (the order they were filed).
+        for entry in self.finish_at[rid].pop(step, ()):
+            if not entry.alive:
+                continue  # preempted after it was filed
+            request = entry.request
+            del (rp if request.slo_class == protect_class else ro)[entry]
+            if streaming is None:
+                kv_used[rid] -= request.prompt_len + step - entry.start_step
+            self.completed_on[rid] += 1
+            counts["completions"] += 1
+            self.records.append(
+                make_record(
+                    request,
+                    rid,
+                    entry.admitted_s,
+                    entry.admitted_s,
+                    now,
+                    entry.first_token_s - request.arrival_s,
+                    "completed",
+                    attempts.get(request.request_id, 1),
+                )
             )
-            for rid, replica in enumerate(replicas)
-        ]
-        report.counters = counters
-        layer.finish(report)
-        return report
+        if streaming is not None:
+            # Sink+window footprints saturate, so recount per entry.
+            kv_used[rid] = sum(
+                _footprint(streaming, e.request.prompt_len + step - e.start_step)
+                for e in chain(rp, ro)
+            )
+        replica.inflight = self.queued[rid] + len(rp) + len(ro)
+
+    def stats(self, rid: int) -> dict:
+        return {
+            "requests": self.completed_on[rid],
+            "groups": self.steps[rid],
+            "batch_capacity": self.caps[rid],
+        }
+
+    def counters(self) -> dict:
+        return self.counts
