@@ -22,11 +22,12 @@ from common import SCENARIO_BY_KEY
 from conftest import record_report
 
 from repro.baselines import MixtralOffloadingSystem, SiDASystem
+from repro.cluster import ClusterConfig, ClusterSimulator, Replica, RoundRobinRouter
 from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.core.engine import KlotskiOptions, KlotskiSystem
 from repro.model.config import MIXTRAL_8X7B
 from repro.model.evaluation import compare_compression
-from repro.serving import ArrivalConfig, BatchingConfig, Server, generate_requests
+from repro.serving import ArrivalConfig, BatchingConfig, generate_requests
 
 
 class TestFutureWorkSparseKV:
@@ -125,22 +126,31 @@ class TestServing:
             )
             reports = {}
             for group_batches in (1, 4):
-                server = Server(
-                    scenario,
-                    KlotskiSystem(),
-                    # The wait bound is load-matched: partial groups now
-                    # dispatch at the deadline proper (not at the next
-                    # arrival), so an oversized bound would idle the tail.
-                    BatchingConfig(
-                        batch_size=8, group_batches=group_batches, max_wait_s=30.0
-                    ),
+                # One machine is a one-replica group fleet. The wait bound
+                # is load-matched: partial groups dispatch at the deadline
+                # proper (not at the next arrival), so an oversized bound
+                # would idle the tail.
+                batching = BatchingConfig(
+                    batch_size=8, group_batches=group_batches, max_wait_s=30.0
                 )
-                reports[group_batches] = server.simulate(requests)
+                replica = Replica(
+                    0, scenario, KlotskiSystem(), batching, prompt_quantum=1
+                )
+                simulator = ClusterSimulator(
+                    [replica],
+                    RoundRobinRouter(),
+                    ClusterConfig(partition_experts=False),
+                )
+                reports[group_batches] = simulator.run(requests)
             return reports
 
         reports = benchmark.pedantic(run, rounds=1, iterations=1)
         lines = [
-            f"group of {n} batches: {r.summary()}" for n, r in reports.items()
+            f"group of {n} batches: {len(r.records)} requests, "
+            f"{r.throughput:.2f} tok/s, mean latency {r.mean_latency_s:.1f} s, "
+            f"p95 {r.percentile_latency(95):.1f} s, "
+            f"TTFT p95 {r.percentile_ttft(95):.1f} s"
+            for n, r in reports.items()
         ]
         record_report("extension_serving", "\n".join(lines))
         assert reports[4].throughput > reports[1].throughput

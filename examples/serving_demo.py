@@ -12,9 +12,19 @@ Usage::
 import sys
 
 from repro import KlotskiSystem, Scenario, Workload
+from repro.cluster import ClusterConfig, ClusterSimulator, Replica, RoundRobinRouter
 from repro.hardware.spec import ENV1
 from repro.model.config import MIXTRAL_8X7B
-from repro.serving import ArrivalConfig, BatchingConfig, Server, generate_requests
+from repro.serving import ArrivalConfig, BatchingConfig, generate_requests
+
+
+def serve(scenario, batching, requests):
+    """One machine is a one-replica group fleet (exact group timings)."""
+    replica = Replica(0, scenario, KlotskiSystem(), batching, prompt_quantum=1)
+    simulator = ClusterSimulator(
+        [replica], RoundRobinRouter(), ClusterConfig(partition_experts=False)
+    )
+    return simulator.run(requests)
 
 
 def main() -> None:
@@ -32,13 +42,11 @@ def main() -> None:
     print(f"serving 48 requests arriving at {rate:.1f} req/s on {ENV1.name}\n")
     print(f"{'group size':>10} {'tok/s':>8} {'mean lat':>10} {'p50':>8} {'p95':>8} {'queue':>8}")
     for group_batches in (1, 2, 4, 8):
-        server = Server(
-            scenario,
-            KlotskiSystem(),
-            BatchingConfig(batch_size=8, group_batches=group_batches, max_wait_s=30.0),
+        batching = BatchingConfig(
+            batch_size=8, group_batches=group_batches, max_wait_s=30.0
         )
-        report = server.simulate(requests)
-        mean_queue = sum(c.queueing_s for c in report.completed) / len(report.completed)
+        report = serve(scenario, batching, requests)
+        mean_queue = sum(r.queueing_s for r in report.records) / len(report.records)
         print(
             f"{group_batches:>10} {report.throughput:>8.2f} "
             f"{report.mean_latency_s:>9.1f}s {report.percentile_latency(50):>7.1f}s "

@@ -1,9 +1,10 @@
 """Multi-replica cluster serving: routing, group formation, SLO accounting.
 
-The scaling layer above the single-machine serving simulation: N replicas
-(any :class:`~repro.systems.InferenceSystem`, heterogeneous hardware) serve
-one request stream behind a pluggable router, driven by a discrete-event
-loop (arrivals, batching deadlines, completions in one heap). Results roll
+The serving simulation: N replicas (any
+:class:`~repro.systems.InferenceSystem`, heterogeneous hardware; one
+machine is a one-replica fleet) serve one request stream behind a
+pluggable router, driven by one discrete-event loop under a dispatch
+policy (group batching or continuous batching). Results roll
 up into a :class:`ClusterReport` with TTFT/latency percentiles, goodput
 under an SLO, per-replica utilization, and cost-per-token.
 

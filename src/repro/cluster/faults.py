@@ -36,10 +36,10 @@ Every request terminates exactly once as ``completed`` | ``shed`` |
 --chaos`` — and reports gain availability metrics (downtime windows,
 retried/shed/failed counts, per-replica up-time billing).
 
-:class:`FaultLayer` applies all of this to one run. Both dispatch loops
-— the group loop in :mod:`repro.cluster.simulator` and the continuous
-scheduler in :mod:`repro.serving.scheduler` — build one and route every
-health, retry and shedding decision through it. The fast engines
+:class:`FaultLayer` applies all of this to one run. The one event loop
+(:meth:`~repro.cluster.simulator.ClusterSimulator._run`) builds it and
+routes every health, retry and shedding decision through it, under
+either dispatch policy (:mod:`repro.serving.scheduler`). The fast engines
 (:mod:`repro.cluster.engines`) do not model faults; a simulator with an
 active fault config deterministically falls back to the serial group
 loop, which the differential harness treats as trivially
@@ -418,21 +418,20 @@ def compile_fault_plan(
 class FaultLayer:
     """Health, retries and shedding for one cluster run.
 
-    Built per run by a dispatch loop (the group loop in
-    :meth:`~repro.cluster.simulator.ClusterSimulator._run` or
-    :class:`~repro.serving.scheduler.ContinuousScheduler`), it is the only
-    code that reads the fault config, replica health and retry state.
+    Built per run by the event loop
+    (:meth:`~repro.cluster.simulator.ClusterSimulator._run`), it is the
+    only code that reads the fault config, replica health and retry state.
     Without an active config it is the inactive layer: no events, every
     replica healthy, nothing shed or failed, no fault keys in the report
     — faults off is the same loop, not another one.
 
-    The loop keeps its queues and in-flight work and lends the layer five
-    callables: ``route(request, now)``; ``evict(rid, now)``, which empties
-    a crashed replica and returns its ``(in-flight, queued)`` requests;
-    ``release(rid, now)``, which empties a draining replica's queue and
-    returns it; ``strand(rid)``, which returns whatever is left at the
-    end; and ``last_end(rid)``, when the replica's last committed work
-    ended.
+    The loop lends the layer its ``route(request, now)``; the dispatch
+    policy, which keeps the queues and in-flight work, lends four more:
+    ``evict(rid, now)``, which empties a crashed replica and returns its
+    ``(in-flight, queued)`` requests; ``release(rid, now)``, which empties
+    a draining replica's queue and returns it; ``strand(rid)``, which
+    returns whatever is left at the end; and ``last_end(rid)``, when the
+    replica's last committed work ended.
 
     Attributes:
         active: whether the run injects faults at all.

@@ -1,7 +1,7 @@
 """Cluster-level serving metrics: latency SLOs, utilization, and cost.
 
-Extends the single-machine :class:`~repro.serving.ServingReport` to fleet
-metrics: per-replica utilization and queue-depth timelines, cluster-wide
+Serving metrics for a fleet of any size (one machine is a one-replica
+fleet): per-replica utilization and queue-depth timelines, cluster-wide
 TTFT and latency percentiles (p50/p95/p99), *goodput* — throughput counting
 only requests that met a latency SLO — and a cost-per-token estimate from
 per-hardware dollar rates. Everything is exportable as plain dicts for the

@@ -4,15 +4,16 @@
 objects — each wrapping any :class:`~repro.systems.InferenceSystem` on its
 own (possibly heterogeneous) hardware — against one shared request stream.
 
-Event model (see :mod:`repro.cluster.events`): a single time-ordered heap
-carries request *arrivals*, per-request batching *deadlines*, and group
-*completions*. On arrival the router picks a replica and the request joins
-its FIFO queue; a full group dispatches immediately, otherwise a deadline
-event guarantees the partial group dispatches at exactly
-``oldest.arrival_s + max_wait_s`` — the continuous group-formation loop
-that replaces the serial batch-wait logic of the single-machine server.
-Deadlines are validated lazily, so stale ones (their group already
-dispatched) are no-ops.
+Event model (see :mod:`repro.cluster.events`): one event loop,
+:meth:`ClusterSimulator._run`, pops a single time-ordered heap. It routes
+every *arrival* (health, router, shedding) and hands fault events to the
+run's :class:`~repro.cluster.faults.FaultLayer`; a dispatch policy
+(:mod:`repro.serving.scheduler`) takes each routed request and handles
+its own event kinds. Under the default group policy the request joins its
+replica's FIFO queue; a full group dispatches immediately, otherwise a
+*deadline* event dispatches the partial group at exactly
+``oldest.arrival_s + max_wait_s``, and a *completion* event frees it. One
+machine serving a stream is a one-replica fleet.
 
 Expert residency: when ``partition_experts`` is on, the fleet pins hot
 experts (popularity-rank order, :mod:`repro.routing.popularity`) round-robin
@@ -55,11 +56,11 @@ class ClusterConfig:
         partition_experts: shard hot-expert residency across replicas.
         expert_slots_per_replica: residency slots per replica (None:
             derive from each replica's placement).
-        scheduler: dispatch discipline — ``"group"`` (the historical
-            group-granular event loop) or any other name registered in
+        scheduler: dispatch policy the event loop runs under —
+            ``"group"`` (group-granular batching, the only policy the
+            fast engines reproduce) or any other name registered in
             ``repro.api.SCHEDULERS`` (e.g. ``"continuous"`` for
-            iteration-level batching). The group path is untouched when
-            this is ``"group"``, keeping fleet goldens byte-identical.
+            iteration-level batching).
     """
 
     slo_s: float = 120.0  # end-to-end latency bound for goodput accounting
@@ -243,9 +244,10 @@ class ClusterSimulator:
         With an active fault config every engine deterministically runs
         the serial loop (the fast engines do not model faults); the
         fallback is counted as ``cluster.engine.fault_fallback``.
-        A non-default ``config.scheduler`` likewise always runs its own
-        serial event loop (counted ``cluster.engine.scheduler_fallback``
-        when a fast engine was requested).
+        A non-default ``config.scheduler`` likewise always runs the serial
+        loop under its policy, entered through the policy's ``run``
+        (counted ``cluster.engine.scheduler_fallback`` when a fast engine
+        was requested).
         """
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -270,9 +272,8 @@ class ClusterSimulator:
             },
         ):
             if self.config.scheduler != "group":
-                # Registered schedulers own their full event loop
-                # (including fault handling); the group path below stays
-                # byte-identical for golden safety.
+                # Other policies only run on the serial loop; the fast
+                # engines reproduce the group policy alone.
                 from repro.api.registry import SCHEDULERS
 
                 if engine != "serial":

@@ -1,4 +1,4 @@
-"""Serving layer: request streams, batching, and SLA metrics."""
+"""Serving layer: request streams, batching, and dispatch policies."""
 
 from repro.serving.requests import (
     ArrivalConfig,
@@ -9,12 +9,7 @@ from repro.serving.requests import (
     generate_requests,
     replay_trace,
 )
-from repro.serving.server import (
-    BatchingConfig,
-    CompletedRequest,
-    Server,
-    ServingReport,
-)
+from repro.serving.server import BatchingConfig
 
 __all__ = [
     "ArrivalConfig",
@@ -25,9 +20,6 @@ __all__ = [
     "generate_requests",
     "replay_trace",
     "BatchingConfig",
-    "CompletedRequest",
-    "Server",
-    "ServingReport",
     "Scheduler",
     "GroupScheduler",
     "ContinuousScheduler",

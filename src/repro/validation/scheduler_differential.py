@@ -7,7 +7,7 @@ change TTFT and tail latency — so unlike the engine differential
 demand bit-identity. What both schedulers must agree on, for any config
 and stream, is *conservation*: every submitted request terminates
 exactly once under each discipline, both reports pass every
-:func:`repro.validation.check_cluster` invariant, and both loops saw
+:func:`repro.validation.check_cluster` invariant, and both runs saw
 the same arrivals. This is the oracle behind the ``scheduler
 differential`` CI job and ``tests/test_scheduler.py``.
 """

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterSimulator, Replica, RoundRobinRouter
 from repro.core.engine import KlotskiSystem
 from repro.serving import (
     ArrivalConfig,
     BatchingConfig,
     BurstyConfig,
-    CompletedRequest,
     Request,
-    Server,
-    ServingReport,
     assign_hot_experts,
     generate_bursty,
     generate_requests,
@@ -59,48 +57,59 @@ class TestBatchingConfig:
             BatchingConfig(max_wait_s=0)
 
 
-@pytest.fixture
-def server(small_scenario):
-    batching = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=30.0)
-    return Server(small_scenario, KlotskiSystem(), batching)
+def serve(scenario, batching, requests):
+    """Serve ``requests`` on one machine: a one-replica group fleet.
+
+    The unbucketed prompt quantum and unpartitioned residency make the
+    replica time every group shape exactly as the scenario's system runs
+    it, with its own placement deciding expert residency.
+    """
+    replica = Replica(0, scenario, KlotskiSystem(), batching, prompt_quantum=1)
+    simulator = ClusterSimulator(
+        [replica], RoundRobinRouter(), ClusterConfig(partition_experts=False)
+    )
+    return simulator.run(requests)
+
+
+BATCHING = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=30.0)
 
 
 class TestServer:
-    def test_all_requests_complete(self, server):
+    """Single-machine serving: group formation on a one-replica fleet."""
+
+    def test_all_requests_complete(self, small_scenario):
         requests = generate_requests(
             ArrivalConfig(rate_per_s=1.0, prompt_len_mean=32, gen_len=4, seed=1), 12
         )
-        report = server.simulate(requests)
-        assert len(report.completed) == 12
+        report = serve(small_scenario, BATCHING, requests)
+        assert len(report.records) == 12
         assert report.makespan_s > 0
         assert report.throughput > 0
 
-    def test_completion_after_arrival_and_dispatch(self, server):
+    def test_completion_after_arrival_and_dispatch(self, small_scenario):
         requests = generate_requests(
             ArrivalConfig(rate_per_s=2.0, prompt_len_mean=32, gen_len=4, seed=2), 10
         )
-        report = server.simulate(requests)
-        for completed in report.completed:
-            assert completed.dispatch_s >= completed.request.arrival_s
-            assert completed.completion_s > completed.dispatch_s
-            assert completed.latency_s >= completed.queueing_s
+        report = serve(small_scenario, BATCHING, requests)
+        for record in report.records:
+            assert record.start_s >= record.dispatch_s >= record.request.arrival_s
+            assert record.completion_s > record.start_s
+            assert record.latency_s >= record.queueing_s
 
-    def test_machine_never_double_booked(self, server):
+    def test_machine_never_double_booked(self, small_scenario):
         requests = generate_requests(
             ArrivalConfig(rate_per_s=5.0, prompt_len_mean=32, gen_len=4, seed=3), 16
         )
-        report = server.simulate(requests)
-        windows = sorted(
-            {(c.dispatch_s, c.completion_s) for c in report.completed}
-        )
+        report = serve(small_scenario, BATCHING, requests)
+        windows = sorted({(r.start_s, r.completion_s) for r in report.records})
         for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
             assert s2 >= e1 - 1e-9
 
-    def test_percentiles_ordered(self, server):
+    def test_percentiles_ordered(self, small_scenario):
         requests = generate_requests(
             ArrivalConfig(rate_per_s=3.0, prompt_len_mean=32, gen_len=4, seed=4), 20
         )
-        report = server.simulate(requests)
+        report = serve(small_scenario, BATCHING, requests)
         assert report.percentile_latency(50) <= report.percentile_latency(95)
         assert "tok/s" in report.summary()
 
@@ -109,24 +118,20 @@ class TestServer:
         requests = generate_requests(
             ArrivalConfig(rate_per_s=50.0, prompt_len_mean=32, gen_len=4, seed=5), 24
         )
-        small = Server(
-            small_scenario,
-            KlotskiSystem(),
-            BatchingConfig(batch_size=4, group_batches=1),
-        ).simulate(requests)
-        large = Server(
-            small_scenario,
-            KlotskiSystem(),
-            BatchingConfig(batch_size=4, group_batches=6),
-        ).simulate(requests)
+        small = serve(
+            small_scenario, BatchingConfig(batch_size=4, group_batches=1), requests
+        )
+        large = serve(
+            small_scenario, BatchingConfig(batch_size=4, group_batches=6), requests
+        )
         assert large.throughput > small.throughput
 
-    def test_empty_stream(self, server):
-        report = server.simulate([])
-        assert report.completed == []
+    def test_empty_stream(self, small_scenario):
+        report = serve(small_scenario, BATCHING, [])
+        assert report.records == []
         assert report.throughput == 0.0
 
-    def test_partial_group_dispatches_at_deadline(self, server):
+    def test_partial_group_dispatches_at_deadline(self, small_scenario):
         """A lone partial group fires at oldest.arrival + max_wait_s even
         when the next arrival is far in the future (regression: dispatch
         used to wait for the next arrival to advance the clock)."""
@@ -135,95 +140,29 @@ class TestServer:
             Request(1, 1.0, 32, 4),
             Request(2, 500.0, 32, 4),
         ]
-        report = server.simulate(requests)
-        by_id = {c.request.request_id: c for c in report.completed}
-        max_wait = server.batching.max_wait_s
-        assert by_id[0].dispatch_s == pytest.approx(max_wait)
-        assert by_id[1].dispatch_s == pytest.approx(max_wait)
+        report = serve(small_scenario, BATCHING, requests)
+        by_id = {r.request.request_id: r for r in report.records}
+        max_wait = BATCHING.max_wait_s
+        assert by_id[0].start_s == pytest.approx(max_wait)
+        assert by_id[1].start_s == pytest.approx(max_wait)
         # the late request forms its own group at its own deadline
-        assert by_id[2].dispatch_s == pytest.approx(500.0 + max_wait)
+        assert by_id[2].start_s == pytest.approx(500.0 + max_wait)
 
-    def test_full_group_dispatches_at_fill_time(self, server):
-        capacity = server.batching.group_capacity
+    def test_full_group_dispatches_at_fill_time(self, small_scenario):
+        capacity = BATCHING.group_capacity
         requests = [Request(i, float(i), 32, 4) for i in range(capacity)]
-        report = server.simulate(requests)
+        report = serve(small_scenario, BATCHING, requests)
         fill_time = float(capacity - 1)
-        assert all(
-            c.dispatch_s == pytest.approx(fill_time) for c in report.completed
-        )
+        assert all(r.start_s == pytest.approx(fill_time) for r in report.records)
 
-
-class TestServingReportEdges:
-    def test_empty_report(self):
-        report = ServingReport()
-        assert report.mean_latency_s == 0.0
-        assert report.percentile_latency(99) == 0.0
-        assert report.throughput == 0.0
-        assert "0 requests" in report.summary()
-
-    def test_single_request(self):
-        request = Request(0, 0.0, 32, 4)
-        report = ServingReport(
-            completed=[CompletedRequest(request, 1.0, 3.0)],
-            busy_s=2.0,
-            makespan_s=3.0,
-        )
-        assert report.mean_latency_s == pytest.approx(3.0)
-        assert report.throughput == pytest.approx(4 / 3.0)
-
-    def test_percentile_on_one_sample(self):
-        request = Request(0, 0.0, 32, 4)
-        report = ServingReport(completed=[CompletedRequest(request, 1.0, 3.0)])
-        for q in (0, 50, 95, 99, 100):
-            assert report.percentile_latency(q) == pytest.approx(3.0)
-
-    def test_metric_arrays_cached_across_calls(self):
-        # Regression: percentile_* used to rebuild the latency array on
-        # every call; the arrays are now built once per record set.
-        requests = [Request(i, float(i), 32, 4) for i in range(4)]
-        report = ServingReport(
-            completed=[CompletedRequest(r, r.arrival_s + 1.0, r.arrival_s + 3.0)
-                       for r in requests],
-            makespan_s=7.0,
-        )
-        first = report.latencies()
-        assert report.latencies() is first
-        assert report.ttfts() is report.ttfts()
-        # Appending a record invalidates via the count key.
-        report.completed.append(CompletedRequest(Request(9, 0.0, 32, 4), 1.0, 9.0))
-        assert report.latencies() is not first
-        assert len(report.latencies()) == 5
-
-    def test_invalidate_metrics_after_in_place_mutation(self):
-        request = Request(0, 0.0, 32, 4)
-        report = ServingReport(completed=[CompletedRequest(request, 1.0, 3.0)])
-        assert report.mean_latency_s == pytest.approx(3.0)
-        # Count-preserving mutation: same length, different content.
-        report.completed[0] = CompletedRequest(request, 1.0, 5.0)
-        report.invalidate_metrics()
-        assert report.mean_latency_s == pytest.approx(5.0)
-
-    def test_ttft_metrics(self):
-        requests = [Request(i, float(i), 32, 4) for i in range(3)]
-        report = ServingReport(
-            completed=[
-                CompletedRequest(r, r.arrival_s + 1.0, r.arrival_s + 4.0, 1.5)
-                for r in requests
-            ],
-            makespan_s=7.0,
-        )
-        assert report.mean_ttft_s == pytest.approx(1.5)
-        assert report.percentile_ttft(95) == pytest.approx(1.5)
-        assert "TTFT p95" in report.summary()
-
-    def test_server_stamps_ttft_below_latency(self, server):
+    def test_server_stamps_ttft_below_latency(self, small_scenario):
         requests = generate_requests(
             ArrivalConfig(rate_per_s=4.0, prompt_len_mean=32, gen_len=4, seed=2),
             12,
         )
-        report = server.simulate(requests)
-        for c in report.completed:
-            assert 0.0 < c.ttft_s <= c.latency_s
+        report = serve(small_scenario, BATCHING, requests)
+        for r in report.records:
+            assert 0.0 < r.ttft_s <= r.latency_s
 
 
 class TestBurstyArrivals:
