@@ -190,8 +190,9 @@ class GroupScheduler(Scheduler):
         self.layer = layer
         self.push = events.push
         self.records = report.records
-        # Per replica, the index of the first record of each in-flight
-        # group, in dispatch (= completion) order.
+        # Per replica, for each in-flight group in dispatch (= completion)
+        # order: the index of its first record and the replica's busy
+        # time before it was dispatched.
         self.pending = [deque() for _ in self.sim.replicas]
         self.full = self.deadline = self.completions = self.dead = 0
 
@@ -241,10 +242,10 @@ class GroupScheduler(Scheduler):
                 attempts[request.request_id] = attempts.get(request.request_id, 0) + 1
                 layer.retry_or_fail(request, now, rid)
             return 0
+        records = self.records
+        self.pending[rid].append((len(records), replica.busy_s))
         with span("cluster.dispatch", {"replica": rid}):
             group = replica.dispatch(now)
-        records = self.records
-        self.pending[rid].append(len(records))
         self.push(group.completion_s, COMPLETION, (replica, group, layer.epoch[rid]))
         start, completion = group.start_s, group.completion_s
         first_token = start + group.prefill_s
@@ -279,10 +280,11 @@ class GroupScheduler(Scheduler):
             first = len(replica.groups) - len(slots)
             aborted = replica.groups[first:]
             del replica.groups[first:]
+            # Restored, not subtracted: float subtraction leaves a residue.
+            replica.busy_s = slots[0][1]
             records = self.records
-            for group, slot in zip(aborted, slots):
+            for group, (slot, _) in zip(aborted, slots):
                 size = len(group.requests)
-                replica.busy_s -= group.completion_s - group.start_s
                 replica.inflight -= size
                 replica.expert_misses -= group.expert_misses
                 records[slot : slot + size] = [None] * size

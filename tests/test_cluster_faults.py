@@ -397,6 +397,22 @@ def test_crash_abort_leaves_one_record_per_request(scheduler):
     assert report.availability["retried_requests"] == len(requests)
 
 
+@pytest.mark.parametrize("seed", [75, 129, 188])
+def test_crash_restores_busy_time_exactly(seed):
+    # On these seeds crashes abort every group one replica dispatched.
+    # Its busy time must read exactly 0.0: subtracting each aborted
+    # group's duration left a float residue of ~1e-15.
+    spec = [(0.37 + 0.013 * (i % 7), 32, 2) for i in range(40)]
+    faults = FaultConfig(seed=seed, crash_rate_per_hour=2000.0,
+                         crash_downtime_s=0.7)
+    report, requests = simulate(spec, 2, faults, router="round-robin")
+    assert not check_cluster(report, requests)
+    idle = [s for s in report.replicas if s.groups == 0]
+    assert idle
+    for stats in idle:
+        assert stats.busy_s == 0.0
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("preset", fault_preset_names())
 def test_every_fault_preset_terminates_each_request_once(preset, scheduler):
