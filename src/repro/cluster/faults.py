@@ -68,7 +68,6 @@ from repro.cluster.report import ClusterReport, make_record
 from repro.obs import count
 from repro.serving.requests import Request
 
-_EPS = 1e-9  # matches the serial loop's deadline tolerance
 
 # Sub-stream tags for np.random.default_rng([seed, tag, ...]) so the
 # crash, straggler, transient, and jitter streams are independent.
@@ -425,13 +424,14 @@ class FaultLayer:
     replica healthy, nothing shed or failed, no fault keys in the report
     — faults off is the same loop, not another one.
 
-    The loop lends the layer its ``route(request, now)``; the dispatch
-    policy, which keeps the queues and in-flight work, lends four more:
-    ``evict(rid, now)``, which empties a crashed replica and returns its
-    ``(in-flight, queued)`` requests; ``release(rid, now)``, which empties
-    a draining replica's queue and returns it; ``strand(rid)``, which
-    returns whatever is left at the end; and ``last_end(rid)``, when the
-    replica's last committed work ended.
+    The loop lends the layer its ``route(request, now)`` and its dispatch
+    ``policy`` (a :class:`~repro.serving.scheduler.Scheduler`), which keeps
+    the queues and in-flight work: ``policy.evict(rid, now)`` empties a
+    crashed replica and returns its ``(in-flight, queued)`` requests,
+    ``policy.release(rid, now)`` empties a draining replica's queue and
+    returns it, ``policy.strand(rid)`` returns whatever is left at the
+    end, and ``policy.last_end(rid)`` is when the replica's last committed
+    work ended.
 
     Attributes:
         active: whether the run injects faults at all.
@@ -446,17 +446,14 @@ class FaultLayer:
         transient: whether dispatches can fail transiently.
     """
 
-    def __init__(
-        self, sim, requests, events, report, *, route, evict, release, strand, last_end
-    ):
+    def __init__(self, sim, requests, events, report, *, route, policy):
         config = sim.faults
         n = len(sim.replicas)
         self.active = config is not None and config.active()
         self.config = cfg = config if self.active else FaultConfig()
         self.retry_policy = sim.retry or RetryPolicy()
         self.replicas, self.events, self.report = sim.replicas, events, report
-        self.route, self.evict, self.release = route, evict, release
-        self.strand, self.last_end = strand, last_end
+        self.route, self.policy = route, policy
         self.up = [True] * n
         self.draining = [False] * n
         self.epoch = [0] * n
@@ -595,7 +592,7 @@ class FaultLayer:
             self.crash_open_s[rid] = now
             counters["crashes"] += 1
             self.epoch[rid] += 1
-            running, queued = self.evict(rid, now)
+            running, queued = self.policy.evict(rid, now)
             replica.free_at = value  # the recovery time
             counters["requeued_from_crash"] += len(running) + len(queued)
             # In-flight work consumed its dispatch attempt; queued work
@@ -624,7 +621,7 @@ class FaultLayer:
             self._expires = float("-inf")
             self.drain_s[rid] = now
             counters["drains"] += 1
-            queued = self.release(rid, now)
+            queued = self.policy.release(rid, now)
             counters["requeued_from_drain"] += len(queued)
             for request in queued:
                 self.route(request, now)
@@ -642,7 +639,7 @@ class FaultLayer:
         # left is a conservation bug surfaced as a counted terminal
         # record rather than a silently lost request.
         for rid, replica in enumerate(self.replicas):
-            for request in self.strand(rid):
+            for request in self.policy.strand(rid):
                 self.terminal(request, replica.free_at, "failed", rid)
                 counters["stranded_requests"] = counters.get("stranded_requests", 0) + 1
             replica.slow_factor = 1.0
@@ -657,10 +654,10 @@ class FaultLayer:
         report.counters.update(counters)
         for name, value in report.counters.items():
             count(f"cluster.{name}", value)
-        # The loop's callables close over this layer: drop them so the
-        # run's state is freed by reference counting, not left for the
-        # cyclic collector.
-        self.route = self.evict = self.release = self.strand = self.last_end = None
+        # The loop's route and the policy refer back to this layer: drop
+        # them so the run's state is freed by reference counting, not
+        # left for the cyclic collector.
+        self.route = self.policy = None
 
     def _availability(self, report: ClusterReport) -> None:
         """Per-replica up-time billing and ``report.availability``."""
@@ -680,7 +677,7 @@ class FaultLayer:
             drained = self.drain_s[rid]
             end = report.makespan_s
             if drained is not None:
-                end = max(drained, self.last_end(rid))
+                end = max(drained, self.policy.last_end(rid))
             end = max(end, start)
             down = 0.0
             for w_start, w_end in windows:

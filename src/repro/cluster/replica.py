@@ -2,8 +2,7 @@
 
 A replica owns a FIFO request queue and a single batch-group execution slot
 (the underlying :class:`~repro.systems.InferenceSystem` processes one group
-at a time); the group dispatch policy
-(:class:`~repro.serving.scheduler.GroupScheduler`) fills and drains it.
+at a time), filled by :class:`~repro.serving.scheduler.GroupScheduler`.
 Group processing times come from running the wrapped system on the
 replica's scenario and are memoized in a cluster-shared cache keyed by
 (hardware, model, system, group shape); prompt lengths are bucketed to

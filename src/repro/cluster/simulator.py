@@ -6,14 +6,11 @@ own (possibly heterogeneous) hardware — against one shared request stream.
 
 Event model (see :mod:`repro.cluster.events`): one event loop,
 :meth:`ClusterSimulator._run`, pops a single time-ordered heap. It routes
-every *arrival* (health, router, shedding) and hands fault events to the
-run's :class:`~repro.cluster.faults.FaultLayer`; a dispatch policy
-(:mod:`repro.serving.scheduler`) takes each routed request and handles
-its own event kinds. Under the default group policy the request joins its
-replica's FIFO queue; a full group dispatches immediately, otherwise a
-*deadline* event dispatches the partial group at exactly
-``oldest.arrival_s + max_wait_s``, and a *completion* event frees it. One
-machine serving a stream is a one-replica fleet.
+every *arrival* (health, router, shedding), hands fault events to the
+run's :class:`~repro.cluster.faults.FaultLayer`, and leaves each routed
+request and the rest of the events to a dispatch policy
+(:mod:`repro.serving.scheduler`): group batching by default, or
+continuous batching. One machine serving a stream is a one-replica fleet.
 
 Expert residency: when ``partition_experts`` is on, the fleet pins hot
 experts (popularity-rank order, :mod:`repro.routing.popularity`) round-robin
@@ -278,8 +275,7 @@ class ClusterSimulator:
 
                 if engine != "serial":
                     count("cluster.engine.scheduler_fallback")
-                scheduler_cls = SCHEDULERS.get(self.config.scheduler)
-                return scheduler_cls(self).run(requests)
+                return SCHEDULERS.get(self.config.scheduler)(self).run(requests)
             if engine == "serial":
                 return self._run(requests)
             if self.faults is not None and self.faults.active():
@@ -293,11 +289,10 @@ class ClusterSimulator:
         """The one event loop, under a dispatch ``policy``.
 
         The loop owns the report, the event queue, the run's
-        :class:`~repro.cluster.faults.FaultLayer` (inactive without
-        faults), arrival counting, routing (health, ``router.choose``,
-        shedding) and the per-replica stats; the policy — a
-        :class:`~repro.serving.scheduler.Scheduler`, by default the
-        group policy that every fast engine reproduces — owns what
+        :class:`~repro.cluster.faults.FaultLayer`, arrival counting,
+        routing (health, ``router.choose``, shedding) and the replica
+        stats. The :class:`~repro.serving.scheduler.Scheduler` policy
+        (default: group, which the fast engines reproduce) owns what
         happens to a routed request and to its own event kinds.
         """
         if policy is None:
@@ -325,17 +320,7 @@ class ClusterSimulator:
                 return
             admit(request, replica, now)
 
-        layer = FaultLayer(
-            self,
-            requests,
-            events,
-            report,
-            route=route,
-            evict=policy.evict,
-            release=policy.release,
-            strand=policy.strand,
-            last_end=policy.last_end,
-        )
+        layer = FaultLayer(self, requests, events, report, route=route, policy=policy)
         faulted, shedding, handle = layer.active, layer.shedding, layer.handle
         policy.start(requests, layer, events, report)
         admit, load, on_event, kinds = (

@@ -1,19 +1,16 @@
 """Cluster dispatch policies: group-granular and iteration-level batching.
 
-There is one event loop, :meth:`ClusterSimulator._run
-<repro.cluster.simulator.ClusterSimulator._run>`. It owns the report, the
-event queue, the fault layer and routing; a registered :class:`Scheduler`
-is the *dispatch policy* that decides what runs when. Two are built in.
-
-**group** (:class:`GroupScheduler`, the default) is *group-granular*: a
-batch group is formed, dispatched, and holds its replica's execution slot
-until every member finishes — the straightforward serving shape of the
-paper's throughput-oriented design, and the reference for the fast
-engines of :mod:`repro.cluster.engines`.
-
-**continuous** (:class:`ContinuousScheduler`) is the iteration-level
-alternative popularized by Orca/vLLM: replicas advance in *decode steps*,
-and at every step boundary the scheduler
+:meth:`ClusterSimulator._run <repro.cluster.simulator.ClusterSimulator._run>`
+is the one event loop: it owns the report, the event queue, the fault
+layer and routing. A registered :class:`Scheduler` is the dispatch policy
+that decides what runs when. :class:`GroupScheduler` (``group``, the
+default) forms batch groups that hold their replica's execution slot
+until every member finishes — the paper's throughput-oriented serving
+shape, and the reference of the fast engines in
+:mod:`repro.cluster.engines`. :class:`ContinuousScheduler`
+(``continuous``) is the iteration-level alternative popularized by
+Orca/vLLM: replicas advance in *decode steps*, and at every step boundary
+the policy
 
 * **admits** queued requests into the running batch (SLO-class priority:
   interactive tenants are admitted first, FIFO within a class),
@@ -30,41 +27,33 @@ usable VRAM, with :class:`~repro.model.kvcache.StreamingConfig` sink+window
 retention honored when the replica's system enables sparse attention
 (a streaming request's footprint saturates at ``sinks + window``).
 
-Event model: the continuous policy's one event kind,
-:data:`~repro.cluster.events.DECODE_STEP`, rides the loop's
-``(time, kind-priority, seq)`` heap. It is ranked *after* every other kind
-so all arrivals and retries stamped at time *t* are routed before the
-boundary at *t* admits. Step results (token increments, first-token
-stamps, completions) are committed when the boundary event pops and its
-epoch still matches the replica's — a crash mid-step bumps the epoch, so
-the step's work is discarded and its in-flight requests retry, which is
-what makes preempt-then-crash-then-retry sequences conserve requests
-exactly once.
+Its event kind, :data:`~repro.cluster.events.DECODE_STEP`, is ranked
+*after* every other kind, so all arrivals and retries stamped at time *t*
+are routed before the boundary at *t* admits. Step results (token
+increments, first-token stamps, completions) are committed when the
+boundary event pops and its epoch still matches the replica's — a crash
+mid-step bumps the epoch, so the step's work is discarded and its
+in-flight requests retry, which is what makes preempt-then-crash-then-
+retry sequences conserve requests exactly once. Its shedding is
+depth-only: with per-step admission a replica's backlog horizon is one
+decode step.
 
-Faults come from the loop's :class:`~repro.cluster.faults.FaultLayer`,
-the same for both policies: crash/recover, join/drain, straggler windows,
-transient dispatch or admission failures with circuit breakers, retries
-with seeded backoff, and load shedding. Continuous shedding is depth-only:
-with per-step admission a replica's backlog horizon is one decode step,
-so the policy gives the layer no slack signal.
-
-Per-request continuous records keep the causality contract of
+Continuous records keep the causality contract of
 :func:`repro.validation.check_cluster`: ``dispatch_s == start_s`` is the
 admission boundary, ``completion_s`` the final step's end, and ``ttft_s``
 the end of the admission step (prefill happens within it). Requests on
-one replica legitimately overlap in time, so instead of the group policy's
-replica-serialization invariant the checker bounds ``busy_s`` by the
-makespan and the number of overlapping completed intervals by the
+one replica legitimately overlap in time, so instead of the group
+policy's replica-serialization invariant the checker bounds ``busy_s`` by
+the makespan and the number of overlapping completed intervals by the
 replica's batch capacity (``ReplicaStats.batch_capacity``).
 
-Continuous cost per step boundary is proportional to the requests it
+A continuous step boundary costs in proportion to the requests it
 touches, not to the queue or batch size: waiting requests sit in per-class
-FIFO deques (admission pops heads, preemption pushes a head back), the KV
-footprint of the running batch is a counter kept current as requests
-join, step and leave, and each running request is filed under the step
-on which it will finish, so a commit visits only its finishers. Only
-sink+window streaming replicas recount the footprint per entry each
-step, since theirs saturates.
+FIFO deques, the running batch's KV footprint is a counter kept current
+as requests join, step and leave, and each running request is filed
+under the step on which it will finish. Only sink+window streaming
+replicas recount the footprint per entry each step, since theirs
+saturates.
 
 Everything is deterministic: same seed, same stream, same report —
 bit for bit — which the group-vs-continuous conservation differential
@@ -134,11 +123,9 @@ def _footprint(streaming, tokens: int) -> int:
 class Scheduler:
     """Base class for registry-backed dispatch policies.
 
-    A policy is instantiated per run as ``cls(simulator)`` and plugs into
-    the simulator's one event loop; :meth:`run` drives that loop with it.
-    The loop owns the report, the event queue, the fault layer, arrival
-    counting and routing (health, ``router.choose``, shedding). The
-    policy owns what happens to a routed request, and the loop calls it:
+    A policy is instantiated per run as ``cls(simulator)``; :meth:`run`
+    drives the simulator's one event loop with it. The loop owns routing
+    and calls the policy:
 
     * ``start(requests, layer, events, report)`` once the run's
       :class:`~repro.cluster.faults.FaultLayer` exists;
@@ -146,12 +133,11 @@ class Scheduler:
       ``load(replica, now) -> (depth, backlog)`` when shedding is on
       (``backlog`` is ``None`` when the policy has no slack signal);
     * ``on_event(kind, payload, now)`` for each event of its ``kinds``;
-    * ``evict`` / ``release`` / ``strand`` / ``last_end``, lent to the
-      fault layer (see :class:`~repro.cluster.faults.FaultLayer`);
-    * at the end ``close(report)``, then ``stats(rid)`` — the policy's
-      own :class:`~repro.cluster.report.ReplicaStats` fields — per
-      replica and ``counters()``, folded into the report after the
-      loop's ``arrivals``.
+    * ``evict`` / ``release`` / ``strand`` / ``last_end`` from the fault
+      layer;
+    * at the end ``close(report)``, then ``stats(rid)`` (its own
+      :class:`~repro.cluster.report.ReplicaStats` fields) per replica
+      and ``counters()``.
     """
 
     name = "base"
@@ -172,15 +158,13 @@ class GroupScheduler(Scheduler):
     """Group-granular dispatch: the default policy and the engines' reference.
 
     A routed request joins its replica's FIFO queue. A full group
-    dispatches at once; otherwise a ``DEADLINE`` event dispatches the
-    partial group at exactly ``oldest.arrival_s + max_wait_s``. Deadlines
-    are checked lazily, so stale ones (their group already dispatched)
-    are no-ops. A dispatch commits the head group to the replica's
-    execution slot and appends its records; a ``COMPLETION`` releases
-    it. Under faults a dispatch may fail transiently (its members retry)
-    and a crash turns the aborted groups' records into tombstones,
-    compacted once at the end. Shedding sees the queue depth and the
-    replica's backlog ``free_at - now``.
+    dispatches at once; otherwise a ``DEADLINE`` event (a no-op once
+    stale) dispatches the partial group at exactly ``oldest.arrival_s +
+    max_wait_s``. A dispatch commits the head group to the replica's
+    execution slot and appends its records; a ``COMPLETION`` releases it.
+    A dispatch may fail transiently (its members retry); a crash turns
+    the aborted groups' records into tombstones, compacted at the end.
+    Shedding sees the queue depth and the backlog ``free_at - now``.
     """
 
     name = "group"
@@ -256,18 +240,8 @@ class GroupScheduler(Scheduler):
                 n = attempts[request.request_id] = (
                     attempts.get(request.request_id, 0) + 1
                 )
-            append(
-                make_record(
-                    request,
-                    rid,
-                    now,
-                    start,
-                    completion,
-                    first_token - request.arrival_s,
-                    "completed",
-                    n,
-                )
-            )
+            ttft = first_token - request.arrival_s
+            append(make_record(request, rid, now, start, completion, ttft, attempts=n))
         return 1
 
     def evict(self, rid: int, now: float) -> tuple[list, list]:
@@ -388,36 +362,27 @@ class ContinuousScheduler(Scheduler):
         self.budgets = [
             self._kv_budget(r, s) for r, s in zip(replicas, self.streamings)
         ]
-        self.decode_ref = []
-        self.prefill_tok_s = []
-        self.fetch_s = []
+        self.decode_ref, self.prefill_tok_s = [], []
         for replica in replicas:
             workload = replica.scenario.workload
-            gen_ref = max(workload.gen_len, 1)
+            batching = replica.batching
             timing = replica._group_timing(
-                replica.batching.group_batches,
-                workload.prompt_len,
-                workload.gen_len,
+                batching.group_batches, workload.prompt_len, workload.gen_len
             )
-            self.decode_ref.append(
-                max(timing.total_s - timing.prefill_s, _EPS) / gen_ref
-            )
-            self.prefill_tok_s.append(
-                replica.batching.group_capacity
-                * max(workload.prompt_len, 1)
-                / max(timing.prefill_s, _EPS)
-            )
-            self.fetch_s.append(replica.expert_fetch_time_s())
+            decode_s = max(timing.total_s - timing.prefill_s, _EPS)
+            self.decode_ref.append(decode_s / max(workload.gen_len, 1))
+            prompt_tokens = batching.group_capacity * max(workload.prompt_len, 1)
+            self.prefill_tok_s.append(prompt_tokens / max(timing.prefill_s, _EPS))
+        self.fetch_s = [r.expert_fetch_time_s() for r in replicas]
 
-        # Per-replica policy state, indexed by replica_id.
-        #
-        # Waiting requests live in two FIFO deques of ``(key, request)``:
-        # the protected class and the rest. Admission takes a prefix of
-        # "protected, then the rest", so it only ever pops deque heads.
-        # Keys rebuild the single merged queue that crash, drain and the
-        # final flush requeue from: appends draw increasing keys from
-        # ``back``, preemption's front reinsertions decreasing negative
-        # ones from ``front``, so both deques stay key-sorted.
+        # Per-replica state, indexed by replica_id. Waiting requests live
+        # in two FIFO deques of ``(key, request)``: the protected class
+        # and the rest. Admission takes a prefix of "protected, then the
+        # rest", so it only ever pops deque heads. Keys rebuild the single
+        # merged queue that crash, drain and the final flush requeue from:
+        # appends draw increasing keys from ``back``, preemption's front
+        # reinsertions decreasing negative ones from ``front``, so both
+        # deques stay key-sorted.
         self.queue_p = [deque() for _ in range(n)]
         self.queue_o = [deque() for _ in range(n)]
         self.queued = [0] * n
@@ -462,11 +427,7 @@ class ContinuousScheduler(Scheduler):
 
     def evict(self, rid: int, now: float) -> tuple[list, list]:
         self.step_pending[rid] = False
-        running = self._take_running(rid)
-        waiting = self._take_queue(rid)
-        self.replicas[rid].inflight = 0
-        self.replicas[rid].sample_queue_depth(now, 0)
-        return running, waiting
+        return self._take_running(rid), self.release(rid, now)
 
     def release(self, rid: int, now: float) -> list[Request]:
         waiting = self._take_queue(rid)
@@ -636,6 +597,7 @@ class ContinuousScheduler(Scheduler):
         protect_class = self.protect_class
         counts = self.counts
         attempts = self.layer.attempts
+        append = self.records.append
         kv_used = self.kv_used
         counts["decode_steps"] += 1
         step = self.steps[rid] + 1
@@ -657,18 +619,10 @@ class ContinuousScheduler(Scheduler):
                 kv_used[rid] -= request.prompt_len + step - entry.start_step
             self.completed_on[rid] += 1
             counts["completions"] += 1
-            self.records.append(
-                make_record(
-                    request,
-                    rid,
-                    entry.admitted_s,
-                    entry.admitted_s,
-                    now,
-                    entry.first_token_s - request.arrival_s,
-                    "completed",
-                    attempts.get(request.request_id, 1),
-                )
-            )
+            start = entry.admitted_s  # dispatch and start: the admission
+            ttft = entry.first_token_s - request.arrival_s
+            n = attempts.get(request.request_id, 1)
+            append(make_record(request, rid, start, start, now, ttft, attempts=n))
         if streaming is not None:
             # Sink+window footprints saturate, so recount per entry.
             kv_used[rid] = sum(

@@ -1,10 +1,8 @@
 """Batch-group formation: the batching policy and a group's shape.
 
-A replica forms batch groups from its request queue (FIFO batching with a
-wait-time bound) and runs each group as one multi-batch pipeline. Larger
-groups amortize weight I/O but delay early requests — the
-throughput/latency trade-off of Figure 11. Serving one machine is a
-one-replica fleet: see :class:`~repro.cluster.simulator.ClusterSimulator`.
+Larger groups amortize weight I/O but delay early requests — the
+throughput/latency trade-off of Figure 11. One machine serving a stream
+is a one-replica :class:`~repro.cluster.simulator.ClusterSimulator` fleet.
 """
 
 from __future__ import annotations
