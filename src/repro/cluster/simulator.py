@@ -323,9 +323,7 @@ class ClusterSimulator:
         layer = FaultLayer(self, requests, events, report, route=route, policy=policy)
         faulted, shedding, handle = layer.active, layer.shedding, layer.handle
         policy.start(requests, layer, events, report)
-        admit, load, on_event, kinds = (
-            policy.admit, policy.load, policy.on_event, policy.kinds
-        )
+        admit, load, own = policy.admit, policy.load, policy.handlers
 
         pop = events.pop
         arrivals = 0
@@ -334,8 +332,8 @@ class ClusterSimulator:
             if kind == ARRIVAL:
                 arrivals += 1
                 route(payload, now)
-            elif kind in kinds:
-                on_event(kind, payload, now)
+            elif kind in own:
+                own[kind](payload, now)
             else:
                 handle(kind, payload, now)
 

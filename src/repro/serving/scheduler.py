@@ -132,7 +132,8 @@ class Scheduler:
     * ``admit(request, replica, now)`` for every routed request, after
       ``load(replica, now) -> (depth, backlog)`` when shedding is on
       (``backlog`` is ``None`` when the policy has no slack signal);
-    * ``on_event(kind, payload, now)`` for each event of its ``kinds``;
+    * ``handlers[kind](payload, now)`` for each event of its own kinds
+      (``start`` sets the ``handlers`` dict);
     * ``evict`` / ``release`` / ``strand`` / ``last_end`` from the fault
       layer;
     * at the end ``close(report)``, then ``stats(rid)`` (its own
@@ -141,7 +142,6 @@ class Scheduler:
     """
 
     name = "base"
-    kinds: tuple[str, ...] = ()
 
     def __init__(self, sim):
         self.sim = sim
@@ -168,10 +168,11 @@ class GroupScheduler(Scheduler):
     """
 
     name = "group"
-    kinds = (DEADLINE, COMPLETION)
 
     def start(self, requests, layer, events, report) -> None:
         self.layer = layer
+        self.up, self.epoch = layer.up, layer.epoch
+        self.handlers = {DEADLINE: self._deadline, COMPLETION: self._complete}
         self.push = events.push
         self.records = report.records
         # Per replica, for each in-flight group in dispatch (= completion)
@@ -195,20 +196,20 @@ class GroupScheduler(Scheduler):
     def load(self, replica, now: float) -> tuple[int, float]:
         return len(replica.queue), replica.free_at - now
 
-    def on_event(self, kind: str, payload, now: float) -> None:
-        if kind == DEADLINE:
-            # Fires when the queue head's batching deadline has passed.
-            queue = payload.queue
-            if (
-                queue
-                and queue[0].arrival_s + payload.batching.max_wait_s <= now + _EPS
-                and self.layer.up[payload.replica_id]
-            ):
-                self.deadline += self._dispatch(payload, now)
-            return
+    def _deadline(self, replica, now: float) -> None:
+        # Fires when the queue head's batching deadline has passed.
+        queue = replica.queue
+        if (
+            queue
+            and queue[0].arrival_s + replica.batching.max_wait_s <= now + _EPS
+            and self.up[replica.replica_id]
+        ):
+            self.deadline += self._dispatch(replica, now)
+
+    def _complete(self, payload, now: float) -> None:
         replica, group, group_epoch = payload
         rid = replica.replica_id
-        if group_epoch == self.layer.epoch[rid]:  # else aborted by a crash
+        if group_epoch == self.epoch[rid]:  # else aborted by a crash
             self.completions += 1
             replica.complete(group)
             self.pending[rid].popleft()
@@ -325,7 +326,6 @@ class ContinuousScheduler(Scheduler):
     """
 
     name = "continuous"
-    kinds = (DECODE_STEP,)
 
     def __init__(self, sim, *, kv_budget_tokens: int | None = None):
         super().__init__(sim)
@@ -348,6 +348,7 @@ class ContinuousScheduler(Scheduler):
         replicas = self.replicas = self.sim.replicas
         n = len(replicas)
         self.layer = layer
+        self.handlers = {DECODE_STEP: self._step}
         self.push = events.push
         self.records = report.records
         self.protect_class = layer.config.shed_protect_class
@@ -470,7 +471,7 @@ class ContinuousScheduler(Scheduler):
     def load(self, replica, now: float) -> tuple[int, None]:
         return self.queued[replica.replica_id], None
 
-    def on_event(self, kind: str, payload, now: float) -> None:
+    def _step(self, payload, now: float) -> None:
         rid, ev_epoch, duration, misses, admitted = payload
         if ev_epoch != self.layer.epoch[rid]:
             return  # step aborted by a crash
