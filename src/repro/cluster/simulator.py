@@ -322,8 +322,8 @@ class ClusterSimulator:
 
         layer = FaultLayer(self, requests, events, report, route=route, policy=policy)
         faulted, shedding, handle = layer.active, layer.shedding, layer.handle
-        policy.start(requests, layer, events, report)
-        admit, load, own = policy.admit, policy.load, policy.handlers
+        own = policy.start(requests, layer, events, report)
+        admit, load = policy.admit, policy.load
 
         pop = events.pop
         arrivals = 0

@@ -128,12 +128,12 @@ class Scheduler:
     and calls the policy:
 
     * ``start(requests, layer, events, report)`` once the run's
-      :class:`~repro.cluster.faults.FaultLayer` exists;
+      :class:`~repro.cluster.faults.FaultLayer` exists; it returns the
+      policy's event handlers, ``{kind: handler(payload, now)}``;
     * ``admit(request, replica, now)`` for every routed request, after
       ``load(replica, now) -> (depth, backlog)`` when shedding is on
       (``backlog`` is ``None`` when the policy has no slack signal);
-    * ``handlers[kind](payload, now)`` for each event of its own kinds
-      (``start`` sets the ``handlers`` dict);
+    * the handler of each event of its own kinds;
     * ``evict`` / ``release`` / ``strand`` / ``last_end`` from the fault
       layer;
     * at the end ``close(report)``, then ``stats(rid)`` (its own
@@ -169,10 +169,9 @@ class GroupScheduler(Scheduler):
 
     name = "group"
 
-    def start(self, requests, layer, events, report) -> None:
+    def start(self, requests, layer, events, report) -> dict:
         self.layer = layer
         self.up, self.epoch = layer.up, layer.epoch
-        self.handlers = {DEADLINE: self._deadline, COMPLETION: self._complete}
         self.push = events.push
         self.records = report.records
         # Per replica, for each in-flight group in dispatch (= completion)
@@ -180,6 +179,7 @@ class GroupScheduler(Scheduler):
         # time before it was dispatched.
         self.pending = [deque() for _ in self.sim.replicas]
         self.full = self.deadline = self.completions = self.dead = 0
+        return {DEADLINE: self._deadline, COMPLETION: self._complete}
 
     def admit(self, request: Request, replica, now: float) -> None:
         if replica.enqueue(request, now):
@@ -344,11 +344,10 @@ class ContinuousScheduler(Scheduler):
         floor = _footprint(streaming, workload.prompt_len + workload.gen_len)
         return max(derived, floor, 1)
 
-    def start(self, requests, layer, events, report) -> None:
+    def start(self, requests, layer, events, report) -> dict:
         replicas = self.replicas = self.sim.replicas
         n = len(replicas)
         self.layer = layer
-        self.handlers = {DECODE_STEP: self._step}
         self.push = events.push
         self.records = report.records
         self.protect_class = layer.config.shed_protect_class
@@ -406,6 +405,7 @@ class ContinuousScheduler(Scheduler):
         self.counts = dict.fromkeys(
             ("admitted_requests", "decode_steps", "preemptions", "completions"), 0
         )
+        return {DECODE_STEP: self._step}
 
     def _take_queue(self, rid: int) -> list[Request]:
         """Empty ``rid``'s queues, returning them in merged queue order."""

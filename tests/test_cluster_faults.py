@@ -21,7 +21,9 @@ The tentpole properties of :mod:`repro.cluster.faults`:
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +41,7 @@ from repro.cluster import (
 )
 from repro.cluster.routers import make_router
 from repro.serving.requests import Request
+from repro.serving.scheduler import ContinuousScheduler, GroupScheduler
 from repro.serving.server import BatchingConfig
 from repro.systems import InferenceSystem
 from repro.validation import check_cluster
@@ -411,6 +414,28 @@ def test_crash_restores_busy_time_exactly(seed):
     assert idle
     for stats in idle:
         assert stats.busy_s == 0.0
+
+
+@pytest.mark.parametrize("policy_cls", [GroupScheduler, ContinuousScheduler])
+def test_run_leaves_no_reference_cycles(policy_cls):
+    # The loop, its fault layer and the dispatch policy refer to each
+    # other while a run is live; the run must unlink them so its state
+    # is freed by reference counting, not held until a cyclic collection.
+    simulator = ClusterSimulator(
+        build_fleet(3),
+        make_router("least-outstanding"),
+        ClusterConfig(slo_s=30.0),
+        faults=FAULT_PRESETS.get("chaos")(),
+    )
+    policy = policy_cls(simulator)
+    gc.disable()
+    try:
+        policy.run(build_requests([(0.2 + 0.1 * (i % 3), 32, 2) for i in range(60)]))
+        refs = [weakref.ref(policy), weakref.ref(policy.layer)]
+        del policy
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
