@@ -359,21 +359,6 @@ class TestClusterReport:
         report.records.append(make_record(other, 0, 1.0, 1.0, 5.0, 1.0))
         assert report.mean_latency_s == pytest.approx(4.0)
 
-    def test_single_request(self):
-        from repro.cluster.report import ClusterReport, make_record
-
-        request = Request(request_id=0, arrival_s=0.0, prompt_len=32, gen_len=4)
-        report = ClusterReport(
-            router="round-robin",
-            slo_s=60.0,
-            records=[make_record(request, 0, 1.0, 1.0, 3.0, 0.0)],
-            makespan_s=3.0,
-        )
-        assert report.mean_latency_s == pytest.approx(3.0)
-        assert report.throughput == pytest.approx(4 / 3.0)
-        for q in (0, 50, 95, 99, 100):
-            assert report.percentile_latency(q) == pytest.approx(3.0)
-
     def test_ttft_metrics(self):
         from repro.cluster.report import ClusterReport, make_record
 

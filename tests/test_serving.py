@@ -165,6 +165,31 @@ class TestServer:
             assert 0.0 < r.ttft_s <= r.latency_s
 
 
+class TestServingReportEdges:
+    """One-record edges of the report single-machine serving returns."""
+
+    def _one_record_report(self):
+        from repro.cluster.report import ClusterReport, make_record
+
+        request = Request(request_id=0, arrival_s=0.0, prompt_len=32, gen_len=4)
+        return ClusterReport(
+            router="round-robin",
+            slo_s=60.0,
+            records=[make_record(request, 0, 1.0, 1.0, 3.0, 0.0)],
+            makespan_s=3.0,
+        )
+
+    def test_single_request(self):
+        report = self._one_record_report()
+        assert report.mean_latency_s == pytest.approx(3.0)
+        assert report.throughput == pytest.approx(4 / 3.0)
+
+    def test_percentile_on_one_sample(self):
+        report = self._one_record_report()
+        for q in (0, 50, 95, 99, 100):
+            assert report.percentile_latency(q) == pytest.approx(3.0)
+
+
 class TestBurstyArrivals:
     def test_count_order_determinism(self):
         config = BurstyConfig(seed=5)
