@@ -7,7 +7,7 @@ Subcommands mirror how the paper's system is operated:
 * ``run``        — execute Klotski on a workload, print metrics
 * ``compare``    — run Klotski and the baselines on one scenario (Fig. 10)
 * ``sweep-n``    — throughput vs batch-group size (Fig. 14)
-* ``export-trace`` — save a run's pipeline as Chrome-tracing JSON
+* ``export-trace`` — deprecated alias of ``run --n N --trace PATH``
 * ``serve``      — simulate a multi-replica cluster serving a request
   stream behind a pluggable router (``repro.cluster``)
 * ``experiments`` — declarative experiment orchestration
@@ -54,6 +54,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 
 from repro import obs
 from repro.analysis.bubbles import analyze_bubbles
@@ -75,12 +76,15 @@ from repro.api import (
 )
 from repro.api.registry import RegistryError
 from repro.core.engine import KlotskiEngine, KlotskiSystem
-from repro.errors import ConfigValidationError, OutOfMemoryError
+from repro.errors import (
+    ConfigValidationError,
+    OutOfMemoryError,
+    ReproDeprecationWarning,
+)
 from repro.hardware.calibrate import TimingCache, measure
 from repro.obs import build_manifest
 from repro.obs.export import save_trace
 from repro.passes import DEFAULT_PASS_QUEUE
-from repro.runtime.traceexport import save_chrome_trace
 
 # perf_counter() at entry to main(); the manifest's wall_s baseline.
 _CLI_T0: float | None = None
@@ -1014,15 +1018,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_export_trace(args) -> int:
-    scenario = _scenario(args, num_batches=args.n or 4)
-    result = build_system("klotski").run(scenario)
-    save_chrome_trace(result.timeline, args.out)
-    print(
-        f"wrote {args.out}: {len(result.timeline.executed)} events, "
-        f"makespan {result.timeline.makespan:.2f} s "
-        "(open in chrome://tracing or Perfetto)"
+    """Deprecated alias: ``run --n N --trace OUT`` (``N`` defaults to 4)."""
+    warnings.warn(
+        "`export-trace` is deprecated; use `run --n N --trace PATH`",
+        ReproDeprecationWarning,
+        stacklevel=2,
     )
-    return 0
+    args.n = args.n or 4
+    args.trace = args.out
+    return cmd_run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1294,10 +1298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-step", type=int, default=3)
     p.set_defaults(func=cmd_sweep_n)
 
-    p = scenario_parser("export-trace", "export a run as Chrome tracing JSON")
+    p = scenario_parser(
+        "export-trace", "deprecated: use `run --n N --trace PATH`"
+    )
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out", default="klotski_trace.json")
-    p.set_defaults(func=cmd_export_trace)
+    p.set_defaults(
+        func=cmd_export_trace, quantize=False, passes=None, json=False
+    )
 
     p = scenario_parser(
         "profile", "trace one pipeline run and print the span profile"

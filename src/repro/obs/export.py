@@ -8,7 +8,9 @@ lens the paper turns on Klotski's schedules, turned on the simulator
 itself. The two views live in distinct Chrome-trace process groups:
 
 * ``pid 0`` — simulated time: the executed :class:`Timeline`'s resource
-  lanes (``run``) or one lane per replica with a slice per dispatched
+  lanes (``run``; one lane per simulated resource in pipeline order, ops
+  colored by phase — the interactive equivalent of the paper's Figure
+  15 pipeline plots) or one lane per replica with a slice per dispatched
   group (``serve``). Timestamps are simulated seconds.
 * ``pid 1`` — wall time: the tracer's spans, one thread lane per
   ``experiments.Runner`` worker (lane 0 is the parent process).
@@ -24,9 +26,18 @@ from pathlib import Path
 
 from repro.obs import tracer
 from repro.obs.tracer import ATTRS, DEPTH, END, NAME, START, WORKER
+from repro.runtime.schedule import RESOURCE_CODES, RESOURCES
 
 SELF_PID = 1
 SIMULATED_PID = 0
+
+_PHASE_COLORS = {
+    "attention": "thread_state_running",
+    "gate": "thread_state_runnable",
+    "expert": "thread_state_iowait",
+    "transfer": "rail_load",
+    "kv": "rail_idle",
+}
 
 
 def spans_to_chrome_events(spans: list[list] | None = None) -> list[dict]:
@@ -72,6 +83,56 @@ def spans_to_chrome_events(spans: list[list] | None = None) -> list[dict]:
             "tid": rec[WORKER],
             "args": {"depth": rec[DEPTH], **(rec[ATTRS] or {})},
         }
+        events.append(event)
+    return events
+
+
+def timeline_to_chrome_events(timeline) -> list[dict]:
+    """Per-resource lanes of an executed pipeline timeline.
+
+    Args:
+        timeline: an executed :class:`~repro.runtime.timeline.Timeline`.
+
+    Returns:
+        ``pid 0`` events: one thread lane per simulated resource (tids in
+        :data:`~repro.runtime.schedule.RESOURCES` order, so lanes sort in
+        pipeline order), one slice per op (simulated seconds), colored
+        by phase.
+    """
+    events = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": SIMULATED_PID,
+            "tid": 0,
+            "args": {"name": "simulated timeline"},
+        }
+    ]
+    events.extend(
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": SIMULATED_PID,
+            "tid": lane,
+            "args": {"name": resource},
+        }
+        for lane, resource in enumerate(RESOURCES)
+    )
+    for executed in timeline.executed:
+        op = executed.op
+        event = {
+            "name": op.label,
+            "cat": op.phase,
+            "ph": "X",
+            "ts": executed.start * 1e6,
+            "dur": max(executed.duration * 1e6, 0.001),
+            "pid": SIMULATED_PID,
+            "tid": RESOURCE_CODES[op.resource],
+            "args": {"layer": op.layer, "batch": op.batch, "phase": op.phase},
+        }
+        color = _PHASE_COLORS.get(op.phase)
+        if color:
+            event["cname"] = color
         events.append(event)
     return events
 
@@ -148,11 +209,7 @@ def chrome_trace(
     """
     events: list[dict] = []
     if timeline is not None:
-        from repro.runtime.traceexport import timeline_to_chrome_trace
-
-        events.extend(
-            timeline_to_chrome_trace(timeline, pid=SIMULATED_PID)["traceEvents"]
-        )
+        events.extend(timeline_to_chrome_events(timeline))
     if report is not None:
         events.extend(report_to_chrome_events(report))
     events.extend(spans_to_chrome_events(spans))

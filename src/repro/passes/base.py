@@ -30,9 +30,9 @@ class PassContext:
         compiled: its frozen form.
         timeline: the executed baseline the pass is trying to beat.
         hardware: the machine the schedule targets.
-        starts / ends: per-op executed times as float64 arrays (pulled
-            from the lazy view when available, so inspecting them never
-            materializes ``ExecutedOp`` objects).
+        starts / ends: the timeline's per-op executed times (float64
+            arrays; inspecting them never materializes ``ExecutedOp``
+            objects).
     """
 
     schedule: Schedule
@@ -50,13 +50,9 @@ class PassContext:
         timeline: Timeline,
         hardware: HardwareSpec,
     ) -> "PassContext":
-        view = timeline._view
-        if view is not None:
-            starts, ends = view.starts, view.ends
-        else:
-            starts = np.array([e.start for e in timeline.executed])
-            ends = np.array([e.end for e in timeline.executed])
-        return cls(schedule, compiled, timeline, hardware, starts, ends)
+        return cls(
+            schedule, compiled, timeline, hardware, timeline.starts, timeline.ends
+        )
 
     @property
     def makespan(self) -> float:

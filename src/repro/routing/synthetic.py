@@ -226,14 +226,6 @@ class SyntheticRouter:
     # ---- helpers -------------------------------------------------------------------
 
     @staticmethod
-    def _sample_from_distribution(
-        pop: np.ndarray, n_tokens: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        cdf = np.cumsum(pop)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, rng.random(n_tokens)).astype(np.int64, copy=False)
-
-    @staticmethod
     def _sample_secondary(
         pool: np.ndarray,
         log_pop: np.ndarray,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -83,10 +81,3 @@ def paper_workload(batch_size: int, num_batches: int) -> Workload:
     """
     return Workload(batch_size, num_batches, **PAPER_WORKLOAD_KWARGS)
 
-
-def sample_topics(
-    n_sequences: int, num_topics: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Latent topic per sequence; topics skew routing in the text model."""
-    weights = rng.dirichlet(np.ones(num_topics) * 0.5)
-    return rng.choice(num_topics, size=n_sequences, p=weights)

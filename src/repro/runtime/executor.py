@@ -14,14 +14,17 @@ Two engines implement those semantics:
   structure-of-arrays form and computes start/end times in one tight pass
   over preconverted lists, then replays memory vectorized (a stable sort
   of the flat event stream plus a per-pool ``cumsum``, with capacity
-  checks against the vectorized running peaks). It returns a *lazy*
-  :class:`~repro.runtime.timeline.Timeline` whose per-op view is only
-  materialized on demand;
+  checks against the vectorized running peaks);
 * the **legacy** engine walks materialized :class:`Op` objects one at a
-  time and builds the full view eagerly. It is kept as the executable
+  time and replays memory over a sorted Python event list, packing its
+  results into arrays only at the end. It is kept as the executable
   specification — the equivalence property tests assert the compiled
   engine reproduces it bit-for-bit (start/end times, busy time, memory
   usage, peaks, and OOM behaviour).
+
+Both return the same array-backed
+:class:`~repro.runtime.timeline.Timeline`, whose per-op view is only
+materialized on demand.
 
 Memory effects are replayed in simulated-time order (frees before allocs
 at identical times) to produce per-pool usage timelines and detect
@@ -39,11 +42,12 @@ from repro.hardware.spec import HardwareSpec
 from repro.obs import span
 from repro.runtime.schedule import (
     EV_ALLOC,
+    RESOURCE_CODES,
     RESOURCES,
     CompiledSchedule,
     Schedule,
 )
-from repro.runtime.timeline import ExecutedOp, Timeline, _CompiledView
+from repro.runtime.timeline import ExecutedOp, Timeline
 
 
 @dataclass(frozen=True)
@@ -146,14 +150,15 @@ class Executor:
             usage_arrays, peaks = self._replay_memory_compiled(
                 compiled, starts_arr, ends_arr, self._capacities(capacities)
             )
-        view = _CompiledView(compiled, starts_arr, ends_arr, usage_arrays)
         return Timeline(
-            executed=None,
-            makespan=makespan,
-            busy_time=busy,
-            memory_usage=None,
-            memory_peak=peaks,
-            compiled_view=view,
+            compiled._schedule,
+            compiled.resources,
+            starts_arr,
+            ends_arr,
+            makespan,
+            busy,
+            usage_arrays,
+            peaks,
         )
 
     def _replay_memory_compiled(
@@ -236,11 +241,22 @@ class Executor:
 
         usage, peaks = self._replay_memory(executed, self._capacities(capacities))
         return Timeline(
-            executed=executed,
-            makespan=makespan,
-            busy_time=busy,
-            memory_usage=usage,
-            memory_peak=peaks,
+            schedule,
+            np.array(
+                [RESOURCE_CODES[e.op.resource] for e in executed], dtype=np.int16
+            ),
+            np.array([e.start for e in executed], dtype=np.float64),
+            np.array([e.end for e in executed], dtype=np.float64),
+            makespan,
+            busy,
+            {
+                pool: (
+                    np.array([t for t, _ in samples], dtype=np.float64),
+                    np.array([v for _, v in samples], dtype=np.int64),
+                )
+                for pool, samples in usage.items()
+            },
+            peaks,
         )
 
     def _replay_memory(

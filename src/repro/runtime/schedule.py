@@ -199,10 +199,6 @@ class CompiledSchedule:
             self._build_csr()
         return self._dep_indices
 
-    def op_view(self, op_id: int) -> Op:
-        """Materialize one :class:`Op` view (see :attr:`Schedule.ops`)."""
-        return self._schedule.ops[op_id]
-
 
 class Schedule:
     """An append-only, dependency-checked op list (structure-of-arrays)."""

@@ -1,21 +1,21 @@
 """Executed timelines: per-op start/end times plus derived statistics.
 
-A :class:`Timeline` produced by the compiled executor path is *lazy*: it
-holds the compiled schedule plus start/end arrays, and only materializes
-per-op :class:`ExecutedOp` objects (or the per-pool usage step functions)
-when somebody actually asks for them. Callers that only need makespan,
-busy time, or memory peaks — the metrics hot path — never pay for the
-full view.
+Both executor engines return the same array-backed :class:`Timeline`:
+the source schedule, per-op resource codes and start/end times, busy
+time, and per-pool memory usage as ``(times, levels)`` arrays. The
+per-op :class:`ExecutedOp` list and the ``(time, level)`` usage step
+functions are views built from those arrays on first access, so callers
+that only need makespan, busy time, idle time, or memory peaks — the
+metrics hot path — never pay for them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.schedule import GPU, RESOURCES, Op
+from repro.runtime.schedule import GPU, RESOURCE_CODES, Op, Schedule
 
 
 @dataclass(frozen=True)
@@ -45,82 +45,42 @@ class IdleGap:
         return self.end - self.start
 
 
-class _CompiledView:
-    """Lazy backing store for timelines produced by the compiled executor.
-
-    Holds the :class:`~repro.runtime.schedule.CompiledSchedule` and the
-    executed start/end arrays; materializes :class:`ExecutedOp` lists and
-    per-pool usage step functions on demand.
-    """
-
-    __slots__ = ("compiled", "starts", "ends", "usage_arrays")
-
-    def __init__(self, compiled, starts: np.ndarray, ends: np.ndarray, usage_arrays):
-        self.compiled = compiled
-        self.starts = starts
-        self.ends = ends
-        # pool -> (times float64 array, levels int64 array), replay order.
-        self.usage_arrays = usage_arrays
-
-    def materialize_executed(self) -> list[ExecutedOp]:
-        ops = self.compiled._schedule.ops
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        return [
-            ExecutedOp(ops[i], starts[i], ends[i])
-            for i in range(self.compiled.num_ops)
-        ]
-
-    def materialize_usage(self) -> dict[str, list[tuple[float, int]]]:
-        return {
-            pool: list(zip(times.tolist(), levels.tolist()))
-            for pool, (times, levels) in self.usage_arrays.items()
-        }
-
-    def idle_time(self, resource: str, min_duration: float) -> float:
-        code = RESOURCES.index(resource)
-        mask = self.compiled.resources == code
-        starts = self.starts[mask]
-        if starts.size < 2:
-            return 0.0
-        # Ops on one resource run FIFO, so ends are non-decreasing and the
-        # idle frontier is simply the previous op's end.
-        gaps = starts[1:] - self.ends[mask][:-1]
-        return float(gaps[gaps > min_duration].sum())
-
-
 class Timeline:
     """The result of executing a schedule.
 
     Attributes (all constructor arguments):
-        executed: per-op start/end times (materialized lazily when the
-            timeline came from the compiled executor path).
+        schedule: the executed schedule (source of the :class:`Op` views).
+        resources: ``[num_ops]`` resource codes (indices into
+            :data:`~repro.runtime.schedule.RESOURCES`).
+        starts / ends: ``[num_ops]`` float64 simulated start/end times.
         makespan: end time of the last op.
         busy_time: per-resource total busy seconds.
-        memory_usage: per-pool ``(time, level)`` step functions.
+        usage_arrays: per-pool ``(times float64, levels int64)`` arrays
+            in replay order.
         memory_peak: per-pool peak bytes.
     """
 
     def __init__(
         self,
-        executed: list[ExecutedOp] | None = None,
-        makespan: float = 0.0,
-        busy_time: dict[str, float] | None = None,
-        memory_usage: dict[str, list[tuple[float, int]]] | None = None,
-        memory_peak: dict[str, int] | None = None,
-        *,
-        compiled_view: _CompiledView | None = None,
+        schedule: Schedule,
+        resources: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        makespan: float,
+        busy_time: dict[str, float],
+        usage_arrays: dict[str, tuple[np.ndarray, np.ndarray]],
+        memory_peak: dict[str, int],
     ):
-        self._executed = executed
+        self.schedule = schedule
+        self.resources = resources
+        self.starts = starts
+        self.ends = ends
         self.makespan = makespan
-        self.busy_time = busy_time if busy_time is not None else {}
-        self._memory_usage = memory_usage
-        self.memory_peak = memory_peak if memory_peak is not None else {}
-        self._view = compiled_view
-        if executed is None and compiled_view is None:
-            self._executed = []
-        if memory_usage is None and compiled_view is None:
-            self._memory_usage = {}
+        self.busy_time = busy_time
+        self.usage_arrays = usage_arrays
+        self.memory_peak = memory_peak
+        self._executed: list[ExecutedOp] | None = None
+        self._memory_usage: dict[str, list[tuple[float, int]]] | None = None
 
     # ---- lazy views --------------------------------------------------------
 
@@ -128,7 +88,12 @@ class Timeline:
     def executed(self) -> list[ExecutedOp]:
         """Per-op execution records (materialized on first access)."""
         if self._executed is None:
-            self._executed = self._view.materialize_executed()
+            self._executed = [
+                ExecutedOp(op, start, end)
+                for op, start, end in zip(
+                    self.schedule.ops, self.starts.tolist(), self.ends.tolist()
+                )
+            ]
         return self._executed
 
     @property
@@ -140,20 +105,19 @@ class Timeline:
     def memory_usage(self) -> dict[str, list[tuple[float, int]]]:
         """Per-pool usage step functions (materialized on first access)."""
         if self._memory_usage is None:
-            self._memory_usage = self._view.materialize_usage()
+            self._memory_usage = {
+                pool: list(zip(times.tolist(), levels.tolist()))
+                for pool, (times, levels) in self.usage_arrays.items()
+            }
         return self._memory_usage
 
     def start_of(self, op_id: int) -> float:
-        """Start time of one op without materializing the full view."""
-        if self._view is not None:
-            return float(self._view.starts[op_id])
-        return self.executed[op_id].start
+        """Start time of one op."""
+        return float(self.starts[op_id])
 
     def end_of(self, op_id: int) -> float:
-        """End time of one op without materializing the full view."""
-        if self._view is not None:
-            return float(self._view.ends[op_id])
-        return self.executed[op_id].end
+        """End time of one op."""
+        return float(self.ends[op_id])
 
     # ---- derived statistics ------------------------------------------------
 
@@ -175,9 +139,15 @@ class Timeline:
         return gaps
 
     def idle_time(self, resource: str = GPU) -> float:
-        if self._view is not None and self._executed is None:
-            return self._view.idle_time(resource, 1e-9)
-        return sum(g.duration for g in self.idle_gaps(resource))
+        """Summed idle gaps (longer than 1 ns) of ``resource``."""
+        mask = self.resources == RESOURCE_CODES[resource]
+        starts = self.starts[mask]
+        if starts.size < 2:
+            return 0.0
+        # Ops on one resource run FIFO, so ends are non-decreasing and the
+        # idle frontier is simply the previous op's end.
+        gaps = starts[1:] - self.ends[mask][:-1]
+        return float(gaps[gaps > 1e-9].sum())
 
     def utilization(self, resource: str = GPU) -> float:
         """Busy fraction of the resource over the whole makespan."""
@@ -187,16 +157,9 @@ class Timeline:
 
     def memory_at(self, pool: str, time: float) -> int:
         """Pool usage at a given simulated time (step function lookup)."""
-        if self._view is not None and self._memory_usage is None:
-            entry = self._view.usage_arrays.get(pool)
-            if entry is None:
-                return 0
-            times, levels = entry
-            idx = int(np.searchsorted(times, time, side="right")) - 1
-            return int(levels[idx]) if idx >= 0 else 0
-        samples = self.memory_usage.get(pool, [])
-        if not samples:
+        entry = self.usage_arrays.get(pool)
+        if entry is None:
             return 0
-        times = [t for t, _ in samples]
-        idx = bisect_right(times, time) - 1
-        return samples[idx][1] if idx >= 0 else 0
+        times, levels = entry
+        idx = int(np.searchsorted(times, time, side="right")) - 1
+        return int(levels[idx]) if idx >= 0 else 0

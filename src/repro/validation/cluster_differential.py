@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.canonical import canonical_json
 from repro.cluster.report import ClusterReport
 from repro.errors import OutOfMemoryError
-from repro.validation.goldens import _floats_to_repr, canonical_json
+from repro.validation.goldens import _floats_to_repr
 
 #: Engine names the harness exercises, reference first.
 CLUSTER_ENGINES = ("serial", "batched", "sharded")

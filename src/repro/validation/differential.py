@@ -21,7 +21,6 @@ from repro.hardware.spec import HardwareSpec
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.schedule import RESOURCES, Schedule
 from repro.runtime.timeline import Timeline
-from repro.validation.invariants import timeline_arrays
 
 ENGINES = ("legacy", "compiled")
 
@@ -77,8 +76,8 @@ def diff_timelines(
         timelines are bit-identical in every observable).
     """
     diffs: list[str] = []
-    ref_starts, ref_ends = timeline_arrays(reference)
-    cand_starts, cand_ends = timeline_arrays(candidate)
+    ref_starts, ref_ends = reference.starts, reference.ends
+    cand_starts, cand_ends = candidate.starts, candidate.ends
     if len(ref_starts) != len(cand_starts):
         diffs.append(f"op count: {len(ref_starts)} != {len(cand_starts)}")
         return diffs

@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api.canonical import stable_hash
 from repro.cluster.report import ClusterReport
 from repro.runtime.schedule import RESOURCES, CompiledSchedule, Schedule
 from repro.runtime.timeline import Timeline
-from repro.validation.invariants import timeline_arrays
 
 DEFAULT_GOLDEN_ROOT = Path(__file__).resolve().parents[3] / "tests" / "goldens"
 
@@ -39,30 +39,6 @@ def _array_digest(values: np.ndarray) -> str:
     if arr.dtype.byteorder == ">":  # pragma: no cover - big-endian hosts
         arr = arr.astype(arr.dtype.newbyteorder("<"))
     return hashlib.sha256(arr.tobytes()).hexdigest()
-
-
-def canonical_json(payload: dict) -> str:
-    """Serialize ``payload`` deterministically (sorted keys, repr floats).
-
-    Args:
-        payload: a JSON-compatible mapping.
-
-    Returns:
-        The canonical string used for digests and on-disk goldens.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def digest(payload: dict) -> str:
-    """SHA-256 of a snapshot's canonical JSON.
-
-    Args:
-        payload: the snapshot body (without its ``digest`` field).
-
-    Returns:
-        The hex digest addressing this content.
-    """
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline) -> dict:
@@ -77,16 +53,14 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
         content-addressing ``digest`` field.
     """
     compiled = schedule if isinstance(schedule, CompiledSchedule) else schedule.freeze()
-    starts, ends = timeline_arrays(timeline)
-    usage = {}
-    for pool, samples in sorted(timeline.memory_usage.items()):
-        times = np.array([t for t, _ in samples], dtype=np.float64)
-        levels = np.array([v for _, v in samples], dtype=np.int64)
-        usage[pool] = {
-            "samples": len(samples),
+    usage = {
+        pool: {
+            "samples": len(times),
             "times_sha256": _array_digest(times),
             "levels_sha256": _array_digest(levels),
         }
+        for pool, (times, levels) in sorted(timeline.usage_arrays.items())
+    }
     payload = {
         "kind": "timeline",
         "num_ops": compiled.num_ops,
@@ -97,11 +71,11 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
         "memory_peak": {
             pool: int(peak) for pool, peak in sorted(timeline.memory_peak.items())
         },
-        "starts_sha256": _array_digest(starts.astype(np.float64)),
-        "ends_sha256": _array_digest(ends.astype(np.float64)),
+        "starts_sha256": _array_digest(timeline.starts),
+        "ends_sha256": _array_digest(timeline.ends),
         "memory_usage": usage,
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 
@@ -127,7 +101,7 @@ def snapshot_schedule(schedule: Schedule | CompiledSchedule) -> dict:
         "ev_op_sha256": _array_digest(compiled.ev_op),
         "ev_delta_sha256": _array_digest(compiled.ev_delta),
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 
@@ -141,7 +115,6 @@ def snapshot_cluster(report: ClusterReport) -> dict:
         A JSON-compatible snapshot with the full report digested and the
         headline metrics inline.
     """
-    full = canonical_json(_floats_to_repr(report.to_dict()))
     payload = {
         "kind": "cluster",
         "router": report.router,
@@ -151,9 +124,9 @@ def snapshot_cluster(report: ClusterReport) -> dict:
         "throughput_tok_s": repr(report.throughput),
         "goodput_tok_s": repr(report.goodput),
         "expert_misses": report.expert_misses,
-        "report_sha256": hashlib.sha256(full.encode()).hexdigest(),
+        "report_sha256": stable_hash(_floats_to_repr(report.to_dict())),
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 
@@ -201,10 +174,8 @@ def snapshot_fleet(report: ClusterReport, *, stride: int = 1000) -> dict:
         }
         for i in range(0, len(records), stride)
     ]
-    replicas = canonical_json(
-        _floats_to_repr(
-            [replica.to_dict(report.makespan_s) for replica in report.replicas]
-        )
+    replicas = _floats_to_repr(
+        [replica.to_dict(report.makespan_s) for replica in report.replicas]
     )
     payload = {
         "kind": "fleet",
@@ -224,10 +195,10 @@ def snapshot_fleet(report: ClusterReport, *, stride: int = 1000) -> dict:
         "columns_sha256": {
             name: _array_digest(arr) for name, arr in sorted(columns.items())
         },
-        "replicas_sha256": hashlib.sha256(replicas.encode()).hexdigest(),
+        "replicas_sha256": stable_hash(replicas),
         "sampled_records": sampled,
     }
-    payload["digest"] = digest(payload)
+    payload["digest"] = stable_hash(payload)
     return payload
 
 

@@ -74,26 +74,6 @@ class Violation:
         return f"[{self.invariant}] {self.message}"
 
 
-def timeline_arrays(timeline: Timeline) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end arrays of a timeline without materializing the op view.
-
-    Args:
-        timeline: an executed timeline (lazy compiled-view or legacy).
-
-    Returns:
-        ``(starts, ends)`` float64 arrays in op order; taken directly
-        from the compiled view when present, so the per-op
-        :class:`~repro.runtime.timeline.ExecutedOp` objects are never
-        allocated on this path.
-    """
-    view = timeline._view
-    if view is not None:
-        return view.starts, view.ends
-    starts = np.array([e.start for e in timeline.executed], dtype=np.float64)
-    ends = np.array([e.end for e in timeline.executed], dtype=np.float64)
-    return starts, ends
-
-
 def check_timeline(
     schedule: Schedule | CompiledSchedule,
     timeline: Timeline,
@@ -117,7 +97,7 @@ def check_timeline(
     compiled = schedule if isinstance(schedule, CompiledSchedule) else schedule.freeze()
     violations: list[Violation] = []
     n = compiled.num_ops
-    starts, ends = timeline_arrays(timeline)
+    starts, ends = timeline.starts, timeline.ends
     if len(starts) != n or len(ends) != n:
         violations.append(
             Violation(
@@ -259,16 +239,19 @@ def _check_memory(
                     f"peak {peak}",
                 )
             )
-        usage = timeline.memory_usage.get(pool, [])
-        replayed = list(zip(times_s[mask].tolist(), levels.tolist()))
-        if [(float(t), int(v)) for t, v in usage] != [
-            (float(t), int(v)) for t, v in replayed
-        ]:
+        # array_equal also compares shapes: sample counts must match.
+        recorded_times, recorded_levels = timeline.usage_arrays.get(
+            pool, (np.empty(0), np.empty(0))
+        )
+        if not (
+            np.array_equal(recorded_times, times_s[mask])
+            and np.array_equal(recorded_levels, levels)
+        ):
             violations.append(
                 Violation(
                     "memory-replay",
                     f"{pool}: usage step function disagrees with replay "
-                    f"({len(usage)} vs {len(replayed)} samples)",
+                    f"({len(recorded_times)} vs {len(levels)} samples)",
                 )
             )
         if capacities is not None and pool in enforced_pools:

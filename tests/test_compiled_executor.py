@@ -211,8 +211,54 @@ class TestLazyTimeline:
         timeline = result.timeline
         lazy_idle = timeline.idle_time(GPU)
         executed = timeline.executed  # materialize
-        assert timeline.idle_time(GPU) == pytest.approx(lazy_idle, rel=1e-9)
+        assert timeline.idle_time(GPU) == lazy_idle
         assert executed[0].start == timeline.start_of(0)
+
+
+class TestIdleTimeIndependentOfEngine:
+    """GPU idle time, ``gpu_idle_s`` and the bubble split are the same
+    floats whichever engine produced the timeline, and whether or not its
+    per-op view has been materialized."""
+
+    CASES = [
+        ("accelerate", (4, 2, 32, 2)),
+        ("fastgen", (8, 4, 32, 4)),
+        ("moe-infinity", (4, 2, 32, 3)),
+    ]
+
+    @pytest.mark.parametrize("system,workload", CASES)
+    def test_idle_time_bit_equal_across_engines(self, system, workload):
+        from repro.analysis.bubbles import analyze_bubbles
+        from repro.api import build_system
+        from repro.routing.workload import Workload
+        from repro.runtime.metrics import metrics_from_timeline
+        from repro.scenario import Scenario
+        from tests.conftest import SMALL_MIXTRAL, small_hardware
+
+        scenario = Scenario(
+            SMALL_MIXTRAL, small_hardware(), Workload(*workload), seed=1
+        )
+        schedule = build_system(system).build(scenario).schedule
+
+        def observed(timeline):
+            metrics = metrics_from_timeline(
+                timeline, system=system, model="m", environment="e",
+                batch_size=1, num_batches=1, prompt_len=1, gen_len=1,
+            )
+            return (
+                timeline.idle_time(GPU),
+                metrics.gpu_idle_s,
+                analyze_bubbles(timeline),
+            )
+
+        compiled = Executor(scenario.hardware).run(schedule)
+        legacy = Executor(
+            scenario.hardware, ExecutorConfig(engine="legacy")
+        ).run(schedule)
+        before = observed(compiled)
+        assert observed(legacy) == before
+        _ = compiled.executed  # materialize the per-op view
+        assert observed(compiled) == before
 
 
 class TestProcessWideMemos:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.bubbles import analyze_bubbles
+from repro.analysis.bubbles import BubbleReport, analyze_bubbles
 from repro.api import PASSES, pass_names
 from repro.errors import ScheduleError
 from repro.passes import (
@@ -25,6 +25,7 @@ from repro.runtime.schedule import (
     H2D,
     PHASE_ATTENTION,
     PHASE_EXPERT,
+    PHASE_GATE,
     MemEffect,
     Schedule,
 )
@@ -341,8 +342,9 @@ class TestPassDifferential:
 
 class TestBubblesFastPath:
     def test_lazy_view_matches_materialized_scan(self):
-        """Satellite: array-backed gap scan is bit-identical to the legacy
-        ExecutedOp walk on the same timeline."""
+        """The array-backed gap scan is bit-identical to a classification
+        of the ExecutedOp walk (``Timeline.idle_gaps``) on the same
+        timeline, before and after the per-op view is materialized."""
         s = Schedule()
         s.compute(0.25, "head")
         t0 = s.transfer_in(1.5, "w0")
@@ -353,9 +355,25 @@ class TestBubblesFastPath:
         assert not timeline.executed_is_materialized
         fast = analyze_bubbles(timeline)
         assert not timeline.executed_is_materialized  # stayed lazy
-        _ = timeline.executed  # force materialization -> legacy path
-        legacy = analyze_bubbles(timeline)
+        inter = intra = other = 0.0
+        for gap in timeline.idle_gaps(GPU):  # materializes the op view
+            phase = gap.before_op.op.phase
+            if phase in (PHASE_EXPERT, PHASE_GATE):
+                intra += gap.duration
+            elif phase == PHASE_ATTENTION:
+                inter += gap.duration
+            else:
+                other += gap.duration
+        legacy = BubbleReport(
+            total_time=timeline.makespan,
+            busy_time=timeline.busy_time[GPU],
+            inter_layer=inter,
+            intra_layer=intra,
+            other_idle=other,
+        )
+        assert timeline.executed_is_materialized
         assert fast == legacy  # bitwise: dataclass equality on floats
+        assert analyze_bubbles(timeline) == fast
         assert fast.inter_layer > 0 and fast.intra_layer > 0
 
 

@@ -1,4 +1,4 @@
-"""Chrome-trace export and the command-line interface."""
+"""Chrome-trace timeline lanes and the command-line interface."""
 
 import json
 
@@ -6,8 +6,10 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.engine import KlotskiSystem
+from repro.errors import ReproDeprecationWarning
+from repro.obs.export import chrome_trace, save_trace
+from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.schedule import GPU
-from repro.runtime.traceexport import save_chrome_trace, timeline_to_chrome_trace
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +26,7 @@ def small_result():
 
 class TestChromeTraceExport:
     def test_event_structure(self, small_result):
-        trace = timeline_to_chrome_trace(small_result.timeline)
+        trace = chrome_trace(spans=[], timeline=small_result.timeline)
         events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert len(events) == len(small_result.timeline.executed)
         for event in events[:20]:
@@ -33,18 +35,18 @@ class TestChromeTraceExport:
             assert "layer" in event["args"]
 
     def test_lane_metadata_present(self, small_result):
-        trace = timeline_to_chrome_trace(small_result.timeline)
+        trace = chrome_trace(spans=[], timeline=small_result.timeline)
         meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         assert any(m["args"]["name"] == GPU for m in meta)
 
     def test_file_roundtrip(self, small_result, tmp_path):
         path = tmp_path / "trace.json"
-        save_chrome_trace(small_result.timeline, path)
+        save_trace(path, spans=[], timeline=small_result.timeline)
         data = json.loads(path.read_text())
         assert "traceEvents" in data
 
     def test_timestamps_monotone_per_lane(self, small_result):
-        trace = timeline_to_chrome_trace(small_result.timeline)
+        trace = chrome_trace(spans=[], timeline=small_result.timeline)
         by_lane = {}
         for event in trace["traceEvents"]:
             if event["ph"] != "X":
@@ -55,6 +57,20 @@ class TestChromeTraceExport:
             starts = [e["ts"] for e in events]
             for end, nxt in zip(ends, starts[1:]):
                 assert nxt >= end - 1.0  # microsecond rounding slack
+
+    def test_engines_export_identical_events(self, small_scenario):
+        built = KlotskiSystem().build(small_scenario)
+        traces = [
+            chrome_trace(
+                spans=[],
+                timeline=Executor(
+                    small_scenario.hardware, ExecutorConfig(engine=engine)
+                ).run(built.schedule),
+            )
+            for engine in ("legacy", "compiled")
+        ]
+        assert traces[0] == traces[1]
+        assert len(traces[0]["traceEvents"]) > len(built.schedule)
 
 
 class TestCLI:
@@ -90,12 +106,24 @@ class TestCLI:
 
     def test_export_trace_command(self, capsys, tmp_path):
         out_path = tmp_path / "t.json"
-        code = main([
-            "export-trace", "--batch-size", "4", "--gen-len", "2",
-            "--n", "2", "--out", str(out_path),
-        ])
+        with pytest.warns(ReproDeprecationWarning, match="run --n N --trace"):
+            code = main([
+                "export-trace", "--batch-size", "4", "--gen-len", "2",
+                "--n", "2", "--out", str(out_path),
+            ])
         assert code == 0
         assert out_path.exists()
+        run_path = tmp_path / "run.json"
+        assert main([
+            "run", "--batch-size", "4", "--gen-len", "2",
+            "--n", "2", "--trace", str(run_path),
+        ]) == 0
+
+        def simulated(path):
+            events = json.loads(path.read_text())["traceEvents"]
+            return [e for e in events if e["pid"] == 0]
+
+        assert simulated(out_path) == simulated(run_path)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
