@@ -54,6 +54,10 @@ _CELL_KEYS = ("model", "env", "batch_size", "n", "prompt_len", "gen_len", "seed"
 
 _HOT_EXPERT_MODES = ("auto", "zipf", "pin", "none")
 
+# Retired cluster engine names, accepted for one deprecation window:
+# :func:`repro.api.run.run_cluster` warns and runs ``batched`` instead.
+DEPRECATED_ENGINES = ("sharded",)
+
 
 class Errors:
     """Collects ``path: message`` strings across a config tree."""
@@ -541,11 +545,11 @@ class ClusterConfig:
         expert_slots_per_replica: residency slots per replica (0 means
             derive from each replica's placement plan).
         prompt_quantum: prompt-length bucket for group-timing memoization.
-        engine: simulation engine — ``serial`` (reference event loop),
-            ``batched`` (group-granular scan), or ``sharded``
-            (multiprocess scan); all three are bit-identical (see
+        engine: simulation engine — ``serial`` (reference event loop) or
+            ``batched`` (group-granular scan); both are bit-identical (see
             :func:`repro.validation.run_cluster_differential`).
-        jobs: worker processes for the sharded engine.
+            ``sharded`` is a deprecated alias of ``batched``.
+        jobs: deprecated and ignored (any value but 1 warns).
         faults: fault-injection model — a
             :data:`~repro.api.registry.FAULT_PRESETS` name or an inline
             :class:`~repro.cluster.faults.FaultConfig` dict; the empty
@@ -660,6 +664,8 @@ class ClusterConfig:
         return config
 
     def _validate(self, path: str) -> list[tuple[str, str]]:
+        from repro.cluster.engines import ENGINES
+
         out = []
         checks = (
             ("replicas", self.replicas >= 1, "must be >= 1"),
@@ -674,8 +680,8 @@ class ClusterConfig:
             ),
             (
                 "engine",
-                self.engine in ("serial", "batched", "sharded"),
-                "must be one of: serial, batched, sharded",
+                self.engine in ENGINES or self.engine in DEPRECATED_ENGINES,
+                f"must be one of: {', '.join(ENGINES)}",
             ),
             ("jobs", self.jobs >= 1, "must be >= 1"),
             (

@@ -12,13 +12,17 @@ layer without cycles.
 
 from __future__ import annotations
 
+import warnings
+
 from repro.api.config import (
+    DEPRECATED_ENGINES,
     RunConfig,
     ScenarioConfig,
     ServeConfig,
     SystemConfig,
 )
 from repro.api.registry import ARRIVALS
+from repro.errors import ReproDeprecationWarning
 
 
 def build_scenario(config: ScenarioConfig):
@@ -181,9 +185,11 @@ def run_cluster(
             the config via :func:`build_requests`); pass one when the
             caller also needs the stream, to avoid re-generating it.
         engine: simulation engine override (default: the config's
-            ``cluster.engine``); all engines are bit-identical, see
-            :mod:`repro.cluster.engines`.
-        jobs: sharded-engine worker override (default: ``cluster.jobs``).
+            ``cluster.engine``); both engines are bit-identical, see
+            :mod:`repro.cluster.engines`. The deprecated ``"sharded"``
+            warns and runs ``batched``.
+        jobs: deprecated and ignored (default: ``cluster.jobs``); any
+            value but 1 warns.
 
     Returns:
         The :class:`~repro.cluster.report.ClusterReport`.
@@ -194,6 +200,20 @@ def run_cluster(
     cluster = run.cluster
     if cluster is None:
         raise ValueError("run config has no cluster section")
+    engine = engine if engine is not None else cluster.engine
+    if engine in DEPRECATED_ENGINES:
+        warnings.warn(
+            f"cluster engine {engine!r} is deprecated; it runs 'batched'",
+            ReproDeprecationWarning,
+            stacklevel=2,
+        )
+        engine = "batched"
+    if (jobs if jobs is not None else cluster.jobs) != 1:
+        warnings.warn(
+            "cluster `jobs` is deprecated and ignored",
+            ReproDeprecationWarning,
+            stacklevel=2,
+        )
     # Requests first: stream generation is cheap and carries the
     # fail-fast errors (missing trace file), fleet building is the
     # expensive half.
@@ -212,8 +232,4 @@ def run_cluster(
         faults=cluster.resolve_faults(),
         retry=cluster.build_retry(),
     )
-    return simulator.run(
-        requests,
-        engine=engine if engine is not None else cluster.engine,
-        jobs=jobs if jobs is not None else cluster.jobs,
-    )
+    return simulator.run(requests, engine=engine)

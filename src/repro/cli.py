@@ -75,6 +75,7 @@ from repro.api import (
     system_names,
 )
 from repro.api.registry import RegistryError
+from repro.cluster.engines import ENGINES
 from repro.core.engine import KlotskiEngine, KlotskiSystem
 from repro.errors import (
     ConfigValidationError,
@@ -440,8 +441,6 @@ def _faults_from_args(args):
 
 def cmd_serve(args) -> int:
     replay = args.arrival_trace
-    # --jobs > 1 implies the sharded engine unless --engine pinned one.
-    engine = args.engine or ("sharded" if args.jobs > 1 else "serial")
     faults = _faults_from_args(args)
     tree = {
         "scenario": scenario_dict_from_args(args, n=1),
@@ -453,8 +452,7 @@ def cmd_serve(args) -> int:
             "group_batches": args.group_batches,
             "max_wait_s": args.max_wait,
             "slo_s": args.slo,
-            "engine": engine,
-            "jobs": args.jobs,
+            "engine": args.engine,
             "faults": faults,
             "scheduler": args.scheduler,
         },
@@ -599,11 +597,11 @@ def _clear_perf_memos() -> None:
     clear_group_timing_memo()
 
 
-# The fleet-scale serving cell (ISSUE 7): one million requests across a
-# 64-replica fleet, timed through the serial event loop and the sharded
-# scan so BENCH.json tracks both the specification's and the fast
-# engine's throughput. Round-robin keeps the stream plannable (the scans'
-# fast path); the rate is high enough that groups fill under load.
+# The fleet-scale serving cell: one million requests across a 64-replica
+# fleet, timed through the serial event loop and the batched scan so
+# BENCH.json tracks both the specification's and the fast engine's
+# throughput. Round-robin keeps the stream plannable (the scan's fast
+# path); the rate is high enough that groups fill under load.
 _BENCH_CLUSTER_PARAMS = {
     "requests": 1_000_000,
     "replicas": 64,
@@ -615,14 +613,12 @@ _BENCH_CLUSTER_PARAMS = {
 
 
 def _bench_cluster(num_requests: int, num_replicas: int) -> dict:
-    """Time the fleet-scale cluster cell: stream build + serial + sharded.
+    """Time the fleet-scale cluster cell: stream build + serial + batched.
 
     Each engine starts from cold memos and a fresh fleet on the *same*
     request stream, so the two timings measure exactly the work the
     differential harness proves equivalent.
     """
-    import os
-
     from repro.api.run import build_requests, run_cluster
 
     params = dict(_BENCH_CLUSTER_PARAMS)
@@ -652,13 +648,11 @@ def _bench_cluster(num_requests: int, num_replicas: int) -> dict:
     t0 = time.perf_counter()
     requests = build_requests(config)
     build_s = time.perf_counter() - t0
-    jobs = max(1, min(8, os.cpu_count() or 1))
-    params["jobs"] = jobs
     cell = {"params": params, "build_s": round(build_s, 4)}
-    for engine in ("serial", "sharded"):
+    for engine in ENGINES:
         _clear_perf_memos()
         t0 = time.perf_counter()
-        run_cluster(config, requests=requests, engine=engine, jobs=jobs)
+        run_cluster(config, requests=requests, engine=engine)
         cell[f"{engine}_s"] = round(time.perf_counter() - t0, 4)
     # The iteration-level discipline on the same stream: not equivalent
     # work (different dispatch semantics), but the cost of the per-step
@@ -805,7 +799,7 @@ def _compare_bench(payload: dict, baseline: dict, tolerance: float) -> dict:
                 )
     clus, base_clus = payload.get("cluster"), baseline.get("cluster")
     if clus and base_clus:
-        for key in ("serial_s", "sharded_s", "continuous_s"):
+        for key in ("serial_s", "batched_s", "continuous_s"):
             if key in clus and key in base_clus:
                 add(f"cluster.{key}", base_clus[key] * 1e3, clus[key] * 1e3)
     opt, base_opt = payload.get("optimize"), baseline.get("optimize")
@@ -896,8 +890,8 @@ def cmd_bench(args) -> int:
                 f"{cell['params']['replicas']} replicas): "
                 f"build {cell['build_s']:.3f} s, "
                 f"serial {cell['serial_s']:.3f} s, "
-                f"sharded {cell['sharded_s']:.3f} s "
-                f"(jobs {cell['params']['jobs']})"
+                f"batched {cell['batched_s']:.3f} s, "
+                f"continuous {cell['continuous_s']:.3f} s"
             )
     if args.baseline:
         try:
@@ -1123,13 +1117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo", type=float, default=120.0,
                    help="latency SLO for goodput accounting (s)")
     p.add_argument(
-        "--engine", default=None, choices=["serial", "batched", "sharded"],
-        help="simulation engine (bit-identical results; default: serial, "
-        "or sharded when --jobs > 1)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sharded engine",
+        "--engine", default="serial", choices=ENGINES,
+        help="simulation engine (bit-identical results; default: serial)",
     )
     p.add_argument(
         "--scheduler", default="group", choices=scheduler_names(),
@@ -1228,7 +1217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cluster", action="store_true",
         help="also time the fleet-scale cluster cell "
-        "(serial + sharded engines on one request stream)",
+        "(serial + batched engines and the continuous scheduler on one "
+        "request stream)",
     )
     p.add_argument(
         "--cluster-requests", type=int,

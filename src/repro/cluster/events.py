@@ -19,8 +19,8 @@ request arriving at *t* is routed (so load-aware routers see the freed
 capacity), and an arrival at *t* may complete a group before a deadline
 at *t* forces a partial dispatch. Before this key existed the tie order
 depended on heap insertion history, which made the serial loop's output
-incomparable to the batched/sharded engines that schedule the same
-events in a different order (see :mod:`repro.cluster.engines`).
+incomparable to the batched engine, which schedules the same events in
+a different order (see :mod:`repro.cluster.engines`).
 
 Deadline events are scheduled eagerly (one per enqueued request) and
 validated lazily when popped: a stale deadline — its request already
@@ -64,8 +64,8 @@ RETRY = "retry"  # a backed-off request re-enters routing
 DECODE_STEP = "decode-step"
 
 # Canonical same-timestamp ranking (see module docstring). The batched
-# and sharded engines reproduce exactly this order without a heap, which
-# is what makes their reports byte-identical to the serial loop's.
+# engine reproduces exactly this order without a heap, which is what
+# makes its reports byte-identical to the serial loop's.
 # Fault/control events sit between completions and arrivals: a group
 # finishing at *t* still lands first, then the fleet's health changes,
 # then backed-off retries re-route, and only then are new arrivals at
@@ -84,6 +84,11 @@ KIND_PRIORITY = {
     DECODE_STEP: 10,
 }
 
+
+#: Tolerance of the batching-deadline check: a replica's queue head is
+#: due once ``head.arrival_s + max_wait_s <= now + DEADLINE_EPS``. The
+#: batched engine evaluates the very same float expression.
+DEADLINE_EPS = 1e-9
 
 _ARRIVAL_PRIORITY = KIND_PRIORITY[ARRIVAL]
 _new = tuple.__new__  # builds an Event without the Python-level __new__

@@ -39,10 +39,10 @@ retried/shed/failed counts, per-replica up-time billing).
 :class:`FaultLayer` applies all of this to one run. The one event loop
 (:meth:`~repro.cluster.simulator.ClusterSimulator._run`) builds it and
 routes every health, retry and shedding decision through it, under
-either dispatch policy (:mod:`repro.serving.scheduler`). The fast engines
-(:mod:`repro.cluster.engines`) do not model faults; a simulator with an
-active fault config deterministically falls back to the serial group
-loop, which the differential harness treats as trivially
+either dispatch policy (:mod:`repro.serving.scheduler`). The batched
+engine (:mod:`repro.cluster.engines`) does not model faults; a simulator
+with an active fault config deterministically falls back to the serial
+group loop, which the differential harness treats as trivially
 engine-identical.
 """
 

@@ -65,15 +65,15 @@ class Router:
     ) -> list[int] | None:
         """Precompute the replica index for every request, or ``None``.
 
-        The batched and sharded engines (:mod:`repro.cluster.engines`) can
-        only partition work per replica when routing is independent of
+        The batched engine (:mod:`repro.cluster.engines`) can only
+        partition work per replica when routing is independent of
         simulated load — i.e. when the sequence of :meth:`choose` results
         is a pure function of the arrival-sorted request stream. A router
         that can prove this returns the exact assignment the serial event
         loop would produce, one replica index per request in
         arrival-sorted order, and must leave its own state as if
         :meth:`choose` had been called once per request. Load-coupled
-        policies return ``None`` (the default), which makes the engines
+        policies return ``None`` (the default), which makes the engine
         fall back to an in-order event walk.
         """
         return None

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.engines import ENGINES, run_batched
 from repro.cluster.events import ARRIVAL, EventQueue
 from repro.cluster.faults import FaultLayer
 from repro.cluster.replica import Replica
@@ -55,7 +56,7 @@ class ClusterConfig:
             derive from each replica's placement).
         scheduler: dispatch policy the event loop runs under —
             ``"group"`` (group-granular batching, the only policy the
-            fast engines reproduce) or any other name registered in
+            batched engine reproduces) or any other name registered in
             ``repro.api.SCHEDULERS`` (e.g. ``"continuous"`` for
             iteration-level batching).
     """
@@ -216,20 +217,16 @@ class ClusterSimulator:
         requests: list[Request],
         *,
         engine: str = "serial",
-        jobs: int = 1,
     ) -> ClusterReport:
         """Simulate the stream to completion and aggregate the report.
 
         Args:
             requests: the request stream (any order; sorted internally).
-            engine: ``serial`` (the reference event loop), ``batched``
-                (group-granular per-replica scan), or ``sharded`` (the
-                scans across a ``multiprocessing`` pool). The fast
-                engines produce bit-identical reports — see
+            engine: ``serial`` (the reference event loop) or
+                ``batched`` (group-granular per-replica scan). Both
+                produce bit-identical reports — see
                 :mod:`repro.cluster.engines` and
                 :func:`repro.validation.run_cluster_differential`.
-            jobs: worker processes for the sharded engine (ignored
-                otherwise).
 
         Raises:
             RuntimeError: on fleet reuse. Replica state (queues, groups,
@@ -239,15 +236,13 @@ class ClusterSimulator:
                 ``repro.api.build_fleet``) per run.
 
         With an active fault config every engine deterministically runs
-        the serial loop (the fast engines do not model faults); the
+        the serial loop (the batched engine does not model faults); the
         fallback is counted as ``cluster.engine.fault_fallback``.
         A non-default ``config.scheduler`` likewise always runs the serial
         loop under its policy, entered through the policy's ``run``
-        (counted ``cluster.engine.scheduler_fallback`` when a fast engine
-        was requested).
+        (counted ``cluster.engine.scheduler_fallback`` when the batched
+        engine was requested).
         """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self._consumed or any(
             r.groups or r.queue or r.busy_s or r.queue_depth_timeline
             or r._timeline_tick
@@ -269,8 +264,8 @@ class ClusterSimulator:
             },
         ):
             if self.config.scheduler != "group":
-                # Other policies only run on the serial loop; the fast
-                # engines reproduce the group policy alone.
+                # Other policies only run on the serial loop; the batched
+                # engine reproduces the group policy alone.
                 from repro.api.registry import SCHEDULERS
 
                 if engine != "serial":
@@ -281,9 +276,11 @@ class ClusterSimulator:
             if self.faults is not None and self.faults.active():
                 count("cluster.engine.fault_fallback")
                 return self._run(requests)
-            from repro.cluster.engines import run_engine
-
-            return run_engine(self, requests, engine=engine, jobs=jobs)
+            if engine != "batched":
+                raise ValueError(
+                    f"unknown cluster engine {engine!r}; choose from {ENGINES}"
+                )
+            return run_batched(self, requests)
 
     def _run(self, requests: list[Request], policy=None) -> ClusterReport:
         """The one event loop, under a dispatch ``policy``.
@@ -292,7 +289,7 @@ class ClusterSimulator:
         :class:`~repro.cluster.faults.FaultLayer`, arrival counting,
         routing (health, ``router.choose``, shedding) and the replica
         stats. The :class:`~repro.serving.scheduler.Scheduler` policy
-        (default: group, which the fast engines reproduce) owns what
+        (default: group, which the batched engine reproduces) owns what
         happens to a routed request and to its own event kinds.
         """
         if policy is None:

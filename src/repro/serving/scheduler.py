@@ -6,7 +6,7 @@ layer and routing. A registered :class:`Scheduler` is the dispatch policy
 that decides what runs when. :class:`GroupScheduler` (``group``, the
 default) forms batch groups that hold their replica's execution slot
 until every member finishes — the paper's throughput-oriented serving
-shape, and the reference of the fast engines in
+shape, and the reference of the batched engine in
 :mod:`repro.cluster.engines`. :class:`ContinuousScheduler`
 (``continuous``) is the iteration-level alternative popularized by
 Orca/vLLM: replicas advance in *decode steps*, and at every step boundary
@@ -68,12 +68,12 @@ from itertools import chain, count as counter
 from operator import attrgetter, itemgetter
 
 from repro.api.registry import register_scheduler
-from repro.cluster.events import COMPLETION, DEADLINE, DECODE_STEP
+from repro.cluster.events import COMPLETION, DEADLINE, DEADLINE_EPS, DECODE_STEP
 from repro.cluster.report import ClusterReport, make_record
 from repro.obs import span
 from repro.serving.requests import Request
 
-_EPS = 1e-9
+_FLOOR_S = 1e-9  # keeps per-token rates finite on zero-length timings
 
 # Fraction of usable VRAM the derived KV budget may occupy — the rest
 # holds weights and activations. Tests that need to force preemption
@@ -201,7 +201,7 @@ class GroupScheduler(Scheduler):
         queue = replica.queue
         if (
             queue
-            and queue[0].arrival_s + replica.batching.max_wait_s <= now + _EPS
+            and queue[0].arrival_s + replica.batching.max_wait_s <= now + DEADLINE_EPS
             and self.up[replica.replica_id]
         ):
             self.deadline += self._dispatch(replica, now)
@@ -369,10 +369,10 @@ class ContinuousScheduler(Scheduler):
             timing = replica._group_timing(
                 batching.group_batches, workload.prompt_len, workload.gen_len
             )
-            decode_s = max(timing.total_s - timing.prefill_s, _EPS)
+            decode_s = max(timing.total_s - timing.prefill_s, _FLOOR_S)
             self.decode_ref.append(decode_s / max(workload.gen_len, 1))
             prompt_tokens = batching.group_capacity * max(workload.prompt_len, 1)
-            self.prefill_tok_s.append(prompt_tokens / max(timing.prefill_s, _EPS))
+            self.prefill_tok_s.append(prompt_tokens / max(timing.prefill_s, _FLOOR_S))
         self.fetch_s = [r.expert_fetch_time_s() for r in replicas]
 
         # Per-replica state, indexed by replica_id. Waiting requests live

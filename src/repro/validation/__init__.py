@@ -15,7 +15,7 @@ The correctness harness every refactor and optimization PR leans on:
   re-prove op-multiset conservation, timeline invariants, and makespan
   monotonicity (``repro.cli validate --passes``);
 * :mod:`repro.validation.cluster_differential` — run one cluster config
-  under the serial, batched, and sharded fleet engines and diff the
+  under the serial and batched fleet engines and diff the
   reports bit-for-bit (records, counters, telemetry, percentiles);
 * :mod:`repro.validation.fuzz` — seeded random evaluation points
   (models, machines, workloads, systems, fleets, arrival processes)

@@ -1,11 +1,11 @@
 """Cross-engine differential testing for the cluster simulator.
 
-The cluster layer keeps three execution engines — the serial event loop
-(the executable specification), the batched group-granular scan, and the
-multiprocess sharded scan (:mod:`repro.cluster.engines`). The speed of
-the fast engines is only trustworthy because this harness can prove, for
-any :class:`~repro.api.RunConfig`, that all three produce **the same
-report to the last bit**: every request lifecycle op-for-op, every
+The cluster layer keeps two execution engines — the serial event loop
+(the executable specification) and the batched group-granular scan
+(:mod:`repro.cluster.engines`). The speed of the batched engine is only
+trustworthy because this harness can prove, for any
+:class:`~repro.api.RunConfig`, that both produce **the same report to the
+last bit**: every request lifecycle op-for-op, every
 counter, every per-replica telemetry sample, every percentile, and — as
 a final catch-all — the canonical-JSON serialization of the whole
 report. The fuzzer (``validate --fuzz --engine both``), the Hypothesis
@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.canonical import canonical_json
+from repro.cluster.engines import ENGINES
 from repro.cluster.report import ClusterReport
 from repro.errors import OutOfMemoryError
 from repro.validation.goldens import _floats_to_repr
 
 #: Engine names the harness exercises, reference first.
-CLUSTER_ENGINES = ("serial", "batched", "sharded")
+CLUSTER_ENGINES = ENGINES
 
 
 @dataclass
@@ -173,7 +174,6 @@ def run_cluster_differential(
     config,
     *,
     engines: tuple = CLUSTER_ENGINES,
-    jobs: int = 2,
     shared_cache: dict | None = None,
     requests: list | None = None,
     max_reports: int = 5,
@@ -191,7 +191,6 @@ def run_cluster_differential(
         config: the :class:`~repro.api.RunConfig` to execute (its own
             ``cluster.engine`` field is ignored — this harness picks).
         engines: engines to execute, reference first.
-        jobs: worker processes for the sharded engine.
         shared_cache: group-timing cache forwarded to every fleet build
             (pass ``{}`` to isolate the whole differential).
         requests: pre-built stream (default: built from the config).
@@ -216,7 +215,6 @@ def run_cluster_differential(
                 shared_cache=shared_cache,
                 requests=requests,
                 engine=engine,
-                jobs=jobs if engine == "sharded" else 1,
             )
         except OutOfMemoryError as exc:
             errors[engine] = exc
@@ -232,7 +230,7 @@ def run_cluster_differential(
     if errors:
         # All engines died. Which allocation trips first is an engine
         # scheduling detail (the serial loop hits the earliest failure in
-        # event-time order, the scans the lowest replica id), so payloads
+        # event-time order, the batched scan the lowest replica id), so payloads
         # are not compared — consistent failure is the contract.
         result.oom = True
         return result

@@ -24,8 +24,8 @@ Two case families:
   sections. The report is checked against the cluster
   conservation/causality/accounting invariants, the whole simulation is
   re-run from scratch to prove determinism under a fixed seed, (in
-  ``both`` engine mode) the serial, batched, and sharded cluster engines
-  are diffed bit-for-bit through
+  ``both`` engine mode) the serial and batched cluster engines are
+  diffed bit-for-bit through
   :mod:`repro.validation.cluster_differential`, and cases that sampled a
   non-group scheduler also run the group-vs-continuous conservation
   differential (:mod:`repro.validation.scheduler_differential`).
@@ -642,11 +642,10 @@ def run_cluster_case(
         case_seed: deterministic seed of this case.
         report: accumulator updated in place.
         label: replay coordinates prefixed to failure tags.
-        engine: ``both`` additionally runs the serial/batched/sharded
+        engine: ``both`` additionally runs the serial and batched
             cluster engines through
-            :func:`~repro.validation.run_cluster_differential` (sharded
-            in-process, to keep a case in the tens-of-milliseconds
-            budget); any other value skips the cross-engine pass.
+            :func:`~repro.validation.run_cluster_differential`; any
+            other value skips the cross-engine pass.
         chaos: fuzz a fault model into the config; with an active plan
             the cross-engine pass degenerates into proving the
             fault-fallback path is identical from every engine entry
@@ -692,14 +691,14 @@ def run_cluster_case(
         report.record(tag, config, diffs=["re-run produced a different report"])
 
     if engine == "both":
-        # Cross-engine pass: the batched and sharded fleet engines must
-        # reproduce the serial report bit-for-bit on this same config.
+        # Cross-engine pass: the batched fleet engine must reproduce the
+        # serial report bit-for-bit on this same config.
         from repro.validation.cluster_differential import (
             run_cluster_differential,
         )
 
         result = run_cluster_differential(
-            config, jobs=1, shared_cache={}, requests=requests
+            config, shared_cache={}, requests=requests
         )
         report.record(tag, config, diffs=result.diffs, engine=engine)
 

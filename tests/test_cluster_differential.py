@@ -1,28 +1,31 @@
 """Differential proof that the cluster engines are bit-identical.
 
 The serial event loop is the executable specification; the batched scan
-and the sharded pool (:mod:`repro.cluster.engines`) are only allowed to
-exist because every observable they produce — dispatch records in order,
-counters, per-replica telemetry, percentiles, the canonical JSON of the
-whole report — matches the serial loop exactly. Hypothesis drives the
+(:mod:`repro.cluster.engines`) is only allowed to exist because every
+observable it produces — dispatch records in order, counters,
+per-replica telemetry, percentiles, the canonical JSON of the whole
+report — matches the serial loop exactly. Hypothesis drives the
 equivalence across routers x arrival patterns x fleet shapes x seeds,
 with request streams that deliberately include colliding timestamps and
-sub-nanosecond gaps (the ``_EPS`` stale-deadline window), near-OOM
-loads, and MMPP bursts. Failures at the config level embed the
+sub-nanosecond gaps (the ``DEADLINE_EPS`` stale-deadline window),
+near-OOM loads, and MMPP bursts. Failures at the config level embed the
 replayable ``RunConfig`` JSON blob.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunConfig, router_names
+from repro.api import RunConfig, canonical_json, router_names, stable_hash
 from repro.api import run_cluster as api_run_cluster
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.cluster.engines import ENGINES
+from repro.errors import ReproDeprecationWarning
 from repro.serving.server import BatchingConfig
 from repro.validation import diff_cluster_reports, run_cluster_differential
 from repro.validation.cluster_differential import CLUSTER_ENGINES
@@ -79,7 +82,7 @@ def _simulate(engine: str, spec, shape, router_name: str):
 
 
 def test_engine_registries_agree():
-    assert CLUSTER_ENGINES == ENGINES == ("serial", "batched", "sharded")
+    assert CLUSTER_ENGINES == ENGINES == ("serial", "batched")
 
 
 @given(
@@ -153,7 +156,7 @@ def test_runconfig_differential_with_replayable_blob(
         rate=rate, max_wait=max_wait, batch_size=batch_size,
         group_batches=group_batches, seed=seed,
     )
-    result = run_cluster_differential(config, jobs=1, shared_cache={})
+    result = run_cluster_differential(config, shared_cache={})
     assert result.ok, (
         "engines diverged:\n"
         + "\n".join(result.diffs)
@@ -169,7 +172,7 @@ def test_consistent_oom_across_engines():
         rate=50.0, max_wait=2.0, batch_size=256, group_batches=3, seed=1,
         model="mixtral-8x22b", prompt_len=2048,
     )
-    result = run_cluster_differential(config, jobs=1, shared_cache={})
+    result = run_cluster_differential(config, shared_cache={})
     assert result.oom
     assert result.ok
     assert result.reports == {}
@@ -183,7 +186,7 @@ def test_near_oom_boundary_stays_bit_identical():
         group_batches=3, seed=1, model="mixtral-8x22b", env="env2",
         prompt_len=2048,
     )
-    result = run_cluster_differential(config, jobs=1, shared_cache={})
+    result = run_cluster_differential(config, shared_cache={})
     assert not result.oom
     assert result.ok, "\n".join(result.diffs)
 
@@ -194,7 +197,7 @@ def test_mmpp_burst_bit_identical():
         router="expert-affinity", arrival="bursty", replicas=3, requests=120,
         rate=200.0, max_wait=0.2, batch_size=4, group_batches=2, seed=6,
     )
-    result = run_cluster_differential(config, jobs=1, shared_cache={}, deep=True)
+    result = run_cluster_differential(config, shared_cache={}, deep=True)
     assert result.ok, "\n".join(result.diffs)
 
 
@@ -257,21 +260,34 @@ def test_float_rounding_boundary_regression():
             assert not diffs, f"{router}: serial != {engine}:\n" + "\n".join(diffs)
 
 
-def test_sharded_real_pool_matches_serial():
-    """jobs=2 through the real multiprocessing path (where cores allow).
-
-    On single-core hosts the pool clamps to in-process execution — the
-    assertion is identical either way, so this test pins whichever path
-    the machine actually takes.
-    """
+def test_deprecated_sharded_engine_and_jobs_warn_and_match_batched():
+    """``engine="sharded"`` and ``jobs != 1`` warn, then run ``batched``."""
     config = _run_config(
-        router="round-robin", arrival="poisson", replicas=8, requests=2000,
-        rate=400.0, max_wait=1.0, batch_size=8, group_batches=2, seed=3,
+        router="round-robin", arrival="poisson", replicas=4, requests=400,
+        rate=200.0, max_wait=1.0, batch_size=8, group_batches=2, seed=3,
     )
     from repro.api import build_requests as api_build_requests
 
     stream = api_build_requests(config)
-    serial = api_run_cluster(config, requests=stream, engine="serial")
-    sharded = api_run_cluster(config, requests=stream, engine="sharded", jobs=2)
-    diffs = diff_cluster_reports(serial, sharded, labels=("serial", "sharded"))
-    assert not diffs, "\n".join(diffs)
+    batched = api_run_cluster(config, requests=stream, engine="batched")
+    expected = canonical_json(batched.to_dict())
+    with pytest.warns(ReproDeprecationWarning, match="sharded"):
+        sharded = api_run_cluster(config, requests=stream, engine="sharded")
+    assert canonical_json(sharded.to_dict()) == expected
+    with pytest.warns(ReproDeprecationWarning, match="jobs"):
+        pooled = api_run_cluster(
+            config, requests=stream, engine="batched", jobs=2
+        )
+    assert canonical_json(pooled.to_dict()) == expected
+
+    # A serialized config still carries ``"jobs": 1``: it parses, hashes
+    # as before the engine was retired, and runs without a warning.
+    tree = config.to_dict()
+    assert tree["cluster"]["jobs"] == 1
+    assert stable_hash(tree) == (
+        "f8b1ff065832e2ae23fc1f38e97d513ceb885289697717d73df378813cc8fed4"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReproDeprecationWarning)
+        report = api_run_cluster(RunConfig.from_dict(tree), requests=stream)
+    assert canonical_json(report.to_dict()) == expected

@@ -114,12 +114,12 @@ def _cluster_snapshot() -> dict:
 
 
 def _fleet_snapshot(
-    *, router: str, arrival: str, engine: str, replicas: int, requests: int
+    *, router: str, arrival: str, replicas: int, requests: int
 ) -> dict:
-    """Fleet-scale serving golden: thousands of requests, fast engines.
+    """Fleet-scale serving golden: thousands of requests, batched engine.
 
-    The fast engines carry the golden on purpose — the differential
-    suite proves them bit-identical to the serial loop, so these pin the
+    The batched engine carries the golden on purpose — the differential
+    suite proves it bit-identical to the serial loop, so these pin the
     canonical output at a scale the serial goldens cannot afford, and a
     digest move in either place implicates simulation semantics, not a
     particular engine.
@@ -134,7 +134,7 @@ def _fleet_snapshot(
             "cluster": {
                 "replicas": replicas, "envs": ["env1", "env2"],
                 "router": router, "group_batches": 2, "max_wait_s": 2.0,
-                "slo_s": 60.0, "engine": engine, "jobs": 2,
+                "slo_s": 60.0, "engine": "batched",
             },
             "serve": {
                 "arrival": arrival, "requests": requests, "rate_per_s": 500.0,
@@ -284,12 +284,10 @@ GOLDEN_CASES = {
     "pipeline-sida-small": lambda: _pipeline_snapshots(SiDASystem()),
     "cluster-affinity-2replica": _cluster_snapshot,
     "fleet-roundrobin-poisson-16replica": lambda: _fleet_snapshot(
-        router="round-robin", arrival="poisson", engine="sharded",
-        replicas=16, requests=20_000,
+        router="round-robin", arrival="poisson", replicas=16, requests=20_000
     ),
     "fleet-affinity-bursty-8replica": lambda: _fleet_snapshot(
-        router="expert-affinity", arrival="bursty", engine="batched",
-        replicas=8, requests=20_000,
+        router="expert-affinity", arrival="bursty", replicas=8, requests=20_000
     ),
     "fleet-continuous-4replica": lambda: _scheduled_fleet_snapshot(
         scheduler="continuous", faults=""
