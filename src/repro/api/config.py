@@ -9,9 +9,14 @@ system, with what options), and — for serving runs — a
 
 The contract, checked once and centrally:
 
+* **one strict parser** — :func:`parse` turns a plain dict into any
+  config dataclass, reading field names, types and defaults from the
+  dataclass itself; sections, inline model/hardware specs, fault models,
+  retry policies and registry-factory options all go through it, so
+  every level gives the same messages ("expected int, got str", "did
+  you mean 'batch_size'?");
 * **strict, round-tripping serialization** — ``from_dict(to_dict(c)) == c``
-  for every config; unknown keys are rejected with typo suggestions
-  ("did you mean 'batch_size'?") instead of being silently ignored;
+  for every config (:func:`to_plain` is the one serializer);
 * **aggregated validation** — every problem in the tree is collected
   into one :class:`~repro.errors.ConfigValidationError` report, so one
   fix cycle sees all the damage;
@@ -27,9 +32,14 @@ cache, golden traces, and fuzzer replay blobs all hash it directly.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
+import inspect
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from repro.api.registry import (
     ARRIVALS,
@@ -58,6 +68,10 @@ _HOT_EXPERT_MODES = ("auto", "zipf", "pin", "none")
 # :func:`repro.api.run.run_cluster` warns and runs ``batched`` instead.
 DEPRECATED_ENGINES = ("sharded",)
 
+# Field metadata: drop the field from to_plain output while it is empty,
+# so configs predating the field keep their hashes.
+_OMIT_EMPTY = {"omit_empty": True}
+
 
 class Errors:
     """Collects ``path: message`` strings across a config tree."""
@@ -79,78 +93,230 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _check_keys(data: dict, known, path: str, errors: Errors) -> None:
-    """Reject unknown keys with a close-match suggestion."""
-    for key in data:
-        if key in known:
-            continue
-        guess = suggest(key, known)
+# ---- the one parser -----------------------------------------------------------
+
+_UNIONS = (typing.Union, types.UnionType)
+_BAD = object()  # a value that failed to parse (already reported)
+
+
+@functools.cache
+def _schema(factory) -> dict | None:
+    """Keyword name -> (type, required) that a dataclass or registry
+    factory accepts, resolved once.
+
+    The names come from the signature (a factory whose ``__wrapped__``
+    is a dataclass takes that dataclass's fields), the types from
+    ``get_type_hints``; unannotated parameters accept any value. A
+    factory taking ``**options`` accepts anything: schema ``None``.
+    """
+    target = inspect.unwrap(factory)
+    plain_class = isinstance(target, type) and not dataclasses.is_dataclass(target)
+    try:
+        hints = get_type_hints(target.__init__ if plain_class else target)
+    except (NameError, TypeError):
+        hints = {}
+    schema = {}
+    for p in inspect.signature(target).parameters.values():
+        if p.kind is p.VAR_KEYWORD:
+            schema = None
+            break
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY):
+            schema[p.name] = (hints.get(p.name, object), p.default is p.empty)
+    return schema
+
+
+def _describe(typ) -> str:
+    if get_origin(typ) in _UNIONS:
+        return " or ".join(_describe(t) for t in get_args(typ))
+    if get_origin(typ) is tuple:
+        args = get_args(typ)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return f"a list of {_describe(args[0])}"
+        return f"[{', '.join(_describe(t) for t in args)}]"
+    if typ is type(None):
+        return "null"
+    if dataclasses.is_dataclass(typ):
+        return f"a {typ.__name__} dict"
+    return getattr(typ, "__name__", str(typ))
+
+
+def _accepts(typ, value) -> bool:
+    """Whether a JSON value has the shape of ``typ`` (bool is not an int;
+    an int is accepted for a float)."""
+    if typ is type(None):
+        return value is None
+    if dataclasses.is_dataclass(typ) or typ is dict or get_origin(typ) is dict:
+        return isinstance(value, dict)
+    if typ is tuple or get_origin(typ) is tuple:
+        return isinstance(value, (list, tuple))
+    if typ in (int, float):
+        return isinstance(value, (int, typ)) and not isinstance(value, bool)
+    return not isinstance(typ, type) or isinstance(value, typ)
+
+
+def _value(typ, value, path: str, errors: Errors):
+    """Parse one field value against its annotation (``_BAD`` on error)."""
+    if dataclasses.is_dataclass(typ):
+        parsed = parse(typ, value, path, errors)
+        return _BAD if parsed is None else parsed
+    members = get_args(typ) if get_origin(typ) in _UNIONS else (typ,)
+    member = next((m for m in members if _accepts(m, value)), None)
+    if member is None:
+        errors.add(path, f"expected {_describe(typ)}, got {type(value).__name__}")
+        return _BAD
+    if member is not typ:
+        return _value(member, value, path, errors)
+    if typ is tuple or get_origin(typ) is tuple:
+        args = get_args(typ) or (object, ...)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            errors.add(path, f"expected {_describe(typ)}, got {len(value)} items")
+            return _BAD
+        # Element problems are reported at the field's own path.
+        items = tuple(_value(t, v, path, errors) for t, v in zip(args, value))
+        return _BAD if any(item is _BAD for item in items) else items
+    if typ is dict or get_origin(typ) is dict:
+        return dict(value)
+    if typ is float:
+        return float(value)
+    return value
+
+
+def _fields(schema: dict | None, data, path: str, errors: Errors) -> dict | None:
+    """Parse ``data``'s keys against a schema into constructor kwargs.
+
+    Unknown keys are reported with a close-match suggestion; a field
+    that fails to parse is left out, so its default applies. Returns
+    None when a required field is missing or bad.
+    """
+    if schema is None:
+        return dict(data)
+    unknown = [key for key in data if key not in schema]
+    for key in unknown:
+        guess = suggest(key, schema)
         hint = f"; did you mean {guess!r}?" if guess else ""
         errors.add(
             _join(path, str(key)),
-            f"unknown key{hint} (known: {', '.join(sorted(known))})",
+            f"unknown key{hint} (known: {', '.join(sorted(schema)) or 'none'})",
         )
+    kwargs = {}
+    complete = True
+    for key, value in data.items():
+        if key in schema:
+            parsed = _value(schema[key][0], value, _join(path, key), errors)
+            if parsed is not _BAD:
+                kwargs[key] = parsed
+            elif schema[key][1]:
+                complete = False
+    missing = [k for k, (_, required) in schema.items() if required and k not in data]
+    # A misspelt key already explains the required key it replaced.
+    if missing and not unknown:
+        errors.add(path, f"missing required keys: {', '.join(missing)}")
+    return kwargs if complete and not missing else None
 
 
-def _coerce(value, typ: type, path: str, errors: Errors, default):
-    """Coerce a JSON scalar onto a schema type, recording mismatches."""
-    if typ is bool:
-        if isinstance(value, bool):
-            return value
-    elif typ is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return int(value)
-    elif typ is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    elif typ is str:
-        if isinstance(value, str):
-            return value
-    errors.add(path, f"expected {typ.__name__}, got {type(value).__name__}")
-    return default
+def parse(
+    cls, data, path: str = "", errors: Errors | None = None, what: str = "config"
+):
+    """Strictly build the dataclass ``cls`` from a plain-JSON dict.
+
+    Field names, types and defaults come from the dataclass (nested
+    dataclass fields recurse). A ``__post_init__`` ``ValueError`` is
+    reported at ``path``. Two optional class hooks: ``_shorthand(data)``
+    expands an abbreviated form first, and ``_validate(path, errors)``
+    adds cross-field and registry checks to the built instance.
+
+    Args:
+        cls: the dataclass to build.
+        data: its plain dict form.
+        path: error-report prefix.
+        errors: outer collector; when omitted, problems raise one
+            aggregated :class:`~repro.errors.ConfigValidationError`
+            titled ``invalid <what>``.
+        what: the report title when raising.
+
+    Returns:
+        The instance (fields with errors keep their defaults so checks
+        can continue), or None when ``data`` is not a dict, a required
+        field is missing or bad, or construction fails.
+    """
+    if errors is None:
+        errors = Errors()
+        parsed = parse(cls, data, path, errors)
+        errors.raise_if_any(what)
+        return parsed
+    if hasattr(cls, "_shorthand"):
+        data = cls._shorthand(data)
+    if not isinstance(data, dict):
+        errors.add(path, f"expected {_describe(cls)}, got {type(data).__name__}")
+        return None
+    kwargs = _fields(_schema(cls), data, path, errors)
+    if kwargs is None:
+        return None
+    try:
+        parsed = cls(**kwargs)
+    except (ConfigError, ValueError) as exc:
+        errors.add(path, str(exc))
+        return None
+    if hasattr(parsed, "_validate"):
+        parsed._validate(path, errors)
+    return parsed
 
 
-def _scalar_fields(cls) -> dict[str, type]:
-    """The dataclass's plain scalar fields, resolved to runtime types."""
-    hints = get_type_hints(cls)
+def parse_options(factory, options: dict, path: str, errors: Errors) -> dict:
+    """Parse registry-factory keyword options against the factory's schema.
+
+    Returns:
+        The parsed keyword arguments (bad options left out).
+    """
+    return _fields(_schema(factory), options, path, errors) or {}
+
+
+def to_plain(config) -> dict:
+    """The plain-JSON form of a config dataclass.
+
+    Fields in declaration order; tuples become lists, nested dataclasses
+    and dicts are copied. ``None`` fields, and fields marked
+    ``_OMIT_EMPTY`` while empty, are left out.
+    """
     out = {}
-    for f in dataclasses.fields(cls):
-        typ = hints.get(f.name)
-        if typ in (bool, int, float, str):
-            out[f.name] = typ
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if value is None or (not value and f.metadata.get("omit_empty")):
+            continue
+        out[f.name] = _plain(value)
     return out
 
 
-def _spec_from_dict(cls, data, path: str, errors: Errors, nested=None):
-    """Strictly build a domain dataclass (ModelConfig, HardwareSpec...)
-    from a plain dict, recursing into ``nested`` sub-spec fields."""
-    nested = nested or {}
-    if not isinstance(data, dict):
-        errors.add(path, f"expected a {cls.__name__} dict, got {type(data).__name__}")
-        return None
-    known = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(data, known, path, errors)
-    kwargs = {}
-    ok = True
-    for key, value in data.items():
-        if key not in known:
-            ok = False
-            continue
-        if key in nested:
-            sub = _spec_from_dict(nested[key], value, _join(path, key), errors)
-            if sub is None:
-                ok = False
-                continue
-            kwargs[key] = sub
-        else:
-            kwargs[key] = value
-    if not ok:
-        return None
-    try:
-        return cls(**kwargs)
-    except (ConfigError, ValueError, TypeError) as exc:
-        errors.add(path, str(exc))
-        return None
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return to_plain(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return copy.deepcopy(value)
+    return value
+
+
+# ---- validation helpers -------------------------------------------------------
+
+
+def _check(path: str, errors: Errors, checks) -> None:
+    """Report every failed ``(key, ok, message)`` field check."""
+    for key, ok, message in checks:
+        if not ok:
+            errors.add(_join(path, key), message)
+
+
+def _known(kind: str, name, registry, path: str, errors: Errors) -> bool:
+    """Whether ``name`` is in ``registry``; reports it (with a typo
+    suggestion) when not."""
+    if name in registry:
+        return True
+    names = registry.names() if hasattr(registry, "names") else registry
+    errors.add(path, unknown_name_message(kind, name, names))
+    return False
 
 
 def _resolve_model(model, path: str, errors: Errors):
@@ -158,47 +324,21 @@ def _resolve_model(model, path: str, errors: Errors):
     from repro.model.config import ModelConfig
 
     if isinstance(model, str):
-        if model in MODEL_PRESETS:
+        if _known("model preset", model, MODEL_PRESETS, path, errors):
             return MODEL_PRESETS.get(model)
-        errors.add(
-            path, unknown_name_message("model preset", model, MODEL_PRESETS.names())
-        )
         return None
-    return _spec_from_dict(ModelConfig, model, path, errors)
+    return parse(ModelConfig, model, path, errors)
 
 
 def _resolve_hardware(env, path: str, errors: Errors):
     """Resolve a hardware reference (preset name or inline spec dict)."""
-    from repro.hardware.spec import ComputeSpec, HardwareSpec, LinkSpec
+    from repro.hardware.spec import HardwareSpec
 
     if isinstance(env, str):
-        if env in HARDWARE_PRESETS:
+        if _known("hardware preset", env, HARDWARE_PRESETS, path, errors):
             return HARDWARE_PRESETS.get(env)
-        errors.add(
-            path,
-            unknown_name_message("hardware preset", env, HARDWARE_PRESETS.names()),
-        )
         return None
-    return _spec_from_dict(
-        HardwareSpec,
-        env,
-        path,
-        errors,
-        nested={
-            "gpu": ComputeSpec,
-            "cpu": ComputeSpec,
-            "pcie_h2d": LinkSpec,
-            "pcie_d2h": LinkSpec,
-            "disk_link": LinkSpec,
-        },
-    )
-
-
-def _copy_ref(value):
-    """Deep-copy a preset-name-or-dict reference for to_dict output."""
-    import copy
-
-    return copy.deepcopy(value) if isinstance(value, dict) else value
+    return parse(HardwareSpec, env, path, errors)
 
 
 @dataclass(frozen=True)
@@ -239,59 +379,14 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Plain-JSON form (the canonical serialization hashes this)."""
-        d = dataclasses.asdict(self)
-        d["model"] = _copy_ref(self.model)
-        d["env"] = _copy_ref(self.env)
-        return d
+        return to_plain(self)
 
     @classmethod
     def from_dict(
         cls, data: dict, *, path: str = "scenario", errors: Errors | None = None
     ) -> "ScenarioConfig":
-        """Strictly parse a scenario dict (unknown keys are errors).
-
-        Args:
-            data: the plain dict form.
-            path: error-report prefix.
-            errors: outer collector; when omitted, problems raise one
-                aggregated :class:`~repro.errors.ConfigValidationError`.
-
-        Returns:
-            The parsed config (fields with errors keep their defaults so
-            validation can continue and report everything).
-        """
-        own = errors if errors is not None else Errors()
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict, got {type(data).__name__}")
-            data = {}
-        scalars = _scalar_fields(cls)
-        known = {f.name for f in dataclasses.fields(cls)}
-        _check_keys(data, known, path, own)
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key in ("model", "env"):
-                if not isinstance(value, (str, dict)):
-                    own.add(
-                        _join(path, key),
-                        "expected a preset name or an inline spec dict, "
-                        f"got {type(value).__name__}",
-                    )
-                    continue
-                kwargs[key] = value
-            else:
-                kwargs[key] = _coerce(
-                    value, scalars[key], _join(path, key), own,
-                    getattr(cls, key),
-                )
-        config = cls(**kwargs)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("scenario config")
-        return config
+        """Strictly parse a scenario dict (see :func:`parse`)."""
+        return parse(cls, data, path, errors, "scenario config")
 
     # ---- the flat experiment-cell dialect ---------------------------------
 
@@ -336,10 +431,9 @@ class ScenarioConfig:
 
     # ---- validation and building ------------------------------------------
 
-    def _field_checks(self, path: str) -> list[tuple[str, str]]:
+    def _field_checks(self, path: str, errors: Errors) -> None:
         """Scalar cross-field checks only (no model/env resolution)."""
-        out = []
-        checks = (
+        _check(path, errors, (
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("n", self.n >= 1, "must be >= 1"),
             ("prompt_len", self.prompt_len >= 1, "must be >= 1"),
@@ -347,19 +441,12 @@ class ScenarioConfig:
             ("prefill_token_cap", self.prefill_token_cap >= 1, "must be >= 1"),
             ("skew", self.skew > 0, "must be positive"),
             ("correlation", 0.0 <= self.correlation <= 1.0, "must be in [0, 1]"),
-        )
-        for key, ok, message in checks:
-            if not ok:
-                out.append((_join(path, key), message))
-        return out
+        ))
 
-    def _validate(self, path: str) -> list[tuple[str, str]]:
-        out = self._field_checks(path)
-        probe = Errors()
-        _resolve_model(self.model, _join(path, "model"), probe)
-        _resolve_hardware(self.env, _join(path, "env"), probe)
-        out.extend(("", item) for item in probe.items)
-        return out
+    def _validate(self, path: str, errors: Errors) -> None:
+        self._field_checks(path, errors)
+        _resolve_model(self.model, _join(path, "model"), errors)
+        _resolve_hardware(self.env, _join(path, "env"), errors)
 
     def build(self):
         """Materialize the runtime :class:`~repro.scenario.Scenario`.
@@ -374,9 +461,7 @@ class ScenarioConfig:
         from repro.scenario import Scenario
 
         errors = Errors()
-        errors.items.extend(
-            f"{p}: {m}" if p else m for p, m in self._field_checks("scenario")
-        )
+        self._field_checks("scenario", errors)
         # One resolution pass serves validation and construction (the
         # fuzzer materializes inline specs on every case — don't parse
         # them twice).
@@ -401,85 +486,48 @@ class SystemConfig:
     Attributes:
         name: a :data:`~repro.api.registry.SYSTEMS` registry name.
         options: JSON-safe keyword arguments for the registered factory
-            (e.g. ``{"quantize": true}`` for ``klotski``).
+            (e.g. ``{"quantize": true}`` for ``klotski``), parsed against
+            the factory's own schema (:class:`~repro.core.engine.KlotskiOptions`
+            for the Klotski variants, the annotated constructor
+            parameters otherwise).
         passes: ordered :data:`~repro.api.registry.PASSES` queue applied
             to the built schedule before execution (empty: run the
-            schedule as authored — the default, byte-identical to
-            configs predating the optimizer).
+            schedule as authored — the default; omitted from ``to_dict``
+            while empty, so configs predating the optimizer keep their
+            hashes).
     """
 
     name: str = "klotski"
     options: dict = field(default_factory=dict)
-    passes: tuple = ()
+    passes: tuple[str, ...] = field(default=(), metadata=_OMIT_EMPTY)
 
     def to_dict(self) -> dict:
-        """Plain-JSON form (``passes`` is omitted when empty so existing
-        config hashes and goldens are unchanged by the field's
-        existence)."""
-        data = {"name": self.name, "options": _copy_ref(dict(self.options))}
-        if self.passes:
-            data["passes"] = list(self.passes)
-        return data
+        """Plain-JSON form."""
+        return to_plain(self)
 
     @classmethod
     def from_dict(
         cls, data: dict, *, path: str = "system", errors: Errors | None = None
     ) -> "SystemConfig":
         """Strictly parse a system dict; a bare string is shorthand for
-        ``{"name": <string>}``."""
-        own = errors if errors is not None else Errors()
-        if isinstance(data, str):
-            data = {"name": data}
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict or name, got {type(data).__name__}")
-            data = {}
-        _check_keys(data, ("name", "options", "passes"), path, own)
-        name = data.get("name", cls.name)
-        if not isinstance(name, str):
-            own.add(_join(path, "name"), "expected a system name string")
-            name = cls.name
-        options = data.get("options", {})
-        if not isinstance(options, dict):
-            own.add(_join(path, "options"), "expected an options dict")
-            options = {}
-        passes = data.get("passes", ())
-        if isinstance(passes, str):
-            passes = tuple(p for p in passes.split(",") if p)
-        elif isinstance(passes, (list, tuple)) and all(
-            isinstance(p, str) for p in passes
-        ):
-            passes = tuple(passes)
-        else:
-            own.add(_join(path, "passes"), "expected a list of pass names")
-            passes = ()
-        config = cls(name=name, options=dict(options), passes=passes)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("system config")
-        return config
+        ``{"name": <string>}`` and ``passes`` may be comma-separated."""
+        return parse(cls, data, path, errors, "system config")
 
-    def _validate(self, path: str) -> list[tuple[str, str]]:
-        problems = []
-        if self.name not in SYSTEMS:
-            problems.append(
-                (
-                    _join(path, "name"),
-                    unknown_name_message("system", self.name, SYSTEMS.names()),
-                )
+    @staticmethod
+    def _shorthand(data):
+        if isinstance(data, str):
+            return {"name": data}
+        if isinstance(data, dict) and isinstance(data.get("passes"), str):
+            return {**data, "passes": [p for p in data["passes"].split(",") if p]}
+        return data
+
+    def _validate(self, path: str, errors: Errors) -> None:
+        if _known("system", self.name, SYSTEMS, _join(path, "name"), errors):
+            parse_options(
+                SYSTEMS.get(self.name), self.options, _join(path, "options"), errors
             )
         for entry in self.passes:
-            if entry not in PASSES:
-                problems.append(
-                    (
-                        _join(path, "passes"),
-                        unknown_name_message(
-                            "schedule pass", entry, PASSES.names()
-                        ),
-                    )
-                )
-        return problems
+            _known("schedule pass", entry, PASSES, _join(path, "passes"), errors)
 
     def build(self):
         """Instantiate the system through the registry.
@@ -490,42 +538,14 @@ class SystemConfig:
         Raises:
             ConfigValidationError: unknown name or unsupported options.
         """
-        import inspect
-
         factory = SYSTEMS.get(self.name)
-        try:
-            system = factory(**self.options)
-            if self.passes:
-                system.passes = tuple(self.passes)
-            return system
-        except TypeError:
-            # Factories advertise their option names via __config_options__
-            # (e.g. the KlotskiOptions fields); otherwise fall back to the
-            # signature's explicit parameters.
-            accepted = list(getattr(factory, "__config_options__", ()))
-            if not accepted:
-                try:
-                    accepted = sorted(
-                        p.name
-                        for p in inspect.signature(factory).parameters.values()
-                        if p.kind
-                        in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-                    )
-                except (TypeError, ValueError):
-                    accepted = []
-            errors = Errors()
-            for key in self.options:
-                if key not in accepted:
-                    guess = suggest(key, accepted)
-                    hint = f"; did you mean {guess!r}?" if guess else ""
-                    errors.add(
-                        f"system.options.{key}",
-                        f"not accepted by system {self.name!r}{hint} "
-                        f"(accepted: {', '.join(accepted) or 'none'})",
-                    )
-            if not errors.items:
-                errors.add("system.options", f"invalid options for {self.name!r}")
-            errors.raise_if_any("system config")
+        errors = Errors()
+        options = parse_options(factory, self.options, "system.options", errors)
+        errors.raise_if_any("system config")
+        system = factory(**options)
+        if self.passes:
+            system.passes = tuple(self.passes)
+        return system
 
 
 @dataclass(frozen=True)
@@ -537,7 +557,8 @@ class ClusterConfig:
         envs: hardware presets (or inline spec dicts) cycled across the
             replicas; empty means every replica uses the scenario's env.
         router: a :data:`~repro.api.registry.ROUTERS` registry name.
-        router_options: keyword arguments for the router factory.
+        router_options: keyword arguments for the router factory,
+            parsed against its annotated constructor parameters.
         group_batches: batches per dispatched group.
         max_wait_s: partial-group dispatch deadline (seconds).
         slo_s: latency SLO for goodput accounting (seconds).
@@ -572,7 +593,7 @@ class ClusterConfig:
     """
 
     replicas: int = 4
-    envs: tuple = ()
+    envs: tuple[str | dict, ...] = ()
     router: str = "least-outstanding"
     router_options: dict = field(default_factory=dict)
     group_batches: int = 2
@@ -590,84 +611,20 @@ class ClusterConfig:
 
     def to_dict(self) -> dict:
         """Plain-JSON form (``envs`` as a list)."""
-        return {
-            "replicas": self.replicas,
-            "envs": [_copy_ref(e) for e in self.envs],
-            "router": self.router,
-            "router_options": _copy_ref(dict(self.router_options)),
-            "group_batches": self.group_batches,
-            "max_wait_s": self.max_wait_s,
-            "slo_s": self.slo_s,
-            "partition_experts": self.partition_experts,
-            "expert_slots_per_replica": self.expert_slots_per_replica,
-            "prompt_quantum": self.prompt_quantum,
-            "engine": self.engine,
-            "jobs": self.jobs,
-            "faults": _copy_ref(self.faults),
-            "retry": _copy_ref(dict(self.retry)),
-            "scheduler": self.scheduler,
-            "queue_depth_stride": self.queue_depth_stride,
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(
         cls, data: dict, *, path: str = "cluster", errors: Errors | None = None
     ) -> "ClusterConfig":
-        """Strictly parse a cluster dict (unknown keys are errors)."""
-        own = errors if errors is not None else Errors()
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict, got {type(data).__name__}")
-            data = {}
-        scalars = _scalar_fields(cls)
-        known = {f.name for f in dataclasses.fields(cls)}
-        _check_keys(data, known, path, own)
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key == "envs":
-                if isinstance(value, (list, tuple)) and all(
-                    isinstance(e, (str, dict)) for e in value
-                ):
-                    kwargs[key] = tuple(value)
-                else:
-                    own.add(
-                        _join(path, key),
-                        "expected a list of preset names or inline spec dicts",
-                    )
-            elif key in ("router_options", "retry"):
-                if isinstance(value, dict):
-                    kwargs[key] = dict(value)
-                else:
-                    own.add(_join(path, key), "expected an options dict")
-            elif key == "faults":
-                if isinstance(value, str):
-                    kwargs[key] = value
-                elif isinstance(value, dict):
-                    kwargs[key] = dict(value)
-                else:
-                    own.add(
-                        _join(path, key),
-                        "expected a fault-preset name or an inline "
-                        "FaultConfig dict",
-                    )
-            else:
-                kwargs[key] = _coerce(
-                    value, scalars[key], _join(path, key), own, getattr(cls, key)
-                )
-        config = cls(**kwargs)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("cluster config")
-        return config
+        """Strictly parse a cluster dict (see :func:`parse`)."""
+        return parse(cls, data, path, errors, "cluster config")
 
-    def _validate(self, path: str) -> list[tuple[str, str]]:
+    def _validate(self, path: str, errors: Errors) -> None:
         from repro.cluster.engines import ENGINES
+        from repro.cluster.faults import FaultConfig, RetryPolicy
 
-        out = []
-        checks = (
+        _check(path, errors, (
             ("replicas", self.replicas >= 1, "must be >= 1"),
             ("group_batches", self.group_batches >= 1, "must be >= 1"),
             ("max_wait_s", self.max_wait_s > 0, "must be positive"),
@@ -689,59 +646,41 @@ class ClusterConfig:
                 self.queue_depth_stride >= 1,
                 "must be >= 1 (1: keep every sample)",
             ),
+        ))
+        if _known("router", self.router, ROUTERS, _join(path, "router"), errors):
+            parse_options(
+                ROUTERS.get(self.router),
+                self.router_options,
+                _join(path, "router_options"),
+                errors,
+            )
+        _known(
+            "scheduler", self.scheduler, SCHEDULERS, _join(path, "scheduler"), errors
         )
-        for key, ok, message in checks:
-            if not ok:
-                out.append((_join(path, key), message))
-        if self.router not in ROUTERS:
-            out.append(
-                (
-                    _join(path, "router"),
-                    unknown_name_message("router", self.router, ROUTERS.names()),
-                )
+        if isinstance(self.faults, dict):
+            parse(FaultConfig, self.faults, _join(path, "faults"), errors)
+        elif self.faults:
+            _known(
+                "fault preset",
+                self.faults,
+                FAULT_PRESETS,
+                _join(path, "faults"),
+                errors,
             )
-        if self.scheduler not in SCHEDULERS:
-            out.append(
-                (
-                    _join(path, "scheduler"),
-                    unknown_name_message(
-                        "scheduler", self.scheduler, SCHEDULERS.names()
-                    ),
-                )
-            )
-        if isinstance(self.faults, str):
-            if self.faults and self.faults not in FAULT_PRESETS:
-                out.append(
-                    (
-                        _join(path, "faults"),
-                        unknown_name_message(
-                            "fault preset", self.faults, FAULT_PRESETS.names()
-                        ),
-                    )
-                )
-        else:
-            from repro.cluster.faults import FaultConfig
-
-            try:
-                FaultConfig.from_dict(dict(self.faults))
-            except (TypeError, ValueError) as exc:
-                out.append((_join(path, "faults"), str(exc)))
         if self.retry:
-            from repro.cluster.faults import RetryPolicy
-
-            try:
-                RetryPolicy.from_dict(dict(self.retry))
-            except (TypeError, ValueError) as exc:
-                out.append((_join(path, "retry"), str(exc)))
-        probe = Errors()
+            parse(RetryPolicy, self.retry, _join(path, "retry"), errors)
         for i, env in enumerate(self.envs):
-            _resolve_hardware(env, _join(path, f"envs[{i}]"), probe)
-        out.extend(("", item) for item in probe.items)
-        return out
+            _resolve_hardware(env, _join(path, f"envs[{i}]"), errors)
 
     def build_router(self):
         """Instantiate the configured router through the registry."""
-        return ROUTERS.get(self.router)(**self.router_options)
+        factory = ROUTERS.get(self.router)
+        errors = Errors()
+        options = parse_options(
+            factory, self.router_options, "cluster.router_options", errors
+        )
+        errors.raise_if_any("cluster config")
+        return factory(**options)
 
     def resolve_faults(self):
         """The configured :class:`~repro.cluster.faults.FaultConfig`.
@@ -756,7 +695,7 @@ class ClusterConfig:
             if not self.faults:
                 return None
             return FAULT_PRESETS.get(self.faults)()
-        return FaultConfig.from_dict(dict(self.faults))
+        return parse(FaultConfig, self.faults, "cluster.faults", what="cluster config")
 
     def build_retry(self):
         """The configured :class:`~repro.cluster.faults.RetryPolicy`.
@@ -770,7 +709,7 @@ class ClusterConfig:
 
         if not self.retry:
             return None
-        return RetryPolicy.from_dict(dict(self.retry))
+        return parse(RetryPolicy, self.retry, "cluster.retry", what="cluster config")
 
     def resolve_environments(self, default_env) -> list:
         """One :class:`~repro.hardware.spec.HardwareSpec` per replica.
@@ -819,74 +758,30 @@ class ServeConfig:
 
     def to_dict(self) -> dict:
         """Plain-JSON form."""
-        return {
-            "arrival": self.arrival,
-            "arrival_options": _copy_ref(dict(self.arrival_options)),
-            "requests": self.requests,
-            "rate_per_s": self.rate_per_s,
-            "hot_experts": _copy_ref(dict(self.hot_experts)),
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(
         cls, data: dict, *, path: str = "serve", errors: Errors | None = None
     ) -> "ServeConfig":
-        """Strictly parse a serve dict (unknown keys are errors)."""
-        own = errors if errors is not None else Errors()
-        if not isinstance(data, dict):
-            own.add(path, f"expected a dict, got {type(data).__name__}")
-            data = {}
-        known = {f.name for f in dataclasses.fields(cls)}
-        _check_keys(data, known, path, own)
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
-                continue
-            if key in ("arrival_options", "hot_experts"):
-                if isinstance(value, dict):
-                    kwargs[key] = dict(value)
-                else:
-                    own.add(_join(path, key), "expected a dict")
-            elif key == "arrival":
-                kwargs[key] = _coerce(value, str, _join(path, key), own, cls.arrival)
-            elif key == "requests":
-                kwargs[key] = _coerce(value, int, _join(path, key), own, cls.requests)
-            else:  # rate_per_s
-                kwargs[key] = _coerce(
-                    value, float, _join(path, key), own, cls.rate_per_s
-                )
-        config = cls(**kwargs)
-        own.items.extend(
-            f"{p}: {m}" if p else m for p, m in config._validate(path)
-        )
-        if errors is None:
-            own.raise_if_any("serve config")
-        return config
+        """Strictly parse a serve dict (see :func:`parse`)."""
+        return parse(cls, data, path, errors, "serve config")
 
-    def _validate(self, path: str) -> list[tuple[str, str]]:
-        out = []
-        if self.arrival not in ARRIVALS:
-            out.append(
-                (
-                    _join(path, "arrival"),
-                    unknown_name_message(
-                        "arrival process", self.arrival, ARRIVALS.names()
-                    ),
-                )
-            )
-        if self.requests < 1:
-            out.append((_join(path, "requests"), "must be >= 1"))
-        if self.rate_per_s <= 0:
-            out.append((_join(path, "rate_per_s"), "must be positive"))
-        mode = self.hot_experts.get("mode", "auto")
-        if mode not in _HOT_EXPERT_MODES:
-            out.append(
-                (
-                    _join(path, "hot_experts.mode"),
-                    unknown_name_message("mode", mode, _HOT_EXPERT_MODES),
-                )
-            )
-        return out
+    def _validate(self, path: str, errors: Errors) -> None:
+        _known(
+            "arrival process", self.arrival, ARRIVALS, _join(path, "arrival"), errors
+        )
+        _check(path, errors, (
+            ("requests", self.requests >= 1, "must be >= 1"),
+            ("rate_per_s", self.rate_per_s > 0, "must be positive"),
+        ))
+        _known(
+            "mode",
+            self.hot_experts.get("mode", "auto"),
+            _HOT_EXPERT_MODES,
+            _join(path, "hot_experts.mode"),
+            errors,
+        )
 
 
 @dataclass(frozen=True)
@@ -907,12 +802,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Plain-JSON form; None sections are omitted (canonical)."""
-        d = {"scenario": self.scenario.to_dict(), "system": self.system.to_dict()}
-        if self.cluster is not None:
-            d["cluster"] = self.cluster.to_dict()
-        if self.serve is not None:
-            d["serve"] = self.serve.to_dict()
-        return d
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -929,22 +819,7 @@ class RunConfig:
         Returns:
             The parsed, validated config.
         """
-        errors = Errors()
-        if not isinstance(data, dict):
-            errors.add("", f"expected a dict, got {type(data).__name__}")
-            errors.raise_if_any("run config")
-        _check_keys(data, ("scenario", "system", "cluster", "serve"), "", errors)
-        scenario = ScenarioConfig.from_dict(
-            data.get("scenario", {}), errors=errors
-        )
-        system = SystemConfig.from_dict(data.get("system", {}), errors=errors)
-        cluster = serve = None
-        if data.get("cluster") is not None:
-            cluster = ClusterConfig.from_dict(data["cluster"], errors=errors)
-        if data.get("serve") is not None:
-            serve = ServeConfig.from_dict(data["serve"], errors=errors)
-        errors.raise_if_any("run config")
-        return cls(scenario=scenario, system=system, cluster=cluster, serve=serve)
+        return parse(cls, data, what="run config")
 
     def validate(self) -> "RunConfig":
         """Re-run the whole-tree validation; returns self when clean."""

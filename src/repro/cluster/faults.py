@@ -49,11 +49,12 @@ engine-identical.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
+from repro.api.config import parse, to_plain
 from repro.api.registry import register_fault_preset
 from repro.cluster.events import (
     CRASH,
@@ -194,34 +195,13 @@ class FaultConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "crash_rate_per_hour": self.crash_rate_per_hour,
-            "crash_downtime_s": self.crash_downtime_s,
-            "straggler_rate_per_hour": self.straggler_rate_per_hour,
-            "straggler_duration_s": self.straggler_duration_s,
-            "straggler_factor": self.straggler_factor,
-            "transient_failure_prob": self.transient_failure_prob,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown_s": self.breaker_cooldown_s,
-            "joins": [[t, r] for t, r in self.joins],
-            "drains": [[t, r] for t, r in self.drains],
-            "shed_queue_depth": self.shed_queue_depth,
-            "shed_slack_s": self.shed_slack_s,
-            "shed_protect_class": self.shed_protect_class,
-        }
+        """Plain-JSON form (``joins``/``drains`` as ``[time_s, id]`` lists)."""
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultConfig":
-        """Strict constructor: unknown keys raise (replay-blob safety)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown FaultConfig keys: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        return cls(**data)
+        """Strictly parse a fault dict (:func:`repro.api.config.parse`)."""
+        return parse(cls, data, what="fault config")
 
 
 @dataclass(frozen=True)
@@ -277,25 +257,13 @@ class RetryPolicy:
         return base * (1.0 + self.jitter_frac * draw)
 
     def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_multiplier": self.backoff_multiplier,
-            "jitter_frac": self.jitter_frac,
-            "retry_budget": self.retry_budget,
-            "seed": self.seed,
-        }
+        """Plain-JSON form."""
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RetryPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown RetryPolicy keys: {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        return cls(**data)
+        """Strictly parse a retry dict (:func:`repro.api.config.parse`)."""
+        return parse(cls, data, what="retry policy")
 
 
 @dataclass

@@ -175,10 +175,9 @@ def _make_klotski_quantized(**options) -> KlotskiSystem:
     return KlotskiSystem(KlotskiOptions(**options), name="klotski(q)")
 
 
-_make_klotski.__config_options__ = tuple(
-    f.name for f in KlotskiOptions.__dataclass_fields__.values()
-)
-_make_klotski_quantized.__config_options__ = _make_klotski.__config_options__
+# repro.api parses a factory's options against ``inspect.unwrap(factory)``:
+# both Klotski factories take exactly the KlotskiOptions fields.
+_make_klotski.__wrapped__ = _make_klotski_quantized.__wrapped__ = KlotskiOptions
 
 
 class KlotskiEngine:

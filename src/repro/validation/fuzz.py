@@ -7,6 +7,8 @@ every failure a **replayable JSON blob**: the report's ``failures``
 entries (surfaced verbatim by ``repro.cli validate --json``) carry the
 offending config's ``to_dict()`` form, so a CI failure reproduces with
 ``RunConfig.from_dict(blob)`` plus the recorded engine/capacity knobs.
+Every case runs from that parse of its own blob, so a blob that does
+not parse back to the sampled config is itself a case failure.
 Two case families:
 
 * **pipeline cases** — a random small model / hardware / workload /
@@ -57,7 +59,7 @@ from repro.api import (
     run_cluster,
     scheduler_names,
 )
-from repro.errors import OutOfMemoryError, ReproError
+from repro.errors import ConfigError, OutOfMemoryError, ReproError
 from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
 from repro.model.config import ModelConfig
 from repro.runtime.executor import Executor, ExecutorConfig
@@ -342,6 +344,27 @@ def random_run_config(rng: np.random.Generator) -> RunConfig:
 # ---- case execution ----------------------------------------------------------
 
 
+def _replay(sampled: RunConfig, report: FuzzReport, tag: str) -> RunConfig | None:
+    """The case's config as its replay blob parses.
+
+    Every case runs from ``RunConfig.from_dict`` of its own JSON blob, so
+    the replay contract (the blob parses, to the sampled config) is
+    checked on every case. A blob that fails it is recorded as a case
+    failure and returns None.
+    """
+    try:
+        config = RunConfig.from_dict(json.loads(json.dumps(sampled.to_dict())))
+    except ConfigError as exc:
+        report.record(tag, sampled, violations=[f"replay blob does not parse: {exc}"])
+        return None
+    if config != sampled:
+        report.record(
+            tag, sampled, violations=["replay blob parses to a different config"]
+        )
+        return None
+    return config
+
+
 def run_pipeline_case(
     case_seed: int, engine: str, report: FuzzReport, label: str = "",
     *, passes: bool = False,
@@ -358,11 +381,16 @@ def run_pipeline_case(
             pass pipeline and record any pass-differential violations.
     """
     rng = np.random.default_rng(case_seed)
-    config = random_run_config(rng)
+    sampled = random_run_config(rng)
+    report.pipeline_cases += 1
+    config = _replay(
+        sampled, report, f"pipeline {label or f'case-seed={case_seed}'}"
+    )
+    if config is None:
+        return
     scenario = build_scenario(config.scenario)
     system = build_system(config.system)
     tag = f"pipeline {label or f'case-seed={case_seed}'} system={system.name}"
-    report.pipeline_cases += 1
     try:
         built = system.build(scenario)
     except (ReproError, ValueError):
@@ -652,13 +680,16 @@ def run_cluster_case(
             point, which is exactly the property it should pin.
     """
     rng = np.random.default_rng(case_seed)
-    config = random_cluster_run_config(rng, case_seed, chaos=chaos)
+    sampled = random_cluster_run_config(rng, case_seed, chaos=chaos)
     kind = "chaos" if chaos else "cluster"
     tag = (
         f"{kind} {label or f'case-seed={case_seed}'} "
-        f"router={config.cluster.router} scheduler={config.cluster.scheduler}"
+        f"router={sampled.cluster.router} scheduler={sampled.cluster.scheduler}"
     )
     report.cluster_cases += 1
+    config = _replay(sampled, report, tag)
+    if config is None:
+        return
     requests = build_requests(config)
 
     def simulate():

@@ -5,10 +5,10 @@ legitimately different timings — iteration-level admission exists to
 change TTFT and tail latency — so unlike the engine differential
 (:mod:`repro.validation.cluster_differential`) this harness does not
 demand bit-identity. What both schedulers must agree on, for any config
-and stream, is *conservation*: every submitted request terminates
-exactly once under each discipline, both reports pass every
-:func:`repro.validation.check_cluster` invariant, and both runs saw
-the same arrivals. This is the oracle behind the ``scheduler
+and stream, is *conservation*: both reports pass every
+:func:`repro.validation.check_cluster` invariant against the same
+submitted stream, so every request terminates exactly once under each
+discipline. This is the oracle behind the ``scheduler
 differential`` CI job and ``tests/test_scheduler.py``.
 """
 
@@ -74,58 +74,15 @@ def run_scheduler_differential(
     result = SchedulerDifferentialResult(schedulers=tuple(schedulers))
     if requests is None:
         requests = build_requests(config)
-    submitted = {r.request_id for r in requests}
-
+    # check_cluster holds each report to the one submitted stream (no
+    # request lost, doubled or invented), so two reports that both pass
+    # it terminate the same id set: no cross-scheduler recount needed.
     for name in result.schedulers:
         run = dataclasses.replace(
             config, cluster=dataclasses.replace(config.cluster, scheduler=name)
         )
         report = run_cluster(run, shared_cache=shared_cache, requests=requests)
         result.reports[name] = report
-
         for violation in check_cluster(report, requests):
             result.diffs.append(f"{name}: invariant {violation}")
-        terminated: dict[int, int] = {}
-        for record in report.records:
-            rid = record.request.request_id
-            terminated[rid] = terminated.get(rid, 0) + 1
-        missing = sorted(submitted - set(terminated))
-        if missing:
-            result.diffs.append(
-                f"{name}: {len(missing)} submitted requests never "
-                f"terminated (first: {missing[:5]})"
-            )
-        doubled = sorted(r for r, c in terminated.items() if c > 1)
-        if doubled:
-            result.diffs.append(
-                f"{name}: {len(doubled)} requests terminated more than "
-                f"once (first: {doubled[:5]})"
-            )
-        invented = sorted(set(terminated) - submitted)
-        if invented:
-            result.diffs.append(
-                f"{name}: records contain unknown request ids "
-                f"{invented[:5]}"
-            )
-
-    # Cross-scheduler conservation: both disciplines must terminate the
-    # exact same id set (outcome splits may differ under faults — the
-    # disciplines crash different in-flight sets — but nothing may be
-    # lost or invented by either).
-    if len(result.reports) == len(result.schedulers) >= 2:
-        reference = result.schedulers[0]
-        ref_ids = {
-            r.request.request_id for r in result.reports[reference].records
-        }
-        for name in result.schedulers[1:]:
-            ids = {
-                r.request.request_id for r in result.reports[name].records
-            }
-            if ids != ref_ids:
-                only_ref = sorted(ref_ids - ids)[:5]
-                only_cand = sorted(ids - ref_ids)[:5]
-                result.diffs.append(
-                    f"terminal id sets differ: only {reference} "
-                    f"{only_ref}, only {name} {only_cand}"
-                )
     return result

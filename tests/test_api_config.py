@@ -212,6 +212,181 @@ class TestAggregatedErrors:
         assert "scenario.skew: expected float" in joined
 
 
+def errors_of(tree: dict) -> list[str]:
+    """The aggregated error lines ``RunConfig.from_dict`` reports."""
+    with pytest.raises(ConfigValidationError) as exc:
+        RunConfig.from_dict(tree)
+    return exc.value.errors
+
+
+class TestFaultSections:
+    """``cluster.faults`` / ``cluster.retry`` dicts go through the one parser."""
+
+    def test_string_seed_is_rejected_up_front(self):
+        errors = errors_of(
+            {"cluster": {"faults": {"seed": "x", "crash_rate_per_hour": 50}}}
+        )
+        assert errors == ["cluster.faults.seed: expected int, got str"]
+
+    def test_fractional_counts_are_rejected(self):
+        assert errors_of({"cluster": {"retry": {"max_attempts": 2.5}}}) == [
+            "cluster.retry.max_attempts: expected int, got float"
+        ]
+        assert errors_of({"cluster": {"faults": {"breaker_threshold": 2.5}}}) == [
+            "cluster.faults.breaker_threshold: expected int, got float"
+        ]
+
+    def test_string_rate_names_its_field(self):
+        assert errors_of(
+            {"cluster": {"faults": {"crash_rate_per_hour": "1.0"}}}
+        ) == ["cluster.faults.crash_rate_per_hour: expected float, got str"]
+
+    def test_misspelt_key_suggests(self):
+        (error,) = errors_of({"cluster": {"faults": {"crash_rate_per_hr": 1.0}}})
+        assert error.startswith("cluster.faults.crash_rate_per_hr: unknown key")
+        assert "did you mean 'crash_rate_per_hour'" in error
+
+    def test_post_init_errors_stay_at_the_section(self):
+        assert errors_of({"cluster": {"retry": {"max_attempts": 0}}}) == [
+            "cluster.retry: max_attempts must be >= 1"
+        ]
+
+    def test_direct_from_dict_is_strict_and_round_trips(self):
+        from repro.cluster.faults import FaultConfig, RetryPolicy
+
+        with pytest.raises(ConfigValidationError, match="seed: expected int"):
+            FaultConfig.from_dict({"seed": "x"})
+        faults = FaultConfig(seed=3, joins=((1.0, 2),), drains=((6.0, 1),))
+        assert FaultConfig.from_dict(json.loads(json.dumps(faults.to_dict()))) == faults
+        retry = RetryPolicy(max_attempts=5, jitter_frac=0.0)
+        assert RetryPolicy.from_dict(retry.to_dict()) == retry
+
+
+class TestFactoryOptions:
+    """System and router options parse against the factory's own schema."""
+
+    def test_klotski_options_are_typed(self):
+        assert errors_of(
+            {"system": {"name": "klotski", "options": {"quantize": "no"}}}
+        ) == ["system.options.quantize: expected bool, got str"]
+
+    def test_baseline_constructor_parameters_are_typed(self):
+        assert errors_of(
+            {"system": {"name": "moe-infinity", "options": {"cache_fraction": "0.3"}}}
+        ) == ["system.options.cache_fraction: expected float, got str"]
+
+    def test_options_a_system_does_not_take_are_rejected(self):
+        (error,) = errors_of(
+            {"system": {"name": "flexgen", "options": {"quantize": True}}}
+        )
+        assert error.startswith("system.options.quantize: unknown key")
+
+    def test_router_options_are_checked_at_parse_time(self):
+        (error,) = errors_of(
+            {"cluster": {"router": "expert-affinity", "router_options": {"slak": 1}}}
+        )
+        assert error.startswith("cluster.router_options.slak: unknown key")
+        assert "did you mean 'slack'" in error
+
+    def test_build_parses_options_into_their_types(self):
+        from repro.core.pipeline import PipelineFeatures
+
+        system = SystemConfig(
+            "klotski", {"prefetch_k": 3, "features": {"overlap": False}}
+        ).build()
+        assert system.options.prefetch_k == 3
+        assert system.options.features == PipelineFeatures(overlap=False)
+        moe = build_system(SystemConfig("moe-infinity", {"cache_fraction": 1}))
+        assert moe.cache_fraction == 1.0
+        router = ClusterConfig(router="expert-affinity", router_options={"slack": 2})
+        assert router.build_router().slack == 2
+
+    def test_untyped_factories_take_any_option(self):
+        from repro.api.config import Errors, parse_options
+
+        def factory(**options):
+            return options
+
+        errors = Errors()
+        assert parse_options(factory, {"anything": [1]}, "p", errors) == {
+            "anything": [1]
+        }
+        assert errors.items == []
+
+
+class TestInlineSpecs:
+    """Inline model / hardware dicts get the section parser's type checks."""
+
+    def _env(self, **overrides):
+        from repro.hardware.spec import ENV1
+
+        env = dataclasses.asdict(ENV1)
+        env.update(overrides)
+        return env
+
+    def test_integral_float_in_int_field_is_rejected(self):
+        assert errors_of({"scenario": {"env": self._env(vram_bytes=24e9)}}) == [
+            "scenario.env.vram_bytes: expected int, got float"
+        ]
+
+    def test_nested_sub_specs_are_typed(self):
+        env = self._env()
+        env["pcie_h2d"]["bandwidth_bytes_per_s"] = "fast"
+        assert errors_of({"cluster": {"envs": ["env1", env]}}) == [
+            "cluster.envs[1].pcie_h2d.bandwidth_bytes_per_s: expected float, got str"
+        ]
+
+    def test_post_init_error_is_reported_at_the_spec(self):
+        from repro.model.config import MIXTRAL_8X7B
+
+        model = {**dataclasses.asdict(MIXTRAL_8X7B), "num_heads": 7}
+        assert errors_of({"scenario": {"model": model}}) == [
+            "scenario.model: hidden_size must be divisible by num_heads"
+        ]
+
+    def test_missing_and_misspelt_keys(self):
+        env = self._env()
+        del env["disk_link"]
+        assert errors_of({"scenario": {"env": env}}) == [
+            "scenario.env: missing required keys: disk_link"
+        ]
+        env["disk_lnk"] = self._env()["disk_link"]
+        (error,) = errors_of({"scenario": {"env": env}})
+        assert "did you mean 'disk_link'" in error
+
+
+def test_serialization_is_pinned():
+    """to_dict is a content address: these hashes must never move."""
+    from repro.api import stable_hash
+    from repro.cluster.faults import FaultConfig, RetryPolicy
+
+    config = RunConfig(
+        scenario=ScenarioConfig(
+            model="mixtral-8x22b", env="env2", batch_size=4, n=3, seed=5
+        ),
+        system=SystemConfig("klotski", {"quantize": True}, ("fill-bubbles",)),
+        cluster=ClusterConfig(
+            replicas=3, envs=("env1", "env2"), router="expert-affinity",
+            router_options={"slack": 2}, faults={"seed": 7, "joins": [[20.0, 2]]},
+            retry={"max_attempts": 4}, scheduler="continuous",
+        ),
+        serve=ServeConfig(arrival="bursty", hot_experts={"mode": "zipf", "skew": 1.5}),
+    )
+    assert round_trip(config) == config
+    assert stable_hash(config.to_dict()) == (
+        "62c0ebc66b3fe53622cb8e2a71dc832a3014d58ea34124b68b4a477303c7e09c"
+    )
+    assert stable_hash(RunConfig().to_dict()) == (
+        "335869ffc77c83f99a049e8df01d9e1874df8a46ef30ef08bc1168d7046d914a"
+    )
+    assert stable_hash(FaultConfig(seed=3, drains=((6.0, 1),)).to_dict()) == (
+        "3bd541e3ecda19297243058bba95d56ca716852a9239730b99f497a9387984e0"
+    )
+    assert stable_hash(RetryPolicy(max_attempts=5).to_dict()) == (
+        "4b246afc5794e296557647ab706c1245a4158624499e95b7f8c2a3595a93d9f5"
+    )
+
+
 class TestSetOverrides:
     def test_dotted_paths_and_json_values(self):
         tree = {"scenario": {"batch_size": 4}, "system": {"name": "klotski"}}
@@ -220,14 +395,14 @@ class TestSetOverrides:
             [
                 "scenario.skew=1.3",
                 "system.options.quantize=true",
-                "system.name=flexgen",
+                "system.name=klotski(q)",
                 "scenario.model=mixtral-8x22b",
             ],
         )
         config = RunConfig.from_dict(tree)
         assert config.scenario.skew == 1.3
         assert config.scenario.model == "mixtral-8x22b"
-        assert config.system == SystemConfig("flexgen", {"quantize": True})
+        assert config.system == SystemConfig("klotski(q)", {"quantize": True})
 
     def test_malformed_entries_aggregate(self):
         with pytest.raises(ConfigValidationError) as exc:

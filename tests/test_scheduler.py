@@ -328,6 +328,30 @@ class TestSchedulerDifferential:
         assert check_cluster(report, requests) == []
         assert "slo_classes" in report.to_dict()
 
+    def test_dropped_record_fails_the_differential(self, monkeypatch):
+        """Mutation check: a policy that loses one request must be caught."""
+        from repro.api.registry import SCHEDULERS
+
+        class DropOneScheduler(ContinuousScheduler):
+            name = "drop-one"
+
+            def run(self, requests):
+                report = super().run(requests)
+                report.records.pop()
+                return report
+
+        SCHEDULERS.names()  # load the built-ins before patching
+        monkeypatch.setitem(SCHEDULERS._entries, "drop-one", DropOneScheduler)
+        result = run_scheduler_differential(
+            self._config(), shared_cache={}, schedulers=("group", "drop-one")
+        )
+        assert not result.ok
+        assert any(
+            d.startswith("drop-one: invariant") and "never reached" in d
+            for d in result.diffs
+        ), result.diffs
+        assert not any(d.startswith("group:") for d in result.diffs)
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ConfigValidationError):
             self._config(scheduler="orca")

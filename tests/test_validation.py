@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -345,6 +346,41 @@ class TestFuzz:
             FuzzConfig(engine="warp")
         with pytest.raises(ValueError):
             FuzzConfig(cluster_every=0)
+
+    def test_cases_run_from_their_replay_blob(self, monkeypatch):
+        """A sample whose blob does not parse, or parses to another
+        config, is a case failure carrying the sampled blob."""
+        import dataclasses
+
+        import repro.validation.fuzz as fuzz
+        from repro.api import RunConfig, SystemConfig
+
+        unparsable = RunConfig(system=SystemConfig("klotski", {"quantize": "no"}))
+        monkeypatch.setattr(fuzz, "random_run_config", lambda rng: unparsable)
+        report = FuzzReport()
+        fuzz.run_pipeline_case(0, "both", report)
+        assert report.pipeline_cases == 1
+        assert len(report.violations) == 1
+        assert "replay blob does not parse" in report.violations[0]
+        assert "system.options.quantize: expected bool" in report.violations[0]
+        assert report.failures[0]["config"] == unparsable.to_dict()
+
+        sampled = fuzz.random_cluster_run_config(np.random.default_rng(0), 0)
+        drifting = dataclasses.replace(  # a list where the schema says tuple
+            sampled,
+            cluster=dataclasses.replace(
+                sampled.cluster, envs=list(sampled.cluster.envs)
+            ),
+        )
+        monkeypatch.setattr(
+            fuzz, "random_cluster_run_config", lambda rng, seed, chaos: drifting
+        )
+        report = FuzzReport()
+        fuzz.run_cluster_case(0, report)
+        assert report.cluster_cases == 1
+        assert report.violations == [
+            f"{report.failures[0]['tag']}: replay blob parses to a different config"
+        ]
 
     def test_report_summary_lists_failures(self):
         report = FuzzReport(cases=1, violations=["boom"], diffs=["drift"])
