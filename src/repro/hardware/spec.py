@@ -16,12 +16,26 @@ device bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 GB = 1_000_000_000
 GiB = 1 << 30
+
+
+def _check(spec, positive=(), non_negative=()) -> None:
+    """Reject rates the timing formulas divide by, and negative sizes."""
+    for name in positive:
+        value = getattr(spec, name)
+        if not value > 0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
+    for name in non_negative:
+        value = getattr(spec, name)
+        if not value >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +45,9 @@ class LinkSpec:
     name: str
     bandwidth_bytes_per_s: float
     latency_s: float = 10e-6
+
+    def __post_init__(self):
+        _check(self, ("bandwidth_bytes_per_s",), ("latency_s",))
 
     def transfer_time(self, nbytes: int) -> float:
         """Seconds to move ``nbytes`` across this link."""
@@ -53,6 +70,13 @@ class ComputeSpec:
     flops_per_s: float
     mem_bandwidth_bytes_per_s: float
     kernel_overhead_s: float = 30e-6
+
+    def __post_init__(self):
+        _check(
+            self,
+            ("flops_per_s", "mem_bandwidth_bytes_per_s"),
+            ("kernel_overhead_s",),
+        )
 
     def compute_time(self, flops: float, bytes_moved: float, kernels: int = 1) -> float:
         """Seconds to run an op with the given FLOP and byte footprint."""
@@ -87,6 +111,18 @@ class HardwareSpec:
     # Fraction of VRAM usable for weights/KV after framework reserves.
     vram_usable_fraction: float = 0.92
     pinned_memory_speedup: float = 1.25
+
+    def __post_init__(self):
+        _check(
+            self,
+            ("pinned_memory_speedup",),
+            ("vram_bytes", "dram_bytes", "disk_bytes"),
+        )
+        if not 0 < self.vram_usable_fraction <= 1:
+            raise ConfigError(
+                "vram_usable_fraction must be in (0, 1], got "
+                f"{self.vram_usable_fraction}"
+            )
 
     def usable_vram(self) -> int:
         """Bytes of VRAM available to tensors after framework reserve."""

@@ -17,6 +17,10 @@ from dataclasses import dataclass, replace
 from repro.errors import ConfigError
 
 DTYPE_BYTES = {"fp32": 4, "bf16": 2, "fp16": 2, "int8": 1, "int4": 0.5}
+_COUNT_FIELDS = (
+    "hidden_size", "intermediate_size", "num_layers", "num_heads",
+    "num_kv_heads", "num_experts", "top_k", "vocab_size", "ffn_matrices",
+)
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,16 @@ class ModelConfig:
     ffn_matrices: int = 3
 
     def __post_init__(self):
+        # Counts first: the divisibility checks below divide by them.
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.hidden_size % self.num_heads:
             raise ConfigError("hidden_size must be divisible by num_heads")
         if self.num_heads % self.num_kv_heads:
             raise ConfigError("num_heads must be divisible by num_kv_heads")
-        if not 1 <= self.top_k <= self.num_experts:
+        if self.top_k > self.num_experts:
             raise ConfigError("top_k must be in [1, num_experts]")
         if self.dtype not in DTYPE_BYTES:
             raise ConfigError(f"unknown dtype {self.dtype!r}")

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hardware.spec import HardwareSpec
 from repro.passes.rewrite import OpMap
-from repro.runtime.schedule import CompiledSchedule, Schedule
+from repro.runtime.schedule import Schedule
 from repro.runtime.timeline import Timeline
 
 
@@ -26,33 +24,16 @@ class PassContext:
     """Everything a pass may inspect when proposing a rewrite.
 
     Attributes:
-        schedule: the current (already-accepted) schedule.
-        compiled: its frozen form.
-        timeline: the executed baseline the pass is trying to beat.
+        schedule: the current (already-accepted, frozen) schedule.
+        timeline: the executed baseline the pass is trying to beat; its
+            ``starts`` / ``ends`` float64 arrays give per-op executed
+            times without materializing ``ExecutedOp`` objects.
         hardware: the machine the schedule targets.
-        starts / ends: the timeline's per-op executed times (float64
-            arrays; inspecting them never materializes ``ExecutedOp``
-            objects).
     """
 
     schedule: Schedule
-    compiled: CompiledSchedule
     timeline: Timeline
     hardware: HardwareSpec
-    starts: np.ndarray
-    ends: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        schedule: Schedule,
-        compiled: CompiledSchedule,
-        timeline: Timeline,
-        hardware: HardwareSpec,
-    ) -> "PassContext":
-        return cls(
-            schedule, compiled, timeline, hardware, timeline.starts, timeline.ends
-        )
 
     @property
     def makespan(self) -> float:

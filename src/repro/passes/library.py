@@ -55,7 +55,7 @@ class CoalesceTransfersPass(SchedulePass):
         n = len(schedule)
         res = schedule._res
         deps = schedule._deps
-        starts, ends = ctx.starts, ctx.ends
+        starts, ends = ctx.timeline.starts, ctx.timeline.ends
         dependents = [0] * n
         for dep_ids in deps:
             for d in dep_ids:
@@ -127,7 +127,7 @@ class RetimePrefetchPass(SchedulePass):
         schedule = ctx.schedule
         n = len(schedule)
         res = schedule._res
-        starts = ctx.starts
+        starts = ctx.timeline.starts
         need = [math.inf] * n
         for op, dep_ids in enumerate(schedule._deps):
             start = float(starts[op])

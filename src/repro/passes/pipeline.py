@@ -83,8 +83,8 @@ class PassDecision:
 class PipelineResult:
     """Outcome of one :class:`PassPipeline` run.
 
-    ``schedule``/``compiled``/``timeline`` are the final (optimized)
-    artifacts — identical to the inputs when nothing was accepted.
+    ``schedule`` and ``timeline`` are the final (optimized) artifacts —
+    identical to the inputs when nothing was accepted.
     ``op_map`` composes every accepted rewrite (None means identity);
     :meth:`remap_op` translates original op ids into the final schedule.
     """
@@ -181,25 +181,23 @@ class PassPipeline:
 
         executor = Executor(hardware)
         with span("passes.pipeline", {"passes": len(self.passes)}):
-            compiled = schedule.freeze()
-            timeline = executor.run(compiled, capacities=capacities)
+            timeline = executor.run(schedule, capacities=capacities)
             baseline_makespan = timeline.makespan
             baseline_bubbles = analyze_bubbles(timeline).bubble_fraction
-            cur_sched, cur_compiled, cur_timeline = schedule, compiled, timeline
+            cur_sched, cur_timeline = schedule, timeline
             cur_bubbles = baseline_bubbles
             op_map: OpMap | None = None
             decisions: list[PassDecision] = []
             for p in self.passes:
                 with span("passes.apply", {"pass": p.name}):
                     decision, accepted = self._try_pass(
-                        p, executor, capacities,
-                        cur_sched, cur_compiled, cur_timeline,
+                        p, executor, capacities, cur_sched, cur_timeline,
                         hardware, cur_bubbles, check_conservation,
                     )
                 decisions.append(decision)
                 count(f"passes.{decision.status}")
                 if accepted is not None:
-                    cur_sched, cur_compiled, cur_timeline, cur_bubbles, step_map = accepted
+                    cur_sched, cur_timeline, cur_bubbles, step_map = accepted
                     op_map = _compose(op_map, step_map)
         return PipelineResult(
             schedule=cur_sched,
@@ -211,8 +209,8 @@ class PassPipeline:
         )
 
     def _try_pass(
-        self, p, executor, capacities, cur_sched, cur_compiled, cur_timeline,
-        hardware, cur_bubbles, check_conservation,
+        self, p, executor, capacities, cur_sched, cur_timeline, hardware,
+        cur_bubbles, check_conservation,
     ):
         t0 = time.perf_counter()
         before = dict(
@@ -230,7 +228,7 @@ class PassPipeline:
                 wall_ms=(time.perf_counter() - t0) * 1e3, **before,
             ), None
 
-        ctx = PassContext.build(cur_sched, cur_compiled, cur_timeline, hardware)
+        ctx = PassContext(cur_sched, cur_timeline, hardware)
         try:
             result = p.apply(ctx)
         except ScheduleError as exc:
@@ -245,11 +243,11 @@ class PassPipeline:
         if violations:
             return reject(f"conservation: {violations[0]}")
         try:
-            cand_compiled = result.schedule.freeze()
+            result.schedule.freeze()
         except ScheduleError as exc:
             return reject(f"freeze failed: {exc}")
         try:
-            cand_timeline = executor.run(cand_compiled, capacities=capacities)
+            cand_timeline = executor.run(result.schedule, capacities=capacities)
         except OutOfMemoryError as exc:
             return reject(f"memory replay OOM: {exc}")
         cand_violations = _check(result.schedule, cand_timeline)
@@ -280,8 +278,7 @@ class PassPipeline:
             ) * 1e3, **before, **after,
         )
         return decision, (
-            result.schedule, cand_compiled, cand_timeline, cand_bubbles,
-            result.op_map,
+            result.schedule, cand_timeline, cand_bubbles, result.op_map,
         )
 
 

@@ -2,7 +2,7 @@
 
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.metrics import InferenceMetrics, metrics_from_timeline
-from repro.runtime.schedule import CompiledSchedule, MemEffect, Op, Schedule
+from repro.runtime.schedule import MemEffect, Op, Schedule
 from repro.runtime.timeline import ExecutedOp, IdleGap, Timeline
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "MemEffect",
     "Op",
     "Schedule",
-    "CompiledSchedule",
     "ExecutedOp",
     "IdleGap",
     "Timeline",

@@ -10,9 +10,9 @@ pass.
 
 Two engines implement those semantics:
 
-* the **compiled** engine (default) freezes the schedule into its
-  structure-of-arrays form and computes start/end times in one tight pass
-  over preconverted lists, then replays memory vectorized (a stable sort
+* the **compiled** engine (default) freezes the schedule, computes
+  start/end times in one tight pass over its per-op column lists, then
+  replays memory vectorized over the frozen event arrays (a stable sort
   of the flat event stream plus a per-pool ``cumsum``, with capacity
   checks against the vectorized running peaks);
 * the **legacy** engine walks materialized :class:`Op` objects one at a
@@ -40,14 +40,12 @@ import numpy as np
 from repro.errors import OutOfMemoryError, ScheduleError
 from repro.hardware.spec import HardwareSpec
 from repro.obs import span
-from repro.runtime.schedule import (
-    EV_ALLOC,
-    RESOURCE_CODES,
-    RESOURCES,
-    CompiledSchedule,
-    Schedule,
-)
+from repro.runtime.schedule import EV_ALLOC, RESOURCE_CODES, RESOURCES, Schedule
 from repro.runtime.timeline import ExecutedOp, Timeline
+
+# Pools whose capacity is enforced: DRAM/disk planning errors are
+# placement bugs, VRAM overflow is the paper's OOM condition.
+ENFORCED_POOLS = ("vram",)
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class ExecutorConfig:
     """Execution options."""
 
     check_memory: bool = True
-    # Pools whose capacity is enforced; DRAM/disk planning errors are
-    # placement bugs, VRAM overflow is the paper's OOM condition.
-    enforced_pools: tuple[str, ...] = ("vram",)
     # "compiled" (vectorized fast path) or "legacy" (per-op reference).
     engine: str = "compiled"
 
@@ -80,44 +75,39 @@ class Executor:
 
     def run(
         self,
-        schedule: Schedule | CompiledSchedule,
+        schedule: Schedule,
         *,
         capacities: dict[str, int] | None = None,
     ) -> Timeline:
         """Execute ``schedule``; returns the resulting :class:`Timeline`.
 
-        Accepts either the authoring :class:`Schedule` (frozen on the fly)
-        or an already-compiled :class:`CompiledSchedule`. ``capacities``
-        overrides pool capacities (defaults to the hardware spec's usable
-        VRAM / DRAM / disk sizes).
+        The compiled engine freezes the schedule first (a no-op when it is
+        already frozen). ``capacities`` overrides pool capacities
+        (defaults to the hardware spec's usable VRAM / DRAM / disk sizes).
         """
-        if isinstance(schedule, CompiledSchedule):
-            return self._run_compiled(schedule, capacities)
         if self.config.engine == "legacy":
             with span("executor.legacy"):
                 return self._run_legacy(schedule, capacities)
         with span("schedule.freeze"):
-            compiled = schedule.freeze()
-        return self._run_compiled(compiled, capacities)
+            schedule.freeze()
+        return self._run_compiled(schedule, capacities)
 
     # ---- compiled engine ---------------------------------------------------
 
     def _run_compiled(
-        self, compiled: CompiledSchedule, capacities: dict[str, int] | None
+        self, schedule: Schedule, capacities: dict[str, int] | None
     ) -> Timeline:
         starts: list[float] = []
         ends: list[float] = []
         available = [0.0] * len(RESOURCES)
         append_start = starts.append
         append_end = ends.append
-        timing_span = span("executor.timing_pass", {"ops": compiled.num_ops})
+        timing_span = span("executor.timing_pass", {"ops": len(schedule)})
         try:
             # ``ends`` only holds already-finished ops, so a forward (or
             # self) dependency fails fast as an IndexError instead of
             # silently reading zero.
-            for code, dur, deps in zip(
-                compiled._res_list, compiled._dur_list, compiled._deps_list
-            ):
+            for code, dur, deps in zip(schedule._res, schedule._dur, schedule._deps):
                 t = available[code]
                 for dep in deps:
                     dep_end = ends[dep]
@@ -139,8 +129,8 @@ class Executor:
         # bincount accumulates in array order, matching the legacy engine's
         # sequential ``+=`` float summation exactly.
         busy_arr = np.bincount(
-            compiled.resources,
-            weights=compiled.durations,
+            schedule.resources,
+            weights=schedule.durations,
             minlength=len(RESOURCES),
         )
         busy = {resource: float(busy_arr[i]) for i, resource in enumerate(RESOURCES)}
@@ -148,11 +138,11 @@ class Executor:
 
         with span("executor.memory_replay"):
             usage_arrays, peaks = self._replay_memory_compiled(
-                compiled, starts_arr, ends_arr, self._capacities(capacities)
+                schedule, starts_arr, ends_arr, self._capacities(capacities)
             )
         return Timeline(
-            compiled._schedule,
-            compiled.resources,
+            schedule,
+            schedule.resources,
             starts_arr,
             ends_arr,
             makespan,
@@ -163,32 +153,32 @@ class Executor:
 
     def _replay_memory_compiled(
         self,
-        compiled: CompiledSchedule,
+        schedule: Schedule,
         starts: np.ndarray,
         ends: np.ndarray,
         capacities: dict[str, int],
     ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], dict[str, int]]:
         """Vectorized replay: stable argsort by (time, kind), per-pool cumsum."""
-        n_events = compiled.ev_op.shape[0]
+        n_events = schedule.ev_op.shape[0]
         usage: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         peaks: dict[str, int] = {}
         if n_events == 0:
             return usage, peaks
         times = np.where(
-            compiled.ev_kind == EV_ALLOC,
-            starts[compiled.ev_op],
-            ends[compiled.ev_op],
+            schedule.ev_kind == EV_ALLOC,
+            starts[schedule.ev_op],
+            ends[schedule.ev_op],
         )
         # Event arrays are already in replay (insertion) order, and lexsort
         # is stable, so ties on (time, kind) keep that order — exactly the
         # legacy engine's ``events.sort(key=(time, kind))``.
-        order = np.lexsort((compiled.ev_kind, times))
+        order = np.lexsort((schedule.ev_kind, times))
         times_s = times[order]
-        deltas_s = compiled.ev_delta[order]
-        pools_s = compiled.ev_pool[order]
+        deltas_s = schedule.ev_delta[order]
+        pools_s = schedule.ev_pool[order]
 
         oom: tuple[int, str, int, int] | None = None  # (rank, pool, delta, level)
-        for code, pool in enumerate(compiled.pool_names):
+        for code, pool in enumerate(schedule.pool_names):
             mask = pools_s == code
             if not mask.any():
                 continue
@@ -201,7 +191,7 @@ class Executor:
             if (
                 self.config.check_memory
                 and capacity is not None
-                and pool in self.config.enforced_pools
+                and pool in ENFORCED_POOLS
                 and peak > capacity
             ):
                 local = int(np.argmax(levels > capacity))
@@ -287,7 +277,7 @@ class Executor:
             if (
                 self.config.check_memory
                 and capacity is not None
-                and pool in self.config.enforced_pools
+                and pool in ENFORCED_POOLS
                 and level > capacity
             ):
                 raise OutOfMemoryError(pool, delta, capacity - (level - delta))

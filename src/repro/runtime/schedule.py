@@ -10,17 +10,16 @@ expert transfer, KV-cache load, KV-cache store) map to issue order on the
 Ops carry optional memory effects (allocations applied at op start, frees at
 op end) so the executor can reconstruct pool usage over simulated time.
 
-Two representations exist:
-
-* the **authoring form** — :meth:`Schedule.add` and friends, plus
-  :class:`Op` objects materialized on demand (``schedule.ops``,
-  ``schedule[i]``, iteration). Internally the schedule accumulates
-  structure-of-arrays columns, so building a multi-million-op DAG never
-  allocates per-op objects unless somebody asks for them;
-* the **compiled form** — :meth:`Schedule.freeze` returns a
-  :class:`CompiledSchedule`: integer resource codes, float64 durations,
-  CSR-encoded dependencies, and flat alloc/free event arrays with pool
-  codes. The executor's fast path runs directly over these arrays.
+Ops are authored with :meth:`Schedule.add` and friends, and read back as
+:class:`Op` objects materialized on demand (``schedule.ops``,
+``schedule[i]``, iteration). Internally the schedule accumulates
+structure-of-arrays columns, so building a multi-million-op DAG never
+allocates per-op objects unless somebody asks for them.
+:meth:`Schedule.freeze` validates the rows once and stores the
+executor's columns on the schedule itself — integer resource codes,
+float64 durations, and flat alloc/free event arrays with pool codes —
+until the next mutation; :meth:`Schedule.deps_csr` encodes the
+dependencies as CSR arrays on demand.
 
 Because materialized :class:`Op` objects are a *view*, mutating one does
 not write back; memory effects attached after emission must go through
@@ -55,7 +54,7 @@ PHASE_TRANSFER = "transfer"
 PHASE_KV = "kv"
 PHASE_OTHER = "other"
 
-# Event kinds in the compiled memory-effect stream. Frees replay before
+# Event kinds in the frozen memory-effect stream. Frees replay before
 # allocs at identical times (free-then-alloc steady-state reuse should not
 # double count), so the free kind sorts first.
 EV_FREE = 0
@@ -93,113 +92,6 @@ class Op:
             raise ScheduleError("op duration must be non-negative")
 
 
-def _deps_csr(deps: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` int64 arrays of per-op dependency tuples."""
-    n = len(deps)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, deps), dtype=np.int64, count=n), out=indptr[1:])
-    indices = np.fromiter(
-        chain.from_iterable(deps), dtype=np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices
-
-
-class CompiledSchedule:
-    """Structure-of-arrays snapshot of a :class:`Schedule`.
-
-    The compiled form is what the executor's fast path consumes: every
-    per-op attribute is a parallel numpy array, dependencies are CSR
-    encoded, and memory effects are a single flat event stream ordered by
-    ``(op, kind)`` — the exact order the legacy executor replayed them in.
-
-    Attributes:
-        num_ops: number of ops in the snapshot.
-        resources: ``[num_ops]`` int16 resource codes (indices into
-            :data:`RESOURCES`).
-        durations: ``[num_ops]`` float64 op durations in seconds.
-        dep_indptr: ``[num_ops + 1]`` int64 CSR row pointers.
-        dep_indices: ``[nnz]`` int64 dependency op ids.
-        pool_names: pool-code -> pool-name table for the event stream.
-        ev_op / ev_kind / ev_pool / ev_delta: ``[num_events]`` event
-            arrays in replay order: owning op id, :data:`EV_FREE` /
-            :data:`EV_ALLOC`, pool code, and signed byte delta.
-    """
-
-    __slots__ = (
-        "num_ops",
-        "resources",
-        "durations",
-        "pool_names",
-        "ev_op",
-        "ev_kind",
-        "ev_pool",
-        "ev_delta",
-        "_dur_list",
-        "_res_list",
-        "_deps_list",
-        "_dep_indptr",
-        "_dep_indices",
-        "_schedule",
-    )
-
-    def __init__(self, schedule: "Schedule"):
-        n = len(schedule)
-        self.num_ops = n
-        # Snapshot the authoring lists (append-only, so shallow copies are
-        # enough to decouple from later schedule growth).
-        self._res_list = list(schedule._res)
-        self._dur_list = list(schedule._dur)
-        self._deps_list = list(schedule._deps)
-        self._schedule = schedule
-        self._dep_indptr = None
-        self._dep_indices = None
-
-        self.resources = np.array(self._res_list, dtype=np.int16)
-        self.durations = np.array(self._dur_list, dtype=np.float64)
-
-        # Flatten memory effects into replay order: by op, frees before
-        # allocs, attachment order within each (op, kind) group. lexsort is
-        # stable, so the trailing append index preserves attachment order.
-        ev_op = np.array(schedule._ev_op, dtype=np.int64)
-        ev_kind = np.array(schedule._ev_kind, dtype=np.int8)
-        ev_nbytes = np.array(schedule._ev_nbytes, dtype=np.int64)
-        pool_names: list[str] = []
-        pool_codes = {name: i for i, name in enumerate(pool_names)}
-        codes = np.empty(len(schedule._ev_pool), dtype=np.int16)
-        for i, pool in enumerate(schedule._ev_pool):
-            code = pool_codes.get(pool)
-            if code is None:
-                code = len(pool_names)
-                pool_codes[pool] = code
-                pool_names.append(pool)
-            codes[i] = code
-        order = np.lexsort((np.arange(len(ev_op)), ev_kind, ev_op))
-        self.ev_op = ev_op[order]
-        self.ev_kind = ev_kind[order]
-        self.ev_pool = codes[order]
-        self.ev_delta = np.where(
-            self.ev_kind == EV_ALLOC, ev_nbytes[order], -ev_nbytes[order]
-        )
-        self.pool_names = tuple(pool_names)
-
-    def _build_csr(self) -> None:
-        self._dep_indptr, self._dep_indices = _deps_csr(self._deps_list)
-
-    @property
-    def dep_indptr(self) -> np.ndarray:
-        """CSR row pointers of the dependency lists (built on demand)."""
-        if self._dep_indptr is None:
-            self._build_csr()
-        return self._dep_indptr
-
-    @property
-    def dep_indices(self) -> np.ndarray:
-        """CSR column indices (dependency op ids; built on demand)."""
-        if self._dep_indices is None:
-            self._build_csr()
-        return self._dep_indices
-
-
 class Schedule:
     """An append-only, dependency-checked op list (structure-of-arrays)."""
 
@@ -223,9 +115,9 @@ class Schedule:
         # f"{patterns[i % p]}{tags[i] or ''}:L{layer}[b{batch}]s{step}"
         # (the batch segment is omitted for batch-less rows).
         self._label_plans: list[tuple] = []
-        # Caches invalidated on every mutation.
+        # Caches cleared by every mutation (see _invalidate).
         self._ops_cache: list[Op] | None = None
-        self._frozen: CompiledSchedule | None = None
+        self._frozen = False
 
     def __len__(self) -> int:
         return len(self._dur)
@@ -291,8 +183,9 @@ class Schedule:
         return labels
 
     def _invalidate(self) -> None:
+        """Drop the op views and the frozen columns after a mutation."""
         self._ops_cache = None
-        self._frozen = None
+        self._frozen = False
 
     def add(
         self,
@@ -410,8 +303,7 @@ class Schedule:
         self._layers.append(layer)
         self._phases.append(phase)
         self._batches.append(batch)
-        self._ops_cache = None
-        self._frozen = None
+        self._invalidate()
         return op_id
 
     def append_effect(
@@ -423,8 +315,7 @@ class Schedule:
         self._ev_pool.append(pool)
         self._ev_tensor.append(tensor_id)
         self._ev_nbytes.append(nbytes)
-        self._ops_cache = None
-        self._frozen = None
+        self._invalidate()
 
     def extend_effects(
         self,
@@ -443,8 +334,7 @@ class Schedule:
         self._ev_pool.extend([pool] * k)
         self._ev_tensor.extend(tensor_ids)
         self._ev_nbytes.extend(nbytes)
-        self._ops_cache = None
-        self._frozen = None
+        self._invalidate()
 
     def add_allocs(self, op_id: int, effects: Iterable[MemEffect]) -> None:
         """Attach allocation effects (applied at op start) to ``op_id``."""
@@ -501,7 +391,7 @@ class Schedule:
             )
         # Range-check every dep at once over transient CSR arrays; argmax
         # finds the first offender in (op, position-in-deps) order.
-        indptr, indices = _deps_csr(self._deps)
+        indptr, indices = self.deps_csr()
         owners = np.repeat(np.arange(len(self._deps)), np.diff(indptr))
         bad_mask = (indices < 0) | (indices >= owners)
         if bad_mask.any():
@@ -510,14 +400,65 @@ class Schedule:
             kind = "forward or self" if bad >= op_id else "negative"
             raise ScheduleError(f"op {op_id} has {kind} dependency {bad}")
 
-    def freeze(self) -> CompiledSchedule:
-        """Compile to the structure-of-arrays form (cached until mutated).
+    def deps_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` int64 arrays of the dependency lists.
+
+        Built on every call and never kept: ``indptr`` has
+        ``len(self) + 1`` row pointers, ``indices`` the dependency op ids.
+        """
+        n = len(self._deps)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, self._deps), dtype=np.int64, count=n),
+            out=indptr[1:],
+        )
+        indices = np.fromiter(
+            chain.from_iterable(self._deps), dtype=np.int64, count=int(indptr[-1])
+        )
+        return indptr, indices
+
+    def freeze(self) -> "Schedule":
+        """Validate once and store the executor's columns on the schedule.
 
         Runs :meth:`validate` first, so malformed rows — dangling or
         forward deps, negative durations — fail here with a clear error
-        instead of corrupting the executor's replay mid-run.
+        instead of corrupting the executor's replay mid-run. The columns
+        stay until the next mutation, and are rebuilt by the next call:
+
+        * ``resources``: int16 resource codes (indices into
+          :data:`RESOURCES`); ``durations``: float64 op durations;
+        * ``pool_names``: pool-code -> pool-name table;
+        * ``ev_op`` / ``ev_kind`` / ``ev_pool`` / ``ev_delta``: the
+          memory-effect events in replay order — by op, frees before
+          allocs, attachment order within each group — as owning op id,
+          :data:`EV_FREE` / :data:`EV_ALLOC`, pool code, and signed
+          byte delta.
+
+        Returns:
+            The schedule itself.
         """
-        if self._frozen is None:
-            self.validate()
-            self._frozen = CompiledSchedule(self)
-        return self._frozen
+        if self._frozen:
+            return self
+        self.validate()
+        self.resources = np.array(self._res, dtype=np.int16)
+        self.durations = np.array(self._dur, dtype=np.float64)
+        ev_op = np.array(self._ev_op, dtype=np.int64)
+        ev_kind = np.array(self._ev_kind, dtype=np.int8)
+        ev_nbytes = np.array(self._ev_nbytes, dtype=np.int64)
+        pool_codes: dict[str, int] = {}
+        codes = np.array(
+            [pool_codes.setdefault(pool, len(pool_codes)) for pool in self._ev_pool],
+            dtype=np.int16,
+        )
+        # lexsort is stable, so the trailing append index keeps attachment
+        # order within each (op, kind) group.
+        order = np.lexsort((np.arange(len(ev_op)), ev_kind, ev_op))
+        self.ev_op = ev_op[order]
+        self.ev_kind = ev_kind[order]
+        self.ev_pool = codes[order]
+        self.ev_delta = np.where(
+            self.ev_kind == EV_ALLOC, ev_nbytes[order], -ev_nbytes[order]
+        )
+        self.pool_names = tuple(pool_codes)
+        self._frozen = True
+        return self

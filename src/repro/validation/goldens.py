@@ -1,7 +1,7 @@
 """Content-addressed golden-trace snapshots for regression coverage.
 
 A *golden* is a small JSON document summarizing one simulation artifact —
-an executed timeline, a compiled schedule, or a cluster report — plus a
+an executed timeline, a frozen schedule, or a cluster report — plus a
 SHA-256 digest over its canonical serialization. Bulky per-op data
 (start/end arrays, memory step functions) enters the digest through
 nested array hashes, so a golden file stays a few hundred bytes while
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api.canonical import stable_hash
 from repro.cluster.report import ClusterReport
-from repro.runtime.schedule import RESOURCES, CompiledSchedule, Schedule
+from repro.runtime.schedule import RESOURCES, Schedule
 from repro.runtime.timeline import Timeline
 
 DEFAULT_GOLDEN_ROOT = Path(__file__).resolve().parents[3] / "tests" / "goldens"
@@ -41,7 +41,7 @@ def _array_digest(values: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline) -> dict:
+def snapshot_timeline(schedule: Schedule, timeline: Timeline) -> dict:
     """Summarize an executed timeline for golden comparison.
 
     Args:
@@ -52,7 +52,6 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
         A JSON-compatible snapshot with per-array digests and a
         content-addressing ``digest`` field.
     """
-    compiled = schedule if isinstance(schedule, CompiledSchedule) else schedule.freeze()
     usage = {
         pool: {
             "samples": len(times),
@@ -63,7 +62,7 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
     }
     payload = {
         "kind": "timeline",
-        "num_ops": compiled.num_ops,
+        "num_ops": len(schedule),
         "makespan": repr(timeline.makespan),
         "busy_time": {
             r: repr(timeline.busy_time.get(r, 0.0)) for r in RESOURCES
@@ -79,27 +78,28 @@ def snapshot_timeline(schedule: Schedule | CompiledSchedule, timeline: Timeline)
     return payload
 
 
-def snapshot_schedule(schedule: Schedule | CompiledSchedule) -> dict:
-    """Summarize a compiled schedule's IR for golden comparison.
+def snapshot_schedule(schedule: Schedule) -> dict:
+    """Summarize a schedule's frozen columns for golden comparison.
 
     Args:
-        schedule: the schedule (authoring or compiled form) to pin.
+        schedule: the schedule to pin (frozen here if it is not already).
 
     Returns:
         A JSON-compatible snapshot of the structure-of-arrays form.
     """
-    compiled = schedule if isinstance(schedule, CompiledSchedule) else schedule.freeze()
+    schedule.freeze()
+    indptr, indices = schedule.deps_csr()
     payload = {
         "kind": "schedule",
-        "num_ops": compiled.num_ops,
-        "num_deps": int(compiled.dep_indptr[-1]) if compiled.num_ops else 0,
-        "num_events": int(compiled.ev_op.shape[0]),
-        "pool_names": list(compiled.pool_names),
-        "resources_sha256": _array_digest(compiled.resources.astype(np.int16)),
-        "durations_sha256": _array_digest(compiled.durations),
-        "dep_indices_sha256": _array_digest(compiled.dep_indices),
-        "ev_op_sha256": _array_digest(compiled.ev_op),
-        "ev_delta_sha256": _array_digest(compiled.ev_delta),
+        "num_ops": len(schedule),
+        "num_deps": int(indptr[-1]),
+        "num_events": int(schedule.ev_op.shape[0]),
+        "pool_names": list(schedule.pool_names),
+        "resources_sha256": _array_digest(schedule.resources),
+        "durations_sha256": _array_digest(schedule.durations),
+        "dep_indices_sha256": _array_digest(indices),
+        "ev_op_sha256": _array_digest(schedule.ev_op),
+        "ev_delta_sha256": _array_digest(schedule.ev_delta),
     }
     payload["digest"] = stable_hash(payload)
     return payload

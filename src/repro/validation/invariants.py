@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.report import ClusterReport
-from repro.runtime.schedule import EV_ALLOC, RESOURCES, CompiledSchedule, Schedule
+from repro.runtime.executor import ENFORCED_POOLS
+from repro.runtime.schedule import EV_ALLOC, RESOURCES, Schedule
 from repro.runtime.timeline import Timeline
 from repro.serving.requests import Request
 
@@ -75,28 +76,27 @@ class Violation:
 
 
 def check_timeline(
-    schedule: Schedule | CompiledSchedule,
+    schedule: Schedule,
     timeline: Timeline,
     *,
     capacities: dict[str, int] | None = None,
-    enforced_pools: tuple[str, ...] = ("vram",),
 ) -> list[Violation]:
     """Check every timeline invariant against its source schedule.
 
     Args:
-        schedule: the schedule the timeline was produced from (authoring
-            or compiled form).
+        schedule: the schedule the timeline was produced from (frozen
+            here if it is not already).
         timeline: the executed timeline under scrutiny.
         capacities: pool capacities the execution was bounded by (None
-            skips the capacity invariant).
-        enforced_pools: pools whose capacity is a hard bound.
+            skips the capacity invariant, which covers
+            :data:`~repro.runtime.executor.ENFORCED_POOLS`).
 
     Returns:
         All violations found (empty when the timeline is consistent).
     """
-    compiled = schedule if isinstance(schedule, CompiledSchedule) else schedule.freeze()
+    schedule.freeze()
     violations: list[Violation] = []
-    n = compiled.num_ops
+    n = len(schedule)
     starts, ends = timeline.starts, timeline.ends
     if len(starts) != n or len(ends) != n:
         violations.append(
@@ -107,8 +107,8 @@ def check_timeline(
         )
         return violations  # nothing else is meaningfully checkable
 
-    durations = compiled.durations
-    resources = compiled.resources
+    durations = schedule.durations
+    resources = schedule.resources
 
     # Duration consistency: the executor computes end = start + duration,
     # so that exact IEEE sum (not a re-rounded end - start) must hold.
@@ -123,7 +123,7 @@ def check_timeline(
         )
 
     # Causality: an op starts no earlier than the latest end of its deps.
-    indptr, indices = compiled.dep_indptr, compiled.dep_indices
+    indptr, indices = schedule.deps_csr()
     if len(indices):
         dep_ends = ends[indices]
         op_starts = np.repeat(starts, np.diff(indptr))
@@ -178,22 +178,21 @@ def check_timeline(
         )
 
     violations.extend(
-        _check_memory(compiled, timeline, starts, ends, capacities, enforced_pools)
+        _check_memory(schedule, timeline, starts, ends, capacities)
     )
     return violations
 
 
 def _check_memory(
-    compiled: CompiledSchedule,
+    schedule: Schedule,
     timeline: Timeline,
     starts: np.ndarray,
     ends: np.ndarray,
     capacities: dict[str, int] | None,
-    enforced_pools: tuple[str, ...],
 ) -> list[Violation]:
     """Replay the memory-effect stream and compare against the timeline."""
     violations: list[Violation] = []
-    if compiled.ev_op.shape[0] == 0:
+    if schedule.ev_op.shape[0] == 0:
         if timeline.memory_peak:
             violations.append(
                 Violation(
@@ -205,15 +204,15 @@ def _check_memory(
         return violations
 
     times = np.where(
-        compiled.ev_kind == EV_ALLOC, starts[compiled.ev_op], ends[compiled.ev_op]
+        schedule.ev_kind == EV_ALLOC, starts[schedule.ev_op], ends[schedule.ev_op]
     )
-    order = np.lexsort((compiled.ev_kind, times))
+    order = np.lexsort((schedule.ev_kind, times))
     times_s = times[order]
-    deltas_s = compiled.ev_delta[order]
-    pools_s = compiled.ev_pool[order]
+    deltas_s = schedule.ev_delta[order]
+    pools_s = schedule.ev_pool[order]
 
     seen_pools = set()
-    for code, pool in enumerate(compiled.pool_names):
+    for code, pool in enumerate(schedule.pool_names):
         mask = pools_s == code
         if not mask.any():
             continue
@@ -254,7 +253,7 @@ def _check_memory(
                     f"({len(recorded_times)} vs {len(levels)} samples)",
                 )
             )
-        if capacities is not None and pool in enforced_pools:
+        if capacities is not None and pool in ENFORCED_POOLS:
             capacity = capacities.get(pool)
             if capacity is not None and peak > capacity:
                 violations.append(

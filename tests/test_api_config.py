@@ -344,6 +344,27 @@ class TestInlineSpecs:
             "scenario.model: hidden_size must be divisible by num_heads"
         ]
 
+    @pytest.mark.parametrize("field", ["num_heads", "num_kv_heads"])
+    def test_zero_heads_are_reported_at_the_spec(self, field):
+        from repro.model.config import MIXTRAL_8X7B
+
+        model = {**dataclasses.asdict(MIXTRAL_8X7B), field: 0}
+        assert errors_of({"scenario": {"model": model}}) == [
+            f"scenario.model: {field} must be >= 1, got 0"
+        ]
+
+    def test_zero_link_bandwidth_is_reported_at_the_link(self):
+        env = self._env()
+        env["pcie_h2d"]["bandwidth_bytes_per_s"] = 0.0
+        assert errors_of({"scenario": {"env": env}}) == [
+            "scenario.env.pcie_h2d: bandwidth_bytes_per_s must be > 0, got 0.0"
+        ]
+
+    def test_negative_vram_is_reported_at_the_spec(self):
+        assert errors_of({"scenario": {"env": self._env(vram_bytes=-5)}}) == [
+            "scenario.env: vram_bytes must be >= 0, got -5"
+        ]
+
     def test_missing_and_misspelt_keys(self):
         env = self._env()
         del env["disk_link"]

@@ -137,22 +137,27 @@ class TestCompiledScheduleIR:
     def test_freeze_caches_and_invalidates(self):
         s = Schedule()
         s.compute(1.0, "a")
-        frozen = s.freeze()
-        assert s.freeze() is frozen  # cached
-        s.compute(1.0, "b")
-        refrozen = s.freeze()
-        assert refrozen is not frozen
-        assert refrozen.num_ops == 2
-        assert frozen.num_ops == 1  # old snapshot unaffected
+        assert s.freeze() is s  # frozen in place
+        durations = s.durations
+        assert s.freeze().durations is durations  # cached until a mutation
+        executor = Executor(make_hw())
+        assert executor.run(s).makespan == pytest.approx(1.0)
+        s.compute(2.0, "b")
+        t = executor.run(s)  # refreezes the mutated schedule
+        assert t.makespan == pytest.approx(3.0)
+        assert len(t.starts) == 2
+        assert s.durations is not durations  # rebuilt after the mutation
+        assert s.durations.tolist() == [1.0, 2.0]
+        assert s.resources.tolist() == [0, 0]
 
     def test_csr_deps_round_trip(self):
         s = Schedule()
         a = s.compute(1.0, "a")
         b = s.transfer_in(1.0, "b", deps=[a])
         s.compute(1.0, "c", deps=[a, b])
-        frozen = s.freeze()
-        assert frozen.dep_indptr.tolist() == [0, 0, 1, 3]
-        assert frozen.dep_indices.tolist() == [a, a, b]
+        indptr, indices = s.deps_csr()
+        assert indptr.tolist() == [0, 0, 1, 3]
+        assert indices.tolist() == [a, a, b]
 
     def test_compiled_schedule_runs_directly(self):
         s = Schedule()

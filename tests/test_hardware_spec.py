@@ -1,7 +1,10 @@
 """Hardware specs: links, rooflines, and the two paper environments."""
 
+import dataclasses
+
 import pytest
 
+from repro.errors import ConfigError
 from repro.hardware.spec import ENV1, ENV2, ENVIRONMENTS, GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
 from repro.model.config import MIXTRAL_8X7B
 
@@ -97,3 +100,47 @@ class TestLinkRouting:
     def test_unknown_route_raises(self):
         with pytest.raises(ValueError):
             ENV1.link_for("vram", "vram")
+
+
+class TestSpecChecks:
+    """Values the timing formulas would divide by, or that no machine has."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"bandwidth_bytes_per_s": 0.0},
+            {"bandwidth_bytes_per_s": -1.0},
+            {"bandwidth_bytes_per_s": 1 * GB, "latency_s": -1e-6},
+        ],
+    )
+    def test_bad_link_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            LinkSpec("l", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"flops_per_s": 0.0, "mem_bandwidth_bytes_per_s": 1e12},
+            {"flops_per_s": 1e12, "mem_bandwidth_bytes_per_s": 0.0},
+            {"flops_per_s": 1e12, "mem_bandwidth_bytes_per_s": 1e12,
+             "kernel_overhead_s": -1e-6},
+        ],
+    )
+    def test_bad_compute_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ComputeSpec("g", **kwargs)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"vram_bytes": -5},
+            {"dram_bytes": -1},
+            {"disk_bytes": -1},
+            {"vram_usable_fraction": 0.0},
+            {"vram_usable_fraction": 1.5},
+            {"pinned_memory_speedup": 0.0},
+        ],
+    )
+    def test_bad_machine_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ENV1, **overrides)

@@ -1,5 +1,7 @@
 """Model configurations: parameter accounting and validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -76,6 +78,18 @@ class TestValidation:
             ModelConfig("x", 64, 256, 2, 4, 4, 4, 5, 128)
         with pytest.raises(ConfigError):
             ModelConfig("x", 64, 256, 2, 4, 4, 4, 0, 128)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "hidden_size", "intermediate_size", "num_layers", "num_heads",
+            "num_kv_heads", "num_experts", "top_k", "vocab_size", "ffn_matrices",
+        ],
+    )
+    def test_counts_must_be_positive(self, field):
+        """Checked before the divisibility checks divide by them."""
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1, got 0"):
+            dataclasses.replace(MIXTRAL_8X7B, **{field: 0})
 
     def test_unknown_dtype(self):
         with pytest.raises(ConfigError):

@@ -145,10 +145,12 @@ class TestExtendEffects:
     def test_invalidates_compiled_form(self):
         s = Schedule()
         s.compute(1.0, "a")
-        frozen = s.freeze()
+        ev_delta = s.freeze().ev_delta
+        assert s.freeze().ev_delta is ev_delta  # cached until a mutation
         s.extend_effects([0], EV_ALLOC, "vram", ["w"], [8])
-        assert s.freeze() is not frozen
-        assert s.freeze().ev_delta.tolist() == [8]
+        assert s.freeze().ev_delta is not ev_delta  # rebuilt
+        assert s.ev_delta.tolist() == [8]
+        assert s.pool_names == ("vram",)
 
 
 def test_label_tags_are_copied_at_extend():
