@@ -43,6 +43,7 @@ from repro.validation.goldens import (
     GoldenStore,
     snapshot_cluster,
     snapshot_fleet,
+    snapshot_rows,
     snapshot_schedule,
     snapshot_timeline,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "GoldenStore",
     "snapshot_timeline",
     "snapshot_schedule",
+    "snapshot_rows",
     "snapshot_cluster",
     "snapshot_fleet",
 ]

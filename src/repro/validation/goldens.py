@@ -105,6 +105,55 @@ def snapshot_schedule(schedule: Schedule) -> dict:
     return payload
 
 
+def _int_digest(values) -> str:
+    """:func:`_array_digest` of an int sequence as int64."""
+    return _array_digest(np.array(values, dtype=np.int64))
+
+
+def _text_digest(values) -> str:
+    """SHA-256 over NUL-joined strings (labels, phases, pools, tensor ids)."""
+    return hashlib.sha256("\0".join(values).encode()).hexdigest()
+
+
+def snapshot_rows(schedule: Schedule) -> dict:
+    """Pin every authored column of a schedule, row for row.
+
+    :func:`snapshot_schedule` hashes the frozen executor columns; this
+    also pins what freezing drops — rendered labels, phases, layers,
+    batches, the full dependency lists — and the raw memory-effect
+    stream in attachment order (owning op, kind, pool, tensor id,
+    bytes), which pass rewrites read directly.
+
+    Args:
+        schedule: the schedule to pin (left unfrozen).
+
+    Returns:
+        A JSON-compatible snapshot with a content-addressing ``digest``.
+    """
+    indptr, indices = schedule.deps_csr()
+    payload = {
+        "kind": "rows",
+        "num_ops": len(schedule),
+        "num_deps": int(indptr[-1]),
+        "num_events": len(schedule._ev_op),
+        "resources_sha256": _int_digest(schedule._res),
+        "durations_sha256": _array_digest(np.array(schedule._dur, dtype=np.float64)),
+        "dep_indptr_sha256": _array_digest(indptr),
+        "dep_indices_sha256": _array_digest(indices),
+        "labels_sha256": _text_digest(schedule._rendered_labels()),
+        "layers_sha256": _int_digest(schedule._layers),
+        "phases_sha256": _text_digest(schedule._phases),
+        "batches_sha256": _int_digest(schedule._batches),
+        "ev_op_sha256": _int_digest(schedule._ev_op),
+        "ev_kind_sha256": _int_digest(schedule._ev_kind),
+        "ev_pool_sha256": _text_digest(schedule._ev_pool),
+        "ev_tensor_sha256": _text_digest(schedule._ev_tensor),
+        "ev_nbytes_sha256": _int_digest(schedule._ev_nbytes),
+    }
+    payload["digest"] = stable_hash(payload)
+    return payload
+
+
 def snapshot_cluster(report: ClusterReport) -> dict:
     """Summarize a cluster report for golden comparison.
 

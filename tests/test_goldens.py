@@ -30,8 +30,12 @@ from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_r
 from repro.cluster.faults import FaultConfig, RetryPolicy
 from repro.compression import SparseAttentionConfig
 from repro.core.engine import KlotskiOptions, KlotskiSystem
+from repro.core.pipeline import PipelineBuilder, PipelineFeatures
+from repro.core.placement import PlacementConfig, PlacementPlan, plan_placement
+from repro.core.prefetcher import ExpertPrefetcher
 from repro.passes import DEFAULT_PASS_QUEUE, PassPipeline
 from repro.runtime.executor import Executor
+from repro.runtime.schedule import Schedule
 from repro.scenario import Scenario
 from repro.serving.requests import ArrivalConfig, assign_hot_experts, generate_requests
 from repro.serving.scheduler import ContinuousScheduler
@@ -42,11 +46,12 @@ from repro.validation import (
     check_timeline,
     snapshot_cluster,
     snapshot_fleet,
+    snapshot_rows,
     snapshot_schedule,
     snapshot_timeline,
 )
 from repro.routing.workload import Workload
-from tests.conftest import SMALL_MIXTRAL, small_hardware
+from tests.conftest import SMALL_MIXTRAL, TINY_DENSE, small_hardware
 
 
 def _scenario(seed: int = 3) -> Scenario:
@@ -67,6 +72,7 @@ def _pipeline_snapshots(system) -> dict:
     return {
         "schedule": snapshot_schedule(built.schedule),
         "timeline": snapshot_timeline(built.schedule, timeline),
+        "rows": snapshot_rows(built.schedule),
     }
 
 
@@ -82,7 +88,92 @@ def _passes_snapshots() -> dict:
     return {
         "schedule": snapshot_schedule(result.schedule),
         "timeline": snapshot_timeline(result.schedule, result.timeline),
+        "rows": snapshot_rows(result.schedule),
     }
+
+
+# Feature sets every edge-shape golden builds in turn: full Klotski with a
+# prefetcher, Klotski without one (static top-k prefetch), synchronous
+# whole-layer loading in batch-major order, and CPU experts.
+EDGE_FEATURES = (
+    (PipelineFeatures(), True),
+    (PipelineFeatures(quantize=True), False),
+    (PipelineFeatures(overlap=False, hot_prefetch=False, adjust_order=False), False),
+    (PipelineFeatures(hot_prefetch=False, adjust_order=False, cpu_experts=True), False),
+)
+
+
+def _edge_rows(
+    scenario: Scenario,
+    placement: PlacementPlan,
+    *,
+    sparse_attention: SparseAttentionConfig | None = None,
+) -> dict:
+    """Builder shapes no registered system reaches on the small scenario.
+
+    Every feature set of :data:`EDGE_FEATURES` appends its build to one
+    schedule (as sequential systems share theirs), and the rows golden
+    pins labels, dependencies and the raw effect stream of all of them.
+    """
+    model = scenario.model
+    schedule = Schedule()
+    for features, learned in EDGE_FEATURES:
+        prefetcher = (
+            ExpertPrefetcher(model.num_layers, model.num_experts, top_k=model.top_k)
+            if learned and not model.is_dense
+            else None
+        )
+        PipelineBuilder(
+            cost_model=scenario.cost_model(),
+            inventory=scenario.inventory(),
+            oracle=scenario.make_oracle(),
+            workload=scenario.workload,
+            placement=placement,
+            prefetcher=prefetcher,
+            features=features,
+            sparse_attention=sparse_attention,
+        ).build(schedule)
+    schedule.validate()
+    return {"rows": snapshot_rows(schedule)}
+
+
+def _fixed_placement(scenario: Scenario, level_of, kv_level: str) -> PlacementPlan:
+    return PlacementPlan(
+        location={spec.tensor_id: level_of(spec) for spec in scenario.inventory()},
+        kv_level=kv_level,
+        pinned=False,
+        staging_window=2,
+        working_reserve_bytes=0,
+        activation_reserve_bytes=1 << 20,
+        resident_bytes=1 << 24,
+    )
+
+
+def _disk_level(spec) -> str:
+    """Experts of even layers and layer 1's attention on disk; two experts
+    of layer 3 resident; the rest in DRAM."""
+    if spec.kind == "expert" and spec.layer % 2 == 0:
+        return "disk"
+    if spec.kind == "attn" and spec.layer == 1:
+        return "disk"
+    if spec.kind == "expert" and spec.layer == 3 and spec.expert < 2:
+        return "vram"
+    return "dram"
+
+
+def _planned(scenario: Scenario, **overrides) -> PlacementPlan:
+    wl = scenario.workload
+    placement = plan_placement(
+        scenario.inventory(), scenario.hardware, wl, wl.num_batches,
+        PlacementConfig(use_spare_vram=False),
+    )
+    return dataclasses.replace(placement, **overrides)
+
+
+def _dense_scenario() -> Scenario:
+    return Scenario(
+        TINY_DENSE, small_hardware(), Workload(4, 3, 16, 3), seed=3
+    )
 
 
 def _cluster_snapshot() -> dict:
@@ -282,6 +373,24 @@ GOLDEN_CASES = {
     ),
     # Fresh prefetcher per batch (offline predictor bound to each batch).
     "pipeline-sida-small": lambda: _pipeline_snapshots(SiDASystem()),
+    # Builder edge shapes (rows goldens only).
+    "pipeline-disk-small": lambda: _edge_rows(
+        _scenario(), _fixed_placement(_scenario(), _disk_level, "dram")
+    ),
+    "pipeline-dense-small": lambda: _edge_rows(
+        _dense_scenario(), _planned(_dense_scenario())
+    ),
+    "pipeline-kv-dram-small": lambda: _edge_rows(
+        _scenario(), _planned(_scenario(), kv_level="dram")
+    ),
+    "pipeline-sparse-attention-small": lambda: _edge_rows(
+        _scenario(),
+        _planned(_scenario(), kv_level="vram"),
+        sparse_attention=SparseAttentionConfig(enabled=True, sinks=4, window=16),
+    ),
+    "pipeline-all-resident-small": lambda: _edge_rows(
+        _scenario(), _fixed_placement(_scenario(), lambda spec: "vram", "vram")
+    ),
     "cluster-affinity-2replica": _cluster_snapshot,
     "fleet-roundrobin-poisson-16replica": lambda: _fleet_snapshot(
         router="round-robin", arrival="poisson", replicas=16, requests=20_000
