@@ -58,6 +58,7 @@ from repro.api import (
     router_names,
     run_cluster,
     scheduler_names,
+    system_names,
 )
 from repro.errors import ConfigError, OutOfMemoryError, ReproError
 from repro.hardware.spec import GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
@@ -293,8 +294,27 @@ def random_hardware(rng: np.random.Generator, model: dict) -> dict:
     )
 
 
+# Option variants drawn next to every registered system: the Klotski
+# knobs that reach builder paths the registry defaults do not.
+SYSTEM_VARIANTS = (
+    SystemConfig("klotski", {"quantize": True}),
+    SystemConfig("klotski", {"use_spare_vram": False}),
+)
+
+
+def system_choices() -> tuple[SystemConfig, ...]:
+    """Every system config a pipeline case can draw.
+
+    Returns:
+        One default config per name in the ``SYSTEMS`` registry (sorted),
+        followed by :data:`SYSTEM_VARIANTS`; a newly registered system is
+        fuzzed without touching this module.
+    """
+    return tuple(SystemConfig(name) for name in system_names()) + SYSTEM_VARIANTS
+
+
 def random_system_config(rng: np.random.Generator) -> SystemConfig:
-    """Sample a system config (Klotski variants plus the baselines).
+    """Sample a system config uniformly from :func:`system_choices`.
 
     Args:
         rng: the case's seeded generator.
@@ -302,16 +322,7 @@ def random_system_config(rng: np.random.Generator) -> SystemConfig:
     Returns:
         A registry-resolvable :class:`~repro.api.SystemConfig`.
     """
-    choices = (
-        SystemConfig("klotski"),
-        SystemConfig("klotski", {"quantize": True}),
-        SystemConfig("klotski", {"use_spare_vram": False}),
-        SystemConfig("accelerate"),
-        SystemConfig("fastgen"),
-        SystemConfig("flexgen"),
-        SystemConfig("moe-infinity"),
-        SystemConfig("fiddler"),
-    )
+    choices = system_choices()
     return choices[int(rng.integers(0, len(choices)))]
 
 

@@ -382,6 +382,28 @@ class TestFuzz:
             f"{report.failures[0]['tag']}: replay blob parses to a different config"
         ]
 
+    def test_every_registered_system_is_drawn_or_golden(self):
+        """A registered system the sampler cannot draw and no golden
+        names is a path nothing pins: fail until one of them covers it."""
+        from pathlib import Path
+
+        from repro.api import system_names
+        from repro.validation.fuzz import random_system_config, system_choices
+
+        rng = np.random.default_rng(0)
+        drawn = {random_system_config(rng).name for _ in range(400)}
+        assert drawn == {choice.name for choice in system_choices()}
+        goldens = Path(__file__).parent / "goldens"
+        uncovered = [
+            name
+            for name in system_names()
+            if name not in drawn
+            and not (
+                goldens / f"pipeline-{name.replace('(q)', '-quantized')}-small.schedule.json"
+            ).exists()
+        ]
+        assert uncovered == []
+
     def test_report_summary_lists_failures(self):
         report = FuzzReport(cases=1, violations=["boom"], diffs=["drift"])
         text = report.summary()
