@@ -7,8 +7,6 @@ at equal or lower latency) and that quantization improves the curve even
 where it does not raise peak throughput.
 """
 
-import math
-
 import pytest
 
 from common import BATCH_SIZES, SCENARIOS

@@ -14,8 +14,6 @@ Two families:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.placement import (
     ACTIVATION_MULTIPLIER,
     PlacementConfig,
@@ -23,8 +21,7 @@ from repro.core.placement import (
     plan_placement,
 )
 from repro.errors import OutOfMemoryError
-from repro.model.config import ModelConfig
-from repro.model.tensors import ATTN, EXPERT, TensorInventory, attn_id, expert_id, gate_id
+from repro.model.tensors import EXPERT, expert_id
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
 

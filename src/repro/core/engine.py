@@ -9,7 +9,7 @@ with the constraint-sensitive planner and warming up the correlation table
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

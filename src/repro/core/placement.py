@@ -23,7 +23,7 @@ and KV staging buffers are charged statically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import OutOfMemoryError
 from repro.hardware.spec import HardwareSpec

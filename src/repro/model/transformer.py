@@ -12,7 +12,7 @@ shared across layers so expert paths correlate between layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,7 @@ same wikitext-103 samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.hardware.costmodel import CostModel
 from repro.hardware.spec import HardwareSpec

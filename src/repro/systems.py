@@ -16,7 +16,7 @@ large batches (§9.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.core.pipeline import BuildResult, PipelineBuilder, PipelineFeatures

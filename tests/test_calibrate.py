@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.hardware.calibrate import LayerTimings, TimingCache, measure
 from repro.hardware.spec import ENV1, ENV2
 from repro.model.config import MIXTRAL_8X7B, OPT_1_3B

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigError
-from repro.hardware.spec import ENV1, ENV2, ENVIRONMENTS, GB, GiB, ComputeSpec, HardwareSpec, LinkSpec
+from repro.hardware.spec import ENV1, ENV2, ENVIRONMENTS, GB, GiB, ComputeSpec, LinkSpec
 from repro.model.config import MIXTRAL_8X7B
 
 

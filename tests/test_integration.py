@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.bubbles import analyze_bubbles
 from repro.baselines import AccelerateSystem, FiddlerSystem, FlexGenSystem, MoEInfinitySystem
-from repro.core.engine import KlotskiEngine, KlotskiOptions, KlotskiSystem
+from repro.core.engine import KlotskiOptions, KlotskiSystem
 from repro.core.pipeline import PipelineFeatures
 from repro.hardware.spec import ENV1
 from repro.model.config import MIXTRAL_8X7B, MIXTRAL_8X22B

@@ -6,7 +6,6 @@ from repro.core.engine import KlotskiSystem
 from repro.errors import OutOfMemoryError
 from repro.routing.workload import Workload
 from repro.runtime.metrics import InferenceMetrics
-from repro.scenario import Scenario
 from repro.systems import InferenceSystem, SystemResult
 
 

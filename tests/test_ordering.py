@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ordering import ExpertWork, cold_transfer_order, order_experts
+from repro.core.ordering import cold_transfer_order, order_experts
 
 
 class TestOrderExperts:

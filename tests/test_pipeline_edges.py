@@ -7,7 +7,6 @@ from repro.core.pipeline import PipelineBuilder, PipelineFeatures
 from repro.core.placement import PlacementConfig, PlacementPlan, plan_placement
 from repro.core.prefetcher import ExpertPrefetcher
 from repro.hardware.costmodel import CostModel
-from repro.model.tensors import TensorInventory
 from repro.routing.workload import Workload
 from repro.runtime.executor import Executor
 from repro.runtime.schedule import DISK_IO, GPU, H2D, H2D_OD

@@ -1,12 +1,10 @@
 """Constraint-sensitive I/O-compute planner (paper §7)."""
 
-import pytest
-
 from repro.core.planner import IOComputePlanner, PlannerConfig, RoutingStats
 from repro.hardware.costmodel import CostModel
-from repro.hardware.spec import ENV1, ENV2
-from repro.model.config import MIXTRAL_8X7B, MIXTRAL_8X22B
-from repro.routing.workload import Workload, paper_workload
+from repro.hardware.spec import ENV1
+from repro.model.config import MIXTRAL_8X7B
+from repro.routing.workload import paper_workload
 
 
 def make_planner(model=MIXTRAL_8X7B, hw=ENV1, config=None, coverage=0.55, active=7.0):

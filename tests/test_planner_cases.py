@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.planner import IOComputePlanner, PlannerConfig, RoutingStats
+from repro.core.planner import IOComputePlanner, RoutingStats
 from repro.errors import (
     ConfigError,
     OutOfMemoryError,

@@ -1,7 +1,5 @@
 """Sparse attention config and its interaction with the model."""
 
-import pytest
-
 from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.model.config import MIXTRAL_8X7B
 

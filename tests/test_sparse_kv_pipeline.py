@@ -8,7 +8,6 @@ import pytest
 
 from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.core.engine import KlotskiEngine, KlotskiOptions, KlotskiSystem
-from repro.core.planner import PlannerConfig
 from repro.runtime.schedule import H2D
 
 
