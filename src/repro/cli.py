@@ -976,6 +976,15 @@ def cmd_sweep_n(args) -> int:
     return 0
 
 
+# The spans InferenceSystem.build opens once per stage call.
+BUILD_STAGES = (
+    "core.placement.plan",
+    "core.prefetcher.warmup",
+    "core.pipeline.decide",
+    "core.pipeline.materialize",
+)
+
+
 def cmd_profile(args) -> int:
     """Trace one pipeline run and print where the simulator's wall time went."""
     from repro.obs import tracer
@@ -992,6 +1001,9 @@ def cmd_profile(args) -> int:
             spans=spans,
             timeline=None if result.oom else result.timeline,
         )
+    build_s, children = tracer.child_time(spans, "system.build")
+    stages = {name: children.get(name, 0.0) for name in BUILD_STAGES}
+    covered = sum(stages.values()) / build_s if build_s else 0.0
     if args.json:
         emit_json(
             "profile",
@@ -999,6 +1011,7 @@ def cmd_profile(args) -> int:
                 "oom": result.oom,
                 "num_spans": len(spans),
                 "top": tracer.aggregate_spans(spans)[: args.top],
+                "build": {"system_build_s": build_s, "stages_s": stages, "covered": covered},
             },
             config=config,
         )
@@ -1006,6 +1019,11 @@ def cmd_profile(args) -> int:
     print(tracer.format_span_tree(spans))
     print()
     print(tracer.format_top(spans, k=args.top))
+    print()
+    print(
+        f"system.build {build_s * 1e3:.3f} ms, {covered:.1%} in its stages: "
+        + ", ".join(f"{name} {s * 1e3:.3f} ms" for name, s in stages.items())
+    )
     if args.trace:
         print(f"wrote trace {args.trace} (open in Perfetto or chrome://tracing)")
     return 0

@@ -21,39 +21,51 @@ ablation ladder of Table 3 and several baselines (FlexGen-like = multi-batch
 with whole-MoE-layer prefetch; Accelerate-like = no overlap; Fiddler-like =
 CPU expert computation), all on identical substrates.
 
-Emission is *batched*: everything that is constant within a generation
-step (attention / KV-movement durations, batch-slice shapes) is computed
-once per step, per-batch expert token counts come from the routing's
-memoized :class:`~repro.routing.oracle.RoutingStats` (shared by every
-system reading the same routing), and expert durations are looked up in
-a per-builder table indexed by routed token count, evaluated once through
-the vectorized cost model — the emitted schedule is bit-identical to
-per-op emission, just without the per-op Python cost.
+Emission runs in two passes per :meth:`PipelineBuilder.build` call:
 
+* **decide** walks (step, layer) in Python and makes every stateful
+  choice — routing stats, placement residency, which weights are already
+  in flight (``_ready``), the prefetcher's ``predict`` / ``observe``,
+  expert order, cold and disk transfers, Fiddler's CPU-vs-GPU choice.
+  It records small per-family tables: one row per layer unit (its
+  attention + gate/FFN block is a fixed per-layer op template), per
+  weight transfer, per expert op, per CPU-expert round trip, per
+  embed/head op, and the memory effects in attachment order. Each unit's
+  op count is known when it is decided, so op ids — and the
+  dependencies between them — are offsets from the unit's first op.
+* **materialize** turns those tables into the schedule's columns for the
+  whole call at once with numpy: resources, durations (per-step and
+  per-weight tables, the per-builder expert-duration tables), layers,
+  phases, batches, dependency tuples, deferred labels (rendered only
+  when someone reads them), and the memory-effect stream, appended with
+  one :meth:`Schedule.extend_raw` call.
+
+The output is row-for-row what per-op emission produces; the
+``tests/goldens/pipeline-*-small.rows.json`` goldens pin every column.
 One builder serves a whole run: sequential systems call :meth:`build`
 once per batch with a new oracle (and prefetcher), so only the per-group
-emission state resets between calls, while placement-derived caches
-(weight bytes, tensor ids, residency, split shapes) persist.
+decision state resets between calls, while placement-derived tables
+(weight bytes and transfer times, residency, split shapes) persist.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.core.ordering import ordered_active_experts
-from repro.core.placement import DISK, PlacementPlan
+from repro.core.placement import DISK, VRAM, PlacementPlan
 from repro.core.prefetcher import ExpertPrefetcher
 from repro.hardware.costmodel import CostModel, OpCost
 from repro.model.tensors import TensorInventory, attn_id, expert_id, gate_id
-from repro.routing.oracle import (
-    LayerRouting,
-    RoutingOracle,
-    RoutingStats,
-    batch_slice_sizes,
-)
+from repro.obs import span
+from repro.routing.oracle import LayerRouting, RoutingOracle, batch_slice_sizes
 from repro.routing.workload import Workload
 from repro.runtime.schedule import (
     CPU,
@@ -64,7 +76,6 @@ from repro.runtime.schedule import (
     GPU,
     H2D,
     H2D_OD,
-    MemEffect,
     PHASE_ATTENTION,
     PHASE_EXPERT,
     PHASE_GATE,
@@ -77,12 +88,101 @@ from repro.runtime.schedule import (
 
 QUANT_BYTES_FACTOR = 0.28  # 4-bit weights + group scale/zero metadata
 
-_GPU_CODE = RESOURCE_CODES[GPU]
-_CPU_CODE = RESOURCE_CODES[CPU]
-_H2D_CODE = RESOURCE_CODES[H2D]
-_H2D_OD_CODE = RESOURCE_CODES[H2D_OD]
-_D2H_CODE = RESOURCE_CODES[D2H]
-_DISK_CODE = RESOURCE_CODES[DISK_IO]
+_GPU = RESOURCE_CODES[GPU]
+_CPU = RESOURCE_CODES[CPU]
+_H2D = RESOURCE_CODES[H2D]
+_H2D_OD = RESOURCE_CODES[H2D_OD]
+_D2H = RESOURCE_CODES[D2H]
+_DISK = RESOURCE_CODES[DISK_IO]
+
+# Phase codes of the materialized phase column.
+_PHASES = np.array(
+    [PHASE_OTHER, PHASE_TRANSFER, PHASE_ATTENTION, PHASE_KV, PHASE_GATE, PHASE_EXPERT],
+    dtype=object,
+)
+_P_OTHER, _P_TRANSFER, _P_ATTN, _P_KV, _P_GATE, _P_EXPERT = range(6)
+
+# Label formats by label code: ``l`` layer, ``b`` batch, ``s`` step, ``x``
+# expert, ``t`` tensor id (transfer rows keep their weight index in ``x``).
+_LABELS = (
+    "init:resident", "embed:s{s}", "head:s{s}", "h2d:{t}", "disk:{t}",
+    "kvload:L{l}b{b}s{s}", "attn:L{l}b{b}s{s}", "kvstore:L{l}b{b}s{s}",
+    "gate:L{l}b{b}s{s}", "ffn:L{l}b{b}s{s}", "exp{x}:L{l}b{b}s{s}",
+    "exp{x}:L{l}s{s}", "d2h:hid:L{l}e{x}s{s}", "cpu-exp{x}:L{l}s{s}",
+    "h2d:hid:L{l}e{x}s{s}",
+)
+(_L_INIT, _L_EMBED, _L_HEAD, _L_H2D, _L_DISK, _L_KVLOAD, _L_ATTN, _L_KVSTORE,
+ _L_GATE, _L_FFN, _L_EXP_B, _L_EXP, _L_D2H_HID, _L_CPU_EXP, _L_H2D_HID) = range(15)
+
+# A batch's attention block by its op count: (label, resource, phase,
+# waits on the unit's attention prefix, waits on the op before it).
+_ATTN_BLOCKS = {
+    1: ((_L_ATTN, _GPU, _P_ATTN, True, False),),
+    2: ((_L_ATTN, _GPU, _P_ATTN, True, False), (_L_KVSTORE, _D2H, _P_KV, False, True)),
+    3: (
+        (_L_KVLOAD, _H2D, _P_KV, False, False),
+        (_L_ATTN, _GPU, _P_ATTN, True, True),
+        (_L_KVSTORE, _D2H, _P_KV, False, True),
+    ),
+}
+
+
+def _render_labels(codes, xs, layers, batches, steps, tids) -> list[str]:
+    """Render one build's deferred labels (see :data:`_LABELS`)."""
+    return [
+        _LABELS[c].format(l=l, b=b, s=s, x=x, t=tids[x] if c in (_L_H2D, _L_DISK) else "")
+        for c, x, l, b, s in zip(
+            codes.tolist(), xs.tolist(), layers.tolist(), batches.tolist(), steps.tolist()
+        )
+    ]
+
+
+def _row_tuples(values: np.ndarray, ids: list[int], start: int) -> list[tuple[int, ...]]:
+    """Per row of ``values``, its sorted distinct op ids (-1: absent), as
+    :func:`_sorted_deps` would give them; ``ids[i]`` is op ``start + i``.
+
+    Rows sharing a pattern of kept columns are zipped into tuples at once.
+    """
+    rows = np.sort(values, axis=1)
+    keep = rows >= 0
+    keep[:, :-1] &= rows[:, :-1] != rows[:, 1:]
+    width = rows.shape[1]
+    pattern = keep @ (1 << np.arange(width))
+    out: list[tuple[int, ...]] = [()] * len(rows)
+    op = ids.__getitem__
+    for p in np.unique(pattern).tolist():
+        sel = np.flatnonzero(pattern == p)
+        kept = (
+            map(op, (rows[sel, j] - start).tolist()) for j in range(width) if p >> j & 1
+        )
+        for i, row in zip(sel.tolist(), zip(*kept)):
+            out[i] = row
+    return out
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for one emission pass.
+
+    Emission allocates about one container per op and none in a cycle, so
+    the collections its allocations would trigger free nothing, yet each
+    full one re-traverses every live schedule column.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _sorted_deps(deps) -> tuple[int, ...]:
+    """Canonical (sorted, deduplicated) dependency tuple."""
+    if len(deps) <= 1:
+        return tuple(deps)
+    return tuple(sorted(set(deps)))
 
 
 @dataclass(frozen=True)
@@ -116,18 +216,89 @@ class BuildResult:
 
 @dataclass
 class _StepCosts:
-    """Durations and slice shapes that are constant within one step."""
+    """The attention block's shape and durations, constant within a step."""
 
-    attn_dur: float
-    kv_load_dur: float  # only meaningful when kv streams from DRAM
-    kv_stream: bool
-    kv_store_dur: float
+    m: int  # attention-block ops per batch (1, 2 or 3; see _ATTN_BLOCKS)
+    attn_durs: list[float]  # the attention block's n * m durations
     kv_alloc_delta: int
-    batch_sizes: list[int]  # rows per batch slice (array_split shapes)
-    rows: int  # routed rows of the step across the batch group
-    scale: float = 1.0  # prefill-subsampling token multiplier
-    gate_dur_b: list[float] = field(default_factory=list)  # per batch slice
-    attn_block_durs: list[float] = field(default_factory=list)  # interleaved
+
+
+class _Decisions:
+    """What the decide pass records until the next materialize.
+
+    Per op family, records (tuples) or columns (parallel lists) in
+    decision order; op ids are absolute (``start`` is the length of the
+    schedule the decisions were made for) and a *run* is a contiguous
+    block of op ids from its first op. Memory effects are flat
+    ``(op, kind, key)`` columns in attachment order, where a key is a
+    weight index or ``len(tids) + i`` for the i-th ``extra`` tensor (KV
+    growth, the resident blob); an effect on op -1 stands for the frees
+    of the layer its key numbers. A layer frees every weight still ready
+    at its end in this order: its experts (each after its op in
+    expert-major order; batch-major, after its last op in op order, then
+    the unrouted ones by id), its attention and gate after their last
+    op, then the leftover experts by id at the layer tail.
+    """
+
+    def __init__(self, start: int):
+        self.start = start
+        self.nops = start  # the next op id
+        # Per step: attention-block ops per batch and their n * m durations.
+        self.step_m: list[int] = []
+        self.step_durs: list[list[float]] = []
+        # Layer units, n * m attention-block ops then n gate (or dense FFN)
+        # ops: (first op, layer, step, steps index, attention deps, gate
+        # deps, gate / FFN durations).
+        self.units: list[tuple] = []
+        # Embed / head / init ops: (op, duration, deps, label code, step).
+        self.singles: list[tuple] = []
+        # Transfer runs on one resource: first op, length, resource; and
+        # per transfer its weight and deps.
+        self.x_base: list[int] = []
+        self.x_len: list[int] = []
+        self.x_res: list[int] = []
+        self.x_w: list[int] = []
+        self.x_deps: list[tuple] = []
+        # Expert blocks: a layer's GPU experts in expert-major order (or
+        # per routed pair, order None), the transfers ready for them and
+        # the last transfer before them without overlap (else -1).
+        self.e_base: list[int] = []
+        self.e_layer: list[int] = []
+        self.e_step: list[int] = []
+        self.e_gate: list[int] = []
+        self.e_scale: list[float] = []
+        self.e_stats: list = []
+        self.e_order: list = []
+        self.e_ready: list[dict[int, int]] = []
+        self.e_nod: list[int] = []
+        # CPU-expert systems: GPU experts (op, layer, step, expert,
+        # duration, deps) and CPU round trips (first op, layer, step,
+        # expert, deps, token count, scale).
+        self.gpu_experts: list[tuple] = []
+        self.cpu: list[tuple] = []
+        # Per layer: (weights still ready at its end, layer, last attention
+        # op, last gate op, tail op, expert block (-1: none)).
+        self.frees: list[tuple] = []
+        # Memory effects, flat; op -1 marks the next layer's frees.
+        self.ev_op: list[int] = []
+        self.ev_kind: list[int] = []
+        self.ev_key: list[int] = []
+        self.extra_tids: list[str] = []
+        self.extra_nbytes: list[int] = []
+
+    def transfer(self, base: int, ws, res: int, deps) -> None:
+        """Record a run of transfers of weights ``ws`` from op ``base``."""
+        self.x_base.append(base)
+        self.x_len.append(len(ws))
+        self.x_res.append(res)
+        self.x_w.extend(ws)
+        self.x_deps.extend(deps)
+
+    def effect(self, kind: int, ops, keys) -> None:
+        """Attach effects of one kind to ``ops``, key for key."""
+        self.ev_op.extend(ops)
+        self.ev_kind.extend([kind] * len(keys))
+        self.ev_key.extend(keys)
 
 
 class PipelineBuilder:
@@ -156,279 +327,114 @@ class PipelineBuilder:
         self.sparse_attention = sparse_attention or SparseAttentionConfig()
         self.n = workload.num_batches
         self._kv_bytes_per_token = self.model.kv_bytes_per_token()
-        # rows -> batch-slice sizes split cache.
-        self._split_cache: dict[int, list[int]] = {}
+        self._kv_store = placement.kv_level != "vram"
+        # (rows, scale) -> per-batch gate / FFN durations.
+        self._block_durs: dict[tuple[int, float], list[float]] = {}
         # (scale, on_cpu) -> expert duration by routed token count.
         self._dur_tables: dict[tuple[float, bool], list[float]] = {}
-        # Placement residency is static across a build; cache it per layer
-        # together with the expert tensor-id strings, and keep the
-        # VRAM-resident tensor ids as a set for O(1) checks on the
-        # per-transfer hot path.
-        self._resident_cache: dict[int, set[int]] = {}
-        self._expert_ids: dict[int, list[str]] = {}
-        self._resident_ids = {
-            tid for tid in placement.location if placement.is_resident(tid)
-        }
-        self._disk_ids = {
-            tid for tid, level in placement.location.items() if level == DISK
-        }
-        self._wbytes_cache: dict[str, int] = {}
-        # Constant block columns, shared across every layer's extend_raw
-        # call (extend copies the values out, so reuse is safe).
-        n = self.n
-        self._gpu_codes_n = [_GPU_CODE] * n
-        self._gate_phases_n = [PHASE_GATE] * n
-        self._expert_phases_n = [PHASE_EXPERT] * n
-        self._batches_0n = list(range(n))
-        self._attn_consts: dict[tuple[bool, bool], tuple[list, list, list]] = {}
+        self._weight_tables()
+        self._pending: _Decisions | None = None
 
-    def _attn_block_consts(
-        self, kv_stream: bool, kv_store: bool
-    ) -> tuple[list[int], list[str], list[int]]:
-        """(resources, phases, batches) columns of the attention block."""
-        cached = self._attn_consts.get((kv_stream, kv_store))
-        if cached is None:
-            n = self.n
-            if kv_stream and kv_store:
-                res = [_H2D_CODE, _GPU_CODE, _D2H_CODE] * n
-                phases = [PHASE_KV, PHASE_ATTENTION, PHASE_KV] * n
-                batches = [b for b in range(n) for _ in range(3)]
-            elif kv_store:
-                res = [_GPU_CODE, _D2H_CODE] * n
-                phases = [PHASE_ATTENTION, PHASE_KV] * n
-                batches = [b for b in range(n) for _ in range(2)]
-            else:
-                res = self._gpu_codes_n
-                phases = [PHASE_ATTENTION] * n
-                batches = self._batches_0n
-            cached = (res, phases, batches)
-            self._attn_consts[(kv_stream, kv_store)] = cached
-        return cached
-
-    def _layer_expert_ids(self, layer: int) -> list[str]:
-        ids = self._expert_ids.get(layer)
-        if ids is None:
-            ids = [expert_id(layer, e) for e in range(self.model.num_experts)]
-            self._expert_ids[layer] = ids
-        return ids
-
-    def _resident_experts(self, layer: int) -> set[int]:
-        resident = self._resident_cache.get(layer)
-        if resident is None:
-            is_resident = self.placement.is_resident
-            resident = {
-                e
-                for e, tid in enumerate(self._layer_expert_ids(layer))
-                if is_resident(tid)
-            }
-            self._resident_cache[layer] = resident
-        return resident
-
-    # ---- small helpers ---------------------------------------------------------
-
-    def _weight_bytes(self, tensor_id: str, kind: str) -> int:
-        cached = self._wbytes_cache.get(tensor_id)
-        if cached is not None:
-            return cached
-        nbytes = self.inventory.nbytes(tensor_id)
-        if self.features.quantize and kind in ("attn", "expert"):
-            nbytes = int(nbytes * QUANT_BYTES_FACTOR)
-        self._wbytes_cache[tensor_id] = nbytes
-        return nbytes
-
-    def _gpu(self, cost: OpCost, label: str, **kw) -> int:
-        return self._gpu_dur(self.cost.gpu_time(cost), label, **kw)
-
-    def _gpu_dur(
-        self, duration: float, label: str, *, deps: list[int], layer: int = -1,
-        phase: str = PHASE_OTHER,
-    ) -> int:
-        """Emit a GPU op from a precomputed duration."""
-        if not self.features.overlap and self._last_transfer is not None:
-            # Synchronous (Accelerate-style) execution: computation also
-            # waits for every weight transfer issued so far.
-            deps = deps + [self._last_transfer]
-        op = self._schedule.append_row(
-            _GPU_CODE, duration, label, self._sorted_deps(deps), layer, phase
-        )
-        self._last_compute = op
-        return op
-
-    def _load_weight(
-        self,
-        tensor_id: str,
-        kind: str,
-        layer: int,
-        deps: list[int],
-        *,
-        on_demand: bool = False,
-    ) -> int | None:
-        """Issue transfer ops bringing ``tensor_id`` to VRAM; None if resident.
-
-        ``on_demand`` routes the copy through the dedicated on-demand CUDA
-        stream (paper §8), so gate-triggered expert transfers do not block
-        the weight-prefetch stream head-of-line.
-        """
-        if tensor_id in self._resident_ids:
-            return None
-        ready = self._ready.get(tensor_id)
-        if ready is not None:
-            return ready
-        sched = self._schedule
-        nbytes = self._weight_bytes(tensor_id, kind)
-        all_deps = list(deps)
-        if not self.features.overlap and self._last_compute is not None:
-            all_deps.append(self._last_compute)
-        if tensor_id in self._disk_ids:
-            disk_op = sched.append_row(
-                _DISK_CODE,
-                self.cost.transfer_time(nbytes, "disk", "dram"),
-                f"disk:{tensor_id}",
-                self._sorted_deps(all_deps),
-                layer,
-                PHASE_TRANSFER,
-            )
-            all_deps = [disk_op]
-        op = sched.append_row(
-            _H2D_OD_CODE if on_demand else _H2D_CODE,
-            self.cost.transfer_time(nbytes, "dram", "vram", pinned=self.placement.pinned),
-            f"h2d:{tensor_id}",
-            self._sorted_deps(all_deps),
-            layer,
-            PHASE_TRANSFER,
-        )
-        sched.append_effect(op, EV_ALLOC, "vram", tensor_id, nbytes)
-        self._ready[tensor_id] = op
-        self._last_transfer = op
-        return op
-
-    @staticmethod
-    def _sorted_deps(deps: list[int]) -> tuple[int, ...]:
-        """Canonical (sorted, deduplicated) dep tuple for append_row."""
-        if len(deps) <= 1:
-            return tuple(deps)
-        return tuple(sorted(set(deps)))
-
-    def _free_weight(self, tensor_id: str, op_id: int) -> None:
-        """Attach the free effect for a weight to ``op_id`` (no-op if
-        resident or never transferred: only transfers enter ``_ready``)."""
-        if self._ready.pop(tensor_id, None) is not None:
-            self._schedule.append_effect(
-                op_id, EV_FREE, "vram", tensor_id, self._wbytes_cache[tensor_id]
-            )
-
-    def _free_experts(self, layer: int, pairs) -> None:
-        """Attach free effects for ``(expert, op id)`` pairs of ``layer``,
-        in order, skipping experts that are resident or not in flight."""
-        eids = self._layer_expert_ids(layer)
-        pop = self._ready.pop
-        ops: list[int] = []
+    def _weight_tables(self) -> None:
+        """Per-weight tables, indexed ``w = layer * stride + slot`` (slot 0
+        attention, 1 gate, ``2 + e`` expert ``e``)."""
+        model, placement = self.model, self.placement
+        num_experts = model.num_experts
+        self._stride = stride = num_experts + 2
         tids: list[str] = []
-        for e, op in pairs:
-            tid = eids[e]
-            if pop(tid, None) is not None:
-                ops.append(op)
-                tids.append(tid)
-        if ops:
-            wbytes = self._wbytes_cache
-            self._schedule.extend_effects(
-                ops, EV_FREE, "vram", tids, [wbytes[t] for t in tids]
-            )
+        for layer in range(model.num_layers):
+            tids += [attn_id(layer), gate_id(layer)]
+            tids += [expert_id(layer, e) for e in range(num_experts)]
+        self._tids = tids
+        nbytes = [self.inventory.nbytes(t) if t in self.inventory else 0 for t in tids]
+        if self.features.quantize:  # attention and experts, not gates
+            nbytes = [
+                nb if w % stride == 1 else int(nb * QUANT_BYTES_FACTOR)
+                for w, nb in enumerate(nbytes)
+            ]
+        self._nbytes = nbytes
+        transfer_time, pinned = self.cost.transfer_time, placement.pinned
+        self._h2d_list = [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes]
+        self._h2d_durs = np.array(self._h2d_list)
+        self._disk_durs = np.array([transfer_time(nb, "disk", "dram") for nb in nbytes])
+        level = placement.location.get
+        self._resident = {w for w, t in enumerate(tids) if level(t) == VRAM}
+        self._on_disk = {w for w, t in enumerate(tids) if level(t) == DISK}
+        self._resident_experts = [
+            {e for e in range(num_experts) if layer * stride + 2 + e in self._resident}
+            for layer in range(model.num_layers)
+        ]
+        if model.is_dense:
+            self._static_hot = [0]
+        elif self.features.cpu_experts:
+            self._static_hot = []
+        elif not self.features.hot_prefetch:
+            self._static_hot = list(range(num_experts))
+        else:
+            self._static_hot = list(range(min(model.top_k, num_experts)))
+        # Per layer: non-resident attention (+ gate) weights, and those
+        # plus the static hot experts, in prefetch order.
+        self._block_loads = [
+            [w for w in ([wb] if model.is_dense else [wb, wb + 1]) if w not in self._resident]
+            for wb in range(0, model.num_layers * stride, stride)
+        ]
+        self._static_loads = [
+            loads + [w for w in (wb + 2 + e for e in self._static_hot) if w not in self._resident]
+            for loads, wb in zip(self._block_loads, range(0, model.num_layers * stride, stride))
+        ]
 
-    def _dep(self, *ops: int | None) -> list[int]:
-        return [op for op in ops if op is not None]
-
-    def _dep_prefix(self, *deps: int | None) -> tuple[int, ...]:
-        """Sorted, deduplicated dep tuple over already-emitted ops.
-
-        Adds the running weight-transfer dependency in synchronous
-        (no-overlap) mode, mirroring :meth:`_gpu_dur`. Used as the shared
-        prefix of block-emitted deps: any op id appended behind it is
-        newer than every prefix entry, so the tuple stays sorted.
-        """
-        items = {d for d in deps if d is not None}
-        if not self.features.overlap and self._last_transfer is not None:
-            items.add(self._last_transfer)
-        if not items:
-            return ()
-        return tuple(sorted(items))
-
-    # ---- per-step precomputation ------------------------------------------------
-
-    def _batch_sizes(self, rows: int) -> list[int]:
-        """Batch-slice sizes for ``rows`` (cached per row count)."""
-        sizes = self._split_cache.get(rows)
-        if sizes is None:
-            sizes = self._split_cache[rows] = batch_slice_sizes(rows, self.n)
-        return sizes
+    # ---- per-step and per-routing costs -----------------------------------------
 
     def _step_costs(self, step: int, new_tokens: int, context: int) -> _StepCosts:
         """Everything constant across the layers and batches of one step."""
         model = self.model
         wl = self.workload
-        context_eff = self.sparse_attention.effective_context(context)
-        cost = self.cost.attention_cost(wl.batch_size, new_tokens, context_eff)
+        cost_model, sparse = self.cost, self.sparse_attention
+        context_eff = sparse.effective_context(context)
+        cost = cost_model.attention_cost(wl.batch_size, new_tokens, context_eff)
         if self.features.quantize:
-            cost = cost.merged(self.cost.dequant_cost(model.attention_bytes()))
-        attn_dur = self.cost.gpu_time(cost)
+            cost = cost.merged(cost_model.dequant_cost(model.attention_bytes()))
+        attn_dur = cost_model.gpu_time(cost)
+        pinned = self.placement.pinned
 
         kv_stream = self.placement.kv_level == "dram" and step > 0
-        kv_load_dur = 0.0
-        if kv_stream:
-            kv_bytes = int(wl.batch_size * context_eff * self._kv_bytes_per_token)
-            kv_load_dur = self.cost.transfer_time(
-                kv_bytes, "dram", "vram", pinned=self.placement.pinned
-            )
-
         delta = int(wl.batch_size * new_tokens * self._kv_bytes_per_token)
-        kv_store_dur = self.cost.transfer_time(
-            delta, "vram", "dram", pinned=self.placement.pinned
-        )
-        grown = self.sparse_attention.effective_context(wl.context_at(step))
-        prev = self.sparse_attention.effective_context(
-            max(0, wl.context_at(step) - new_tokens)
-        )
+        kv_store_dur = cost_model.transfer_time(delta, "vram", "dram", pinned=pinned)
+        grown = sparse.effective_context(wl.context_at(step))
+        prev = sparse.effective_context(max(0, wl.context_at(step) - new_tokens))
         kv_alloc_delta = int(wl.batch_size * (grown - prev) * self._kv_bytes_per_token)
-
-        rows, scale = (
-            self.oracle.tokens_for_step(step, wl)
-            if hasattr(self.oracle, "tokens_for_step")
-            else (wl.total_sequences, 1.0)
-        )
-        sizes = self._batch_sizes(rows)
-        kv_store = self.placement.kv_level != "vram"
-        if kv_stream and kv_store:
-            attn_block_durs = [kv_load_dur, attn_dur, kv_store_dur] * self.n
-        elif kv_store:
-            attn_block_durs = [attn_dur, kv_store_dur] * self.n
+        if kv_stream and self._kv_store:
+            kv_bytes = int(wl.batch_size * context_eff * self._kv_bytes_per_token)
+            kv_load_dur = cost_model.transfer_time(kv_bytes, "dram", "vram", pinned=pinned)
+            m, attn_durs = 3, [kv_load_dur, attn_dur, kv_store_dur] * self.n
+        elif self._kv_store:
+            m, attn_durs = 2, [attn_dur, kv_store_dur] * self.n
         else:
-            attn_block_durs = [attn_dur] * self.n
-        return _StepCosts(
-            attn_dur=attn_dur,
-            kv_load_dur=kv_load_dur,
-            kv_stream=kv_stream,
-            kv_store_dur=kv_store_dur,
-            kv_alloc_delta=kv_alloc_delta,
-            batch_sizes=sizes,
-            rows=rows,
-            scale=scale,
-            gate_dur_b=self._gate_durations(sizes, scale)
-            if not self.model.is_dense
-            else [],
-            attn_block_durs=attn_block_durs,
-        )
+            m, attn_durs = 1, [attn_dur] * self.n
 
-    def _gate_durations(self, sizes: list[int], scale: float) -> list[float]:
-        """Per-batch gate durations (at most two distinct slice sizes)."""
-        cache: dict[int, float] = {}
-        durs = []
-        for rows in sizes:
-            dur = cache.get(rows)
-            if dur is None:
-                tokens = max(1, int(rows * scale))
-                dur = self.cost.gpu_time(self.cost.gate_cost(tokens))
-                cache[rows] = dur
-            durs.append(dur)
+        return _StepCosts(m=m, attn_durs=attn_durs, kv_alloc_delta=kv_alloc_delta)
+
+    def _gate_or_ffn_durs(self, rows: int, scale: float) -> list[float]:
+        """Per-batch gate durations (MoE) or dense FFN durations for ``rows``
+        routed rows, cached per ``(rows, scale)``; equal slice sizes share
+        one costing."""
+        key = (rows, scale)
+        durs = self._block_durs.get(key)
+        if durs is None:
+            cost_model = self.cost
+            sizes = batch_slice_sizes(rows, self.n)
+            by_size: dict[int, float] = {}
+            for size in set(sizes):
+                if self.model.is_dense:
+                    cost = cost_model.expert_cost(max(1.0, size * scale))
+                    if self.features.quantize:
+                        cost = cost.merged(
+                            cost_model.dequant_cost(self.model.expert_bytes())
+                        )
+                else:
+                    cost = cost_model.gate_cost(max(1, int(size * scale)))
+                by_size[size] = cost_model.gpu_time(cost)
+            durs = self._block_durs[key] = [by_size[size] for size in sizes]
         return durs
 
     def _duration_table(
@@ -455,147 +461,130 @@ class PipelineBuilder:
             self._dur_tables[key] = table
         return table
 
-    # ---- block emission --------------------------------------------------------------
-
-    def _emit_attention_block(
-        self, step: int, layer: int, barrier: list[int]
-    ) -> list[int]:
-        """Emit the layer's interleaved KV-load / attention / KV-store ops.
-
-        One :meth:`Schedule.extend_raw` call per layer replaces ``3n``
-        per-op emissions; op ids are assigned arithmetically, so dep
-        tuples are built pre-sorted (block-local ids are always newer
-        than the shared prefix). The interleaved columns are regular
-        patterns, so they are built with list repetition/comprehensions
-        instead of per-op appends — this block is ~60% of all emitted ops.
-        """
-        stp = self._step
-        sched = self._schedule
-        n = self.n
-        attn_dep = self._ready.get(attn_id(layer))
-        if self.features.overlap:
-            # barrier is ascending (a block's op ids); the attn transfer is
-            # either newer than all of it or older than all of it.
-            if attn_dep is None:
-                base_deps = tuple(barrier)
-            elif not barrier or attn_dep > barrier[-1]:
-                base_deps = tuple(barrier) + (attn_dep,)
-            elif attn_dep < barrier[0]:
-                base_deps = (attn_dep,) + tuple(barrier)
-            else:
-                base_deps = self._dep_prefix(attn_dep, *barrier)
-        else:
-            base_deps = self._dep_prefix(attn_dep, *barrier)
-        kv_store = self.placement.kv_level != "vram"
-        base_id = len(sched)
-        rng = range(n)
-        res, phases, batches = self._attn_block_consts(stp.kv_stream, kv_store)
-        if stp.kv_stream and kv_store:
-            # kvload b, attn b, kvstore b, kvload b+1, ...
-            attn_ops = [base_id + 3 * b + 1 for b in rng]
-            deps = [
-                d
-                for a in attn_ops
-                for d in ((), base_deps + (a - 1,), (a,))
-            ]
-            patterns = ("kvload", "attn", "kvstore")
-        elif kv_store:
-            # attn b, kvstore b, ...
-            attn_ops = [base_id + 2 * b for b in rng]
-            deps = [d for a in attn_ops for d in (base_deps, (a,))]
-            patterns = ("attn", "kvstore")
-        else:
-            attn_ops = [base_id + b for b in rng]
-            deps = [base_deps] * n
-            patterns = ("attn",)
-        sched.extend_raw(
-            res, stp.attn_block_durs, deps, None, [layer] * len(res), phases,
-            batches, label_plan=(patterns, layer, step),
-        )
-        self._layer_first_compute = attn_ops[0]
-        self._last_compute = attn_ops[-1]
-        if not kv_store and stp.kv_alloc_delta > 0:
-            # KV stays in VRAM: the cache growth lands on each attention op.
-            tids = [f"kv.{layer}.{b}.s{step}" for b in rng]
-            sched.extend_effects(
-                attn_ops, EV_ALLOC, "vram", tids, [stp.kv_alloc_delta] * n
-            )
-            self._kv_allocs.extend((tid, stp.kv_alloc_delta) for tid in tids)
-        return attn_ops
-
-    # ---- main build -----------------------------------------------------------------
+    # ---- build ------------------------------------------------------------------
 
     def build(self, schedule: Schedule | None = None) -> BuildResult:
         """Emit one batch group's generation into ``schedule``.
 
-        Sequential systems call this once per batch on one builder,
-        swapping :attr:`oracle` (and :attr:`prefetcher`) in between; the
-        per-group emission state below starts fresh on every call.
+        :meth:`decide` followed by :meth:`materialize`. Sequential systems
+        instead decide every batch on one builder, swapping :attr:`oracle`
+        (and :attr:`prefetcher`) in between, and materialize once.
         """
-        self._schedule = schedule if schedule is not None else Schedule()
-        # tensor_id -> op id of the transfer that made it VRAM-ready.
-        self._ready: dict[str, int] = {}
+        schedule = schedule if schedule is not None else Schedule()
+        with span("core.pipeline.decide"):
+            heads = self.decide(len(schedule))
+        with span("core.pipeline.materialize"):
+            self.materialize(schedule)
+        return BuildResult(schedule=schedule, step_last_op=heads, groups_built=1)
+
+    def decide(self, start: int = 0) -> list[int]:
+        """Decide one batch group's generation (the decide pass).
+
+        The group's ops follow any group decided but not yet
+        materialized; ``start`` is the length of the schedule the pending
+        groups will be materialized into (read by the first of them, which
+        also emits the resident blob into an empty schedule). The
+        per-group decision state starts fresh on every call.
+
+        Returns:
+            The op id of each step's last op (the LM head).
+        """
+        with _gc_paused():
+            return self._decide_group(start)
+
+    def _decide_group(self, start: int) -> list[int]:
+        if self._pending is None:
+            self._pending = _Decisions(start)
+        d = self._d = self._pending
+        # weight index -> op id of the transfer that made it VRAM-ready;
+        # it only ever holds the weights of the next layer to decide.
+        self._ready: dict[int, int] = {}
         self._pending_hot: dict[int, list[int]] = {}
         self._last_compute: int | None = None
         self._last_transfer: int | None = None
         self._layer_first_compute: int | None = None
-        self._kv_allocs: list[tuple[str, int]] = []  # (tensor id, bytes)
-        self._step: _StepCosts | None = None
-        result = BuildResult(schedule=self._schedule, groups_built=1)
-        wl = self.workload
-
-        self._emit_init_residents()
-        prev_step_tail: int | None = None
+        kv_keys: list[int] = []
+        self._kv_keys = kv_keys
+        features, model, wl = self.features, self.model, self.workload
+        self._predict = (
+            self.prefetcher is not None
+            and features.hot_prefetch
+            and not (model.is_dense or features.cpu_experts)
+        )
+        if d.nops == 0:  # sequential systems share one resident blob per run
+            d.singles.append((0, 0.0, (), _L_INIT, -1))
+            d.nops = 1
+            d.effect(EV_ALLOC, (0,), (self._extra_key(),))
+            d.extra_tids.append("resident+workspace")
+            d.extra_nbytes.append(
+                self.placement.resident_bytes + self.placement.activation_reserve_bytes
+            )
+        tokens = wl.total_sequences  # the head computes last-position logits
+        head_dur = self.cost.gpu_time(
+            OpCost(
+                2.0 * model.hidden_size * model.vocab_size * tokens,
+                model.vocab_size * tokens * model.dtype_bytes,
+                2,
+            )
+        )
+        num_layers = self.oracle.num_layers
+        heads: list[int] = []
+        prev_tail: int | None = None
         for step in range(wl.num_steps):
             if self.prefetcher is not None:
                 self.prefetcher.begin_step()
             new_tokens = wl.prompt_len if step == 0 else 1
             context = wl.prompt_len if step == 0 else wl.context_at(step)
-            self._step = self._step_costs(step, new_tokens, context)
+            self._step = stp = self._step_costs(step, new_tokens, context)
+            self._step_index = len(d.step_m)
+            d.step_m.append(stp.m)
+            d.step_durs.append(stp.attn_durs)
             # Layer 0 weights for this step (for step 0; later steps were
             # prefetched at the tail of the previous step).
-            self._issue_layer_transfers(0, deps=[])
-            barrier: list[int] = self._dep(prev_step_tail)
-            embed_op = self._emit_embed(step, new_tokens, barrier)
-            barrier = [embed_op]
-
+            self._issue_layer_transfers(0, ())
+            embed_dur = self.cost.gpu_time(
+                OpCost(0.0, tokens * new_tokens * model.hidden_size * model.dtype_bytes, 1)
+            )
+            barrier = (
+                self._gpu_single(
+                    embed_dur, () if prev_tail is None else (prev_tail,), _L_EMBED, step
+                ),
+            )
             for routing in self.oracle.step_routing(step, wl):
                 layer = routing.layer
-                barrier = self._emit_layer(step, layer, routing, barrier)
-                next_layer = layer + 1
-                if next_layer < self.oracle.num_layers:
-                    self._issue_layer_transfers(
-                        next_layer, deps=self._prefetch_anchor(barrier)
-                    )
-            head_op = self._emit_head(step, new_tokens, barrier)
+                barrier = self._decide_layer(step, routing, barrier)
+                if layer + 1 < num_layers:
+                    self._issue_layer_transfers(layer + 1, self._prefetch_anchor(barrier))
+            head = self._gpu_single(head_dur, barrier, _L_HEAD, step)
             if step + 1 < wl.num_steps:
-                self._issue_layer_transfers(0, deps=self._prefetch_anchor([head_op]))
-            prev_step_tail = head_op
-            result.step_last_op.append(head_op)
-        if self._kv_allocs and prev_step_tail is not None:
+                self._issue_layer_transfers(0, self._prefetch_anchor((head,)))
+            prev_tail = head
+            heads.append(head)
+        if kv_keys and prev_tail is not None:
             # The group's KV cache is released when its generation completes
             # (sequential systems reuse the space for the next batch).
-            tids, nbytes = zip(*self._kv_allocs)
-            self._schedule.extend_effects(
-                [prev_step_tail] * len(tids), EV_FREE, "vram", tids, nbytes
-            )
-            self._kv_allocs = []
-        return result
+            d.effect(EV_FREE, [prev_tail] * len(kv_keys), kv_keys)
+        return heads
 
-    # ---- emission pieces ---------------------------------------------------------
+    # ---- decision helpers ---------------------------------------------------------
 
-    def _emit_init_residents(self) -> None:
-        if len(self._schedule) > 0:
-            return  # sequential systems share one resident blob per run
-        static = self.placement.resident_bytes + self.placement.activation_reserve_bytes
-        self._schedule.compute(
-            0.0,
-            "init:resident",
-            allocs=[MemEffect("vram", "resident+workspace", static)],
-            phase=PHASE_OTHER,
+    def _extra_key(self) -> int:
+        """Effect key of the next ``extra`` tensor."""
+        return len(self._tids) + len(self._d.extra_tids)
+
+    def _gpu_single(self, duration: float, deps, label: int, step: int) -> int:
+        """Embed / head op; waits for every transfer issued so far in
+        synchronous (no-overlap, Accelerate-style) execution."""
+        d = self._d
+        op = d.nops
+        d.nops += 1
+        d.singles.append(
+            (op, duration, self._no_overlap_deps(tuple(deps), self._last_transfer), label, step)
         )
+        self._last_compute = op
+        return op
 
-    def _prefetch_anchor(self, barrier: list[int]) -> list[int]:
+    def _prefetch_anchor(self, barrier) -> tuple[int, ...]:
         """Dependency controlling when next-layer prefetch may start.
 
         With overlap, the next layer's weights start streaming once the
@@ -604,442 +593,646 @@ class PipelineBuilder:
         synchronous loading) transfers wait for the layer barrier.
         """
         if self.features.overlap:
-            if self._layer_first_compute is None:
-                return []
-            return [self._layer_first_compute]
-        return list(barrier)
+            first = self._layer_first_compute
+            return () if first is None else (first,)
+        return tuple(barrier)
 
-    def _issue_layer_transfers(self, layer: int, deps: list[int]) -> None:
-        """Issue attention/gate/expert weight transfers for ``layer``."""
-        model = self.model
-        weights = [(attn_id(layer), "attn")]
-        if model.is_dense:
-            hot = [0]  # the single FFN "expert" is the dense MoE layer
-        else:
-            weights.append((gate_id(layer), "gate"))
-            if self.features.cpu_experts:
-                hot = []
-            elif not self.features.hot_prefetch:
-                hot = list(range(model.num_experts))
-            elif self.prefetcher is not None:
-                hot = self.prefetcher.predict(layer)
-            else:
-                hot = list(range(min(model.top_k, model.num_experts)))
-        eids = self._layer_expert_ids(layer)
-        weights.extend((eids[e], "expert") for e in hot)
-        self._load_block(layer, weights, deps)
-        self._pending_hot[layer] = hot
+    def _no_overlap_deps(self, deps: tuple, running: int | None) -> tuple[int, ...]:
+        """``deps`` plus, in synchronous execution, the ``running`` op
+        (the last compute for transfers, the last transfer for compute)."""
+        if not self.features.overlap and running is not None:
+            deps += (running,)
+        return _sorted_deps(deps)
 
-    def _load_block(
-        self, layer: int, weights: list[tuple[str, str]], deps: list[int]
-    ) -> None:
-        """Issue prefetch transfers for ``(tensor_id, kind)`` weights in order.
+    def _load(self, w: int, deps: tuple, *, on_demand: bool) -> int | None:
+        """Bring weight ``w`` to VRAM (after a disk read if it is spilled);
+        returns the transfer op, or None if resident.
 
-        Every pending weight shares the dependency prefix, so the common
-        case (all stream from DRAM) is one :meth:`Schedule.extend_raw`
-        call, row for row what :meth:`_load_weight` would emit per weight.
-        A layer with a weight spilled to disk falls back to
-        :meth:`_load_weight`, which interleaves the disk reads.
+        ``on_demand`` routes the copy through the dedicated on-demand CUDA
+        stream (paper §8), so gate-triggered expert transfers do not block
+        the weight-prefetch stream head-of-line.
         """
-        resident, ready = self._resident_ids, self._ready
-        pending = [
-            (tid, kind)
-            for tid, kind in weights
-            if tid not in resident and tid not in ready
-        ]
+        if w in self._resident:
+            return None
+        ready = self._ready.get(w)
+        if ready is not None:
+            return ready
+        d = self._d
+        deps = self._no_overlap_deps(deps, self._last_compute)
+        if w in self._on_disk:
+            d.transfer(d.nops, (w,), _DISK, (deps,))
+            deps = (d.nops,)
+            d.nops += 1
+        op = d.nops
+        d.nops += 1
+        d.transfer(op, (w,), _H2D_OD if on_demand else _H2D, (deps,))
+        d.effect(EV_ALLOC, (op,), (w,))
+        self._ready[w] = op
+        self._last_transfer = op
+        return op
+
+    def _load_run(self, ws: list[int], res: int, deps: list[tuple]) -> None:
+        """Transfer weights ``ws`` (none resident, ready or on disk) back to
+        back on one stream, with per-transfer ``deps``."""
+        d = self._d
+        base = d.nops
+        k = len(ws)
+        d.nops += k
+        d.transfer(base, ws, res, deps)
+        ops = range(base, d.nops)
+        d.ev_op.extend(ops)
+        d.ev_kind.extend([EV_ALLOC] * k)
+        d.ev_key.extend(ws)
+        self._ready.update(zip(ws, ops))
+        self._last_transfer = d.nops - 1
+
+    def _issue_layer_transfers(self, layer: int, deps: tuple) -> None:
+        """Prefetch attention/gate/expert weights for ``layer`` in order.
+
+        Every pending weight shares the dependency prefix; a layer with a
+        weight spilled to disk interleaves each disk read before its
+        transfer.
+        """
+        if self._predict:
+            hot = self.prefetcher.predict(layer)
+            ew = layer * self._stride + 2
+            resident = self._resident
+            pending = self._block_loads[layer] + [
+                ew + e for e in hot if ew + e not in resident
+            ]
+        else:
+            hot = self._static_hot
+            pending = self._static_loads[layer]
+        self._pending_hot[layer] = hot
+        ready = self._ready
+        if ready:
+            pending = [w for w in pending if w not in ready]
         if not pending:
             return
-        tids = [tid for tid, _ in pending]
-        if not self._disk_ids.isdisjoint(tids):
-            for tid, kind in weights:
-                self._load_weight(tid, kind, layer, deps)
+        if not self._on_disk.isdisjoint(pending):
+            for w in pending:
+                self._load(w, deps, on_demand=False)
             return
-        nbytes = [self._weight_bytes(tid, kind) for tid, kind in pending]
-        transfer_time, pinned = self.cost.transfer_time, self.placement.pinned
-        all_deps = list(deps)
-        if not self.features.overlap and self._last_compute is not None:
-            all_deps.append(self._last_compute)
-        k = len(tids)
-        sched = self._schedule
-        base = sched.extend_raw(
-            [_H2D_CODE] * k,
-            [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes],
-            [self._sorted_deps(all_deps)] * k,
-            [f"h2d:{tid}" for tid in tids],
-            [layer] * k,
-            [PHASE_TRANSFER] * k,
-            [-1] * k,
+        self._load_run(
+            pending, _H2D, [self._no_overlap_deps(deps, self._last_compute)] * len(pending)
         )
-        ops = range(base, base + k)
-        sched.extend_effects(list(ops), EV_ALLOC, "vram", tids, nbytes)
-        ready.update(zip(tids, ops))
-        self._last_transfer = base + k - 1
 
-    def _emit_embed(self, step: int, new_tokens: int, deps: list[int]) -> int:
-        tokens = self.workload.total_sequences * new_tokens
-        cost = OpCost(0.0, tokens * self.model.hidden_size * self.model.dtype_bytes, 1)
-        return self._gpu(cost, f"embed:s{step}", deps=deps, phase=PHASE_OTHER)
+    def _decide_layer(self, step: int, routing: LayerRouting, barrier):
+        """Decide one MoE block (attention + gate + experts); returns the
+        barrier (the block's last compute ops, ascending)."""
+        d, stp, n = self._d, self._step, self.n
+        model, features = self.model, self.features
+        layer = routing.layer
+        wb = layer * self._stride
+        ready = self._ready
 
-    def _emit_head(self, step: int, new_tokens: int, deps: list[int]) -> int:
-        model = self.model
-        tokens = self.workload.total_sequences  # logits only for last position
-        flops = 2.0 * model.hidden_size * model.vocab_size * tokens
-        cost = OpCost(flops, model.vocab_size * tokens * model.dtype_bytes, 2)
-        return self._gpu(cost, f"head:s{step}", deps=deps, phase=PHASE_OTHER)
+        # Attention block: n batches of m ops each. The barrier ascends and
+        # with overlap the attention transfer precedes or follows all of it.
+        attn_dep = ready.get(wb)
+        attn_deps = tuple(barrier)
+        if attn_dep is None:
+            pass
+        elif not barrier or attn_dep > barrier[-1]:
+            attn_deps += (attn_dep,)
+        elif attn_dep < barrier[0]:
+            attn_deps = (attn_dep,) + attn_deps
+        else:
+            attn_deps = _sorted_deps(attn_deps + (attn_dep,))
+        if not features.overlap:
+            attn_deps = self._no_overlap_deps(attn_deps, self._last_transfer)
+        m = stp.m
+        base = d.nops
+        first_attn = base + 1 if m == 3 else base
+        gate_base = base + n * m
+        last_gate = gate_base + n - 1
+        self._layer_first_compute = first_attn
+        if not self._kv_store and stp.kv_alloc_delta > 0:
+            # KV stays in VRAM: the cache growth lands on each attention op.
+            key = self._extra_key()
+            keys = range(key, key + n)
+            d.extra_tids.extend(f"kv.{layer}.{b}.s{step}" for b in range(n))
+            d.extra_nbytes.extend([stp.kv_alloc_delta] * n)
+            d.effect(EV_ALLOC, range(first_attn, gate_base, m), keys)
+            self._kv_keys.extend(keys)
 
-    def _emit_layer(
-        self,
-        step: int,
-        layer: int,
-        routing: LayerRouting,
-        barrier: list[int],
-    ) -> list[int]:
-        """Emit one MoE block (attention + gate + experts); returns barrier."""
-        model = self.model
-        stp = self._step
-        attn_ops = self._emit_attention_block(step, layer, barrier)
+        # Gate block (dense models: the single FFN processes every batch).
+        gate_dep = ready.get(wb + 2 if model.is_dense else wb + 1)
+        gate_deps = () if gate_dep is None else (gate_dep,)
+        if not features.overlap:
+            gate_deps = self._no_overlap_deps(gate_deps, self._last_transfer)
+        rows, scale = routing.assignments.shape[0], routing.scale
+        d.units.append((
+            base, layer, step, self._step_index, attn_deps, gate_deps,
+            self._block_durs.get((rows, scale)) or self._gate_or_ffn_durs(rows, scale),
+        ))
+        d.nops = gate_base + n
+        self._last_compute = last_gate
 
-        scale = routing.scale
-        rows = routing.assignments.shape[0]
-        if rows == stp.rows:
-            sizes = stp.batch_sizes
-        else:  # trace oracles may vary rows per layer
-            sizes = self._batch_sizes(rows)
-
+        block = -1
         if model.is_dense:
-            return self._emit_dense_ffn(step, layer, attn_ops, sizes, scale)
+            expert_ops = ()
+        elif features.cpu_experts:
+            expert_ops = self._decide_cpu_experts(step, routing, gate_base)
+        else:
+            block, expert_ops = self._decide_experts(step, routing, gate_base)
+        # Every weight still ready is freed within the layer (see _Decisions).
+        d.frees.append((
+            ready, layer, first_attn + m * (n - 1), last_gate,
+            expert_ops[-1] if expert_ops else last_gate, block,
+        ))
+        d.ev_op.append(-1)
+        d.ev_kind.append(EV_FREE)
+        d.ev_key.append(len(d.frees) - 1)
+        self._ready = {}
+        return expert_ops or range(gate_base, gate_base + n)
 
+    def _decide_experts(self, step: int, routing: LayerRouting, gate_base: int):
+        """Decide one MoE layer's GPU experts; returns ``(block, ops)``.
+
+        Records the layer's expert block — its order (expert-major) or
+        nothing more than its routing (batch-major: one op per routed
+        (batch, expert) pair) — with the transfers ready for it, so
+        materialize derives durations, dependencies and frees.
+        """
+        model, features = self.model, self.features
+        layer = routing.layer
         stats = routing.stats(self.n, model.num_experts)
-        gate_dep = self._ready.get(gate_id(layer))
-        if self.features.overlap:
-            prefix = () if gate_dep is None else (gate_dep,)
-        else:
-            prefix = self._dep_prefix(gate_dep)
-        if sizes is stp.batch_sizes and scale == stp.scale:
-            gate_durs = stp.gate_dur_b
-        else:
-            gate_durs = self._gate_durations(sizes, scale)
-        base_id = self._schedule.extend_raw(
-            self._gpu_codes_n,
-            gate_durs,
-            [prefix + (a,) for a in attn_ops],
-            None,
-            [layer] * self.n,
-            self._gate_phases_n,
-            self._batches_0n,
-            label_plan=(("gate",), layer, step),
-        )
-        gate_ops = list(range(base_id, base_id + self.n))
-        self._last_compute = gate_ops[-1]
-
         predicted = self._pending_hot.get(layer, [])
         if self.prefetcher is not None:
             self.prefetcher.observe(
                 layer, routing.assignments, predicted, counts=stats.totals
             )
-
-        resident = self._resident_experts(layer)
-
-        # Per-expert gate dependencies: gate ops of the batches that routed
-        # tokens to the expert, in batch (= op id) order.
-        num_experts = model.num_experts
-        involved_by_e: list[list[int]] = [[] for _ in range(num_experts)]
-        for p in stats.pairs:
-            b, e = divmod(p, num_experts)
-            involved_by_e[e].append(base_id + b)
-
-        if self.features.cpu_experts:
-            expert_ops = self._emit_cpu_experts(
-                step, layer, routing, stats, involved_by_e, resident
+        resident = self._resident_experts[layer]
+        if features.hot_prefetch:
+            self._cold_transfers(stats, resident.union(predicted), layer, gate_base)
+        self._duration_table(routing)  # sized for materialize
+        if features.adjust_order:
+            order = ordered_active_experts(
+                stats.totals, predicted, resident=resident, adjust=True
             )
+            count = len(order)
         else:
-            self._issue_cold_transfers(
-                layer, stats, involved_by_e, predicted, resident
-            )
-            if self.features.adjust_order:
-                expert_ops = self._emit_experts_expert_major(
-                    step, layer, routing, stats, involved_by_e, predicted,
-                    resident,
-                )
-            else:
-                expert_ops = self._emit_experts_batch_major(
-                    step, layer, routing, stats, gate_ops
-                )
+            order = None
+            count = len(stats.pairs)
+        d = self._d
+        base = d.nops
+        d.e_base.append(base)
+        d.e_layer.append(layer)
+        d.e_step.append(step)
+        d.e_gate.append(gate_base)
+        d.e_scale.append(routing.scale)
+        d.e_stats.append(stats)
+        d.e_order.append(order)
+        d.e_ready.append(self._ready)
+        d.e_nod.append(-1 if features.overlap or self._last_transfer is None else self._last_transfer)
+        d.nops += count
+        if count:
+            self._last_compute = d.nops - 1
+        return len(d.e_base) - 1, range(base, d.nops)
 
-        self._attach_layer_frees(layer, attn_ops, gate_ops, expert_ops)
-        return expert_ops if expert_ops else gate_ops
-
-    # ---- expert emission variants -------------------------------------------------
-
-    def _issue_cold_transfers(
-        self,
-        layer: int,
-        stats: RoutingStats,
-        involved_by_e: list[list[int]],
-        predicted: list[int],
-        resident: set[int],
-    ) -> None:
-        """On-demand transfers for activated non-prefetched experts, in
-        ascending expert id (the order :func:`ordered_active_experts`
-        assumes for cold experts)."""
-        if not self.features.hot_prefetch:
-            return  # whole layer already in the prefetch stream
-        skip = resident.union(predicted)
-        eids = self._layer_expert_ids(layer)
-        for e in stats.active:
-            if e not in skip:
-                # The transfer fires off the first gate that routed tokens here.
-                self._load_weight(
-                    eids[e], "expert", layer, [involved_by_e[e][0]], on_demand=True
-                )
-
-    def _expert_cost(self, tokens: float) -> OpCost:
-        cost = self.cost.expert_cost(max(1.0, tokens))
-        if self.features.quantize:
-            cost = cost.merged(self.cost.dequant_cost(self.model.expert_bytes()))
-        return cost
-
-    def _emit_experts_expert_major(
-        self,
-        step: int,
-        layer: int,
-        routing: LayerRouting,
-        stats: RoutingStats,
-        involved_by_e: list[list[int]],
-        predicted: list[int],
-        resident: set[int],
-    ) -> list[int]:
-        order = ordered_active_experts(
-            stats.totals, predicted, resident=resident, adjust=True
-        )
-        if not order:
-            return []
-        table = self._duration_table(routing)
-        totals = stats.totals
-        no_overlap_dep = (
-            self._last_transfer if not self.features.overlap else None
-        )
-        durs: list[float] = []
-        deps: list[tuple[int, ...]] = []
-        eids = self._layer_expert_ids(layer)
-        ready_get = self._ready.get
-        for e in order:
-            involved = involved_by_e[e]  # ascending gate op ids
-            transfer = ready_get(eids[e])
-            if no_overlap_dep is not None:
-                dep_set = set(involved)
-                dep_set.add(no_overlap_dep)
-                if transfer is not None:
-                    dep_set.add(transfer)
-                dep = tuple(sorted(dep_set))
-            elif transfer is None:
-                dep = tuple(involved)
-            elif transfer > involved[-1]:  # on-demand: issued after the gates
-                dep = tuple(involved) + (transfer,)
-            else:  # prefetched: issued before the attention block
-                dep = (transfer,) + tuple(involved)
-            durs.append(table[totals[e]])
-            deps.append(dep)
-        k = len(order)
-        base_id = self._schedule.extend_raw(
-            [_GPU_CODE] * k, durs, deps, None,
-            [layer] * k, [PHASE_EXPERT] * k, [-1] * k,
-            label_plan=(("exp",), layer, step), label_tags=order,
-        )
-        ops = list(range(base_id, base_id + k))
-        self._last_compute = ops[-1]
-        self._free_experts(layer, zip(order, ops))
-        return ops
-
-    def _emit_experts_batch_major(
-        self,
-        step: int,
-        layer: int,
-        routing: LayerRouting,
-        stats: RoutingStats,
-        gate_ops: list[int],
-    ) -> list[int]:
-        """Unorchestrated order: batch by batch, expert id ascending."""
+    def _involved(self, stats, e: int) -> list[int]:
+        """Batches that routed tokens to active expert ``e``, ascending."""
+        if self.n == 1:
+            return [0]
         num_experts = self.model.num_experts
         counts = stats.counts
-        table = self._duration_table(routing)
-        no_overlap_dep = (
-            self._last_transfer if not self.features.overlap else None
-        )
-        eids = self._layer_expert_ids(layer)
-        ready_get = self._ready.get
-        base_id = len(self._schedule)
-        durs: list[float] = []
-        deps: list[tuple[int, ...]] = []
-        experts: list[int] = []
-        batches: list[int] = []
-        last_op: dict[int, int] = {}  # expert -> op of its last batch
-        for i, p in enumerate(stats.pairs):
-            b, e = divmod(p, num_experts)
-            gate = gate_ops[b]
-            transfer = ready_get(eids[e])
-            if no_overlap_dep is not None:
-                dep_set = {gate, no_overlap_dep}
-                if transfer is not None:
-                    dep_set.add(transfer)
-                dep = tuple(sorted(dep_set))
-            elif transfer is None:
-                dep = (gate,)
-            elif transfer < gate:  # prefetched: issued before the gates
-                dep = (transfer, gate)
-            else:  # on-demand: issued after the gates
-                dep = (gate, transfer)
-            durs.append(table[counts[p]])
-            deps.append(dep)
-            experts.append(e)
-            batches.append(b)
-            last_op[e] = base_id + i
-        k = len(durs)
-        self._schedule.extend_raw(
-            [_GPU_CODE] * k, durs, deps, None,
-            [layer] * k, [PHASE_EXPERT] * k, batches,
-            label_plan=(("exp",), layer, step), label_tags=experts,
-        )
-        # Each expert is freed after its last computation (in op order);
-        # inactive loaded experts (whole-layer prefetch) are pure I/O
-        # waste, freed at the layer barrier.
-        tail = base_id + k - 1 if k else gate_ops[-1]
-        frees = sorted(last_op.items(), key=lambda item: item[1])
-        frees.extend((e, tail) for e in stats.inactive)
-        self._free_experts(layer, frees)
-        if k:
-            self._last_compute = tail
-        return list(range(base_id, base_id + k))
+        return [b for b in range(self.n) if counts[b * num_experts + e]]
 
-    def _emit_cpu_experts(
-        self,
-        step: int,
-        layer: int,
-        routing: LayerRouting,
-        stats: RoutingStats,
-        involved_by_e: list[list[int]],
-        resident: set[int],
-    ) -> list[int]:
+    def _cold_transfers(self, stats, skip: set, layer: int, gate_base: int) -> None:
+        """On-demand transfers for activated non-prefetched experts, in
+        ascending expert id (the order :func:`ordered_active_experts`
+        assumes for cold experts), each fired off the first gate that
+        routed tokens to it."""
+        ready = self._ready
+        ew = layer * self._stride + 2
+        cold = [e for e in stats.active if e not in skip and ew + e not in ready]
+        if not cold:
+            return
+        ws = [ew + e for e in cold]
+        firsts = [gate_base + self._involved(stats, e)[0] for e in cold]
+        if not self._on_disk.isdisjoint(ws):
+            for w, gate in zip(ws, firsts):
+                self._load(w, (gate,), on_demand=True)
+            return
+        if self.features.overlap or self._last_compute is None:
+            deps = [(g,) for g in firsts]
+        else:
+            deps = [_sorted_deps((g, self._last_compute)) for g in firsts]
+        self._load_run(ws, _H2D_OD, deps)
+
+    def _decide_cpu_experts(self, step: int, routing: LayerRouting, gate_base: int) -> list[int]:
         """Fiddler-style: run DRAM-resident experts on the CPU when faster."""
-        model = self.model
-        scale = routing.scale
-        ops: list[int] = []
+        d = self._d
+        layer = routing.layer
+        stats = routing.stats(self.n, self.model.num_experts)
         gpu_durs = self._duration_table(routing)
         cpu_durs = self._duration_table(routing, on_cpu=True)
-        eids = self._layer_expert_ids(layer)
-        append_row = self._schedule.append_row
+        resident = self._resident_experts[layer]
+        h2d_durs = self._h2d_list
+        ew = layer * self._stride + 2
+        ops: list[int] = []
         for e in stats.active:
             count = stats.totals[e]
-            tokens = count * scale
-            involved = involved_by_e[e]
-            if e in resident:
-                ops.append(
-                    self._gpu_dur(
-                        gpu_durs[count],
-                        f"exp{e}:L{layer}s{step}",
-                        deps=list(involved),
-                        layer=layer,
-                        phase=PHASE_EXPERT,
-                    )
-                )
-                continue
-            transfer_s = self.cost.transfer_time(
-                self._weight_bytes(eids[e], "expert"), "dram", "vram",
-                pinned=self.placement.pinned,
+            deps = tuple(gate_base + b for b in self._involved(stats, e))
+            if e not in resident:
+                if cpu_durs[count] <= h2d_durs[ew + e] + gpu_durs[count]:
+                    # Hidden states down, CPU compute, hidden states up.
+                    d.cpu.append((d.nops, layer, step, e, deps, count, routing.scale))
+                    d.nops += 3
+                    ops.append(d.nops - 1)
+                    continue
+                deps = (self._load(ew + e, deps, on_demand=True),) + deps
+            op = d.nops
+            d.nops += 1
+            d.gpu_experts.append((
+                op, layer, step, e, gpu_durs[count],
+                self._no_overlap_deps(deps, self._last_transfer),
+            ))
+            self._last_compute = op
+            if self._ready.pop(ew + e, None) is not None:
+                d.effect(EV_FREE, (op,), (ew + e,))
+            ops.append(op)
+        return ops
+
+    # ---- materialize pass -----------------------------------------------------------
+
+    def materialize(self, schedule: Schedule) -> None:
+        """Append every decided op to ``schedule`` (the materialize pass).
+
+        Fills the columns of all groups decided since the last call at
+        once; ``schedule`` must have the length the first of them was
+        decided for.
+        """
+        with _gc_paused():
+            self._materialize(schedule)
+
+    def _materialize(self, schedule: Schedule) -> None:
+        d, self._pending = self._pending, None
+        if d is None or d.nops == d.start:
+            return
+        if len(schedule) != d.start:
+            raise ValueError(
+                f"decided for a schedule of {d.start} ops, got {len(schedule)}"
             )
-            gpu_path = transfer_s + gpu_durs[count]
-            cpu_path = cpu_durs[count]
-            hidden_bytes = int(tokens * model.hidden_size * model.dtype_bytes)
-            if cpu_path <= gpu_path:
-                down = append_row(
-                    _D2H_CODE, self.cost.transfer_time(hidden_bytes, "vram", "dram"),
-                    f"d2h:hid:L{layer}e{e}s{step}", tuple(involved), layer, PHASE_EXPERT,
-                )
-                cpu_op = append_row(
-                    _CPU_CODE, cpu_path, f"cpu-exp{e}:L{layer}s{step}",
-                    (down,), layer, PHASE_EXPERT,
-                )
-                up = append_row(
-                    _H2D_CODE, self.cost.transfer_time(hidden_bytes, "dram", "vram"),
-                    f"h2d:hid:L{layer}e{e}s{step}", (cpu_op,), layer, PHASE_EXPERT,
-                )
-                ops.append(up)
-            else:
-                transfer = self._load_weight(
-                    eids[e],
-                    "expert",
-                    layer,
-                    list(involved),
-                    on_demand=True,
-                )
-                op = self._gpu_dur(
-                    gpu_durs[count],
-                    f"exp{e}:L{layer}s{step}",
-                    deps=self._dep(transfer, *involved),
-                    layer=layer,
-                    phase=PHASE_EXPERT,
-                )
-                self._free_experts(layer, ((e, op),))
-                ops.append(op)
-        return ops
-
-    def _emit_dense_ffn(
-        self,
-        step: int,
-        layer: int,
-        attn_ops: list[int],
-        sizes: list[int],
-        scale: float,
-    ) -> list[int]:
-        """Dense models: the single FFN processes every batch in turn."""
-        prefix = self._dep_prefix(self._ready.get(expert_id(layer, 0)))
-        dur_cache: dict[int, float] = {}
-        durs: list[float] = []
-        for b in range(self.n):
-            rows = sizes[b]
-            dur = dur_cache.get(rows)
-            if dur is None:
-                tokens = max(1.0, rows * scale)
-                dur = self.cost.gpu_time(self._expert_cost(tokens))
-                dur_cache[rows] = dur
-            durs.append(dur)
-        base_id = self._schedule.extend_raw(
-            self._gpu_codes_n,
-            durs,
-            [prefix + (a,) for a in attn_ops],
-            None,
-            [layer] * self.n,
-            self._expert_phases_n,
-            self._batches_0n,
-            label_plan=(("ffn",), layer, step),
-        )
-        ops = list(range(base_id, base_id + self.n))
-        self._last_compute = ops[-1]
-        self._attach_layer_frees(layer, attn_ops, [], ops)
-        return ops
-
-    # ---- frees & KV -------------------------------------------------------------------
-
-    def _attach_layer_frees(
-        self,
-        layer: int,
-        attn_ops: list[int],
-        gate_ops: list[int],
-        expert_ops: list[int],
-    ) -> None:
-        if attn_ops:
-            self._free_weight(attn_id(layer), attn_ops[-1])
-        if gate_ops and not self.model.is_dense:
-            self._free_weight(gate_id(layer), gate_ops[-1])
-        # Any experts still ready (e.g. prefetched but unused) are freed at
-        # the layer barrier to cap peak memory.
-        tail = (expert_ops or gate_ops or attn_ops)[-1]
-        ready = self._ready
-        leftover = [
-            (e, tail)
-            for e, tid in enumerate(self._layer_expert_ids(layer))
-            if tid in ready
+        total = d.nops - d.start
+        ids = list(range(d.start, d.nops))  # one int object per op id
+        blocks = self._expert_blocks(d) if d.e_base else None
+        families = [
+            rows
+            for rows in (
+                self._unit_rows(d, ids),
+                self._single_rows(d),
+                self._transfer_rows(d),
+                self._expert_rows(d, blocks, ids),
+                self._gpu_expert_rows(d),
+                self._cpu_rows(d, ids),
+            )
+            if rows is not None
         ]
-        if leftover:
-            self._free_experts(layer, leftover)
+        positions = np.concatenate([f[0] for f in families]) - d.start
+        if positions.size != total:  # pragma: no cover - a decide-pass bug
+            raise AssertionError(f"materialized {positions.size} of {total} ops")
+        order = np.empty(total, dtype=np.int64)
+        order[positions] = np.arange(total)
+        res, dur, layers, phases, batches, codes, xs, steps = (
+            np.concatenate([f[i] for f in families])[order] for i in range(1, 9)
+        )
+        deps = list(chain.from_iterable(f[9] for f in families))
+        ev_op, ev_kind, keys = self._effect_rows(d, blocks)
+        keys = keys.tolist()
+        # Equal durations, op ids and byte counts share one Python object,
+        # as they do when ops are authored one by one.
+        palette, index = np.unique(dur, return_inverse=True)
+        nbytes = self._nbytes + d.extra_nbytes
+        schedule.extend_raw(
+            res.tolist(),
+            list(map(palette.tolist().__getitem__, index.tolist())),
+            list(itemgetter(*order.tolist())(deps)) if total > 1 else deps,
+            (
+                _render_labels,
+                (
+                    codes.astype(np.int8), xs.astype(np.int32), layers.astype(np.int32),
+                    batches.astype(np.int32), steps.astype(np.int32), self._tids,
+                ),
+            ),
+            layers.tolist(),
+            _PHASES[phases].tolist(),
+            batches.tolist(),
+            effects=(
+                list(map(ids.__getitem__, (ev_op - d.start).tolist())),
+                ev_kind.tolist(),
+                ["vram"] * len(keys),
+                list(map((self._tids + d.extra_tids).__getitem__, keys)),
+                list(map(nbytes.__getitem__, keys)),
+            ),
+        )
 
+    @staticmethod
+    def _rows(ids, res, dur, layers, phases, batches, codes, xs, steps, deps) -> tuple:
+        """One family's columns: int64 arrays (scalars broadcast), float64
+        durations, and the dependency tuples."""
+        count = len(ids)
+
+        def col(values, dtype=np.int64):
+            arr = np.asarray(values, dtype=dtype)
+            return np.broadcast_to(arr, (count,)) if arr.ndim == 0 else arr
+
+        return (
+            col(ids), col(res), col(dur, np.float64), col(layers), col(phases),
+            col(batches), col(codes), col(xs), col(steps), deps,
+        )
+
+    @staticmethod
+    def _run_ids(bases, lengths) -> np.ndarray:
+        """Op ids of contiguous runs starting at ``bases``."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        return np.repeat(np.asarray(bases, dtype=np.int64) - starts, lengths) + np.arange(
+            int(lengths.sum())
+        )
+
+    def _unit_rows(self, d: _Decisions, ids: list[int]) -> tuple | None:
+        """Attention + gate/FFN blocks of every layer unit.
+
+        Units of one attention shape (``m`` ops per batch) share a
+        per-layer template of ``n * (m + 1)`` op offsets; a template op
+        depends on the unit's attention or gate prefix (or nothing) plus
+        at most one op of the same unit.
+        """
+        if not d.units:
+            return None
+        n = self.n
+        gate = (_L_FFN, _GPU, _P_EXPERT) if self.model.is_dense else (_L_GATE, _GPU, _P_GATE)
+        bases, layers, steps, step_index, attn_deps, gate_deps, gate_durs = zip(*d.units)
+        bases, layers, steps, step_index = (
+            np.array(c, dtype=np.int64) for c in (bases, layers, steps, step_index)
+        )
+        unit_m = np.array(d.step_m, dtype=np.int64)[step_index]
+        parts = []
+        for m in np.unique(unit_m).tolist():
+            sel = np.flatnonzero(unit_m == m)
+            picked = sel.tolist()
+            units = len(picked)
+            # Per template op: batch, label, resource, phase, prefix (0
+            # none, 1 attention, 2 gate) and a dependency on an op of the
+            # same unit (its offset; -1: none).
+            block = _ATTN_BLOCKS[m]
+            attn_at = [j for j, entry in enumerate(block) if entry[0] == _L_ATTN][0]
+            template = [
+                (b, code, res, phase, int(attn), m * b + j - 1 if prev else -1)
+                for b in range(n)
+                for j, (code, res, phase, attn, prev) in enumerate(block)
+            ]
+            template += [(b, *gate, 2, m * b + attn_at) for b in range(n)]
+            width = len(template)
+            t_batch, t_code, t_res, t_phase, t_prefix, t_local = (
+                np.array(c, dtype=np.int64) for c in zip(*template)
+            )
+            base = bases[sel]
+            if units == len(bases):
+                prefixes = [[()] * units, attn_deps, gate_deps]
+            else:
+                prefixes = [
+                    [()] * units,
+                    [attn_deps[u] for u in picked],
+                    [gate_deps[u] for u in picked],
+                ]
+            unit_index = np.repeat(np.arange(units), width)
+            local = np.tile(t_local, units)
+            deps = [
+                prefixes[p][u] + (ids[a],) if a >= 0 else prefixes[p][u]
+                for p, u, a in zip(
+                    np.tile(t_prefix, units).tolist(),
+                    unit_index.tolist(),
+                    np.where(local >= 0, base[unit_index] + local - d.start, -1).tolist(),
+                )
+            ]
+            step_durs = d.step_durs
+            durs = np.hstack([
+                np.array([step_durs[s] for s in step_index[sel].tolist()]),
+                np.array([gate_durs[u] for u in picked]),
+            ])
+            parts.append(
+                self._rows(
+                    (base[:, None] + np.arange(width)).ravel(),
+                    np.tile(t_res, units),
+                    durs.ravel(),
+                    layers[sel][unit_index],
+                    np.tile(t_phase, units),
+                    np.tile(t_batch, units),
+                    np.tile(t_code, units),
+                    -1,
+                    steps[sel][unit_index],
+                    deps,
+                )
+            )
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(
+            np.concatenate([p[i] for p in parts]) for i in range(9)
+        ) + ([dep for p in parts for dep in p[9]],)
+
+    def _single_rows(self, d: _Decisions) -> tuple | None:
+        if not d.singles:
+            return None
+        ops, durs, deps, labels, steps = zip(*d.singles)
+        return self._rows(ops, _GPU, durs, -1, _P_OTHER, -1, labels, -1, steps, deps)
+
+    def _transfer_rows(self, d: _Decisions) -> tuple | None:
+        if not d.x_base:
+            return None
+        w = np.array(d.x_w, dtype=np.int64)
+        res = np.repeat(d.x_res, d.x_len)
+        disk = res == _DISK
+        return self._rows(
+            self._run_ids(d.x_base, d.x_len),
+            res,
+            np.where(disk, self._disk_durs[w], self._h2d_durs[w]),
+            w // self._stride,
+            _P_TRANSFER,
+            -1,
+            np.where(disk, _L_DISK, _L_H2D),
+            w,
+            -1,
+            d.x_deps,
+        )
+
+    def _expert_blocks(self, d: _Decisions) -> tuple:
+        """Every expert block's ops, flattened: ``(block, position in
+        block, expert, batch (-1 expert-major), token count)`` arrays
+        plus each block's routing counts as ``[blocks, n, E]``."""
+        n, num_experts = self.n, self.model.num_experts
+        counts = np.fromiter(
+            chain.from_iterable(s.counts for s in d.e_stats), dtype=np.int64
+        ).reshape(len(d.e_stats), n, num_experts)
+        if d.e_order[0] is not None:  # expert-major: one op per active expert
+            lengths = [len(order) for order in d.e_order]
+            experts = np.fromiter(chain.from_iterable(d.e_order), dtype=np.int64)
+            block = np.repeat(np.arange(len(lengths)), lengths)
+            batches = np.full(len(experts), -1, dtype=np.int64)
+            tokens = counts.sum(axis=1)[block, experts]
+        else:  # batch-major: one op per routed (batch, expert) pair
+            lengths = [len(s.pairs) for s in d.e_stats]
+            pairs = np.fromiter(chain.from_iterable(s.pairs for s in d.e_stats), dtype=np.int64)
+            block = np.repeat(np.arange(len(lengths)), lengths)
+            batches, experts = np.divmod(pairs, num_experts)
+            tokens = counts.reshape(len(lengths), -1)[block, pairs]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        position = np.arange(len(experts)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return block, position, experts, batches, tokens, counts
+
+    def _expert_rows(self, d: _Decisions, blocks, ids: list[int]) -> tuple | None:
+        """GPU expert ops of every expert block, with their dependencies.
+
+        Durations come from the builder's per-``scale`` duration tables;
+        each op waits for the gates of the batches it serves, its
+        expert's transfer if one is in flight and, without overlap, the
+        last transfer issued before it — sorted, as the ops are issued.
+        """
+        if blocks is None:
+            return None
+        block, position, experts, batches, tokens, counts = blocks
+        bases = np.asarray(d.e_base, dtype=np.int64)
+        durs = np.empty(len(experts))
+        scales = np.asarray(d.e_scale)[block]
+        for scale in np.unique(scales).tolist():
+            mask = scales == scale
+            durs[mask] = np.asarray(self._dur_tables[(scale, False)])[tokens[mask]]
+        gate_bases = np.asarray(d.e_gate, dtype=np.int64)[block]
+        if d.e_order[0] is not None:  # every batch routing to the expert
+            routed = counts.transpose(0, 2, 1)[block, experts] > 0
+            gates = np.where(routed, gate_bases[:, None] + np.arange(self.n), -1)
+        else:
+            gates = (gate_bases + batches)[:, None]
+        transfers = self._ready_slots(d.e_ready, d.e_layer)
+        columns = np.column_stack([
+            gates,
+            transfers[block, experts + 2],
+            np.asarray(d.e_nod, dtype=np.int64)[block],
+        ])
+        return self._rows(
+            bases[block] + position,
+            _GPU,
+            durs,
+            np.asarray(d.e_layer, dtype=np.int64)[block],
+            _P_EXPERT,
+            batches,
+            np.where(batches < 0, _L_EXP, _L_EXP_B),
+            experts,
+            np.asarray(d.e_step, dtype=np.int64)[block],
+            _row_tuples(columns, ids, d.start),
+        )
+
+    def _ready_slots(self, readies: list[dict], layers: list[int]) -> np.ndarray:
+        """``[len(readies), stride]`` ready transfer op per weight slot of
+        each ``{weight: op}`` map's layer (-1: none)."""
+        slots = np.full((len(readies), self._stride), -1, dtype=np.int64)
+        counts = [len(r) for r in readies]
+        if sum(counts):
+            rows = np.repeat(np.arange(len(readies)), counts)
+            ws = np.fromiter(chain.from_iterable(readies), dtype=np.int64)
+            ops = np.fromiter(chain.from_iterable(r.values() for r in readies), dtype=np.int64)
+            slots[rows, ws - np.asarray(layers, dtype=np.int64)[rows] * self._stride] = ops
+        return slots
+
+    def _gpu_expert_rows(self, d: _Decisions) -> tuple | None:
+        if not d.gpu_experts:
+            return None
+        ops, layers, steps, experts, durs, deps = zip(*d.gpu_experts)
+        return self._rows(
+            ops, _GPU, durs, layers, _P_EXPERT, -1, _L_EXP, experts, steps, deps
+        )
+
+    def _cpu_rows(self, d: _Decisions, ids: list[int]) -> tuple | None:
+        if not d.cpu:
+            return None
+        bases, layers, steps, experts, deps, counts, scales = zip(*d.cpu)
+        model = self.model
+        counts, scales = np.array(counts), np.array(scales)
+        hidden_bytes = (counts * scales * model.hidden_size * model.dtype_bytes).astype(np.int64)
+        transfer_time = self.cost.transfer_time
+        moves = {
+            nb: (transfer_time(nb, "vram", "dram"), 0.0, transfer_time(nb, "dram", "vram"))
+            for nb in set(hidden_bytes.tolist())
+        }
+        durs = np.array([moves[nb] for nb in hidden_bytes.tolist()])
+        for scale in np.unique(scales).tolist():
+            mask = scales == scale
+            durs[mask, 1] = np.asarray(self._dur_tables[(scale, True)])[counts[mask]]
+        count = len(bases)
+        return self._rows(
+            (np.array(bases)[:, None] + np.arange(3)).ravel(),
+            np.tile([_D2H, _CPU, _H2D], count),
+            durs.ravel(),
+            np.repeat(layers, 3),
+            _P_EXPERT,
+            -1,
+            np.tile([_L_D2H_HID, _L_CPU_EXP, _L_H2D_HID], count),
+            np.repeat(experts, 3),
+            np.repeat(steps, 3),
+            [
+                dep
+                for op, first in zip(bases, deps)
+                for dep in (first, (ids[op - d.start],), (ids[op + 1 - d.start],))
+            ],
+        )
+
+    def _free_rows(self, d: _Decisions, blocks) -> tuple:
+        """Every layer's frees in attachment order (see :class:`_Decisions`):
+        ``(layer record, op, weight)`` arrays."""
+        readies, layers, last_attn, last_gate, tails, of_blocks = zip(*d.frees)
+        counts = [len(r) for r in readies]
+        owner = np.repeat(np.arange(len(readies)), counts)
+        ws = np.fromiter(chain.from_iterable(readies), dtype=np.int64, count=sum(counts))
+        slot = ws - np.asarray(layers, dtype=np.int64)[owner] * self._stride
+        expert = slot - 2
+        ops = np.asarray(tails, dtype=np.int64)[owner]
+        # Sort keys: (0, position) expert frees, 1 attention, 2 gate,
+        # (3, expert id) leftovers at the layer tail.
+        group = np.full(len(ws), 3, dtype=np.int64)
+        rank = expert.copy()
+        attn, gate = slot == 0, slot == 1
+        group[attn], group[gate] = 1, 2
+        ops[attn] = np.asarray(last_attn, dtype=np.int64)[owner[attn]]
+        ops[gate] = np.asarray(last_gate, dtype=np.int64)[owner[gate]]
+        if blocks is not None:
+            block, position, experts, _, _, _ = blocks
+            # Position of each expert's (last) op in its block; -1: none.
+            last = np.full((len(d.e_base), self._stride), -1, dtype=np.int64)
+            np.maximum.at(last, (block, experts), position)
+            of_block = np.asarray(of_blocks, dtype=np.int64)[owner]
+            in_block = (of_block >= 0) & (slot >= 2)
+            pos = np.full(len(ws), -1, dtype=np.int64)
+            pos[in_block] = last[of_block[in_block], expert[in_block]]
+            routed = pos >= 0
+            group[routed], rank[routed] = 0, pos[routed]
+            ops[routed] = np.asarray(d.e_base, dtype=np.int64)[of_block[routed]] + pos[routed]
+            if d.e_order[0] is None:
+                # Batch-major frees unrouted loaded experts after the
+                # routed ones, ahead of the attention and gate.
+                idle = in_block & ~routed
+                group[idle], rank[idle] = 0, len(position) + expert[idle]
+        order = np.lexsort((rank, group, owner))
+        return owner[order], ops[order], ws[order]
+
+    def _effect_rows(self, d: _Decisions, blocks) -> tuple:
+        """The memory-effect stream in attachment order as op, kind and
+        key arrays, each layer's frees expanded in place of its marker."""
+        ops = np.array(d.ev_op, dtype=np.int64)
+        kinds = np.array(d.ev_kind, dtype=np.int64)
+        keys = np.array(d.ev_key, dtype=np.int64)
+        marker = ops < 0
+        if not marker.any():
+            return ops, kinds, keys
+        owner, free_ops, free_ws = self._free_rows(d, blocks)
+        # Frees sort into their layer marker's place (owners ascend with
+        # the markers), then the markers drop out.
+        position = np.concatenate([
+            np.flatnonzero(~marker), np.flatnonzero(marker)[owner]
+        ])
+        order = np.argsort(position, kind="stable")
+        return (
+            np.concatenate([ops[~marker], free_ops])[order],
+            np.concatenate([kinds[~marker], np.full(len(owner), EV_FREE)])[order],
+            np.concatenate([keys[~marker], free_ws])[order],
+        )

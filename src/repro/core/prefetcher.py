@@ -181,11 +181,9 @@ class ExpertPrefetcher:
         self._history.append(assignments[:, 0])
         if counts is None:
             counts = expert_token_counts(assignments, self.table.num_experts)
-        else:
-            counts = np.asarray(counts)
         self.stats.record(layer, counts, predicted, self.prefetch_k)
         if self.online_update:
-            self.table._marginal[layer] += counts
+            self.table._marginal[layer] += np.asarray(counts)
             if layer >= self.path_length and len(self._history) > self.path_length:
                 if self.path_length == 1:
                     paths = self._history[-2]
@@ -203,21 +201,22 @@ class PrefetchStats:
 
     def __init__(self, num_layers: int):
         self.num_layers = num_layers
-        self.hot_hits = np.zeros(num_layers)  # predicted ∩ actual top-K
-        self.hot_total = np.zeros(num_layers)
-        self.participated = np.zeros(num_layers)  # predicted with >=1 token
-        self.predicted_total = np.zeros(num_layers)
+        # One [4, layers] tally; the four per-layer arrays are its rows:
+        # predicted ∩ actual top-K, predictions, predicted with >= 1
+        # token, predictions.
+        self._tally = np.zeros((4, num_layers))
+        self.hot_hits, self.hot_total, self.participated, self.predicted_total = (
+            self._tally
+        )
 
     def record(
-        self, layer: int, counts: np.ndarray, predicted: list[int], k: int
+        self, layer: int, counts: np.ndarray | Sequence[int], predicted: list[int], k: int
     ) -> None:
         if not predicted:
             return
-        actual_hot = set(hot_experts(counts, k))
-        self.hot_hits[layer] += len(actual_hot.intersection(predicted))
-        self.hot_total[layer] += len(predicted)
-        self.participated[layer] += sum(1 for e in predicted if counts[e] > 0)
-        self.predicted_total[layer] += len(predicted)
+        hits = len(set(hot_experts(counts, k)).intersection(predicted))
+        participated = sum(1 for e in predicted if counts[e] > 0)
+        self._tally[:, layer] += (hits, len(predicted), participated, len(predicted))
 
     def hot_accuracy(self) -> np.ndarray:
         """Per-layer fraction of prefetched experts that were truly hot."""

@@ -44,6 +44,7 @@ __all__ = [
     "collect",
     "merge",
     "aggregate_spans",
+    "child_time",
     "format_span_tree",
     "format_top",
 ]
@@ -249,6 +250,34 @@ def aggregate_spans(spans: list[list] | None = None) -> list[dict]:
         row["total_s"] += duration
         row["self_s"] += duration - child_time[i]
     return sorted(totals.values(), key=lambda r: (-r["total_s"], r["name"]))
+
+
+def child_time(
+    spans: list[list] | None = None, parent: str = "system.build"
+) -> tuple[float, dict[str, float]]:
+    """Wall time of the spans named ``parent`` and of their direct children.
+
+    Returns:
+        ``(parent_s, {child name: seconds})``, each summed over every
+        ``parent`` span.
+    """
+    if spans is None:
+        spans = _spans
+    parent_s = 0.0
+    children: dict[str, float] = {}
+    open_at: tuple[int, int] | None = None  # (depth, worker) of the open parent
+    for rec in spans:
+        duration = rec[END] - rec[START]
+        if open_at is not None and (
+            rec[DEPTH] <= open_at[0] or rec[WORKER] != open_at[1]
+        ):
+            open_at = None
+        if rec[NAME] == parent:
+            parent_s += duration
+            open_at = (rec[DEPTH], rec[WORKER])
+        elif open_at is not None and rec[DEPTH] == open_at[0] + 1:
+            children[rec[NAME]] = children.get(rec[NAME], 0.0) + duration
+    return parent_s, children
 
 
 def format_top(spans: list[list] | None = None, *, k: int = 15) -> str:

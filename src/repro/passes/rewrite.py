@@ -96,21 +96,22 @@ def rebuild_schedule(
         new_batches.append(batches[head])
 
     rewritten = Schedule()
-    rewritten.extend_raw(
-        new_res, new_dur, new_deps, new_labels, new_layers, new_phases,
-        new_batches,
-    )
     # Re-attach memory effects in the original attachment order (the
     # compiled event stream sorts stably by (op, kind), so per-op replay
     # order is preserved). Merged groups pool their members' effects:
     # allocs move to the merged op's start and frees to its end, which
     # can only raise the replayed peak — never hide an OOM.
-    rewritten._ev_op.extend(old_to_new[o] for o in schedule._ev_op)
-    rewritten._ev_kind.extend(schedule._ev_kind)
-    rewritten._ev_pool.extend(schedule._ev_pool)
-    rewritten._ev_tensor.extend(schedule._ev_tensor)
-    rewritten._ev_nbytes.extend(schedule._ev_nbytes)
-    rewritten._invalidate()
+    rewritten.extend_raw(
+        new_res, new_dur, new_deps, new_labels, new_layers, new_phases,
+        new_batches,
+        effects=(
+            [old_to_new[o] for o in schedule._ev_op],
+            schedule._ev_kind,
+            schedule._ev_pool,
+            schedule._ev_tensor,
+            schedule._ev_nbytes,
+        ),
+    )
     return rewritten, tuple(tuple(g) for g in groups)
 
 

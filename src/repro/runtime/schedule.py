@@ -10,11 +10,13 @@ expert transfer, KV-cache load, KV-cache store) map to issue order on the
 Ops carry optional memory effects (allocations applied at op start, frees at
 op end) so the executor can reconstruct pool usage over simulated time.
 
-Ops are authored with :meth:`Schedule.add` and friends, and read back as
-:class:`Op` objects materialized on demand (``schedule.ops``,
-``schedule[i]``, iteration). Internally the schedule accumulates
-structure-of-arrays columns, so building a multi-million-op DAG never
-allocates per-op objects unless somebody asks for them.
+Ops are authored one at a time with :meth:`Schedule.add` and friends
+(checked), or in bulk with :meth:`Schedule.extend_raw` (trusted; the
+pipeline builder and pass rewrites), and read back as :class:`Op`
+objects materialized on demand (``schedule.ops``, ``schedule[i]``,
+iteration). Internally the schedule accumulates structure-of-arrays
+columns, so building a multi-million-op DAG never allocates per-op
+objects unless somebody asks for them.
 :meth:`Schedule.freeze` validates the rows once and stores the
 executor's columns on the schedule itself — integer resource codes,
 float64 durations, and flat alloc/free event arrays with pool codes —
@@ -22,8 +24,7 @@ until the next mutation; :meth:`Schedule.deps_csr` encodes the
 dependencies as CSR arrays on demand.
 
 Because materialized :class:`Op` objects are a *view*, mutating one does
-not write back; memory effects attached after emission must go through
-:meth:`Schedule.add_allocs` / :meth:`Schedule.add_frees`.
+not write back; memory effects are attached when their op is authored.
 """
 
 from __future__ import annotations
@@ -110,10 +111,8 @@ class Schedule:
         self._ev_pool: list[str] = []
         self._ev_tensor: list[str] = []
         self._ev_nbytes: list[int] = []
-        # Deferred labels for block-emitted rows: (start, count, patterns,
-        # layer, step, tags) renders row i as
-        # f"{patterns[i % p]}{tags[i] or ''}:L{layer}[b{batch}]s{step}"
-        # (the batch segment is omitted for batch-less rows).
+        # Deferred labels of bulk-appended rows: (start, count, render,
+        # args), where render(*args) returns the rows' ``count`` labels.
         self._label_plans: list[tuple] = []
         # Caches cleared by every mutation (see _invalidate).
         self._ops_cache: list[Op] | None = None
@@ -133,8 +132,7 @@ class Schedule:
         """Materialized :class:`Op` views, one per row (cached).
 
         The list is rebuilt after any mutation; treat the objects as
-        read-only and attach late memory effects through
-        :meth:`add_allocs` / :meth:`add_frees`.
+        read-only.
         """
         if self._ops_cache is None:
             allocs: dict[int, list[MemEffect]] = {}
@@ -168,18 +166,8 @@ class Schedule:
         if not self._label_plans:
             return self._labels
         labels = list(self._labels)
-        for start, count, patterns, layer, step, tags in self._label_plans:
-            p = len(patterns)
-            for i in range(count):
-                kind = patterns[i % p] if tags is None else (
-                    f"{patterns[i % p]}{tags[i]}"
-                )
-                b = self._batches[start + i]
-                labels[start + i] = (
-                    f"{kind}:L{layer}b{b}s{step}"
-                    if b >= 0
-                    else f"{kind}:L{layer}s{step}"
-                )
+        for start, count, render, args in self._label_plans:
+            labels[start : start + count] = render(*args)
         return labels
 
     def _invalidate(self) -> None:
@@ -223,10 +211,8 @@ class Schedule:
         self._layers.append(layer)
         self._phases.append(phase)
         self._batches.append(batch)
-        if allocs:
-            self.add_allocs(op_id, allocs)
-        if frees:
-            self.add_frees(op_id, frees)
+        self._add_effects(op_id, allocs, EV_ALLOC)
+        self._add_effects(op_id, frees, EV_FREE)
         self._invalidate()
         return op_id
 
@@ -235,29 +221,29 @@ class Schedule:
         resources: list[int],
         durations: list[float],
         deps: list[tuple[int, ...]],
-        labels: list[str] | None,
+        labels: list[str] | tuple,
         layers: list[int],
         phases: list[str],
         batches: list[int],
         *,
-        label_plan: tuple | None = None,
-        label_tags: list | None = None,
+        effects: tuple | None = None,
     ) -> int:
         """Bulk-append pre-validated rows; returns the first new op id.
 
-        The trusted fast path for block emission (the pipeline builder
-        emits a whole attention/gate/expert block per call): ``resources``
-        are :data:`RESOURCES` codes and every dep tuple must be sorted,
-        deduplicated, and reference earlier ops — exactly what
+        The trusted fast path for bulk authoring (the pipeline builder
+        appends a whole build, pass rewrites a whole schedule, per call):
+        ``resources`` are :data:`RESOURCES` codes and every dep tuple must
+        be sorted, deduplicated, and reference earlier ops — exactly what
         :meth:`add` would have produced. Only cheap aggregate checks are
-        performed here.
+        performed here (:meth:`validate` checks the rest).
 
-        Pass ``labels=None`` with ``label_plan=(patterns, layer, step)``
-        (plus optional per-row ``label_tags``) to defer label string
-        construction: row ``i`` renders as
-        ``f"{patterns[i % p]}{tag}:L{layer}b{batch}s{step}"`` — without
-        the batch segment when the row's batch is negative — only when
-        the materialized op view is requested.
+        ``labels`` is either one string per row or a ``(render, args)``
+        pair that defers them: ``render(*args)`` returns the rows' labels
+        and runs only when the materialized op view (or
+        :meth:`_rendered_labels`) is requested. ``effects`` optionally
+        attaches memory effects in order, as parallel ``(op_ids, kinds,
+        pools, tensor_ids, nbytes)`` lists (kinds :data:`EV_ALLOC` /
+        :data:`EV_FREE`).
         """
         base = len(self._dur)
         k = len(durations)
@@ -266,96 +252,34 @@ class Schedule:
         self._res.extend(resources)
         self._dur.extend(durations)
         self._deps.extend(deps)
-        if labels is None:
-            patterns, layer, step = label_plan
+        if isinstance(labels, tuple):
+            render, args = labels
             self._labels.extend([None] * k)
-            if label_tags is not None:
-                # An owned int tuple: immune to caller mutation, and left
-                # untracked by the garbage collector like the plan itself.
-                label_tags = tuple(label_tags)
-            self._label_plans.append((base, k, patterns, layer, step, label_tags))
+            self._label_plans.append((base, k, render, args))
         else:
             self._labels.extend(labels)
         self._layers.extend(layers)
         self._phases.extend(phases)
         self._batches.extend(batches)
+        if effects is not None:
+            op_ids, kinds, pools, tensor_ids, nbytes = effects
+            self._ev_op.extend(op_ids)
+            self._ev_kind.extend(kinds)
+            self._ev_pool.extend(pools)
+            self._ev_tensor.extend(tensor_ids)
+            self._ev_nbytes.extend(nbytes)
         self._invalidate()
         return base
-
-    def append_row(
-        self,
-        code: int,
-        duration: float,
-        label: str,
-        deps: tuple[int, ...],
-        layer: int,
-        phase: str,
-        batch: int = -1,
-    ) -> int:
-        """Append one pre-validated row (single-op :meth:`extend_raw`)."""
-        if duration < 0:
-            raise ScheduleError("op duration must be non-negative")
-        op_id = len(self._dur)
-        self._res.append(code)
-        self._dur.append(duration)
-        self._deps.append(deps)
-        self._labels.append(label)
-        self._layers.append(layer)
-        self._phases.append(phase)
-        self._batches.append(batch)
-        self._invalidate()
-        return op_id
-
-    def append_effect(
-        self, op_id: int, kind: int, pool: str, tensor_id: str, nbytes: int
-    ) -> None:
-        """Attach one memory effect (:data:`EV_ALLOC` / :data:`EV_FREE`)."""
-        self._ev_op.append(op_id)
-        self._ev_kind.append(kind)
-        self._ev_pool.append(pool)
-        self._ev_tensor.append(tensor_id)
-        self._ev_nbytes.append(nbytes)
-        self._invalidate()
-
-    def extend_effects(
-        self,
-        op_ids: list[int],
-        kind: int,
-        pool: str,
-        tensor_ids: list[str],
-        nbytes: list[int],
-    ) -> None:
-        """Attach one memory effect per ``(op_ids[i], tensor_ids[i],
-        nbytes[i])``, all of one ``kind`` and ``pool``, in list order
-        (bulk :meth:`append_effect`)."""
-        k = len(op_ids)
-        self._ev_op.extend(op_ids)
-        self._ev_kind.extend([kind] * k)
-        self._ev_pool.extend([pool] * k)
-        self._ev_tensor.extend(tensor_ids)
-        self._ev_nbytes.extend(nbytes)
-        self._invalidate()
-
-    def add_allocs(self, op_id: int, effects: Iterable[MemEffect]) -> None:
-        """Attach allocation effects (applied at op start) to ``op_id``."""
-        self._add_effects(op_id, effects, EV_ALLOC)
-
-    def add_frees(self, op_id: int, effects: Iterable[MemEffect]) -> None:
-        """Attach free effects (applied at op end) to ``op_id``."""
-        self._add_effects(op_id, effects, EV_FREE)
 
     def _add_effects(
         self, op_id: int, effects: Iterable[MemEffect], kind: int
     ) -> None:
-        if not 0 <= op_id < len(self._dur):
-            raise ScheduleError(f"no op {op_id} to attach memory effects to")
         for effect in effects:
             self._ev_op.append(op_id)
             self._ev_kind.append(kind)
             self._ev_pool.append(effect.pool)
             self._ev_tensor.append(effect.tensor_id)
             self._ev_nbytes.append(effect.nbytes)
-        self._invalidate()
 
     def compute(self, duration: float, label: str, **kw) -> int:
         return self.add(GPU, duration, label, **kw)
@@ -377,7 +301,7 @@ class Schedule:
 
     def validate(self) -> None:
         """Re-verify row sanity checked on :meth:`add` but not on the
-        trusted bulk paths (:meth:`extend_raw` / :meth:`append_row`):
+        trusted bulk path (:meth:`extend_raw`):
         every dependency must reference a strictly earlier op and every
         duration must be non-negative.
 

@@ -135,14 +135,16 @@ class InferenceSystem:
         """
         workload = scenario.workload
         schedule = Schedule()
-        prefetcher = self.make_prefetcher(scenario)
+        with span("core.prefetcher.warmup"):
+            prefetcher = self.make_prefetcher(scenario)
         if self.sequential:
             group = Workload(
                 workload.batch_size, 1, workload.prompt_len, workload.gen_len
             )
         else:
             group = workload
-        placement = self.make_placement(scenario, group)
+        with span("core.placement.plan"):
+            placement = self.make_placement(scenario, group)
         builder = PipelineBuilder(
             cost_model=scenario.cost_model(),
             inventory=scenario.inventory(),
@@ -153,22 +155,24 @@ class InferenceSystem:
             features=self.make_features(scenario),
             sparse_attention=self.make_sparse_attention(scenario),
         )
-        if self.sequential:
-            # One builder for the whole run: each batch swaps in its own
-            # oracle stream (and, if coupled to it, its own prefetcher).
-            build = BuildResult(schedule=schedule)
-            for b in range(workload.num_batches):
+        # Sequential systems decide every batch on one builder, each with
+        # its own oracle stream (and, if coupled to it, its own
+        # prefetcher); every group is then materialized at once.
+        build = BuildResult(schedule=schedule)
+        with span("core.pipeline.decide"):
+            for b in range(workload.num_batches if self.sequential else 1):
                 if b > 0:
                     builder.oracle = scenario.make_oracle(batch_offset=b)
                     if self.fresh_prefetcher_per_batch:
-                        prefetcher = self.make_prefetcher(scenario, batch_offset=b)
+                        with span("core.prefetcher.warmup"):
+                            prefetcher = self.make_prefetcher(scenario, batch_offset=b)
                         builder.prefetcher = prefetcher
-                part = builder.build(schedule)
+                heads = builder.decide()
                 if b == 0:
-                    build.step_last_op = part.step_last_op
+                    build.step_last_op = heads
                 build.groups_built += 1
-        else:
-            build = builder.build(schedule)
+        with span("core.pipeline.materialize"):
+            builder.materialize(schedule)
         return BuiltRun(
             schedule=schedule,
             build=build,

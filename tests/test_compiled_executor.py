@@ -175,9 +175,9 @@ class TestCompiledScheduleIR:
     def test_deferred_labels_render(self):
         s = Schedule()
         s.extend_raw(
-            [0, 0], [1.0, 1.0], [(), ()], None, [3, 3],
-            ["attention", "expert"], [0, -1],
-            label_plan=(("attn", "exp"), 3, 7), label_tags=["", 5],
+            [0, 0], [1.0, 1.0], [(), ()],
+            (lambda layer, step: [f"attn:L{layer}b0s{step}", f"exp5:L{layer}s{step}"], (3, 7)),
+            [3, 3], ["attention", "expert"], [0, -1],
         )
         assert s[0].label == "attn:L3b0s7"
         assert s[1].label == "exp5:L3s7"

@@ -351,3 +351,78 @@ class TestCLIObservability:
         ) == 0
         capsys.readouterr()
         assert tracecheck_main([str(trace)]) == 0
+
+
+class TestBuildStageSpans:
+    """``InferenceSystem.build`` opens one span per stage call, each under
+    ``system.build`` — never one per layer or per op."""
+
+    @staticmethod
+    def _subtree(spans, root):
+        depth = spans[root][DEPTH]
+        end = root + 1
+        while end < len(spans) and spans[end][DEPTH] > depth:
+            end += 1
+        return spans[root + 1 : end]
+
+    @pytest.mark.parametrize(
+        "name,warmups", [("klotski", 1), ("accelerate", 1), ("sida", 3)]
+    )
+    def test_one_span_per_stage_call(self, small_scenario, name, warmups):
+        from collections import Counter
+
+        from repro.api.registry import SYSTEMS
+        from repro.cli import BUILD_STAGES
+
+        obs.enable()
+        SYSTEMS.get(name)().run(small_scenario)
+        obs.disable()
+        spans = tracer.spans_snapshot()
+        (root,) = [i for i, r in enumerate(spans) if r[NAME] == "system.build"]
+        subtree = self._subtree(spans, root)
+        direct = Counter(
+            r[NAME] for r in subtree if r[DEPTH] == spans[root][DEPTH] + 1
+        )
+        assert {stage: direct[stage] for stage in BUILD_STAGES} == dict.fromkeys(
+            BUILD_STAGES, 1
+        )
+        every = Counter(r[NAME] for r in spans)
+        nested = Counter(r[NAME] for r in subtree)
+        for stage in BUILD_STAGES:
+            assert nested[stage] == every[stage]  # none outside system.build
+        # A sequential system decides every batch inside its one decide
+        # span; SiDA warms a fresh prefetcher per batch inside it.
+        assert every["core.prefetcher.warmup"] == warmups
+        assert every["core.pipeline.decide"] == 1
+
+    def test_child_time_sums_direct_children(self):
+        obs.enable()
+        for _ in range(2):
+            with obs.span("parent"):
+                with obs.span("a"):
+                    with obs.span("deep"):
+                        pass
+                with obs.span("b"):
+                    pass
+        obs.disable()
+        spans = tracer.spans_snapshot()
+        parent_s, children = tracer.child_time(spans, "parent")
+        assert set(children) == {"a", "b"}
+        expected = sum(r[END] - r[START] for r in spans if r[NAME] == "a")
+        assert children["a"] == pytest.approx(expected)
+        assert parent_s >= children["a"] + children["b"]
+
+    def test_profile_reports_stage_coverage(self, capsys):
+        from repro.cli import main
+
+        assert main(
+            ["profile", "--model", "switch-base-8", "--batch-size", "2",
+             "--gen-len", "2", "--json"]
+        ) == 0
+        build = json.loads(capsys.readouterr().out)["result"]["build"]
+        assert build["system_build_s"] > 0
+        assert set(build["stages_s"]) == {
+            "core.placement.plan", "core.prefetcher.warmup",
+            "core.pipeline.decide", "core.pipeline.materialize",
+        }
+        assert 0.5 < build["covered"] <= 1.0

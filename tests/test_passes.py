@@ -189,14 +189,14 @@ class TestCheckConservation:
 class TestFreezeValidation:
     def test_forward_dep_fails_at_freeze(self):
         s = Schedule()
-        s.append_row(0, 1.0, "bad", (1,), -1, "other")
+        s.extend_raw([0], [1.0], [(1,)], ["bad"], [-1], ["other"], [-1])
         with pytest.raises(ScheduleError, match="forward or self dependency"):
             s.freeze()
 
     def test_dangling_dep_fails_at_freeze(self):
         s = Schedule()
         s.compute(1.0, "a")
-        s.append_row(0, 1.0, "bad", (5,), -1, "other")
+        s.extend_raw([0], [1.0], [(5,)], ["bad"], [-1], ["other"], [-1])
         with pytest.raises(ScheduleError, match="forward or self"):
             s.freeze()
 
@@ -210,7 +210,7 @@ class TestFreezeValidation:
 
     def test_negative_dep_fails_at_freeze(self):
         s = Schedule()
-        s.append_row(0, 1.0, "bad", (-1,), -1, "other")
+        s.extend_raw([0], [1.0], [(-1,)], ["bad"], [-1], ["other"], [-1])
         with pytest.raises(ScheduleError, match="negative dependency"):
             s.freeze()
 

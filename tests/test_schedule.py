@@ -99,7 +99,9 @@ class TestValidate:
     def chain(n=6):
         s = Schedule()
         for i in range(n):
-            s.append_row(0, 1.0, f"op{i}", (i - 1,) if i else (), -1, "other")
+            s.extend_raw(
+                [0], [1.0], [(i - 1,) if i else ()], [f"op{i}"], [-1], ["other"], [-1]
+            )
         return s
 
     @pytest.mark.parametrize(
@@ -126,19 +128,23 @@ class TestValidate:
     def test_empty_and_depless_schedules_pass(self):
         Schedule().validate()
         s = Schedule()
-        s.append_row(0, 1.0, "a", (), -1, "other")
+        s.extend_raw([0], [1.0], [()], ["a"], [-1], ["other"], [-1])
         s.validate()
 
 
 class TestExtendEffects:
+    """Memory effects attached in bulk through ``extend_raw(effects=...)``."""
+
     def test_matches_per_effect_appends(self):
         bulk, single = Schedule(), Schedule()
-        for s in (bulk, single):
-            s.compute(1.0, "a")
-            s.compute(1.0, "b")
-        bulk.extend_effects([1, 0, 1], EV_FREE, "vram", ["x", "y", "z"], [3, 4, 5])
-        for op, tid, nbytes in ((1, "x", 3), (0, "y", 4), (1, "z", 5)):
-            single.append_effect(op, EV_FREE, "vram", tid, nbytes)
+        bulk.extend_raw(
+            [0, 0], [1.0, 1.0], [(), ()], ["a", "b"], [-1, -1], ["other"] * 2, [-1, -1],
+            effects=([1, 0, 1], [EV_FREE] * 3, ["vram"] * 3, ["x", "y", "z"], [3, 4, 5]),
+        )
+        single.compute(1.0, "a", frees=[MemEffect("vram", "y", 4)])
+        single.compute(
+            1.0, "b", frees=[MemEffect("vram", "x", 3), MemEffect("vram", "z", 5)]
+        )
         assert [op.frees for op in bulk] == [op.frees for op in single]
         assert bulk[1].frees == (MemEffect("vram", "x", 3), MemEffect("vram", "z", 5))
 
@@ -147,18 +153,29 @@ class TestExtendEffects:
         s.compute(1.0, "a")
         ev_delta = s.freeze().ev_delta
         assert s.freeze().ev_delta is ev_delta  # cached until a mutation
-        s.extend_effects([0], EV_ALLOC, "vram", ["w"], [8])
+        s.extend_raw(
+            [], [], [], [], [], [], [], effects=([0], [EV_ALLOC], ["vram"], ["w"], [8])
+        )
         assert s.freeze().ev_delta is not ev_delta  # rebuilt
         assert s.ev_delta.tolist() == [8]
         assert s.pool_names == ("vram",)
 
 
 def test_label_tags_are_copied_at_extend():
+    """Deferred labels render from the ``(render, args)`` pair given at
+    extend time, only when read, and only for the rows it covers."""
+    rendered = []
+
+    def render(kind, tags):
+        rendered.append(tags)
+        return [f"{kind}{tag}:L2s0" for tag in tags]
+
     s = Schedule()
-    tags = [3, 5]
+    s.compute(1.0, "first")
     s.extend_raw(
-        [0, 0], [1.0, 1.0], [(), ()], None, [2, 2], ["expert", "expert"], [-1, -1],
-        label_plan=(("exp",), 2, 0), label_tags=tags,
+        [0, 0], [1.0, 1.0], [(), ()], (render, ("exp", (3, 5))), [2, 2],
+        ["expert", "expert"], [-1, -1],
     )
-    tags[0] = 9  # the caller reuses its list
-    assert [op.label for op in s] == ["exp3:L2s0", "exp5:L2s0"]
+    assert rendered == []
+    assert [op.label for op in s] == ["first", "exp3:L2s0", "exp5:L2s0"]
+    assert rendered == [(3, 5)]
