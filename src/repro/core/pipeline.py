@@ -354,9 +354,8 @@ class PipelineBuilder:
             ]
         self._nbytes = nbytes
         transfer_time, pinned = self.cost.transfer_time, placement.pinned
-        self._h2d_list = [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes]
-        self._h2d_durs = np.array(self._h2d_list)
-        self._disk_durs = np.array([transfer_time(nb, "disk", "dram") for nb in nbytes])
+        self._h2d_durs = [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes]
+        self._disk_durs = [transfer_time(nb, "disk", "dram") for nb in nbytes]
         level = placement.location.get
         self._resident = {w for w, t in enumerate(tids) if level(t) == VRAM}
         self._on_disk = {w for w, t in enumerate(tids) if level(t) == DISK}
@@ -636,13 +635,10 @@ class PipelineBuilder:
         back on one stream, with per-transfer ``deps``."""
         d = self._d
         base = d.nops
-        k = len(ws)
-        d.nops += k
+        d.nops += len(ws)
         d.transfer(base, ws, res, deps)
         ops = range(base, d.nops)
-        d.ev_op.extend(ops)
-        d.ev_kind.extend([EV_ALLOC] * k)
-        d.ev_key.extend(ws)
+        d.effect(EV_ALLOC, ops, ws)
         self._ready.update(zip(ws, ops))
         self._last_transfer = d.nops - 1
 
@@ -828,7 +824,7 @@ class PipelineBuilder:
         gpu_durs = self._duration_table(routing)
         cpu_durs = self._duration_table(routing, on_cpu=True)
         resident = self._resident_experts[layer]
-        h2d_durs = self._h2d_list
+        h2d_durs = self._h2d_durs
         ew = layer * self._stride + 2
         ops: list[int] = []
         for e in stats.active:
@@ -1047,7 +1043,7 @@ class PipelineBuilder:
         return self._rows(
             self._run_ids(d.x_base, d.x_len),
             res,
-            np.where(disk, self._disk_durs[w], self._h2d_durs[w]),
+            np.where(disk, np.array(self._disk_durs)[w], np.array(self._h2d_durs)[w]),
             w // self._stride,
             _P_TRANSFER,
             -1,
