@@ -259,18 +259,11 @@ class _Decisions:
         self.x_res: list[int] = []
         self.x_w: list[int] = []
         self.x_deps: list[tuple] = []
-        # Expert blocks: a layer's GPU experts in expert-major order (or
-        # per routed pair, order None), the transfers ready for them and
-        # the last transfer before them without overlap (else -1).
-        self.e_base: list[int] = []
-        self.e_layer: list[int] = []
-        self.e_step: list[int] = []
-        self.e_gate: list[int] = []
-        self.e_scale: list[float] = []
-        self.e_stats: list = []
-        self.e_order: list = []
-        self.e_ready: list[dict[int, int]] = []
-        self.e_nod: list[int] = []
+        # Expert blocks, a layer's GPU experts: (first op, layer, step,
+        # first gate op, token scale, routing stats, expert-major order
+        # (None: one op per routed pair), {weight: ready transfer op}, the
+        # last transfer before them without overlap (else -1)).
+        self.experts: list[tuple] = []
         # CPU-expert systems: GPU experts (op, layer, step, expert,
         # duration, deps) and CPU round trips (first op, layer, step,
         # expert, deps, token count, scale).
@@ -772,19 +765,15 @@ class PipelineBuilder:
             count = len(stats.pairs)
         d = self._d
         base = d.nops
-        d.e_base.append(base)
-        d.e_layer.append(layer)
-        d.e_step.append(step)
-        d.e_gate.append(gate_base)
-        d.e_scale.append(routing.scale)
-        d.e_stats.append(stats)
-        d.e_order.append(order)
-        d.e_ready.append(self._ready)
-        d.e_nod.append(-1 if features.overlap or self._last_transfer is None else self._last_transfer)
+        nod = self._last_transfer
+        d.experts.append((
+            base, layer, step, gate_base, routing.scale, stats, order, self._ready,
+            -1 if features.overlap or nod is None else nod,
+        ))
         d.nops += count
         if count:
             self._last_compute = d.nops - 1
-        return len(d.e_base) - 1, range(base, d.nops)
+        return len(d.experts) - 1, range(base, d.nops)
 
     def _involved(self, stats, e: int) -> list[int]:
         """Batches that routed tokens to active expert ``e``, ascending."""
@@ -872,7 +861,7 @@ class PipelineBuilder:
             )
         total = d.nops - d.start
         ids = list(range(d.start, d.nops))  # one int object per op id
-        blocks = self._expert_blocks(d) if d.e_base else None
+        blocks = self._expert_blocks(d) if d.experts else None
         families = [
             rows
             for rows in (
@@ -1058,18 +1047,19 @@ class PipelineBuilder:
         block, expert, batch (-1 expert-major), token count)`` arrays
         plus each block's routing counts as ``[blocks, n, E]``."""
         n, num_experts = self.n, self.model.num_experts
+        stats, orders = [b[5] for b in d.experts], [b[6] for b in d.experts]
         counts = np.fromiter(
-            chain.from_iterable(s.counts for s in d.e_stats), dtype=np.int64
-        ).reshape(len(d.e_stats), n, num_experts)
-        if d.e_order[0] is not None:  # expert-major: one op per active expert
-            lengths = [len(order) for order in d.e_order]
-            experts = np.fromiter(chain.from_iterable(d.e_order), dtype=np.int64)
+            chain.from_iterable(s.counts for s in stats), dtype=np.int64
+        ).reshape(len(stats), n, num_experts)
+        if orders[0] is not None:  # expert-major: one op per active expert
+            lengths = [len(order) for order in orders]
+            experts = np.fromiter(chain.from_iterable(orders), dtype=np.int64)
             block = np.repeat(np.arange(len(lengths)), lengths)
             batches = np.full(len(experts), -1, dtype=np.int64)
             tokens = counts.sum(axis=1)[block, experts]
         else:  # batch-major: one op per routed (batch, expert) pair
-            lengths = [len(s.pairs) for s in d.e_stats]
-            pairs = np.fromiter(chain.from_iterable(s.pairs for s in d.e_stats), dtype=np.int64)
+            lengths = [len(s.pairs) for s in stats]
+            pairs = np.fromiter(chain.from_iterable(s.pairs for s in stats), dtype=np.int64)
             block = np.repeat(np.arange(len(lengths)), lengths)
             batches, experts = np.divmod(pairs, num_experts)
             tokens = counts.reshape(len(lengths), -1)[block, pairs]
@@ -1088,34 +1078,33 @@ class PipelineBuilder:
         if blocks is None:
             return None
         block, position, experts, batches, tokens, counts = blocks
-        bases = np.asarray(d.e_base, dtype=np.int64)
+        bases, layers, steps, gate_bases, scales, _, orders, readies, nods = zip(*d.experts)
+        bases, layers, steps, gate_bases, nods = (
+            np.array(c, dtype=np.int64) for c in (bases, layers, steps, gate_bases, nods)
+        )
         durs = np.empty(len(experts))
-        scales = np.asarray(d.e_scale)[block]
+        scales = np.array(scales)[block]
         for scale in np.unique(scales).tolist():
             mask = scales == scale
             durs[mask] = np.asarray(self._dur_tables[(scale, False)])[tokens[mask]]
-        gate_bases = np.asarray(d.e_gate, dtype=np.int64)[block]
-        if d.e_order[0] is not None:  # every batch routing to the expert
+        gate_bases = gate_bases[block]
+        if orders[0] is not None:  # every batch routing to the expert
             routed = counts.transpose(0, 2, 1)[block, experts] > 0
             gates = np.where(routed, gate_bases[:, None] + np.arange(self.n), -1)
         else:
             gates = (gate_bases + batches)[:, None]
-        transfers = self._ready_slots(d.e_ready, d.e_layer)
-        columns = np.column_stack([
-            gates,
-            transfers[block, experts + 2],
-            np.asarray(d.e_nod, dtype=np.int64)[block],
-        ])
+        transfers = self._ready_slots(readies, layers)
+        columns = np.column_stack([gates, transfers[block, experts + 2], nods[block]])
         return self._rows(
             bases[block] + position,
             _GPU,
             durs,
-            np.asarray(d.e_layer, dtype=np.int64)[block],
+            layers[block],
             _P_EXPERT,
             batches,
             np.where(batches < 0, _L_EXP, _L_EXP_B),
             experts,
-            np.asarray(d.e_step, dtype=np.int64)[block],
+            steps[block],
             _row_tuples(columns, ids, d.start),
         )
 
@@ -1194,7 +1183,7 @@ class PipelineBuilder:
         if blocks is not None:
             block, position, experts, _, _, _ = blocks
             # Position of each expert's (last) op in its block; -1: none.
-            last = np.full((len(d.e_base), self._stride), -1, dtype=np.int64)
+            last = np.full((len(d.experts), self._stride), -1, dtype=np.int64)
             np.maximum.at(last, (block, experts), position)
             of_block = np.asarray(of_blocks, dtype=np.int64)[owner]
             in_block = (of_block >= 0) & (slot >= 2)
@@ -1202,8 +1191,9 @@ class PipelineBuilder:
             pos[in_block] = last[of_block[in_block], expert[in_block]]
             routed = pos >= 0
             group[routed], rank[routed] = 0, pos[routed]
-            ops[routed] = np.asarray(d.e_base, dtype=np.int64)[of_block[routed]] + pos[routed]
-            if d.e_order[0] is None:
+            bases = np.array([b[0] for b in d.experts], dtype=np.int64)
+            ops[routed] = bases[of_block[routed]] + pos[routed]
+            if d.experts[0][6] is None:
                 # Batch-major frees unrouted loaded experts after the
                 # routed ones, ahead of the attention and gate.
                 idle = in_block & ~routed
