@@ -775,13 +775,16 @@ class PipelineBuilder:
             self._last_compute = d.nops - 1
         return len(d.experts) - 1, range(base, d.nops)
 
-    def _involved(self, stats, e: int) -> list[int]:
-        """Batches that routed tokens to active expert ``e``, ascending."""
+    def _gates(self, stats, e: int, gate_base: int) -> tuple[int, ...]:
+        """Gate ops of the batches that routed tokens to active expert
+        ``e``, ascending."""
         if self.n == 1:
-            return [0]
+            return (gate_base,)
         num_experts = self.model.num_experts
         counts = stats.counts
-        return [b for b in range(self.n) if counts[b * num_experts + e]]
+        return tuple(
+            gate_base + b for b in range(self.n) if counts[b * num_experts + e]
+        )
 
     def _cold_transfers(self, stats, skip: set, layer: int, gate_base: int) -> None:
         """On-demand transfers for activated non-prefetched experts, in
@@ -794,7 +797,7 @@ class PipelineBuilder:
         if not cold:
             return
         ws = [ew + e for e in cold]
-        firsts = [gate_base + self._involved(stats, e)[0] for e in cold]
+        firsts = [self._gates(stats, e, gate_base)[0] for e in cold]
         if not self._on_disk.isdisjoint(ws):
             for w, gate in zip(ws, firsts):
                 self._load(w, (gate,), on_demand=True)
@@ -818,7 +821,7 @@ class PipelineBuilder:
         ops: list[int] = []
         for e in stats.active:
             count = stats.totals[e]
-            deps = tuple(gate_base + b for b in self._involved(stats, e))
+            deps = self._gates(stats, e, gate_base)
             if e not in resident:
                 if cpu_durs[count] <= h2d_durs[ew + e] + gpu_durs[count]:
                     # Hidden states down, CPU compute, hidden states up.
