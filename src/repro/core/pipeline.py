@@ -141,20 +141,21 @@ def _row_tuples(values: np.ndarray, ids: list[int], start: int) -> list[tuple[in
     """Per row of ``values``, its sorted distinct op ids (-1: absent), as
     :func:`_sorted_deps` would give them; ``ids[i]`` is op ``start + i``.
 
-    Rows sharing a pattern of kept columns are zipped into tuples at once.
+    Rows sharing a pattern of kept columns (bit-packed to one opaque key of
+    any width) are zipped into tuples at once.
     """
     rows = np.sort(values, axis=1)
     keep = rows >= 0
     keep[:, :-1] &= rows[:, :-1] != rows[:, 1:]
-    width = rows.shape[1]
-    pattern = keep @ (1 << np.arange(width))
+    packed = np.packbits(keep, axis=1)
+    _, first, group = np.unique(
+        packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
     out: list[tuple[int, ...]] = [()] * len(rows)
     op = ids.__getitem__
-    for p in np.unique(pattern).tolist():
-        sel = np.flatnonzero(pattern == p)
-        kept = (
-            map(op, (rows[sel, j] - start).tolist()) for j in range(width) if p >> j & 1
-        )
+    for g, i in enumerate(first.tolist()):
+        sel = np.flatnonzero(group == g)
+        kept = (map(op, (rows[sel, j] - start).tolist()) for j in np.flatnonzero(keep[i]))
         for i, row in zip(sel.tolist(), zip(*kept)):
             out[i] = row
     return out

@@ -60,11 +60,6 @@ class RoutingStats(NamedTuple):
     @classmethod
     def of(cls, assignments: np.ndarray, n: int, num_experts: int) -> "RoutingStats":
         """Derive the stats with one ``bincount`` over ``assignments``."""
-        if n == 1:
-            totals = tuple(np.bincount(assignments.ravel(), minlength=num_experts).tolist())
-            active = tuple(e for e, c in enumerate(totals) if c)
-            inactive = tuple(e for e, c in enumerate(totals) if not c)
-            return cls(totals, totals, active, active, inactive)
         sizes = batch_slice_sizes(assignments.shape[0], n)
         offsets = np.repeat(np.arange(n, dtype=np.int64) * num_experts, sizes)
         counts2d = np.bincount(
@@ -73,6 +68,8 @@ class RoutingStats(NamedTuple):
         totals = tuple(counts2d.sum(axis=0).tolist())
         active = tuple(e for e, c in enumerate(totals) if c)
         inactive = tuple(e for e, c in enumerate(totals) if not c)
+        if n == 1:
+            return cls(totals, totals, active, active, inactive)
         flat = counts2d.ravel()
         pairs = tuple(np.flatnonzero(flat).tolist())
         return cls(tuple(flat.tolist()), totals, pairs, active, inactive)

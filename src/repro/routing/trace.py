@@ -33,8 +33,9 @@ def hot_experts(counts: np.ndarray, k: int) -> list[int]:
 
     ``counts`` may be an array or an int sequence.
     """
-    # A stable sort keeps equal counts in expert-id order.
-    return np.argsort(-np.asarray(counts), kind="stable")[:k].tolist()
+    counts = np.asarray(counts)
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    return [int(e) for e in order[:k]]
 
 
 def coverage(counts: np.ndarray, experts: list[int]) -> float:

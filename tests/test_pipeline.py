@@ -140,6 +140,42 @@ class TestFeatureVariants:
 
         assert expert_io(quant) < 0.5 * expert_io(plain)
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 70])
+    def test_expert_ops_wait_for_every_routed_batch_at_large_n(self, small_mixtral, hw, n):
+        """An expert-major op carries one gate dependency per batch routed to
+        its expert, however many batches the group has."""
+        import re
+
+        from repro.routing.workload import Workload
+        from repro.scenario import Scenario
+
+        wl = Workload(1, n, 8, 2)
+        sc = Scenario(small_mixtral, hw, wl, seed=3)
+        result, _ = build(sc)
+        num_experts = small_mixtral.num_experts
+        expected = {}
+        oracle = sc.make_oracle()
+        for step in range(wl.gen_len):
+            for routing in oracle.step_routing(step, wl):
+                counts = routing.stats(n, num_experts).counts
+                for e in range(num_experts):
+                    batches = {b for b in range(n) if counts[b * num_experts + e]}
+                    if batches:
+                        expected[routing.layer, step, e] = batches
+        labels = {op.op_id: op.label for op in result.schedule}
+        got = {}
+        for op in result.schedule:
+            m = re.fullmatch(r"exp(\d+):L(\d+)s(\d+)", op.label)
+            if m:
+                e, layer, step = map(int, m.groups())
+                got[layer, step, e] = {
+                    int(g.group(1))
+                    for g in map(re.compile(r"gate:L\d+b(\d+)s\d+").fullmatch,
+                                 map(labels.get, op.deps))
+                    if g
+                }
+        assert got == expected
+
     def test_cpu_experts_emit_cpu_ops(self, small_scenario):
         result, _ = build(small_scenario, PipelineFeatures(cpu_experts=True))
         assert any(op.resource == CPU for op in result.schedule)
@@ -284,6 +320,21 @@ class TestBuilderReuse:
         second = builder.build()
         assert _rows(first.schedule) == _rows(second.schedule)
         assert first.step_last_op == second.step_last_op
+
+
+@pytest.mark.parametrize("width", [1, 3, 62, 63, 64, 65, 130])
+def test_row_tuples_matches_sorted_deps_at_any_width(width):
+    from repro.core.pipeline import _row_tuples, _sorted_deps
+
+    rng = np.random.default_rng(width)
+    values = rng.integers(-1, 40, size=(300, width))
+    values[rng.random(values.shape) < 0.7] = -1
+    ids = list(range(100, 140))
+    got = _row_tuples(values, ids, 0)
+    assert got == [
+        tuple(ids[v] for v in _sorted_deps([v for v in row if v >= 0]))
+        for row in values.tolist()
+    ]
 
 
 class TestDurationTable:
