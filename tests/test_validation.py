@@ -385,30 +385,62 @@ class TestFuzz:
     def test_every_registered_system_is_drawn_or_golden(self):
         """A registered system the sampler cannot draw and no golden
         names is a path nothing pins: fail until one of them covers it."""
-        from pathlib import Path
-
         from repro.api import system_names
-        from repro.validation.fuzz import random_system_config, system_choices
 
-        rng = np.random.default_rng(0)
-        drawn = {random_system_config(rng).name for _ in range(400)}
-        assert drawn == {choice.name for choice in system_choices()}
-        goldens = Path(__file__).parent / "goldens"
-        uncovered = [
-            name
-            for name in system_names()
-            if name not in drawn
-            and not (
-                goldens / f"pipeline-{name.replace('(q)', '-quantized')}-small.schedule.json"
-            ).exists()
-        ]
-        assert uncovered == []
+        drawn = _drawn_system_names()
+        assert set(system_names()) <= drawn
+        assert _unpinned_systems(drawn) == []
+
+    def test_registry_coverage_flags_what_nothing_pins(self, monkeypatch):
+        """The coverage check above fails for a registered system that is
+        neither drawn nor golden, and accepts one a golden names."""
+        import repro.validation.fuzz as fuzz
+        from repro.api.registry import SYSTEMS
+
+        built_in = fuzz.system_choices()
+        monkeypatch.setitem(SYSTEMS._entries, "unpinned", KlotskiSystem)
+        # Drawing from the registry reaches a newly registered system.
+        assert "unpinned" in _drawn_system_names()
+        # A sampler fixed to the built-in choices, minus one with goldens,
+        # leaves only the new system unpinned.
+        monkeypatch.setattr(
+            fuzz, "system_choices", lambda: tuple(c for c in built_in if c.name != "sida")
+        )
+        drawn = _drawn_system_names()
+        assert "sida" not in drawn
+        assert _unpinned_systems(drawn) == ["unpinned"]
 
     def test_report_summary_lists_failures(self):
         report = FuzzReport(cases=1, violations=["boom"], diffs=["drift"])
         text = report.summary()
         assert not report.ok
         assert "VIOLATION boom" in text and "DIFF drift" in text
+
+
+def _drawn_system_names() -> set[str]:
+    """System names 400 fuzz draws reach."""
+    from repro.validation.fuzz import random_system_config
+
+    rng = np.random.default_rng(0)
+    return {random_system_config(rng).name for _ in range(400)}
+
+
+def _unpinned_systems(drawn: set[str]) -> list[str]:
+    """Registered systems neither in ``drawn`` nor named by a small
+    pipeline golden."""
+    from pathlib import Path
+
+    from repro.api import system_names
+
+    goldens = Path(__file__).parent / "goldens"
+    return [
+        name
+        for name in system_names()
+        if name not in drawn
+        and not (
+            goldens / f"pipeline-{name.replace('(q)', '-quantized')}-small.schedule.json"
+        ).exists()
+    ]
 
 
 class TestValidateCLI:
