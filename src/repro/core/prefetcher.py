@@ -201,22 +201,21 @@ class PrefetchStats:
 
     def __init__(self, num_layers: int):
         self.num_layers = num_layers
-        # One [4, layers] tally; the four per-layer arrays are its rows:
-        # predicted ∩ actual top-K, predictions, predicted with >= 1
-        # token, predictions.
-        self._tally = np.zeros((4, num_layers))
-        self.hot_hits, self.hot_total, self.participated, self.predicted_total = (
-            self._tally
-        )
+        self.hot_hits = np.zeros(num_layers)  # predicted ∩ actual top-K
+        self.hot_total = np.zeros(num_layers)
+        self.participated = np.zeros(num_layers)  # predicted with >=1 token
+        self.predicted_total = np.zeros(num_layers)
 
     def record(
         self, layer: int, counts: np.ndarray | Sequence[int], predicted: list[int], k: int
     ) -> None:
         if not predicted:
             return
-        hits = len(set(hot_experts(counts, k)).intersection(predicted))
-        participated = sum(1 for e in predicted if counts[e] > 0)
-        self._tally[:, layer] += (hits, len(predicted), participated, len(predicted))
+        actual_hot = set(hot_experts(counts, k))
+        self.hot_hits[layer] += len(actual_hot.intersection(predicted))
+        self.hot_total[layer] += len(predicted)
+        self.participated[layer] += sum(1 for e in predicted if counts[e] > 0)
+        self.predicted_total[layer] += len(predicted)
 
     def hot_accuracy(self) -> np.ndarray:
         """Per-layer fraction of prefetched experts that were truly hot."""
