@@ -64,10 +64,6 @@ _CELL_KEYS = ("model", "env", "batch_size", "n", "prompt_len", "gen_len", "seed"
 
 _HOT_EXPERT_MODES = ("auto", "zipf", "pin", "none")
 
-# Retired cluster engine names, accepted for one deprecation window:
-# :func:`repro.api.run.run_cluster` warns and runs ``batched`` instead.
-DEPRECATED_ENGINES = ("sharded",)
-
 # Field metadata: drop the field from to_plain output while it is empty,
 # so configs predating the field keep their hashes.
 _OMIT_EMPTY = {"omit_empty": True}
@@ -569,7 +565,6 @@ class ClusterConfig:
         engine: simulation engine — ``serial`` (reference event loop) or
             ``batched`` (group-granular scan); both are bit-identical (see
             :func:`repro.validation.run_cluster_differential`).
-            ``sharded`` is a deprecated alias of ``batched``.
         jobs: deprecated and ignored (any value but 1 warns).
         faults: fault-injection model — a
             :data:`~repro.api.registry.FAULT_PRESETS` name or an inline
@@ -637,7 +632,7 @@ class ClusterConfig:
             ),
             (
                 "engine",
-                self.engine in ENGINES or self.engine in DEPRECATED_ENGINES,
+                self.engine in ENGINES,
                 f"must be one of: {', '.join(ENGINES)}",
             ),
             ("jobs", self.jobs >= 1, "must be >= 1"),

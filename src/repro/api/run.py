@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import warnings
 
-from repro.api.config import (
-    DEPRECATED_ENGINES,
-    RunConfig,
-    ScenarioConfig,
-    ServeConfig,
-    SystemConfig,
-)
+from repro.api.config import RunConfig, ScenarioConfig, ServeConfig, SystemConfig
 from repro.api.registry import ARRIVALS
 from repro.errors import ReproDeprecationWarning
 
@@ -186,8 +180,7 @@ def run_cluster(
             caller also needs the stream, to avoid re-generating it.
         engine: simulation engine override (default: the config's
             ``cluster.engine``); both engines are bit-identical, see
-            :mod:`repro.cluster.engines`. The deprecated ``"sharded"``
-            warns and runs ``batched``.
+            :mod:`repro.cluster.engines`.
         jobs: deprecated and ignored (default: ``cluster.jobs``); any
             value but 1 warns.
 
@@ -201,13 +194,6 @@ def run_cluster(
     if cluster is None:
         raise ValueError("run config has no cluster section")
     engine = engine if engine is not None else cluster.engine
-    if engine in DEPRECATED_ENGINES:
-        warnings.warn(
-            f"cluster engine {engine!r} is deprecated; it runs 'batched'",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        engine = "batched"
     if (jobs if jobs is not None else cluster.jobs) != 1:
         warnings.warn(
             "cluster `jobs` is deprecated and ignored",

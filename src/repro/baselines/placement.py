@@ -115,7 +115,6 @@ def expert_offload_placement(
         location=location,
         kv_level=VRAM,
         pinned=True,
-        staging_window=0,
         working_reserve_bytes=kv_total + act + in_flight,
         activation_reserve_bytes=act,
         resident_bytes=resident_bytes + cached_bytes,

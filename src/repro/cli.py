@@ -7,7 +7,6 @@ Subcommands mirror how the paper's system is operated:
 * ``run``        — execute Klotski on a workload, print metrics
 * ``compare``    — run Klotski and the baselines on one scenario (Fig. 10)
 * ``sweep-n``    — throughput vs batch-group size (Fig. 14)
-* ``export-trace`` — deprecated alias of ``run --n N --trace PATH``
 * ``serve``      — simulate a multi-replica cluster serving a request
   stream behind a pluggable router (``repro.cluster``)
 * ``experiments`` — declarative experiment orchestration
@@ -54,7 +53,6 @@ import dataclasses
 import json
 import sys
 import time
-import warnings
 
 from repro import obs
 from repro.analysis.bubbles import analyze_bubbles
@@ -62,7 +60,9 @@ from repro.analysis.plots import bar_chart
 from repro.analysis.reporting import ResultGrid
 from repro.api import (
     SCHEMA_VERSION,
+    ClusterConfig,
     RunConfig,
+    ServeConfig,
     add_scenario_flags,
     add_set_flag,
     apply_overrides,
@@ -77,11 +77,7 @@ from repro.api import (
 from repro.api.registry import RegistryError
 from repro.cluster.engines import ENGINES
 from repro.core.engine import KlotskiEngine, KlotskiSystem
-from repro.errors import (
-    ConfigValidationError,
-    OutOfMemoryError,
-    ReproDeprecationWarning,
-)
+from repro.errors import ConfigValidationError, OutOfMemoryError
 from repro.hardware.calibrate import TimingCache, measure
 from repro.obs import build_manifest
 from repro.obs.export import save_trace
@@ -158,9 +154,9 @@ def _run_config(
     return config
 
 
-def _scenario(args, num_batches: int = 1):
+def _scenario(args):
     """Build the runtime scenario for commands without system choices."""
-    return build_scenario(_run_config(args, n=num_batches).scenario)
+    return build_scenario(_run_config(args).scenario)
 
 
 def _passes_from_arg(value) -> tuple:
@@ -439,7 +435,8 @@ def _faults_from_args(args):
     return value
 
 
-def cmd_serve(args) -> int:
+def _serve_config(args) -> RunConfig:
+    """The validated RunConfig ``serve`` flags (then ``--set``) describe."""
     replay = args.arrival_trace
     faults = _faults_from_args(args)
     tree = {
@@ -464,12 +461,18 @@ def cmd_serve(args) -> int:
         },
     }
     apply_overrides(tree, args.set_overrides)
-    config = RunConfig.from_dict(tree)
+    return RunConfig.from_dict(tree)
+
+
+def cmd_serve(args) -> int:
+    config = _serve_config(args)
     _maybe_enable_trace(args)
     try:
         report = run_cluster(config)
     except FileNotFoundError:
-        raise SystemExit(f"arrival trace file not found: {replay}") from None
+        raise SystemExit(
+            f"arrival trace file not found: {args.arrival_trace}"
+        ) from None
     _finish_trace(args, report=report)
     if args.json:
         emit_json("serve", report.to_dict(), config=config)
@@ -962,7 +965,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep_n(args) -> int:
-    first = _scenario(args, num_batches=args.n_min)
+    config = _run_config(args, n=args.n_min)
+    first = build_scenario(config.scenario)
     grid = ResultGrid(
         f"Throughput vs n — {first.model.name} on {first.hardware.name} "
         f"(bs={first.workload.batch_size})",
@@ -970,8 +974,8 @@ def cmd_sweep_n(args) -> int:
     )
     for n in range(args.n_min, args.n_max + 1, args.n_step):
         scenario = first.with_workload(first.workload.with_batches(n))
-        result = build_system("klotski").run(scenario)
-        grid.add("klotski", n, result.metrics.throughput)
+        system = build_system(config.system)
+        grid.add(system.name, n, system.run(scenario).metrics.throughput)
     print(grid.render())
     return 0
 
@@ -992,7 +996,7 @@ def cmd_profile(args) -> int:
     config = _run_config(args, n=args.n or 4)
     scenario = build_scenario(config.scenario)
     obs.enable()
-    result = build_system("klotski").run_safe(scenario)
+    result = build_system(config.system).run_safe(scenario)
     obs.disable()
     spans = tracer.spans_snapshot()
     if args.trace:
@@ -1027,18 +1031,6 @@ def cmd_profile(args) -> int:
     if args.trace:
         print(f"wrote trace {args.trace} (open in Perfetto or chrome://tracing)")
     return 0
-
-
-def cmd_export_trace(args) -> int:
-    """Deprecated alias: ``run --n N --trace OUT`` (``N`` defaults to 4)."""
-    warnings.warn(
-        "`export-trace` is deprecated; use `run --n N --trace PATH`",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    args.n = args.n or 4
-    args.trace = args.out
-    return cmd_run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1105,9 +1097,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = scenario_parser("serve", "simulate a multi-replica serving cluster")
-    p.add_argument("--replicas", type=int, default=4, help="fleet size")
+    cluster = {f.name: f.default for f in dataclasses.fields(ClusterConfig)}
+    serve = {f.name: f.default for f in dataclasses.fields(ServeConfig)}
+    p.add_argument("--replicas", type=int, default=cluster["replicas"], help="fleet size")
     p.add_argument(
-        "--router", default="least-outstanding", choices=router_names(),
+        "--router", default=cluster["router"], choices=router_names(),
         help="request routing policy",
     )
     p.add_argument(
@@ -1115,10 +1109,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated env presets cycled across replicas "
         "(heterogeneous fleet); overrides --env",
     )
-    p.add_argument("--requests", type=int, default=32, help="stream length")
-    p.add_argument("--rate", type=float, default=2.0, help="mean arrivals/s")
+    p.add_argument("--requests", type=int, default=serve["requests"], help="stream length")
+    p.add_argument("--rate", type=float, default=serve["rate_per_s"], help="mean arrivals/s")
     p.add_argument(
-        "--arrival", default="poisson", choices=["poisson", "bursty"],
+        "--arrival", default=serve["arrival"], choices=["poisson", "bursty"],
         help="arrival process",
     )
     p.add_argument(
@@ -1128,23 +1122,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         help="write a merged Chrome trace (self spans + replica lanes) here",
     )
-    p.add_argument("--group-batches", type=int, default=2,
+    p.add_argument("--group-batches", type=int, default=cluster["group_batches"],
                    help="batches per dispatched group")
-    p.add_argument("--max-wait", type=float, default=60.0,
+    p.add_argument("--max-wait", type=float, default=cluster["max_wait_s"],
                    help="partial-group dispatch deadline (s)")
-    p.add_argument("--slo", type=float, default=120.0,
+    p.add_argument("--slo", type=float, default=cluster["slo_s"],
                    help="latency SLO for goodput accounting (s)")
     p.add_argument(
-        "--engine", default="serial", choices=ENGINES,
-        help="simulation engine (bit-identical results; default: serial)",
+        "--engine", default=cluster["engine"], choices=ENGINES,
+        help=f"simulation engine (bit-identical results; default: {cluster['engine']})",
     )
     p.add_argument(
-        "--scheduler", default="group", choices=scheduler_names(),
+        "--scheduler", default=cluster["scheduler"], choices=scheduler_names(),
         help="dispatch discipline: 'group' batches whole groups, "
         "'continuous' admits/preempts at decode-step boundaries",
     )
     p.add_argument(
-        "--faults", default="",
+        "--faults", default=cluster["faults"],
         help="fault injection: a fault-preset name (see docs/robustness.md) "
         "or an inline FaultConfig JSON object; active faults force the "
         "serial event loop",
@@ -1305,15 +1299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--n-step", type=int, default=3)
     p.set_defaults(func=cmd_sweep_n)
-
-    p = scenario_parser(
-        "export-trace", "deprecated: use `run --n N --trace PATH`"
-    )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default="klotski_trace.json")
-    p.set_defaults(
-        func=cmd_export_trace, quantize=False, passes=None, json=False
-    )
 
     p = scenario_parser(
         "profile", "trace one pipeline run and print the span profile"

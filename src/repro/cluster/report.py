@@ -250,7 +250,6 @@ class ClusterReport:
         cache = {
             "n": len(self.records),
             "tick": tick,
-            "completed": completed,
             "latencies": latencies,
             "ttfts": np.array([r.ttft_s for r in completed]),
             "tokens": sum(r.request.gen_len for r in completed),
@@ -298,10 +297,6 @@ class ClusterReport:
             "n": len(self.records), "tick": tick, "classes": classes,
         }
         return classes
-
-    def completed_records(self) -> list[RequestRecord]:
-        """Records that terminated as ``completed`` (all, fault-free)."""
-        return self._metrics()["completed"]
 
     def latencies(self) -> np.ndarray:
         """Latency array over completed records (cached; treat read-only)."""

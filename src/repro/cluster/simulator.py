@@ -229,6 +229,9 @@ class ClusterSimulator:
                 :func:`repro.validation.run_cluster_differential`.
 
         Raises:
+            ValueError: on an engine not in
+                :data:`~repro.cluster.engines.ENGINES`, whatever loop the
+                run would take.
             RuntimeError: on fleet reuse. Replica state (queues, groups,
                 busy time) accumulates across runs and silently corrupts
                 the second report, so a simulator serves exactly one
@@ -243,6 +246,8 @@ class ClusterSimulator:
         (counted ``cluster.engine.scheduler_fallback`` when the batched
         engine was requested).
         """
+        if engine not in ENGINES:
+            raise ValueError(f"unknown cluster engine {engine!r}; choose from {ENGINES}")
         if self._consumed or any(
             r.groups or r.queue or r.busy_s or r.queue_depth_timeline
             or r._timeline_tick
@@ -276,10 +281,6 @@ class ClusterSimulator:
             if self.faults is not None and self.faults.active():
                 count("cluster.engine.fault_fallback")
                 return self._run(requests)
-            if engine != "batched":
-                raise ValueError(
-                    f"unknown cluster engine {engine!r}; choose from {ENGINES}"
-                )
             return run_batched(self, requests)
 
     def _run(self, requests: list[Request], policy=None) -> ClusterReport:

@@ -1,7 +1,6 @@
 """Klotski core: pipeline, planner, prefetcher, placement, engine."""
 
 from repro.core.engine import KlotskiEngine, KlotskiOptions, KlotskiSystem
-from repro.core.ordering import ExpertWork, cold_transfer_order, order_experts
 from repro.core.pipeline import PipelineBuilder, PipelineFeatures
 from repro.core.placement import PlacementConfig, PlacementPlan, plan_placement
 from repro.core.planner import IOComputePlanner, PlannerConfig, PlanResult, RoutingStats
@@ -11,9 +10,6 @@ __all__ = [
     "KlotskiEngine",
     "KlotskiOptions",
     "KlotskiSystem",
-    "ExpertWork",
-    "cold_transfer_order",
-    "order_experts",
     "PipelineBuilder",
     "PipelineFeatures",
     "PlacementConfig",

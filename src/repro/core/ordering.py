@@ -14,19 +14,7 @@ computation *by expert* rather than by batch and orders it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ExpertWork:
-    """One expert's aggregated computation within a layer."""
-
-    expert: int
-    tokens: float  # routed token count (scaled in prefill)
-    prefetched: bool
-    resident: bool = False
 
 
 def ordered_active_experts(
@@ -36,11 +24,17 @@ def ordered_active_experts(
     resident: set[int] = frozenset(),
     adjust: bool = True,
 ) -> list[int]:
-    """Execution order of the activated experts (ids only; cheap path).
+    """Order the activated experts of one layer for execution.
 
-    The ordering logic of :func:`order_experts` without the per-expert
-    :class:`ExpertWork` wrappers — the schedule builder's hot loop only
-    needs the ids. ``counts`` may be an array or an int sequence.
+    ``counts`` (an array or an int sequence) is tokens-per-expert from
+    the gate across the whole group; ``prefetched`` the hot experts whose
+    transfer was issued during the attention phase, and ``resident`` the
+    experts pinned in VRAM. With ``adjust=False`` the order is plain
+    ascending expert id (the unorchestrated baseline of the Table 3
+    ablation).
+
+    Returns:
+        The ids of the experts with routed tokens, in execution order.
     """
     counts_list = np.asarray(counts).tolist()
     active = [e for e, c in enumerate(counts_list) if c]
@@ -54,41 +48,3 @@ def ordered_active_experts(
     # is the order the builder issues on-demand transfers in.
     ready.sort(key=lambda e: (-counts_list[e], e))
     return ready + cold
-
-
-def order_experts(
-    counts: np.ndarray,
-    prefetched: list[int],
-    *,
-    resident: set[int] = frozenset(),
-    adjust: bool = True,
-    scale: float = 1.0,
-) -> list[ExpertWork]:
-    """Order the activated experts of one layer for execution.
-
-    ``counts`` is tokens-per-expert from the gate across the whole group;
-    ``prefetched`` the hot experts whose transfer was issued during the
-    attention phase. With ``adjust=False`` the order is plain ascending
-    expert id (the unorchestrated baseline used in the Table 3 ablation).
-    """
-    order = ordered_active_experts(
-        counts, prefetched, resident=resident, adjust=adjust
-    )
-    prefetched_set = set(prefetched)
-    return [
-        ExpertWork(
-            expert=e,
-            tokens=float(counts[e]) * scale,
-            prefetched=e in prefetched_set,
-            resident=e in resident,
-        )
-        for e in order
-    ]
-
-
-def cold_transfer_order(
-    counts: np.ndarray, prefetched: list[int], resident: set[int] = frozenset()
-) -> list[int]:
-    """Activated experts that need on-demand transfers, in issue order."""
-    skip = set(prefetched) | set(resident)
-    return [int(e) for e in np.nonzero(counts)[0] if int(e) not in skip]

@@ -233,12 +233,9 @@ class _Decisions:
     block of op ids from its first op. Memory effects are flat
     ``(op, kind, key)`` columns in attachment order, where a key is a
     weight index or ``len(tids) + i`` for the i-th ``extra`` tensor (KV
-    growth, the resident blob); an effect on op -1 stands for the frees
-    of the layer its key numbers. A layer frees every weight still ready
-    at its end in this order: its experts (each after its op in
-    expert-major order; batch-major, after its last op in op order, then
-    the unrouted ones by id), its attention and gate after their last
-    op, then the leftover experts by id at the layer tail.
+    growth, the resident blob). Decide appends each layer's frees in
+    release order when the layer ends (see
+    :meth:`PipelineBuilder._free_ready`).
     """
 
     def __init__(self, start: int):
@@ -270,10 +267,7 @@ class _Decisions:
         # expert, deps, token count, scale).
         self.gpu_experts: list[tuple] = []
         self.cpu: list[tuple] = []
-        # Per layer: (weights still ready at its end, layer, last attention
-        # op, last gate op, tail op, expert block (-1: none)).
-        self.frees: list[tuple] = []
-        # Memory effects, flat; op -1 marks the next layer's frees.
+        # Memory effects, flat.
         self.ev_op: list[int] = []
         self.ev_kind: list[int] = []
         self.ev_key: list[int] = []
@@ -718,31 +712,65 @@ class PipelineBuilder:
         d.nops = gate_base + n
         self._last_compute = last_gate
 
-        block = -1
+        last_ops = None
         if model.is_dense:
             expert_ops = ()
         elif features.cpu_experts:
             expert_ops = self._decide_cpu_experts(step, routing, gate_base)
         else:
-            block, expert_ops = self._decide_experts(step, routing, gate_base)
-        # Every weight still ready is freed within the layer (see _Decisions).
-        d.frees.append((
-            ready, layer, first_attn + m * (n - 1), last_gate,
-            expert_ops[-1] if expert_ops else last_gate, block,
-        ))
-        d.ev_op.append(-1)
-        d.ev_kind.append(EV_FREE)
-        d.ev_key.append(len(d.frees) - 1)
+            last_ops, expert_ops = self._decide_experts(step, routing, gate_base)
+        if ready:
+            self._free_ready(
+                ready, wb, first_attn + m * (n - 1), last_gate,
+                expert_ops[-1] if expert_ops else last_gate, last_ops,
+            )
         self._ready = {}
         return expert_ops or range(gate_base, gate_base + n)
 
+    def _free_ready(self, ready, wb: int, last_attn: int, last_gate: int, tail: int, last_ops):
+        """Free every weight still ready at the end of the layer whose
+        weights start at ``wb``, in release order: routed experts after
+        their last op (``last_ops``: expert -> op, None without an expert
+        block), batch-major's unrouted loaded experts by id, the
+        attention, the gate, then any leftover experts by id at the
+        layer ``tail``."""
+        ew = wb + 2
+        if last_ops:
+            routed = [e for e in last_ops if ew + e in ready]
+            if self.n > 1 and not self.features.adjust_order:
+                # Batch-major: an expert's last op is in the last batch
+                # routing to it, not where the expert first appears.
+                routed.sort(key=last_ops.__getitem__)
+            ops = list(map(last_ops.__getitem__, routed))
+            ws = [ew + e for e in routed]
+            experts = [w for w in ready if w >= ew and w - ew not in last_ops]
+        else:
+            ws, ops = [], []
+            experts = [w for w in ready if w >= ew]
+        experts.sort()
+        if experts and last_ops is not None and not self.features.adjust_order:
+            ws += experts
+            ops += [tail] * len(experts)
+            experts = ()
+        if wb in ready:
+            ws.append(wb)
+            ops.append(last_attn)
+        if wb + 1 in ready:
+            ws.append(wb + 1)
+            ops.append(last_gate)
+        if experts:
+            ws += experts
+            ops += [tail] * len(experts)
+        self._d.effect(EV_FREE, ops, ws)
+
     def _decide_experts(self, step: int, routing: LayerRouting, gate_base: int):
-        """Decide one MoE layer's GPU experts; returns ``(block, ops)``.
+        """Decide one MoE layer's GPU experts; returns ``(last_ops, ops)``,
+        ``last_ops`` mapping each routed expert to its last op.
 
         Records the layer's expert block — its order (expert-major) or
         nothing more than its routing (batch-major: one op per routed
         (batch, expert) pair) — with the transfers ready for it, so
-        materialize derives durations, dependencies and frees.
+        materialize derives durations and dependencies.
         """
         model, features = self.model, self.features
         layer = routing.layer
@@ -756,16 +784,22 @@ class PipelineBuilder:
         if features.hot_prefetch:
             self._cold_transfers(stats, resident.union(predicted), layer, gate_base)
         self._duration_table(routing)  # sized for materialize
+        d = self._d
+        base = d.nops
         if features.adjust_order:
             order = ordered_active_experts(
                 stats.totals, predicted, resident=resident, adjust=True
             )
-            count = len(order)
+            experts = order
         else:
             order = None
-            count = len(stats.pairs)
-        d = self._d
-        base = d.nops
+            # One op per routed pair ``b * E + e``; a later pair of the
+            # same expert overwrites its last op.
+            experts = stats.pairs
+            if self.n > 1:
+                experts = [p % model.num_experts for p in experts]
+        count = len(experts)
+        last_ops = dict(zip(experts, range(base, base + count)))
         nod = self._last_transfer
         d.experts.append((
             base, layer, step, gate_base, routing.scale, stats, order, self._ready,
@@ -774,7 +808,7 @@ class PipelineBuilder:
         d.nops += count
         if count:
             self._last_compute = d.nops - 1
-        return len(d.experts) - 1, range(base, d.nops)
+        return last_ops, range(base, d.nops)
 
     def _gates(self, stats, e: int, gate_base: int) -> tuple[int, ...]:
         """Gate ops of the batches that routed tokens to active expert
@@ -865,14 +899,13 @@ class PipelineBuilder:
             )
         total = d.nops - d.start
         ids = list(range(d.start, d.nops))  # one int object per op id
-        blocks = self._expert_blocks(d) if d.experts else None
         families = [
             rows
             for rows in (
                 self._unit_rows(d, ids),
                 self._single_rows(d),
                 self._transfer_rows(d),
-                self._expert_rows(d, blocks, ids),
+                self._expert_rows(d, ids),
                 self._gpu_expert_rows(d),
                 self._cpu_rows(d, ids),
             )
@@ -887,8 +920,7 @@ class PipelineBuilder:
             np.concatenate([f[i] for f in families])[order] for i in range(1, 9)
         )
         deps = list(chain.from_iterable(f[9] for f in families))
-        ev_op, ev_kind, keys = self._effect_rows(d, blocks)
-        keys = keys.tolist()
+        keys = d.ev_key
         # Equal durations, op ids and byte counts share one Python object,
         # as they do when ops are authored one by one.
         palette, index = np.unique(dur, return_inverse=True)
@@ -908,8 +940,8 @@ class PipelineBuilder:
             _PHASES[phases].tolist(),
             batches.tolist(),
             effects=(
-                list(map(ids.__getitem__, (ev_op - d.start).tolist())),
-                ev_kind.tolist(),
+                list(map(ids.__getitem__, (np.array(d.ev_op) - d.start).tolist())),
+                d.ev_kind,
                 ["vram"] * len(keys),
                 list(map((self._tids + d.extra_tids).__getitem__, keys)),
                 list(map(nbytes.__getitem__, keys)),
@@ -1071,7 +1103,7 @@ class PipelineBuilder:
         position = np.arange(len(experts)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         return block, position, experts, batches, tokens, counts
 
-    def _expert_rows(self, d: _Decisions, blocks, ids: list[int]) -> tuple | None:
+    def _expert_rows(self, d: _Decisions, ids: list[int]) -> tuple | None:
         """GPU expert ops of every expert block, with their dependencies.
 
         Durations come from the builder's per-``scale`` duration tables;
@@ -1079,9 +1111,9 @@ class PipelineBuilder:
         expert's transfer if one is in flight and, without overlap, the
         last transfer issued before it — sorted, as the ops are issued.
         """
-        if blocks is None:
+        if not d.experts:
             return None
-        block, position, experts, batches, tokens, counts = blocks
+        block, position, experts, batches, tokens, counts = self._expert_blocks(d)
         bases, layers, steps, gate_bases, scales, _, orders, readies, nods = zip(*d.experts)
         bases, layers, steps, gate_bases, nods = (
             np.array(c, dtype=np.int64) for c in (bases, layers, steps, gate_bases, nods)
@@ -1164,65 +1196,4 @@ class PipelineBuilder:
                 for op, first in zip(bases, deps)
                 for dep in (first, (ids[op - d.start],), (ids[op + 1 - d.start],))
             ],
-        )
-
-    def _free_rows(self, d: _Decisions, blocks) -> tuple:
-        """Every layer's frees in attachment order (see :class:`_Decisions`):
-        ``(layer record, op, weight)`` arrays."""
-        readies, layers, last_attn, last_gate, tails, of_blocks = zip(*d.frees)
-        counts = [len(r) for r in readies]
-        owner = np.repeat(np.arange(len(readies)), counts)
-        ws = np.fromiter(chain.from_iterable(readies), dtype=np.int64, count=sum(counts))
-        slot = ws - np.asarray(layers, dtype=np.int64)[owner] * self._stride
-        expert = slot - 2
-        ops = np.asarray(tails, dtype=np.int64)[owner]
-        # Sort keys: (0, position) expert frees, 1 attention, 2 gate,
-        # (3, expert id) leftovers at the layer tail.
-        group = np.full(len(ws), 3, dtype=np.int64)
-        rank = expert.copy()
-        attn, gate = slot == 0, slot == 1
-        group[attn], group[gate] = 1, 2
-        ops[attn] = np.asarray(last_attn, dtype=np.int64)[owner[attn]]
-        ops[gate] = np.asarray(last_gate, dtype=np.int64)[owner[gate]]
-        if blocks is not None:
-            block, position, experts, _, _, _ = blocks
-            # Position of each expert's (last) op in its block; -1: none.
-            last = np.full((len(d.experts), self._stride), -1, dtype=np.int64)
-            np.maximum.at(last, (block, experts), position)
-            of_block = np.asarray(of_blocks, dtype=np.int64)[owner]
-            in_block = (of_block >= 0) & (slot >= 2)
-            pos = np.full(len(ws), -1, dtype=np.int64)
-            pos[in_block] = last[of_block[in_block], expert[in_block]]
-            routed = pos >= 0
-            group[routed], rank[routed] = 0, pos[routed]
-            bases = np.array([b[0] for b in d.experts], dtype=np.int64)
-            ops[routed] = bases[of_block[routed]] + pos[routed]
-            if d.experts[0][6] is None:
-                # Batch-major frees unrouted loaded experts after the
-                # routed ones, ahead of the attention and gate.
-                idle = in_block & ~routed
-                group[idle], rank[idle] = 0, len(position) + expert[idle]
-        order = np.lexsort((rank, group, owner))
-        return owner[order], ops[order], ws[order]
-
-    def _effect_rows(self, d: _Decisions, blocks) -> tuple:
-        """The memory-effect stream in attachment order as op, kind and
-        key arrays, each layer's frees expanded in place of its marker."""
-        ops = np.array(d.ev_op, dtype=np.int64)
-        kinds = np.array(d.ev_kind, dtype=np.int64)
-        keys = np.array(d.ev_key, dtype=np.int64)
-        marker = ops < 0
-        if not marker.any():
-            return ops, kinds, keys
-        owner, free_ops, free_ws = self._free_rows(d, blocks)
-        # Frees sort into their layer marker's place (owners ascend with
-        # the markers), then the markers drop out.
-        position = np.concatenate([
-            np.flatnonzero(~marker), np.flatnonzero(marker)[owner]
-        ])
-        order = np.argsort(position, kind="stable")
-        return (
-            np.concatenate([ops[~marker], free_ops])[order],
-            np.concatenate([kinds[~marker], np.full(len(owner), EV_FREE)])[order],
-            np.concatenate([keys[~marker], free_ws])[order],
         )

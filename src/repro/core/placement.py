@@ -10,8 +10,8 @@ Placement policy, in paper order:
    ("Further Use Memory", Figure 12's green line).
 2. DRAM is prioritized for experts, because gate-selected experts must be
    fetched on demand with the lowest possible latency.
-3. Overflow goes to disk, with a sliding window of ``staging_window`` layers
-   staged disk -> DRAM ahead of use over the otherwise idle disk link.
+3. Overflow goes to disk; the pipeline builder issues each spilled
+   weight's disk -> DRAM read just before its DRAM -> VRAM transfer.
 4. ``pin_memory`` is used when DRAM has headroom, speeding CPU-GPU copies.
 
 Accounting note: the *weight buffer* part of the working set (double-
@@ -44,7 +44,6 @@ class PlacementPlan:
     location: dict[str, str]
     kv_level: str
     pinned: bool
-    staging_window: int
     working_reserve_bytes: int  # full reserve used when budgeting residency
     activation_reserve_bytes: int  # statically charged part (acts + KV staging)
     resident_bytes: int = 0
@@ -69,7 +68,6 @@ class PlacementConfig:
     use_spare_vram: bool = True  # False = "Complete Offloading" (Fig 12 blue)
     prefetch_k: int = 2
     bytes_factor: float = 1.0  # quantization shrinks transfers and buffers
-    staging_window: int = 4
     # DRAM kept free for the OS / pinned-buffer headroom.
     dram_reserve_fraction: float = 0.05
 
@@ -196,7 +194,6 @@ def plan_placement(
         location=location,
         kv_level=kv_level,
         pinned=pinned,
-        staging_window=config.staging_window,
         working_reserve_bytes=ws.total,
         activation_reserve_bytes=activation_reserve,
         resident_bytes=resident_bytes,

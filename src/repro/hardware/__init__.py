@@ -1,14 +1,11 @@
-"""Simulated hardware: specs, memory hierarchy, and the cost model."""
+"""Simulated hardware: specs and the cost model."""
 
 from repro.hardware.costmodel import CostModel, OpCost
-from repro.hardware.memory import MemoryHierarchy, MemoryPool
 from repro.hardware.spec import ENV1, ENV2, ENVIRONMENTS, ComputeSpec, HardwareSpec, LinkSpec
 
 __all__ = [
     "CostModel",
     "OpCost",
-    "MemoryHierarchy",
-    "MemoryPool",
     "ENV1",
     "ENV2",
     "ENVIRONMENTS",

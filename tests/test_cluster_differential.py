@@ -14,6 +14,7 @@ replayable ``RunConfig`` JSON blob.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -25,7 +26,7 @@ from repro.api import RunConfig, canonical_json, router_names, stable_hash
 from repro.api import run_cluster as api_run_cluster
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.cluster.engines import ENGINES
-from repro.errors import ReproDeprecationWarning
+from repro.errors import ConfigValidationError, ReproDeprecationWarning
 from repro.serving.server import BatchingConfig
 from repro.validation import diff_cluster_reports, run_cluster_differential
 from repro.validation.cluster_differential import CLUSTER_ENGINES
@@ -261,7 +262,7 @@ def test_float_rounding_boundary_regression():
 
 
 def test_deprecated_sharded_engine_and_jobs_warn_and_match_batched():
-    """``engine="sharded"`` and ``jobs != 1`` warn, then run ``batched``."""
+    """``jobs != 1`` warns, then runs ``batched`` unchanged."""
     config = _run_config(
         router="round-robin", arrival="poisson", replicas=4, requests=400,
         rate=200.0, max_wait=1.0, batch_size=8, group_batches=2, seed=3,
@@ -271,9 +272,6 @@ def test_deprecated_sharded_engine_and_jobs_warn_and_match_batched():
     stream = api_build_requests(config)
     batched = api_run_cluster(config, requests=stream, engine="batched")
     expected = canonical_json(batched.to_dict())
-    with pytest.warns(ReproDeprecationWarning, match="sharded"):
-        sharded = api_run_cluster(config, requests=stream, engine="sharded")
-    assert canonical_json(sharded.to_dict()) == expected
     with pytest.warns(ReproDeprecationWarning, match="jobs"):
         pooled = api_run_cluster(
             config, requests=stream, engine="batched", jobs=2
@@ -291,3 +289,24 @@ def test_deprecated_sharded_engine_and_jobs_warn_and_match_batched():
         warnings.simplefilter("error", ReproDeprecationWarning)
         report = api_run_cluster(RunConfig.from_dict(tree), requests=stream)
     assert canonical_json(report.to_dict()) == expected
+
+
+def test_sharded_engine_is_rejected():
+    """The retired ``sharded`` engine fails config validation, naming the
+    engines there are, and fails ``run_cluster`` as an unknown engine on
+    every dispatch loop."""
+    config = _run_config(
+        router="round-robin", arrival="poisson", replicas=1, requests=4,
+        rate=10.0, max_wait=1.0, batch_size=2, group_batches=1, seed=3,
+    )
+    tree = config.to_dict()
+    tree["cluster"]["engine"] = "sharded"
+    with pytest.raises(ConfigValidationError) as err:
+        RunConfig.from_dict(tree)
+    assert f"cluster.engine: must be one of: {', '.join(ENGINES)}" in str(err.value)
+    continuous = dataclasses.replace(
+        config, cluster=dataclasses.replace(config.cluster, scheduler="continuous")
+    )
+    for run in (config, continuous):
+        with pytest.raises(ValueError, match="unknown cluster engine 'sharded'"):
+            api_run_cluster(run, engine="sharded")

@@ -142,7 +142,6 @@ def _fixed_placement(scenario: Scenario, level_of, kv_level: str) -> PlacementPl
         location={spec.tensor_id: level_of(spec) for spec in scenario.inventory()},
         kv_level=kv_level,
         pinned=False,
-        staging_window=2,
         working_reserve_bytes=0,
         activation_reserve_bytes=1 << 20,
         resident_bytes=1 << 24,

@@ -1,108 +1,98 @@
-"""Memory pools and the three-level hierarchy."""
+"""Memory accounting: the executor's replay of a schedule's alloc/free
+effects, checked on both engines."""
 
 import pytest
 
 from repro.errors import OutOfMemoryError
-from repro.hardware.memory import DRAM, VRAM, MemoryHierarchy, MemoryPool
 from repro.hardware.spec import ENV1
+from repro.runtime.executor import Executor, ExecutorConfig
+from repro.runtime.schedule import MemEffect, Schedule
+from repro.validation import check_timeline
+from tests.test_executor import make_hw
+
+ENGINES = ("compiled", "legacy")
+
+
+def _schedule(*effects) -> Schedule:
+    """One 1 s GPU op per ``(allocs, frees)`` entry, back to back; each is
+    a ``{tensor: nbytes}`` map on the ``vram`` pool (allocs land at the
+    op's start, frees at its end)."""
+    s = Schedule()
+    for allocs, frees in effects:
+        s.compute(
+            1.0,
+            "op",
+            allocs=[MemEffect("vram", t, nb) for t, nb in allocs.items()],
+            frees=[MemEffect("vram", t, nb) for t, nb in frees.items()],
+        )
+    return s
+
+
+def _run(schedule: Schedule, engine: str, hw=None, **kw):
+    return Executor(hw or make_hw(), ExecutorConfig(engine=engine)).run(schedule, **kw)
 
 
 class TestMemoryPool:
     def test_alloc_and_free_roundtrip(self):
-        pool = MemoryPool("vram", 100)
-        pool.alloc("a", 60)
-        assert pool.used == 60
-        assert pool.free == 40
-        assert pool.free_tensor("a") == 60
-        assert pool.used == 0
+        for engine in ENGINES:
+            t = _run(_schedule(({"a": 60}, {}), ({}, {"a": 60})), engine)
+            assert t.memory_at("vram", 0.5) == 60
+            assert t.memory_at("vram", 2.5) == 0
 
     def test_oom_raises_with_details(self):
-        pool = MemoryPool("vram", 100)
-        pool.alloc("a", 80)
-        with pytest.raises(OutOfMemoryError) as err:
-            pool.alloc("b", 30)
-        assert err.value.pool == "vram"
-        assert err.value.requested == 30
-        assert err.value.available == 20
+        s = _schedule(({"a": 80}, {}), ({"b": 30}, {}))
+        for engine in ENGINES:
+            with pytest.raises(OutOfMemoryError) as err:
+                _run(s, engine, capacities={"vram": 100})
+            assert err.value.pool == "vram"
+            assert err.value.requested == 30
+            assert err.value.available == 20
 
     def test_oom_leaves_state_unchanged(self):
-        pool = MemoryPool("vram", 100)
-        pool.alloc("a", 80)
-        with pytest.raises(OutOfMemoryError):
-            pool.alloc("b", 30)
-        assert pool.used == 80
-        assert not pool.contains("b")
-
-    def test_double_alloc_rejected(self):
-        pool = MemoryPool("p", 100)
-        pool.alloc("a", 10)
-        with pytest.raises(ValueError):
-            pool.alloc("a", 10)
+        """An OOM aborts the replay only: the schedule and the executor
+        run again unchanged once the pool has room."""
+        s = _schedule(({"a": 80}, {}), ({"b": 30}, {}))
+        for engine in ENGINES:
+            executor = Executor(make_hw(), ExecutorConfig(engine=engine))
+            with pytest.raises(OutOfMemoryError):
+                executor.run(s, capacities={"vram": 100})
+            t = executor.run(s, capacities={"vram": 110})
+            assert t.memory_peak["vram"] == 110
+            assert t.memory_usage["vram"] == [(0.0, 80), (1.0, 110)]
 
     def test_free_unknown_rejected(self):
-        pool = MemoryPool("p", 100)
-        with pytest.raises(KeyError):
-            pool.free_tensor("ghost")
+        s = _schedule(({}, {"ghost": 10}))
+        for engine in ENGINES:
+            violations = check_timeline(s, _run(s, engine))
+            assert [v.invariant for v in violations] == ["memory-conservation"]
 
     def test_peak_tracks_high_water_mark(self):
-        pool = MemoryPool("p", 100)
-        pool.alloc("a", 70)
-        pool.free_tensor("a")
-        pool.alloc("b", 30)
-        assert pool.peak == 70
-        assert pool.used == 30
+        s = _schedule(({"a": 70}, {"a": 70}), ({"b": 30}, {}))
+        for engine in ENGINES:
+            t = _run(s, engine)
+            assert t.memory_peak["vram"] == 70
+            assert t.memory_at("vram", 1.5) == 30
 
     def test_usage_timeline_records_events(self):
-        pool = MemoryPool("p", 100)
-        pool.alloc("a", 10, time=1.0)
-        pool.free_tensor("a", time=2.0)
-        assert pool.usage_timeline == [(1.0, 10), (2.0, 0)]
-
-    def test_negative_alloc_rejected(self):
-        pool = MemoryPool("p", 100)
-        with pytest.raises(ValueError):
-            pool.alloc("a", -1)
+        s = _schedule(({}, {}), ({"a": 10}, {"a": 10}))
+        for engine in ENGINES:
+            assert _run(s, engine).memory_usage["vram"] == [(1.0, 10), (2.0, 0)]
 
     def test_zero_capacity_pool(self):
-        pool = MemoryPool("p", 0)
-        with pytest.raises(OutOfMemoryError):
-            pool.alloc("a", 1)
-        pool.alloc("b", 0)  # zero-byte allocs are fine
-
-    def test_live_tensors_and_reset(self):
-        pool = MemoryPool("p", 100)
-        pool.alloc("a", 10)
-        pool.alloc("b", 20)
-        assert sorted(pool.live_tensors()) == ["a", "b"]
-        pool.reset()
-        assert pool.used == 0
-        assert pool.live_tensors() == []
+        for engine in ENGINES:
+            with pytest.raises(OutOfMemoryError):
+                _run(_schedule(({"a": 1}, {})), engine, capacities={"vram": 0})
+            # zero-byte allocs are fine
+            _run(_schedule(({"b": 0}, {})), engine, capacities={"vram": 0})
 
 
 class TestMemoryHierarchy:
     def test_from_spec_sizes(self):
-        h = MemoryHierarchy.from_spec(ENV1)
-        assert h.vram.capacity == ENV1.usable_vram()
-        assert h.dram.capacity == ENV1.dram_bytes
-        assert h.disk.capacity == ENV1.disk_bytes
-
-    def test_location_lookup(self):
-        h = MemoryHierarchy.from_spec(ENV1)
-        h.dram.alloc("expert.0.1", 100)
-        assert h.location_of("expert.0.1") == DRAM
-        assert h.location_of("missing") is None
-
-    def test_pool_accessor_and_total(self):
-        h = MemoryHierarchy.from_spec(ENV1)
-        h.pool(VRAM).alloc("x", 5)
-        h.pool(DRAM).alloc("y", 7)
-        assert h.total_used() == 12
-        with pytest.raises(KeyError):
-            h.pool("l2")
-
-    def test_reset_clears_all_levels(self):
-        h = MemoryHierarchy.from_spec(ENV1)
-        h.vram.alloc("x", 5)
-        h.disk.alloc("y", 5)
-        h.reset()
-        assert h.total_used() == 0
+        """Without overrides the VRAM capacity is the spec's usable VRAM."""
+        usable = ENV1.usable_vram()
+        for engine in ENGINES:
+            t = _run(_schedule(({"a": usable}, {})), engine, hw=ENV1)
+            assert t.memory_peak["vram"] == usable
+            with pytest.raises(OutOfMemoryError) as err:
+                _run(_schedule(({"a": usable + 1}, {})), engine, hw=ENV1)
+            assert err.value.available == usable

@@ -69,7 +69,6 @@ class TestPlacementInteraction:
             location=location,
             kv_level="vram",
             pinned=True,
-            staging_window=0,
             working_reserve_bytes=0,
             activation_reserve_bytes=0,
             resident_bytes=0,
@@ -88,7 +87,6 @@ class TestPlacementInteraction:
             location=location,
             kv_level="dram",
             pinned=False,
-            staging_window=2,
             working_reserve_bytes=0,
             activation_reserve_bytes=0,
         )

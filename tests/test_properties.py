@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.compression.quantization import QuantConfig, dequantize, quantize
-from repro.core.ordering import order_experts
+from repro.core.ordering import ordered_active_experts
 from repro.errors import OutOfMemoryError
-from repro.hardware.memory import MemoryPool
 from repro.model.layers import softmax
 from repro.model.moe import top_k_gate
 from repro.routing.popularity import zipf_weights
 from repro.routing.trace import expert_token_counts, hot_experts
-from repro.runtime.executor import Executor
-from repro.runtime.schedule import GPU, H2D, Schedule
+from repro.runtime.executor import Executor, ExecutorConfig
+from repro.runtime.schedule import GPU, H2D, MemEffect, Schedule
 from tests.test_executor import make_hw
 
 finite_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -81,20 +80,28 @@ class TestMemoryPoolProperties:
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 100)), max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_used_never_negative_nor_above_capacity(self, ops):
-        pool = MemoryPool("p", 500)
+        """The executor's memory replay either stops at the first
+        allocation past capacity or keeps every level within it."""
+        s = Schedule()
         live = []
         for is_alloc, size in ops:
             if is_alloc:
-                tid = f"t{len(pool.usage_timeline)}"
-                try:
-                    pool.alloc(tid, size)
-                    live.append(tid)
-                except OutOfMemoryError:
-                    pass
+                tid = f"t{len(s)}"
+                s.compute(1.0, tid, allocs=[MemEffect("vram", tid, size)])
+                live.append((tid, size))
             elif live:
-                pool.free_tensor(live.pop())
-            assert 0 <= pool.used <= pool.capacity
-            assert pool.peak >= pool.used
+                tid, size = live.pop()
+                s.compute(1.0, "free", frees=[MemEffect("vram", tid, size)])
+        for engine in ("compiled", "legacy"):
+            executor = Executor(make_hw(), ExecutorConfig(engine=engine))
+            try:
+                t = executor.run(s, capacities={"vram": 500})
+            except OutOfMemoryError as exc:
+                assert exc.requested > exc.available
+                continue
+            levels = [level for _, level in t.memory_usage.get("vram", [])]
+            assert all(0 <= level <= 500 for level in levels)
+            assert t.memory_peak.get("vram", 0) == max(levels, default=0)
 
 
 class TestExecutorProperties:
@@ -167,13 +174,11 @@ class TestOrderingProperties:
         prefetched = data.draw(
             st.lists(st.integers(0, n - 1), unique=True, max_size=n)
         )
-        order = order_experts(counts, prefetched)
-        ids = [w.expert for w in order]
-        assert sorted(ids) == sorted(int(e) for e in np.nonzero(counts)[0])
-        # Hot/resident experts always precede cold ones.
-        hot_zone = True
-        for w in order:
-            if not (w.prefetched or w.resident):
-                hot_zone = False
-            elif not hot_zone:
-                pytest.fail("hot expert after cold expert")
+        order = ordered_active_experts(counts, prefetched)
+        assert sorted(order) == [int(e) for e in np.nonzero(counts)[0]]
+        # Prefetched experts always precede cold ones, which keep their
+        # ascending-id transfer order.
+        hot = [e in prefetched for e in order]
+        assert hot == sorted(hot, reverse=True)
+        cold = [e for e in order if e not in prefetched]
+        assert cold == sorted(cold)

@@ -80,6 +80,31 @@ class TestCLICoverage:
         out = capsys.readouterr().out
         assert "Throughput vs n" in out
 
+    def test_sweep_and_profile_build_the_configured_system(self, capsys):
+        assert main([
+            "sweep-n", "--batch-size", "4", "--gen-len", "2",
+            "--n-min", "2", "--n-max", "2", "--set", "system.name=flexgen",
+        ]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[-1].split()[0] == "flexgen"
+        assert main([
+            "profile", "--model", "switch-base-8", "--batch-size", "2",
+            "--gen-len", "2", "--n", "2", "--set", "system.name=flexgen",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "system=flexgen" in out
+        assert "system=klotski" not in out
+
+    def test_serve_flag_defaults_come_from_the_schema(self):
+        """``serve`` with no flags describes the default cluster and
+        serve sections, field for field."""
+        from repro.api import ClusterConfig, ServeConfig
+        from repro.cli import _serve_config, build_parser
+
+        config = _serve_config(build_parser().parse_args(["serve"]))
+        assert config.cluster == ClusterConfig()
+        assert config.serve == ServeConfig()
+
     def test_run_quantized(self, capsys):
         code = main([
             "run", "--batch-size", "4", "--gen-len", "2", "--n", "2",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.engine import KlotskiSystem
-from repro.errors import ReproDeprecationWarning
 from repro.obs.export import chrome_trace, save_trace
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.schedule import GPU
@@ -77,8 +76,7 @@ class TestCLI:
     def test_parser_has_all_subcommands(self):
         parser = build_parser()
         text = parser.format_help()
-        for command in ("plan", "calibrate", "run", "compare", "sweep-n",
-                        "export-trace"):
+        for command in ("plan", "calibrate", "run", "compare", "sweep-n"):
             assert command in text
 
     def test_plan_command(self, capsys):
@@ -103,27 +101,6 @@ class TestCLI:
         )
         out = capsys.readouterr().out
         assert "tok/s" in out
-
-    def test_export_trace_command(self, capsys, tmp_path):
-        out_path = tmp_path / "t.json"
-        with pytest.warns(ReproDeprecationWarning, match="run --n N --trace"):
-            code = main([
-                "export-trace", "--batch-size", "4", "--gen-len", "2",
-                "--n", "2", "--out", str(out_path),
-            ])
-        assert code == 0
-        assert out_path.exists()
-        run_path = tmp_path / "run.json"
-        assert main([
-            "run", "--batch-size", "4", "--gen-len", "2",
-            "--n", "2", "--trace", str(run_path),
-        ]) == 0
-
-        def simulated(path):
-            events = json.loads(path.read_text())["traceEvents"]
-            return [e for e in events if e["pid"] == 0]
-
-        assert simulated(out_path) == simulated(run_path)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
