@@ -793,8 +793,9 @@ class PipelineBuilder:
             experts = order
         else:
             order = None
-            # One op per routed pair ``b * E + e``; a later pair of the
-            # same expert overwrites its last op.
+            # One op per routed pair ``b * E + e`` (the expert id itself
+            # with one batch); a later pair of the same expert overwrites
+            # its last op.
             experts = stats.pairs
             if self.n > 1:
                 experts = [p % model.num_experts for p in experts]
