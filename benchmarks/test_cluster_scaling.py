@@ -18,15 +18,11 @@ from conftest import record_report
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.hardware.spec import ENV1
 from repro.model.config import MIXTRAL_8X7B
-from repro.serving import (
-    ArrivalConfig,
-    BatchingConfig,
-    assign_hot_experts,
-    generate_requests,
-)
+from repro.routing.workload import Workload
+from repro.serving import ArrivalConfig, assign_hot_experts, generate_requests
 
-BATCHING = BatchingConfig(batch_size=8, group_batches=2, max_wait_s=60.0)
 GEN_LEN = 8
+WORKLOAD = Workload(8, 2, prompt_len=512, gen_len=GEN_LEN)  # groups of 8 × 2
 
 
 def _skewed_requests(count: int, rate: float, seed: int = 3):
@@ -43,11 +39,9 @@ def _skewed_requests(count: int, rate: float, seed: int = 3):
 
 
 def _simulate(n_replicas: int, router: str, requests):
-    replicas = build_cluster(
-        MIXTRAL_8X7B, [ENV1] * n_replicas, BATCHING, gen_len=GEN_LEN
-    )
+    replicas = build_cluster(MIXTRAL_8X7B, [ENV1] * n_replicas, WORKLOAD)
     simulator = ClusterSimulator(
-        replicas, make_router(router), ClusterConfig(slo_s=240.0)
+        replicas, make_router(router), ClusterConfig(slo_s=240.0, max_wait_s=60.0)
     )
     return simulator.run(requests)
 

@@ -27,7 +27,7 @@ from repro.compression.sparse_attention import SparseAttentionConfig
 from repro.core.engine import KlotskiOptions, KlotskiSystem
 from repro.model.config import MIXTRAL_8X7B
 from repro.model.evaluation import compare_compression
-from repro.serving import ArrivalConfig, BatchingConfig, generate_requests
+from repro.serving import ArrivalConfig, generate_requests
 
 
 class TestFutureWorkSparseKV:
@@ -129,17 +129,20 @@ class TestServing:
                 # One machine is a one-replica group fleet. The wait bound
                 # is load-matched: partial groups dispatch at the deadline
                 # proper (not at the next arrival), so an oversized bound
-                # would idle the tail.
-                batching = BatchingConfig(
-                    batch_size=8, group_batches=group_batches, max_wait_s=30.0
-                )
+                # would idle the tail. The scenario's workload is the
+                # replica's group shape: groups of 8 × group_batches.
                 replica = Replica(
-                    0, scenario, KlotskiSystem(), batching, prompt_quantum=1
+                    0,
+                    scenario.with_workload(
+                        scenario.workload.with_batches(group_batches)
+                    ),
+                    KlotskiSystem(),
+                    prompt_quantum=1,
                 )
                 simulator = ClusterSimulator(
                     [replica],
                     RoundRobinRouter(),
-                    ClusterConfig(partition_experts=False),
+                    ClusterConfig(partition_experts=False, max_wait_s=30.0),
                 )
                 reports[group_batches] = simulator.run(requests)
             return reports

@@ -12,20 +12,18 @@ Usage::
 
 import sys
 
+from repro import Workload
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.hardware.spec import ENV1
 from repro.model.config import MIXTRAL_8X7B
-from repro.serving import (
-    ArrivalConfig,
-    BatchingConfig,
-    assign_hot_experts,
-    generate_requests,
-)
+from repro.serving import ArrivalConfig, assign_hot_experts, generate_requests
 
 
 def main() -> None:
     n_replicas = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    batching = BatchingConfig(batch_size=8, group_batches=2, max_wait_s=60.0)
+    # Groups of 8 × 2 requests; 512-token prompts and 8 generated tokens
+    # calibrate each replica's residency.
+    workload = Workload(8, 2, prompt_len=512, gen_len=8)
     requests = generate_requests(
         ArrivalConfig(
             rate_per_s=12.0, prompt_len_mean=512, prompt_len_spread=0.0,
@@ -42,9 +40,7 @@ def main() -> None:
     )
     print(f"{'router':<20} {'tok/s':>7} {'goodput':>8} {'p99 lat':>8} {'misses':>7}")
     for name in ("round-robin", "least-outstanding", "expert-affinity"):
-        replicas = build_cluster(
-            MIXTRAL_8X7B, [ENV1] * n_replicas, batching, gen_len=8
-        )
+        replicas = build_cluster(MIXTRAL_8X7B, [ENV1] * n_replicas, workload)
         simulator = ClusterSimulator(
             replicas, make_router(name), ClusterConfig(slo_s=240.0)
         )

@@ -15,23 +15,26 @@ from repro import KlotskiSystem, Scenario, Workload
 from repro.cluster import ClusterConfig, ClusterSimulator, Replica, RoundRobinRouter
 from repro.hardware.spec import ENV1
 from repro.model.config import MIXTRAL_8X7B
-from repro.serving import ArrivalConfig, BatchingConfig, generate_requests
+from repro.serving import ArrivalConfig, generate_requests
 
 
-def serve(scenario, batching, requests):
-    """One machine is a one-replica group fleet (exact group timings)."""
-    replica = Replica(0, scenario, KlotskiSystem(), batching, prompt_quantum=1)
+def serve(scenario, requests):
+    """One machine is a one-replica group fleet (exact group timings).
+
+    The scenario's workload is the group shape: groups of
+    ``batch_size × num_batches`` requests.
+    """
+    replica = Replica(0, scenario, KlotskiSystem(), prompt_quantum=1)
     simulator = ClusterSimulator(
-        [replica], RoundRobinRouter(), ClusterConfig(partition_experts=False)
+        [replica],
+        RoundRobinRouter(),
+        ClusterConfig(partition_experts=False, max_wait_s=30.0),
     )
     return simulator.run(requests)
 
 
 def main() -> None:
     rate = float(sys.argv[1]) if len(sys.argv) > 1 else 2.0
-    scenario = Scenario(
-        MIXTRAL_8X7B, ENV1, Workload(8, 1, prompt_len=512, gen_len=8), seed=0
-    )
     requests = generate_requests(
         ArrivalConfig(
             rate_per_s=rate, prompt_len_mean=512, prompt_len_spread=0.0,
@@ -42,10 +45,8 @@ def main() -> None:
     print(f"serving 48 requests arriving at {rate:.1f} req/s on {ENV1.name}\n")
     print(f"{'group size':>10} {'tok/s':>8} {'mean lat':>10} {'p50':>8} {'p95':>8} {'queue':>8}")
     for group_batches in (1, 2, 4, 8):
-        batching = BatchingConfig(
-            batch_size=8, group_batches=group_batches, max_wait_s=30.0
-        )
-        report = serve(scenario, batching, requests)
+        workload = Workload(8, group_batches, prompt_len=512, gen_len=8)
+        report = serve(Scenario(MIXTRAL_8X7B, ENV1, workload, seed=0), requests)
         mean_queue = sum(r.queueing_s for r in report.records) / len(report.records)
         print(
             f"{group_batches:>10} {report.throughput:>8.2f} "

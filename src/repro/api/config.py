@@ -548,6 +548,10 @@ class SystemConfig:
 class ClusterConfig:
     """Fleet shape and routing policy for multi-replica serving.
 
+    The one fleet declaration: ``repro.ClusterConfig`` and
+    ``repro.cluster.ClusterConfig`` are this class, and
+    :class:`~repro.cluster.simulator.ClusterSimulator` validates and reads it.
+
     Attributes:
         replicas: fleet size.
         envs: hardware presets (or inline spec dicts) cycled across the
@@ -555,7 +559,8 @@ class ClusterConfig:
         router: a :data:`~repro.api.registry.ROUTERS` registry name.
         router_options: keyword arguments for the router factory,
             parsed against its annotated constructor parameters.
-        group_batches: batches per dispatched group.
+        group_batches: batches per dispatched group (each replica's
+            workload ``num_batches``; its batch size is the scenario's).
         max_wait_s: partial-group dispatch deadline (seconds).
         slo_s: latency SLO for goodput accounting (seconds).
         partition_experts: shard hot-expert residency across replicas.

@@ -119,27 +119,25 @@ def build_fleet(run: RunConfig, *, shared_cache: dict | None = None) -> list:
 
     Returns:
         One :class:`~repro.cluster.replica.Replica` per configured
-        replica, cycling the configured environments.
+        replica, cycling the configured environments. Each serves groups
+        of ``scenario.batch_size × cluster.group_batches`` requests.
     """
     from repro.cluster import build_cluster
-    from repro.serving.server import BatchingConfig
+    from repro.routing.workload import Workload
 
     if run.cluster is None:
         raise ValueError("run config has no cluster section")
     scenario, cluster = run.scenario, run.cluster
-    environments = cluster.resolve_environments(scenario.env)
-    batching = BatchingConfig(
-        batch_size=scenario.batch_size,
-        group_batches=cluster.group_batches,
-        max_wait_s=cluster.max_wait_s,
-    )
     return build_cluster(
         _resolve_model_strict(scenario),
-        environments,
-        batching,
+        cluster.resolve_environments(scenario.env),
+        Workload(
+            scenario.batch_size,
+            cluster.group_batches,
+            scenario.prompt_len,
+            scenario.gen_len,
+        ),
         system_factory=run.system.build,
-        prompt_len=scenario.prompt_len,
-        gen_len=scenario.gen_len,
         seed=scenario.seed,
         prompt_quantum=cluster.prompt_quantum,
         shared_cache=shared_cache,
@@ -188,7 +186,6 @@ def run_cluster(
         The :class:`~repro.cluster.report.ClusterReport`.
     """
     from repro.cluster import ClusterSimulator
-    from repro.cluster.simulator import ClusterConfig as FleetConfig
 
     cluster = run.cluster
     if cluster is None:
@@ -209,12 +206,7 @@ def run_cluster(
     simulator = ClusterSimulator(
         replicas,
         cluster.build_router(),
-        FleetConfig(
-            slo_s=cluster.slo_s,
-            partition_experts=cluster.partition_experts,
-            expert_slots_per_replica=cluster.expert_slots_per_replica or None,
-            scheduler=cluster.scheduler,
-        ),
+        cluster,
         faults=cluster.resolve_faults(),
         retry=cluster.build_retry(),
     )

@@ -469,10 +469,10 @@ def cmd_serve(args) -> int:
     _maybe_enable_trace(args)
     try:
         report = run_cluster(config)
-    except FileNotFoundError:
-        raise SystemExit(
-            f"arrival trace file not found: {args.arrival_trace}"
-        ) from None
+    except FileNotFoundError as exc:
+        # The file that failed to open: --arrival-trace, or an
+        # arrival_options path set through --set.
+        raise SystemExit(f"arrival trace file not found: {exc.filename}") from None
     _finish_trace(args, report=report)
     if args.json:
         emit_json("serve", report.to_dict(), config=config)

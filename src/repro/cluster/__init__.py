@@ -8,6 +8,11 @@ policy (group batching or continuous batching). Results roll
 up into a :class:`ClusterReport` with TTFT/latency percentiles, goodput
 under an SLO, per-replica utilization, and cost-per-token.
 
+The fleet is declared once: :class:`ClusterConfig` is
+``repro.api.ClusterConfig``, re-exported here, and each replica's group
+shape (``B × n`` requests) is its scenario's
+:class:`~repro.routing.workload.Workload`.
+
 Fault tolerance (:mod:`repro.cluster.faults`): a seeded
 :class:`FaultConfig` compiles into a deterministic :class:`FaultPlan` of
 crashes, stragglers, transient dispatch failures, and join/drain events;
@@ -15,6 +20,7 @@ a :class:`RetryPolicy` governs failover re-dispatch, and admission
 control sheds load with SLO-class awareness — see ``docs/robustness.md``.
 """
 
+from repro.api.config import ClusterConfig
 from repro.cluster.engines import ENGINES
 from repro.cluster.events import (
     ARRIVAL,
@@ -55,7 +61,7 @@ from repro.cluster.routers import (
     Router,
     make_router,
 )
-from repro.cluster.simulator import ClusterConfig, ClusterSimulator, build_cluster
+from repro.cluster.simulator import ClusterSimulator, build_cluster
 
 
 __all__ = [

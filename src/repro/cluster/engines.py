@@ -90,17 +90,20 @@ def run_batched(sim: "ClusterSimulator", requests: list[Request]) -> ClusterRepo
     shards: list[list[int]] = [[] for _ in sim.replicas]
     for gi, rid in enumerate(plan):
         shards[rid].append(gi)
+    wait = sim.config.max_wait_s
     scans = [
-        _scan_replica(replica, srt, shards[rid])
+        _scan_replica(replica, srt, shards[rid], wait)
         for rid, replica in enumerate(sim.replicas)
     ]
     return _merge(sim, srt, shards, scans)
 
 
 def _scan_replica(
-    replica: "Replica", srt: list[Request], indices: list[int]
+    replica: "Replica", srt: list[Request], indices: list[int], wait: float
 ) -> tuple[list[tuple], ReplicaStats, float, int]:
     """Sweep one replica's assigned sub-stream group by group.
+
+    ``wait`` is the fleet's partial-group deadline, ``max_wait_s``.
 
     Returns ``(groups, stats, free_at, full_dispatches)``: per-group
     dispatch tuples ``(time, priority, trigger-arrival-index, start,
@@ -112,9 +115,8 @@ def _scan_replica(
     reqs = [srt[gi] for gi in indices]
     arr = [r.arrival_s for r in reqs]
     m = len(reqs)
-    cap = replica.batching.group_capacity
-    batch_size = replica.batching.batch_size
-    wait = replica.batching.max_wait_s
+    cap = replica.group_capacity
+    batch_size = replica.batch_size
     eps_win = min(DEADLINE_EPS, wait)
     resident = replica.resident_experts
     fetch_s = replica.expert_fetch_time_s()

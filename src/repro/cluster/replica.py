@@ -3,11 +3,12 @@
 A replica owns a FIFO request queue and a single batch-group execution slot
 (the underlying :class:`~repro.systems.InferenceSystem` processes one group
 at a time), filled by :class:`~repro.serving.scheduler.GroupScheduler`.
-Group processing times come from running the wrapped system on the
-replica's scenario and are memoized in a cluster-shared cache keyed by
-(hardware, model, system, group shape); prompt lengths are bucketed to
-``prompt_quantum`` so heterogeneous request lengths do not defeat the
-cache.
+The replica's group shape is its scenario's workload: groups of
+``batch_size × num_batches`` requests. Group processing times come from
+running the wrapped system on the replica's scenario and are memoized in
+a cluster-shared cache keyed by (hardware, model, system, group shape);
+prompt lengths are bucketed to ``prompt_quantum`` so heterogeneous
+request lengths do not defeat the cache.
 
 Replicas also expose the set of expert indices their VRAM keeps resident
 (derived from the placement planner, or assigned by the cluster when
@@ -24,13 +25,13 @@ from dataclasses import dataclass
 from repro.model.tensors import EXPERT
 from repro.obs import count, span
 from repro.serving.requests import Request
-from repro.serving.server import BatchingConfig, group_shape
+from repro.serving.server import group_shape
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
 from repro.systems import InferenceSystem
 
 # Process-wide group-timing memo. Replicas with identical
-# (system, environment, model, scenario seed, batching shape,
+# (system, environment, model, scenario seed, group shape,
 # prompt quantum) produce identical timings, so N-replica fleets — and
 # successive simulator runs comparing router policies on the same fleet —
 # share one cache instead of re-simulating N identical groups.
@@ -88,9 +89,10 @@ class Replica:
 
     Args:
         replica_id: position in the fleet.
-        scenario: model/hardware/workload evaluation point served here.
+        scenario: model/hardware/workload evaluation point served here;
+            its workload is the group shape (``batch_size`` sequences
+            per batch, ``num_batches`` batches per full group).
         system: the inference system executing batch groups.
-        batching: group-formation policy.
         prompt_quantum: prompt-length bucket for timing memoization.
         shared_cache: override for the group-timing cache (default: the
             process-wide memo shared by every replica; pass a dict to
@@ -106,7 +108,6 @@ class Replica:
         replica_id: int,
         scenario: Scenario,
         system: InferenceSystem,
-        batching: BatchingConfig,
         *,
         prompt_quantum: int = 64,
         shared_cache: dict | None = None,
@@ -115,7 +116,6 @@ class Replica:
         self.replica_id = replica_id
         self.scenario = scenario
         self.system = system
-        self.batching = batching
         self.prompt_quantum = max(1, prompt_quantum)
         self.timeline_stride = max(1, timeline_stride)
         self._cache = shared_cache if shared_cache is not None else _GROUP_TIMING_MEMO
@@ -146,6 +146,19 @@ class Replica:
     def system_name(self) -> str:
         return self.system.name
 
+    # ---- group shape ------------------------------------------------------
+
+    @property
+    def batch_size(self) -> int:
+        """Sequences per batch (the scenario workload's ``B``)."""
+        return self.scenario.workload.batch_size
+
+    @property
+    def group_capacity(self) -> int:
+        """Requests in a full group, ``B × n`` (read per routed request)."""
+        workload = self.scenario.workload
+        return workload.batch_size * workload.num_batches
+
     # ---- expert residency -------------------------------------------------
 
     def derive_resident_experts(self) -> frozenset[int]:
@@ -154,15 +167,9 @@ class Replica:
         An expert index counts as resident when at least half of its
         per-layer tensors land in VRAM under the replica's own placement
         plan for a full batch group. The result is memoized process-wide
-        (the plan is a pure function of the scenario and batching), so
-        homogeneous fleets plan once, not once per replica.
+        (the plan is a pure function of the scenario), so homogeneous
+        fleets plan once, not once per replica.
         """
-        workload = Workload(
-            self.batching.batch_size,
-            self.batching.group_batches,
-            self.scenario.workload.prompt_len,
-            self.scenario.workload.gen_len,
-        )
         scenario = self.scenario
         key = (
             scenario.hardware,
@@ -172,22 +179,20 @@ class Replica:
             scenario.skew,
             scenario.correlation,
             scenario.prefill_token_cap,
-            workload,
+            scenario.workload,
         )
         cached = _RESIDENCY_MEMO.get(key)
         if cached is not None:
             count("memo.residency.hit")
             return cached
         count("memo.residency.miss")
-        result = self._derive_resident_experts(workload)
+        result = self._derive_resident_experts()
         _RESIDENCY_MEMO[key] = result
         return result
 
-    def _derive_resident_experts(self, workload: Workload) -> frozenset[int]:
+    def _derive_resident_experts(self) -> frozenset[int]:
         try:
-            plan = self.system.make_placement(
-                self.scenario.with_workload(workload), workload
-            )
+            plan = self.system.make_placement(self.scenario, self.scenario.workload)
         except Exception:
             return frozenset()
         num_layers = self.scenario.model.num_layers
@@ -233,7 +238,7 @@ class Replica:
         queue = self.queue
         queue.append(request)
         self.sample_queue_depth(now, len(queue))
-        return len(queue) >= self.batching.group_capacity
+        return len(queue) >= self.group_capacity
 
     def _group_timing(self, n_batches: int, prompt: int, gen: int) -> GroupTiming:
         prompt = -(-prompt // self.prompt_quantum) * self.prompt_quantum
@@ -251,7 +256,7 @@ class Replica:
             scenario.skew,
             scenario.correlation,
             scenario.prefill_token_cap,
-            self.batching.batch_size,
+            self.batch_size,
             self.prompt_quantum,
             n_batches,
             prompt,
@@ -263,9 +268,7 @@ class Replica:
                 "replica.group_timing",
                 {"replica": self.replica_id, "n_batches": n_batches},
             ):
-                workload = Workload(
-                    self.batching.batch_size, n_batches, prompt, gen
-                )
+                workload = Workload(self.batch_size, n_batches, prompt, gen)
                 result = self.system.run(self.scenario.with_workload(workload))
             self._cache[key] = GroupTiming(
                 total_s=result.metrics.total_time_s,
@@ -277,12 +280,12 @@ class Replica:
 
     def dispatch(self, now: float) -> DispatchedGroup:
         """Commit the oldest full-or-partial group to the execution slot."""
-        capacity = self.batching.group_capacity
+        capacity = self.group_capacity
         group = self.queue[:capacity]
         del self.queue[:capacity]
         self.sample_queue_depth(now, len(self.queue))
 
-        n_batches, prompt, gen = group_shape(group, self.batching.batch_size)
+        n_batches, prompt, gen = group_shape(group, self.batch_size)
         timing = self._group_timing(n_batches, prompt, gen)
 
         missing = {

@@ -11,6 +11,8 @@ run's :class:`~repro.cluster.faults.FaultLayer`, and leaves each routed
 request and the rest of the events to a dispatch policy
 (:mod:`repro.serving.scheduler`): group batching by default, or
 continuous batching. One machine serving a stream is a one-replica fleet.
+The fleet's knobs come from the one :class:`repro.api.ClusterConfig`;
+each replica's group shape is its scenario's workload.
 
 Expert residency: when ``partition_experts`` is on, the fleet pins hot
 experts (popularity-rank order, :mod:`repro.routing.popularity`) round-robin
@@ -23,8 +25,7 @@ reproduces byte-identical reports across router policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.api.config import ClusterConfig
 from repro.cluster.engines import ENGINES, run_batched
 from repro.cluster.events import ARRIVAL, EventQueue
 from repro.cluster.faults import FaultLayer
@@ -38,47 +39,14 @@ from repro.routing.popularity import zipf_weights
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
 from repro.serving.requests import Request
-from repro.serving.server import BatchingConfig
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Fleet-level policy knobs.
-
-    Per-replica knobs (batching, the prompt-length memoization quantum)
-    live on :class:`~repro.cluster.replica.Replica` and are set through
-    :func:`build_cluster`.
-
-    Attributes:
-        slo_s: end-to-end latency bound for goodput accounting.
-        partition_experts: shard hot-expert residency across replicas.
-        expert_slots_per_replica: residency slots per replica (None:
-            derive from each replica's placement).
-        scheduler: dispatch policy the event loop runs under —
-            ``"group"`` (group-granular batching, the only policy the
-            batched engine reproduces) or any other name registered in
-            ``repro.api.SCHEDULERS`` (e.g. ``"continuous"`` for
-            iteration-level batching).
-    """
-
-    slo_s: float = 120.0  # end-to-end latency bound for goodput accounting
-    partition_experts: bool = True  # shard hot-expert residency across replicas
-    expert_slots_per_replica: int | None = None  # None: derive from placement
-    scheduler: str = "group"  # dispatch discipline (SCHEDULERS registry)
-
-    def __post_init__(self):
-        if self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
 
 
 def build_cluster(
     model: ModelConfig,
     environments: list[HardwareSpec],
-    batching: BatchingConfig,
+    workload: Workload,
     *,
     system_factory=None,
-    prompt_len: int = 512,
-    gen_len: int = 8,
     seed: int = 0,
     prompt_quantum: int = 64,
     shared_cache: dict | None = None,
@@ -87,7 +55,7 @@ def build_cluster(
     """Build one replica per environment.
 
     Group timings are memoized in the process-wide cache shared by every
-    replica whose (system, environment, model, seed, batching shape,
+    replica whose (system, environment, model, seed, group shape,
     prompt quantum) agree — see
     :func:`repro.cluster.replica.clear_group_timing_memo` — so N-replica
     fleets, and successive fleets in one process, never re-simulate an
@@ -96,11 +64,12 @@ def build_cluster(
     Args:
         model: model preset served by every replica.
         environments: one hardware spec per replica (heterogeneous OK).
-        batching: group-formation policy shared by the fleet.
+        workload: every replica's group shape and reference lengths —
+            groups of ``batch_size × num_batches`` requests; the mean
+            prompt and generation lengths calibrate residency and the
+            continuous policy's step timing.
         system_factory: called once per replica (default: Klotski); pass
             a list of factories for a mixed-system fleet.
-        prompt_len: mean prompt length used for group timing.
-        gen_len: generated tokens per request.
         seed: scenario routing seed.
         prompt_quantum: prompt-length bucket for timing memoization.
         shared_cache: group-timing cache shared by the fleet (default:
@@ -125,15 +94,11 @@ def build_cluster(
     )
     if len(factories) != len(environments):
         raise ValueError("need one system factory per environment")
-    workload = Workload(
-        batching.batch_size, batching.group_batches, prompt_len, gen_len
-    )
     return [
         Replica(
             replica_id=i,
             scenario=Scenario(model, env, workload, seed=seed),
             system=factory(),
-            batching=batching,
             prompt_quantum=prompt_quantum,
             shared_cache=shared_cache,
             timeline_stride=timeline_stride,
@@ -148,7 +113,13 @@ class ClusterSimulator:
     Args:
         replicas: the fleet (at least one :class:`Replica`).
         router: request-routing policy.
-        config: fleet-level knobs (default :class:`ClusterConfig`).
+        config: the fleet's :class:`repro.api.ClusterConfig` (default:
+            its defaults). The simulator reads ``slo_s``,
+            ``partition_experts``, ``expert_slots_per_replica`` (0:
+            derive from each replica's placement), ``scheduler`` and
+            ``max_wait_s``; the fleet shape, router, faults and retry
+            policy are built from it by ``repro.api.run_cluster`` and
+            passed in here.
         faults: optional :class:`~repro.cluster.faults.FaultConfig`,
             applied by the run's :class:`~repro.cluster.faults.FaultLayer`
             (an active config forces the serial event loop).
@@ -169,7 +140,10 @@ class ClusterSimulator:
             raise ValueError("at least one replica is required")
         self.replicas = replicas
         self.router = router
-        self.config = config or ClusterConfig()
+        # One validation path for every fleet: a hand-built config that
+        # the api parser would reject (e.g. ``slo_s=0``) raises a
+        # ConfigValidationError naming the field here too.
+        self.config = ClusterConfig.from_dict((config or ClusterConfig()).to_dict())
         self.faults = faults
         self.retry = retry
         self._consumed = False
@@ -186,14 +160,11 @@ class ClusterSimulator:
         # first to the replica with the least accumulated popularity mass
         # and a free slot, so no replica owns a disproportionate share of
         # the traffic its affinity attracts.
-        slots = []
-        for replica in self.replicas:
-            explicit = self.config.expert_slots_per_replica
-            slots.append(
-                explicit
-                if explicit is not None
-                else max(1, len(replica.derive_resident_experts()))
-            )
+        explicit = self.config.expert_slots_per_replica
+        slots = [
+            explicit or max(1, len(replica.derive_resident_experts()))
+            for replica in self.replicas
+        ]
         assigned: list[set[int]] = [set() for _ in self.replicas]
         mass = [0.0] * len(self.replicas)
         num_experts = min(r.scenario.model.num_experts for r in self.replicas)

@@ -3,7 +3,7 @@
 from repro.core.engine import KlotskiEngine, KlotskiOptions, KlotskiSystem
 from repro.core.pipeline import PipelineBuilder, PipelineFeatures
 from repro.core.placement import PlacementConfig, PlacementPlan, plan_placement
-from repro.core.planner import IOComputePlanner, PlannerConfig, PlanResult, RoutingStats
+from repro.core.planner import IOComputePlanner, PlannerConfig, PlanResult, PlannerStats
 from repro.core.prefetcher import CorrelationTable, ExpertPrefetcher, PrefetchStats
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "IOComputePlanner",
     "PlannerConfig",
     "PlanResult",
-    "RoutingStats",
+    "PlannerStats",
     "CorrelationTable",
     "ExpertPrefetcher",
     "PrefetchStats",

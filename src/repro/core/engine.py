@@ -19,7 +19,7 @@ from repro.obs import count, span
 from repro.systems import InferenceSystem, SystemResult
 from repro.core.pipeline import PipelineFeatures, QUANT_BYTES_FACTOR
 from repro.core.placement import PlacementConfig, PlacementPlan, plan_placement
-from repro.core.planner import IOComputePlanner, PlannerConfig, PlanResult, RoutingStats
+from repro.core.planner import IOComputePlanner, PlannerConfig, PlanResult, PlannerStats
 from repro.core.prefetcher import ExpertPrefetcher
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
@@ -207,7 +207,7 @@ class KlotskiEngine:
     def planner(self) -> IOComputePlanner:
         k = self.system.prefetch_k(self.scenario)
         oracle = self.scenario.make_oracle()
-        token_stats = RoutingStats.from_popularity(
+        token_stats = PlannerStats.from_popularity(
             oracle.router.popularity,
             k,
             self.scenario.workload.total_sequences,
@@ -216,7 +216,7 @@ class KlotskiEngine:
         # Per-step concentration caps the distinct active experts (the
         # router's pool model; Figure 15a's "Active 5~8 experts").
         coverage, pool_mean = oracle.router.routing_stats(k)
-        stats = RoutingStats(
+        stats = PlannerStats(
             hot_coverage=coverage,
             expected_active=min(token_stats.expected_active, pool_mean),
         )

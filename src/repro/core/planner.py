@@ -34,7 +34,7 @@ from repro.routing.workload import Workload
 
 
 @dataclass(frozen=True)
-class RoutingStats:
+class PlannerStats:
     """Routing statistics the planner needs, per layer averaged."""
 
     hot_coverage: float  # fraction of routed tokens on the K hot experts
@@ -43,7 +43,7 @@ class RoutingStats:
     @classmethod
     def from_popularity(
         cls, popularity: np.ndarray, k: int, n_tokens: int, top_k: int
-    ) -> "RoutingStats":
+    ) -> "PlannerStats":
         coverages = [expected_topk_coverage(row, k) for row in popularity]
         actives = [
             expected_active_experts(row, n_tokens, top_k) for row in popularity
@@ -88,7 +88,7 @@ class IOComputePlanner:
     def __init__(
         self,
         cost_model: CostModel,
-        stats: RoutingStats,
+        stats: PlannerStats,
         config: PlannerConfig | None = None,
     ):
         self.cost = cost_model

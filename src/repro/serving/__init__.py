@@ -1,4 +1,9 @@
-"""Serving layer: request streams, batching, and dispatch policies."""
+"""Serving layer: request streams and dispatch policies.
+
+A replica's group shape (``B × n`` requests per dispatched group) is
+its scenario's :class:`~repro.routing.workload.Workload`; the fleet's
+partial-group deadline is ``repro.api.ClusterConfig.max_wait_s``.
+"""
 
 from repro.serving.requests import (
     ArrivalConfig,
@@ -9,7 +14,6 @@ from repro.serving.requests import (
     generate_requests,
     replay_trace,
 )
-from repro.serving.server import BatchingConfig
 
 __all__ = [
     "ArrivalConfig",
@@ -19,7 +23,6 @@ __all__ = [
     "generate_bursty",
     "generate_requests",
     "replay_trace",
-    "BatchingConfig",
     "Scheduler",
     "GroupScheduler",
     "ContinuousScheduler",

@@ -171,6 +171,7 @@ class GroupScheduler(Scheduler):
 
     def start(self, requests, layer, events, report) -> dict:
         self.layer = layer
+        self.wait = self.sim.config.max_wait_s
         self.up, self.epoch = layer.up, layer.epoch
         self.push = events.push
         self.records = report.records
@@ -188,7 +189,7 @@ class GroupScheduler(Scheduler):
             # A retried or requeued request may re-enqueue after its
             # batching deadline; clamping to `now` keeps event time
             # monotone (an arrival's deadline is never before it).
-            deadline = request.arrival_s + replica.batching.max_wait_s
+            deadline = request.arrival_s + self.wait
             if deadline < now:
                 deadline = now
             self.push(deadline, DEADLINE, replica)
@@ -201,7 +202,7 @@ class GroupScheduler(Scheduler):
         queue = replica.queue
         if (
             queue
-            and queue[0].arrival_s + replica.batching.max_wait_s <= now + DEADLINE_EPS
+            and queue[0].arrival_s + self.wait <= now + DEADLINE_EPS
             and self.up[replica.replica_id]
         ):
             self.deadline += self._dispatch(replica, now)
@@ -220,7 +221,7 @@ class GroupScheduler(Scheduler):
         rid = replica.replica_id
         attempts = layer.attempts
         if layer.transient and layer.transient_fails(rid, now):
-            members = replica.queue[: replica.batching.group_capacity]
+            members = replica.queue[: replica.group_capacity]
             del replica.queue[: len(members)]
             replica.sample_queue_depth(now, len(replica.queue))
             for request in members:
@@ -311,8 +312,9 @@ class ContinuousScheduler(Scheduler):
             to exercise preemption deterministically.
 
     Step-timing model, calibrated once per replica from the memoized
-    group timing of the reference workload shape (so the underlying
-    pipeline simulation is probed exactly once):
+    group timing of its scenario's workload — the replica's group shape
+    and reference lengths (so the underlying pipeline simulation is
+    probed exactly once):
 
     * ``decode_ref_s`` — decode time per step at full batch capacity,
       ``(total_s - prefill_s) / gen_ref``; a step over ``B`` running
@@ -357,7 +359,7 @@ class ContinuousScheduler(Scheduler):
         }
 
         # Per-replica calibration (one group-timing probe each, memoized).
-        self.caps = [r.batching.group_capacity for r in replicas]
+        self.caps = [r.group_capacity for r in replicas]
         self.streamings = [_streaming(r) for r in replicas]
         self.budgets = [
             self._kv_budget(r, s) for r, s in zip(replicas, self.streamings)
@@ -365,13 +367,12 @@ class ContinuousScheduler(Scheduler):
         self.decode_ref, self.prefill_tok_s = [], []
         for replica in replicas:
             workload = replica.scenario.workload
-            batching = replica.batching
             timing = replica._group_timing(
-                batching.group_batches, workload.prompt_len, workload.gen_len
+                workload.num_batches, workload.prompt_len, workload.gen_len
             )
             decode_s = max(timing.total_s - timing.prefill_s, _FLOOR_S)
             self.decode_ref.append(decode_s / max(workload.gen_len, 1))
-            prompt_tokens = batching.group_capacity * max(workload.prompt_len, 1)
+            prompt_tokens = workload.total_sequences * max(workload.prompt_len, 1)
             self.prefill_tok_s.append(prompt_tokens / max(timing.prefill_s, _FLOOR_S))
         self.fetch_s = [r.expert_fetch_time_s() for r in replicas]
 

@@ -660,10 +660,16 @@ def random_cluster_run_config(
         retry=random_retry_config(rng) if chaos else {},
     )
     serve = random_serve_config(rng, model)
-    # Drawn last so every earlier draw — and hence every case seed's
-    # fleet, stream, and fault plan — replays unchanged.
+    # Drawn last, in the order they were added, so every earlier draw —
+    # and hence every case seed's fleet, stream, and fault plan —
+    # replays unchanged. Half the fleets derive their residency slots
+    # from placement (0), half pin 1..num_experts per replica.
+    scheduler = str(rng.choice(scheduler_names()))
+    slots = 0
+    if rng.random() < 0.5:
+        slots = int(rng.integers(1, model["num_experts"] + 1))
     cluster = dataclasses.replace(
-        cluster, scheduler=str(rng.choice(scheduler_names()))
+        cluster, scheduler=scheduler, expert_slots_per_replica=slots
     )
     return RunConfig(scenario=scenario, cluster=cluster, serve=serve)
 

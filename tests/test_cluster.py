@@ -17,28 +17,26 @@ from repro.cluster import (
     build_cluster,
     make_router,
 )
+from repro.errors import ConfigValidationError
+from repro.routing.workload import Workload
 from repro.serving import (
     ArrivalConfig,
-    BatchingConfig,
     Request,
     assign_hot_experts,
     generate_requests,
 )
 
-BATCHING = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=20.0)
+WORKLOAD = Workload(4, 2, prompt_len=32, gen_len=4)  # groups of 4 × 2
+MAX_WAIT_S = 20.0
 ROUTER_NAMES = ["round-robin", "least-outstanding", "expert-affinity"]
 
 
 def make_cluster(small_mixtral, hw, n_replicas=3, router="round-robin", **config):
     replicas = build_cluster(
-        small_mixtral,
-        [hw] * n_replicas,
-        BATCHING,
-        prompt_len=32,
-        gen_len=4,
-        prompt_quantum=16,
+        small_mixtral, [hw] * n_replicas, WORKLOAD, prompt_quantum=16
     )
     config.setdefault("slo_s", 60.0)
+    config.setdefault("max_wait_s", MAX_WAIT_S)
     return ClusterSimulator(
         replicas, make_router(router), ClusterConfig(**config)
     )
@@ -113,13 +111,13 @@ class TestCollidingTimestamps:
         replicas = build_cluster(
             small_mixtral,
             [hw, hw],
-            BatchingConfig(batch_size=1, group_batches=1, max_wait_s=20.0),
-            prompt_len=32,
-            gen_len=4,
+            Workload(1, 1, prompt_len=32, gen_len=4),
             prompt_quantum=16,
         )
         return ClusterSimulator(
-            replicas, make_router("least-outstanding"), ClusterConfig(slo_s=60.0)
+            replicas,
+            make_router("least-outstanding"),
+            ClusterConfig(slo_s=60.0, max_wait_s=MAX_WAIT_S),
         )
 
     def test_completion_frees_replica_before_colliding_arrival(
@@ -163,7 +161,7 @@ class TestRouters:
         sim = make_cluster(small_mixtral, hw, router="least-outstanding")
         report = sim.run(skewed_stream(small_mixtral, count=30, rate=20.0))
         counts = [s.requests for s in report.replicas]
-        assert max(counts) - min(counts) <= BATCHING.group_capacity
+        assert max(counts) - min(counts) <= sim.replicas[0].group_capacity
 
     def test_affinity_reduces_misses(self, small_mixtral, hw):
         requests = skewed_stream(small_mixtral, count=48, rate=20.0)
@@ -234,9 +232,7 @@ class TestSimulatorInvariants:
         assert len(report.records) == 2
         oldest = min(r.arrival_s for r in requests)
         for record in report.records:
-            assert record.dispatch_s == pytest.approx(
-                oldest + BATCHING.max_wait_s
-            )
+            assert record.dispatch_s == pytest.approx(oldest + MAX_WAIT_S)
 
 
 class TestDeterminism:
@@ -266,6 +262,16 @@ class TestResidency:
                 assert not (a & b)
         # the hottest expert (rank 0) is resident somewhere
         assert any(0 in s for s in sets)
+
+    def test_zero_slots_derive_like_the_default(self, small_mixtral, hw):
+        # 0 means "derive from placement" everywhere, as in repro.api.
+        explicit = make_cluster(
+            small_mixtral, hw, n_replicas=2, expert_slots_per_replica=0
+        )
+        default = make_cluster(small_mixtral, hw, n_replicas=2)
+        sets = [r.resident_experts for r in explicit.replicas]
+        assert sets == [r.resident_experts for r in default.replicas]
+        assert all(sets)
 
     def test_explicit_slots(self, small_mixtral, hw):
         sim = make_cluster(
@@ -379,14 +385,14 @@ class TestQueueDepthStride:
         replicas = build_cluster(
             small_mixtral,
             [hw] * 2,
-            BATCHING,
-            prompt_len=32,
-            gen_len=4,
+            WORKLOAD,
             prompt_quantum=16,
             timeline_stride=stride,
         )
         sim = ClusterSimulator(
-            replicas, make_router("round-robin"), ClusterConfig(slo_s=60.0)
+            replicas,
+            make_router("round-robin"),
+            ClusterConfig(slo_s=60.0, max_wait_s=MAX_WAIT_S),
         )
         return sim.run(skewed_stream(small_mixtral, count=24))
 
@@ -422,14 +428,14 @@ class TestQueueDepthStride:
             replicas = build_cluster(
                 small_mixtral,
                 [hw] * 2,
-                BATCHING,
-                prompt_len=32,
-                gen_len=4,
+                WORKLOAD,
                 prompt_quantum=16,
                 timeline_stride=2,
             )
             sim = ClusterSimulator(
-                replicas, make_router("round-robin"), ClusterConfig(slo_s=60.0)
+                replicas,
+                make_router("round-robin"),
+                ClusterConfig(slo_s=60.0, max_wait_s=MAX_WAIT_S),
             )
             reports.append(sim.run(requests, engine=engine).to_dict())
         assert reports[0] == reports[1]
@@ -443,13 +449,13 @@ class TestHeterogeneousFleet:
         replicas = build_cluster(
             small_mixtral,
             [hw, fast],
-            BATCHING,
-            prompt_len=32,
-            gen_len=4,
+            WORKLOAD,
             prompt_quantum=16,
         )
         sim = ClusterSimulator(
-            replicas, make_router("least-outstanding"), ClusterConfig()
+            replicas,
+            make_router("least-outstanding"),
+            ClusterConfig(max_wait_s=MAX_WAIT_S),
         )
         report = sim.run(skewed_stream(small_mixtral, count=24))
         assert len(report.records) == 24
@@ -459,8 +465,8 @@ class TestHeterogeneousFleet:
 
     def test_validation(self, small_mixtral, hw):
         with pytest.raises(ValueError):
-            build_cluster(small_mixtral, [], BATCHING)
+            build_cluster(small_mixtral, [], WORKLOAD)
         with pytest.raises(ValueError):
             ClusterSimulator([], make_router("round-robin"))
-        with pytest.raises(ValueError):
-            ClusterConfig(slo_s=0)
+        with pytest.raises(ConfigValidationError, match="slo_s"):
+            make_cluster(small_mixtral, hw, slo_s=0)

@@ -27,7 +27,7 @@ from repro.api import run_cluster as api_run_cluster
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.cluster.engines import ENGINES
 from repro.errors import ConfigValidationError, ReproDeprecationWarning
-from repro.serving.server import BatchingConfig
+from repro.routing.workload import Workload
 from repro.validation import diff_cluster_reports, run_cluster_differential
 from repro.validation.cluster_differential import CLUSTER_ENGINES
 from tests.conftest import TINY_MOE, small_hardware
@@ -66,18 +66,14 @@ def _simulate(engine: str, spec, shape, router_name: str):
     replicas = build_cluster(
         TINY_MOE,
         [small_hardware() for _ in range(n_replicas)],
-        BatchingConfig(
-            batch_size=batch_size,
-            group_batches=group_batches,
-            max_wait_s=max_wait,
-        ),
+        Workload(batch_size, group_batches, prompt_len=32, gen_len=2),
         system_factory=StubSystem,
-        prompt_len=32,
-        gen_len=2,
         seed=0,
     )
     simulator = ClusterSimulator(
-        replicas, make_router(router_name), ClusterConfig(slo_s=30.0)
+        replicas,
+        make_router(router_name),
+        ClusterConfig(slo_s=30.0, max_wait_s=max_wait),
     )
     return simulator.run(requests, engine=engine)
 

@@ -40,9 +40,9 @@ from repro.cluster import (
     compile_fault_plan,
 )
 from repro.cluster.routers import make_router
+from repro.routing.workload import Workload
 from repro.serving.requests import Request
 from repro.serving.scheduler import ContinuousScheduler, GroupScheduler
-from repro.serving.server import BatchingConfig
 from repro.systems import InferenceSystem
 from repro.validation import check_cluster
 from tests.conftest import TINY_MOE, small_hardware
@@ -79,18 +79,12 @@ def build_requests(spec) -> list[Request]:
     return requests
 
 
-def build_fleet(n_replicas: int, *, batch_size=2, group_batches=2, max_wait=5.0):
+def build_fleet(n_replicas: int, *, batch_size=2, group_batches=2):
     return build_cluster(
         TINY_MOE,
         [small_hardware() for _ in range(n_replicas)],
-        BatchingConfig(
-            batch_size=batch_size,
-            group_batches=group_batches,
-            max_wait_s=max_wait,
-        ),
+        Workload(batch_size, group_batches, prompt_len=32, gen_len=2),
         system_factory=StubSystem,
-        prompt_len=32,
-        gen_len=2,
         seed=0,
     )
 
@@ -108,7 +102,7 @@ def simulate(
     simulator = ClusterSimulator(
         build_fleet(n_replicas),
         make_router(router),
-        ClusterConfig(slo_s=30.0, scheduler=scheduler),
+        ClusterConfig(slo_s=30.0, max_wait_s=5.0, scheduler=scheduler),
         faults=faults,
         retry=retry,
     )
@@ -261,7 +255,9 @@ def test_transient_oracle_is_deterministic():
 
 def test_fleet_reuse_raises():
     simulator = ClusterSimulator(
-        build_fleet(2), make_router("round-robin"), ClusterConfig(slo_s=30.0)
+        build_fleet(2),
+        make_router("round-robin"),
+        ClusterConfig(slo_s=30.0, max_wait_s=5.0),
     )
     requests = build_requests([(0.0, 32, 2), (0.5, 32, 2)])
     simulator.run(requests)
@@ -273,10 +269,14 @@ def test_used_replicas_raise_even_on_a_fresh_simulator():
     replicas = build_fleet(1)
     requests = build_requests([(0.0, 32, 2)])
     ClusterSimulator(
-        replicas, make_router("round-robin"), ClusterConfig(slo_s=30.0)
+        replicas,
+        make_router("round-robin"),
+        ClusterConfig(slo_s=30.0, max_wait_s=5.0),
     ).run(requests)
     fresh = ClusterSimulator(
-        replicas, make_router("round-robin"), ClusterConfig(slo_s=30.0)
+        replicas,
+        make_router("round-robin"),
+        ClusterConfig(slo_s=30.0, max_wait_s=5.0),
     )
     with pytest.raises(RuntimeError, match="already served"):
         fresh.run(requests)
@@ -424,7 +424,7 @@ def test_run_leaves_no_reference_cycles(policy_cls):
     simulator = ClusterSimulator(
         build_fleet(3),
         make_router("least-outstanding"),
-        ClusterConfig(slo_s=30.0),
+        ClusterConfig(slo_s=30.0, max_wait_s=5.0),
         faults=FAULT_PRESETS.get("chaos")(),
     )
     policy = policy_cls(simulator)

@@ -24,8 +24,8 @@ from repro.cluster.routers import (
     RoundRobinRouter,
     make_router,
 )
+from repro.routing.workload import Workload
 from repro.serving.requests import Request
-from repro.serving.server import BatchingConfig
 from repro.systems import InferenceSystem
 from repro.validation import check_cluster
 from tests.conftest import TINY_MOE, small_hardware
@@ -86,20 +86,14 @@ def simulate(router_name: str, spec, shape, partition: bool = True):
     replicas = build_cluster(
         TINY_MOE,
         [small_hardware() for _ in range(n_replicas)],
-        BatchingConfig(
-            batch_size=batch_size,
-            group_batches=group_batches,
-            max_wait_s=max_wait,
-        ),
+        Workload(batch_size, group_batches, prompt_len=32, gen_len=2),
         system_factory=StubSystem,
-        prompt_len=32,
-        gen_len=2,
         seed=0,
     )
     simulator = ClusterSimulator(
         replicas,
         make_router(router_name),
-        ClusterConfig(slo_s=30.0, partition_experts=partition),
+        ClusterConfig(slo_s=30.0, partition_experts=partition, max_wait_s=max_wait),
     )
     return simulator.run(requests), requests
 
@@ -158,18 +152,14 @@ def test_least_outstanding_always_picks_a_minimum(spec, shape):
     replicas = build_cluster(
         TINY_MOE,
         [small_hardware() for _ in range(n_replicas)],
-        BatchingConfig(
-            batch_size=batch_size,
-            group_batches=group_batches,
-            max_wait_s=max_wait,
-        ),
+        Workload(batch_size, group_batches, prompt_len=32, gen_len=2),
         system_factory=StubSystem,
-        prompt_len=32,
-        gen_len=2,
         seed=0,
     )
     router = RecordingLeastOutstanding()
-    ClusterSimulator(replicas, router, ClusterConfig(slo_s=30.0)).run(requests)
+    ClusterSimulator(
+        replicas, router, ClusterConfig(slo_s=30.0, max_wait_s=max_wait)
+    ).run(requests)
     assert len(router.audit) == len(requests)
     for chosen_load, min_load in router.audit:
         assert chosen_load == min_load

@@ -39,7 +39,6 @@ from repro.runtime.schedule import Schedule
 from repro.scenario import Scenario
 from repro.serving.requests import ArrivalConfig, assign_hot_experts, generate_requests
 from repro.serving.scheduler import ContinuousScheduler
-from repro.serving.server import BatchingConfig
 from repro.validation import (
     GoldenStore,
     check_cluster,
@@ -189,13 +188,13 @@ def _cluster_snapshot() -> dict:
     replicas = build_cluster(
         model,
         [small_hardware(), small_hardware()],
-        BatchingConfig(batch_size=2, group_batches=2, max_wait_s=5.0),
-        prompt_len=32,
-        gen_len=4,
+        Workload(2, 2, prompt_len=32, gen_len=4),
         seed=3,
     )
     simulator = ClusterSimulator(
-        replicas, make_router("expert-affinity"), ClusterConfig(slo_s=120.0)
+        replicas,
+        make_router("expert-affinity"),
+        ClusterConfig(slo_s=120.0, max_wait_s=5.0),
     )
     report = simulator.run(requests)
     violations = check_cluster(report, requests)
@@ -327,21 +326,19 @@ def _preemption_snapshot(*, faults: FaultConfig | None) -> dict:
     replicas = build_cluster(
         model,
         [small_hardware()] * 3,
-        BatchingConfig(batch_size=4, group_batches=2, max_wait_s=5.0),
+        Workload(4, 2, prompt_len=32, gen_len=8),
         system_factory=[
             KlotskiSystem,
             KlotskiSystem,
             lambda: KlotskiSystem(streaming),
         ],
-        prompt_len=32,
-        gen_len=8,
         seed=3,
         shared_cache={},
     )
     simulator = ClusterSimulator(
         replicas,
         make_router("least-outstanding"),
-        ClusterConfig(slo_s=60.0, scheduler="continuous"),
+        ClusterConfig(slo_s=60.0, max_wait_s=5.0, scheduler="continuous"),
         faults=faults,
         retry=RetryPolicy(max_attempts=4) if faults is not None else None,
     )

@@ -25,7 +25,6 @@ from repro.routing.oracle import (
 from repro.routing.synthetic import RoutingModelConfig
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
-from repro.serving.server import BatchingConfig
 from repro.systems import InferenceSystem
 from tests.conftest import TINY_MOE, small_hardware
 
@@ -119,7 +118,6 @@ def make_replica(
         replica_id=0,
         scenario=scenario,
         system=system,
-        batching=BatchingConfig(batch_size=batch_size, group_batches=2),
         prompt_quantum=prompt_quantum,
         shared_cache=cache,
     )

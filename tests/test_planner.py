@@ -1,6 +1,6 @@
 """Constraint-sensitive I/O-compute planner (paper §7)."""
 
-from repro.core.planner import IOComputePlanner, PlannerConfig, RoutingStats
+from repro.core.planner import IOComputePlanner, PlannerConfig, PlannerStats
 from repro.hardware.costmodel import CostModel
 from repro.hardware.spec import ENV1
 from repro.model.config import MIXTRAL_8X7B
@@ -9,7 +9,7 @@ from repro.routing.workload import paper_workload
 
 def make_planner(model=MIXTRAL_8X7B, hw=ENV1, config=None, coverage=0.55, active=7.0):
     cost = CostModel(model, hw)
-    stats = RoutingStats(hot_coverage=coverage, expected_active=active)
+    stats = PlannerStats(hot_coverage=coverage, expected_active=active)
     return IOComputePlanner(cost, stats, config)
 
 
@@ -130,6 +130,6 @@ class TestRoutingStats:
         from repro.routing.popularity import layer_popularity
 
         pop = layer_popularity(4, 8, 1.2, np.random.default_rng(0))
-        stats = RoutingStats.from_popularity(pop, k=2, n_tokens=128, top_k=2)
+        stats = PlannerStats.from_popularity(pop, k=2, n_tokens=128, top_k=2)
         assert 0.25 < stats.hot_coverage < 1.0
         assert 2.0 < stats.expected_active <= 8.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.planner import IOComputePlanner, RoutingStats
+from repro.core.planner import IOComputePlanner, PlannerStats
 from repro.errors import (
     ConfigError,
     OutOfMemoryError,
@@ -19,7 +19,7 @@ from repro.routing.workload import paper_workload
 def planner_with(coverage: float, active: float, config=None) -> IOComputePlanner:
     return IOComputePlanner(
         CostModel(MIXTRAL_8X7B, ENV1),
-        RoutingStats(hot_coverage=coverage, expected_active=active),
+        PlannerStats(hot_coverage=coverage, expected_active=active),
         config,
     )
 

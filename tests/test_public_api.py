@@ -1,5 +1,7 @@
 """Public API surface and remaining CLI coverage."""
 
+import json
+
 import pytest
 
 import repro
@@ -13,6 +15,14 @@ class TestPublicAPI:
 
     def test_version(self):
         assert repro.__version__
+
+    def test_one_cluster_config(self):
+        import repro.api
+        import repro.cluster
+
+        assert repro.ClusterConfig is repro.api.ClusterConfig
+        assert repro.cluster.ClusterConfig is repro.api.ClusterConfig
+        assert repro.ClusterConfig(replicas=2).replicas == 2
 
     def test_subpackage_exports_resolve(self):
         import repro.analysis as analysis
@@ -114,8 +124,6 @@ class TestCLICoverage:
         assert "tok/s" in capsys.readouterr().out
 
     def test_run_json(self, capsys):
-        import json
-
         code = main([
             "run", "--batch-size", "4", "--gen-len", "2", "--n", "2", "--json",
         ])
@@ -129,8 +137,6 @@ class TestCLICoverage:
         assert "bubble_fraction" in payload
 
     def test_compare_json(self, capsys):
-        import json
-
         code = main([
             "compare", "--batch-size", "4", "--gen-len", "2", "--n", "2",
             "--json",
@@ -145,7 +151,6 @@ class TestCLICoverage:
     def test_run_and_compare_agree_on_oom(self, capsys):
         """Simulated OOM is a result: both commands exit 0 with an oom
         payload (the paper's §9.2 observation is data, not a crash)."""
-        import json
 
         code = main([
             "run", "--model", "mixtral-8x22b", "--batch-size", "64",
@@ -167,8 +172,6 @@ class TestCLICoverage:
         assert by_name["moe-infinity"]["oom"] is True
 
     def test_set_overrides_reach_the_config_tree(self, capsys):
-        import json
-
         code = main([
             "run", "--batch-size", "4", "--gen-len", "2", "--n", "2",
             "--set", "scenario.skew=1.4",
@@ -196,8 +199,6 @@ class TestCLICoverage:
         assert "goodput" in out and "replica 1" in out
 
     def test_serve_json(self, capsys):
-        import json
-
         code = main([
             "serve", "--replicas", "2", "--router", "round-robin",
             "--requests", "8", "--batch-size", "4", "--gen-len", "2",
@@ -233,6 +234,18 @@ class TestCLICoverage:
         ])
         assert code == 0
         assert "2 requests" in capsys.readouterr().out
+
+    def test_serve_missing_trace_names_the_path(self, tmp_path):
+        # The path set through --set, not the (unset) --arrival-trace.
+        missing = tmp_path / "missing.json"
+        options = json.dumps({"path": str(missing)})
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--replicas", "1",
+                "--set", "serve.arrival=trace",
+                "--set", f"serve.arrival_options={options}",
+            ])
+        assert str(exc.value) == f"arrival trace file not found: {missing}"
 
     def test_serve_unknown_env(self):
         with pytest.raises(SystemExit):

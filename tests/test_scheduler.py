@@ -24,12 +24,12 @@ from repro.cluster.faults import FaultConfig, RetryPolicy
 from repro.cluster.routers import make_router
 from repro.errors import ConfigValidationError
 from repro.model.kvcache import StreamingConfig
+from repro.routing.workload import Workload
 from repro.serving.requests import Request
 from repro.serving.scheduler import (
     ContinuousScheduler,
     _footprint,
 )
-from repro.serving.server import BatchingConfig
 from repro.systems import InferenceSystem
 from repro.validation import check_cluster, run_scheduler_differential
 from tests.conftest import TINY_MOE, small_hardware
@@ -62,16 +62,13 @@ def make_sim(
     replicas = build_cluster(
         TINY_MOE,
         [small_hardware()] * n_replicas,
-        BatchingConfig(
-            batch_size=batch_size, group_batches=group_batches, max_wait_s=20.0
-        ),
+        Workload(batch_size, group_batches, prompt_len=32, gen_len=4),
         system_factory=StubSystem,
-        prompt_len=32,
-        gen_len=4,
         prompt_quantum=16,
         shared_cache={},
     )
     cfg.setdefault("slo_s", 60.0)
+    cfg.setdefault("max_wait_s", 20.0)
     return ClusterSimulator(
         replicas,
         make_router("round-robin"),

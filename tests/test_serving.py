@@ -5,9 +5,10 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, Replica, RoundRobinRouter
 from repro.core.engine import KlotskiSystem
+from repro.errors import ConfigValidationError
+from repro.routing.workload import Workload
 from repro.serving import (
     ArrivalConfig,
-    BatchingConfig,
     BurstyConfig,
     Request,
     assign_hot_experts,
@@ -47,31 +48,49 @@ class TestRequestGeneration:
 
 
 class TestBatchingConfig:
-    def test_capacity(self):
-        assert BatchingConfig(batch_size=8, group_batches=4).group_capacity == 32
+    """The group shape: the scenario's workload and the fleet's deadline.
 
-    def test_validation(self):
+    The class keeps its historical test ids; the ``BatchingConfig`` it
+    once covered is gone (``Workload`` + ``ClusterConfig.max_wait_s``).
+    """
+
+    def test_capacity(self, small_scenario):
+        shaped = small_scenario.with_workload(Workload(8, 4, 32, 4))
+        replica = Replica(0, shaped, KlotskiSystem())
+        assert replica.batch_size == 8
+        assert replica.group_capacity == 32
+
+    def test_validation(self, small_scenario):
         with pytest.raises(ValueError):
-            BatchingConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            BatchingConfig(max_wait_s=0)
+            Workload(0, 4, 32, 4)
+        replica = Replica(0, small_scenario, KlotskiSystem())
+        with pytest.raises(ConfigValidationError, match="max_wait_s"):
+            ClusterSimulator(
+                [replica], RoundRobinRouter(), ClusterConfig(max_wait_s=0)
+            )
 
 
-def serve(scenario, batching, requests):
+GROUP_BATCHES = 2
+MAX_WAIT_S = 30.0
+
+
+def serve(scenario, requests, group_batches=GROUP_BATCHES, max_wait_s=MAX_WAIT_S):
     """Serve ``requests`` on one machine: a one-replica group fleet.
 
-    The unbucketed prompt quantum and unpartitioned residency make the
-    replica time every group shape exactly as the scenario's system runs
-    it, with its own placement deciding expert residency.
+    The replica serves groups of ``batch_size × group_batches`` requests
+    (the scenario's batch size). The unbucketed prompt quantum and
+    unpartitioned residency make it time every group shape exactly as
+    the scenario's system runs it, with its own placement deciding
+    expert residency.
     """
-    replica = Replica(0, scenario, KlotskiSystem(), batching, prompt_quantum=1)
+    shaped = scenario.with_workload(scenario.workload.with_batches(group_batches))
+    replica = Replica(0, shaped, KlotskiSystem(), prompt_quantum=1)
     simulator = ClusterSimulator(
-        [replica], RoundRobinRouter(), ClusterConfig(partition_experts=False)
+        [replica],
+        RoundRobinRouter(),
+        ClusterConfig(partition_experts=False, max_wait_s=max_wait_s),
     )
     return simulator.run(requests)
-
-
-BATCHING = BatchingConfig(batch_size=4, group_batches=2, max_wait_s=30.0)
 
 
 class TestServer:
@@ -81,7 +100,7 @@ class TestServer:
         requests = generate_requests(
             ArrivalConfig(rate_per_s=1.0, prompt_len_mean=32, gen_len=4, seed=1), 12
         )
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         assert len(report.records) == 12
         assert report.makespan_s > 0
         assert report.throughput > 0
@@ -90,7 +109,7 @@ class TestServer:
         requests = generate_requests(
             ArrivalConfig(rate_per_s=2.0, prompt_len_mean=32, gen_len=4, seed=2), 10
         )
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         for record in report.records:
             assert record.start_s >= record.dispatch_s >= record.request.arrival_s
             assert record.completion_s > record.start_s
@@ -100,7 +119,7 @@ class TestServer:
         requests = generate_requests(
             ArrivalConfig(rate_per_s=5.0, prompt_len_mean=32, gen_len=4, seed=3), 16
         )
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         windows = sorted({(r.start_s, r.completion_s) for r in report.records})
         for (s1, e1), (s2, e2) in zip(windows, windows[1:]):
             assert s2 >= e1 - 1e-9
@@ -109,7 +128,7 @@ class TestServer:
         requests = generate_requests(
             ArrivalConfig(rate_per_s=3.0, prompt_len_mean=32, gen_len=4, seed=4), 20
         )
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         assert report.percentile_latency(50) <= report.percentile_latency(95)
         assert "tok/s" in report.summary()
 
@@ -118,16 +137,12 @@ class TestServer:
         requests = generate_requests(
             ArrivalConfig(rate_per_s=50.0, prompt_len_mean=32, gen_len=4, seed=5), 24
         )
-        small = serve(
-            small_scenario, BatchingConfig(batch_size=4, group_batches=1), requests
-        )
-        large = serve(
-            small_scenario, BatchingConfig(batch_size=4, group_batches=6), requests
-        )
+        small = serve(small_scenario, requests, group_batches=1, max_wait_s=60.0)
+        large = serve(small_scenario, requests, group_batches=6, max_wait_s=60.0)
         assert large.throughput > small.throughput
 
     def test_empty_stream(self, small_scenario):
-        report = serve(small_scenario, BATCHING, [])
+        report = serve(small_scenario, [])
         assert report.records == []
         assert report.throughput == 0.0
 
@@ -140,18 +155,17 @@ class TestServer:
             Request(1, 1.0, 32, 4),
             Request(2, 500.0, 32, 4),
         ]
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         by_id = {r.request.request_id: r for r in report.records}
-        max_wait = BATCHING.max_wait_s
-        assert by_id[0].start_s == pytest.approx(max_wait)
-        assert by_id[1].start_s == pytest.approx(max_wait)
+        assert by_id[0].start_s == pytest.approx(MAX_WAIT_S)
+        assert by_id[1].start_s == pytest.approx(MAX_WAIT_S)
         # the late request forms its own group at its own deadline
-        assert by_id[2].start_s == pytest.approx(500.0 + max_wait)
+        assert by_id[2].start_s == pytest.approx(500.0 + MAX_WAIT_S)
 
     def test_full_group_dispatches_at_fill_time(self, small_scenario):
-        capacity = BATCHING.group_capacity
+        capacity = small_scenario.workload.batch_size * GROUP_BATCHES
         requests = [Request(i, float(i), 32, 4) for i in range(capacity)]
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         fill_time = float(capacity - 1)
         assert all(r.start_s == pytest.approx(fill_time) for r in report.records)
 
@@ -160,7 +174,7 @@ class TestServer:
             ArrivalConfig(rate_per_s=4.0, prompt_len_mean=32, gen_len=4, seed=2),
             12,
         )
-        report = serve(small_scenario, BATCHING, requests)
+        report = serve(small_scenario, requests)
         for r in report.records:
             assert 0.0 < r.ttft_s <= r.latency_s
 

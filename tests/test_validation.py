@@ -17,11 +17,11 @@ from repro.cli import main
 from repro.cluster import ClusterConfig, ClusterSimulator, build_cluster, make_router
 from repro.core.engine import KlotskiSystem
 from repro.errors import OutOfMemoryError
+from repro.routing.workload import Workload
 from repro.runtime.executor import Executor, ExecutorConfig
 from repro.runtime.schedule import GPU, MemEffect, Schedule
 from repro.runtime.timeline import Timeline
 from repro.serving.requests import ArrivalConfig, generate_requests
-from repro.serving.server import BatchingConfig
 from repro.validation import (
     FuzzConfig,
     FuzzReport,
@@ -129,15 +129,13 @@ def tiny_cluster_run(scheduler: str = "group", count: int = 10, rate: float = 4.
     replicas = build_cluster(
         TINY_MOE,
         [small_hardware(), small_hardware()],
-        BatchingConfig(batch_size=2, group_batches=2, max_wait_s=2.0),
-        prompt_len=16,
-        gen_len=2,
+        Workload(2, 2, prompt_len=16, gen_len=2),
         seed=1,
     )
     simulator = ClusterSimulator(
         replicas,
         make_router("least-outstanding"),
-        ClusterConfig(slo_s=60.0, scheduler=scheduler),
+        ClusterConfig(slo_s=60.0, max_wait_s=2.0, scheduler=scheduler),
     )
     return simulator.run(requests), requests
 
@@ -338,6 +336,19 @@ class TestFuzz:
         assert report.cluster_cases == 4 and report.pipeline_cases == 0
         again = run_fuzz(FuzzConfig(cases=4, seed=11, chaos=True))
         assert report.to_dict() == again.to_dict()
+
+    def test_cluster_sampler_reaches_both_residency_paths(self):
+        """Fleets derive their slots from placement (0) or pin
+        1..num_experts, so the serial-vs-batched differential covers both."""
+        from repro.validation.fuzz import random_cluster_run_config
+
+        explicit = set()
+        for seed in range(40):
+            config = random_cluster_run_config(np.random.default_rng(seed), seed)
+            slots = config.cluster.expert_slots_per_replica
+            assert 0 <= slots <= config.scenario.model["num_experts"]
+            explicit.add(slots > 0)
+        assert explicit == {False, True}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
