@@ -203,11 +203,5 @@ def run_cluster(
     if requests is None:
         requests = build_requests(run)
     replicas = build_fleet(run, shared_cache=shared_cache)
-    simulator = ClusterSimulator(
-        replicas,
-        cluster.build_router(),
-        cluster,
-        faults=cluster.resolve_faults(),
-        retry=cluster.build_retry(),
-    )
+    simulator = ClusterSimulator(replicas, cluster.build_router(), cluster)
     return simulator.run(requests, engine=engine)

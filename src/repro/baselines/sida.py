@@ -20,7 +20,7 @@ from repro.baselines.placement import expert_offload_placement
 from repro.core.pipeline import PipelineFeatures
 from repro.core.placement import PlacementPlan
 from repro.core.prefetcher import ExpertPrefetcher
-from repro.routing.trace import hot_experts
+from repro.routing.trace import top_experts
 from repro.routing.workload import Workload
 from repro.scenario import Scenario
 from repro.systems import InferenceSystem
@@ -61,17 +61,23 @@ class OfflinePredictorPrefetcher(ExpertPrefetcher):
         self._step = -1
         self._true_hot: list[list[int]] = []
 
-    def begin_step(self) -> None:
-        super().begin_step()
+    def predict_step(self, primaries: np.ndarray) -> list[list[int]]:
+        fallbacks = super().predict_step(primaries)
         self._step += 1
-        self._true_hot = []
-        for routing in self._oracle.step_routing(self._step, self._group):
-            # The builder reads the same memoized routing with n == 1.
-            totals = routing.stats(1, self.table.num_experts).totals
-            self._true_hot.append(hot_experts(totals, self.prefetch_k))
+        # The builder reads the same memoized routing with n == 1.
+        routing = self._oracle.step_routing(self._step, self._group)
+        totals = routing.stats(1, self.table.num_experts).totals
+        self._true_hot = top_experts(totals, self.prefetch_k).tolist()
+        return [self._pick(layer, fallback) for layer, fallback in enumerate(fallbacks)]
 
-    def predict(self, layer: int) -> list[int]:
-        fallback = super().predict(layer)
+    def predict_first(self) -> list[int]:
+        # The next step's layer 0 is prefetched before its routing is
+        # known: the current step's truth stands in for it.
+        return self._pick(0, super().predict_first())
+
+    def _pick(self, layer: int, fallback: list[int]) -> list[int]:
+        """``layer``'s forecast: each true hot expert with probability
+        ``accuracy``, else the fallback's expert in that slot."""
         if layer >= len(self._true_hot):
             return fallback
         chosen: list[int] = []

@@ -32,6 +32,7 @@ from repro.cluster.faults import FaultLayer
 from repro.cluster.replica import Replica
 from repro.cluster.report import ClusterReport, ReplicaStats
 from repro.cluster.routers import Router
+from repro.errors import ConfigValidationError
 from repro.hardware.spec import HardwareSpec
 from repro.model.config import ModelConfig
 from repro.obs import count, span
@@ -107,6 +108,25 @@ def build_cluster(
     ]
 
 
+_FROM_CONFIG = object()  # an omitted faults / retry argument
+
+
+def _from_config(name: str, given, configured, resolve):
+    """The ``faults`` / ``retry`` a simulator runs with: ``given`` unless
+    omitted, else the config's; ``given`` must agree with a value the
+    config sets."""
+    resolved = resolve()
+    if given is _FROM_CONFIG:
+        return resolved
+    if configured and given != resolved:
+        raise ConfigValidationError(
+            "cluster config",
+            [f"cluster.{name}: the {name}= argument {given!r} disagrees with the "
+             f"config's {configured!r}; omit the argument to use the config"],
+        )
+    return given
+
+
 class ClusterSimulator:
     """Route one request stream across a fleet of replicas.
 
@@ -117,14 +137,21 @@ class ClusterSimulator:
             its defaults). The simulator reads ``slo_s``,
             ``partition_experts``, ``expert_slots_per_replica`` (0:
             derive from each replica's placement), ``scheduler`` and
-            ``max_wait_s``; the fleet shape, router, faults and retry
-            policy are built from it by ``repro.api.run_cluster`` and
+            ``max_wait_s``, ``faults`` and ``retry``; the fleet shape and
+            router are built from it by ``repro.api.run_cluster`` and
             passed in here.
         faults: optional :class:`~repro.cluster.faults.FaultConfig`,
             applied by the run's :class:`~repro.cluster.faults.FaultLayer`
-            (an active config forces the serial event loop).
+            (an active config forces the serial event loop). Omitted:
+            the config's ``faults``.
         retry: optional :class:`~repro.cluster.faults.RetryPolicy` used
-            under fault injection (default policy when omitted).
+            under fault injection (default policy when None). Omitted:
+            the config's ``retry``.
+
+    Raises:
+        ConfigValidationError: on an invalid config, or a ``faults`` /
+            ``retry`` argument that disagrees with a value the config
+            sets.
     """
 
     def __init__(
@@ -133,8 +160,8 @@ class ClusterSimulator:
         router: Router,
         config: ClusterConfig | None = None,
         *,
-        faults=None,
-        retry=None,
+        faults=_FROM_CONFIG,
+        retry=_FROM_CONFIG,
     ):
         if not replicas:
             raise ValueError("at least one replica is required")
@@ -143,9 +170,9 @@ class ClusterSimulator:
         # One validation path for every fleet: a hand-built config that
         # the api parser would reject (e.g. ``slo_s=0``) raises a
         # ConfigValidationError naming the field here too.
-        self.config = ClusterConfig.from_dict((config or ClusterConfig()).to_dict())
-        self.faults = faults
-        self.retry = retry
+        self.config = config = ClusterConfig.from_dict((config or ClusterConfig()).to_dict())
+        self.faults = _from_config("faults", faults, config.faults, config.resolve_faults)
+        self.retry = _from_config("retry", retry, config.retry, config.build_retry)
         self._consumed = False
         self._assign_residency()
 

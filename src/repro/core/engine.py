@@ -58,8 +58,7 @@ def warm_up_prefetcher(
                 for _ in range(steps)
             ]
         for step in traces:
-            for assignment in step:
-                assignment.setflags(write=False)
+            step.setflags(write=False)
         if len(_WARMUP_TRACE_MEMO) >= _WARMUP_TRACE_MEMO_CAP:
             _WARMUP_TRACE_MEMO.clear()
         _WARMUP_TRACE_MEMO[key] = traces

@@ -17,6 +17,34 @@ from __future__ import annotations
 import numpy as np
 
 
+def ordered_step_experts(
+    counts: np.ndarray, in_vram: np.ndarray
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Order the activated experts of every layer of a step at once.
+
+    ``counts`` is ``[layers, E]`` tokens per expert across the group and
+    ``in_vram`` the ``[layers, E]`` mask of experts prefetched or pinned
+    in VRAM. One stable sort orders each layer: in-VRAM experts busiest
+    first (ties by id) so their long aggregate compute buys time for
+    cold transfers, then cold experts in ascending id — the order the
+    builder issues their on-demand transfers in.
+
+    Returns:
+        Per layer, the ids of its experts with routed tokens in execution
+        order, and its cold ones (active, not in VRAM) ascending.
+    """
+    counts = np.asarray(counts)
+    active = counts > 0
+    ready = active & in_vram
+    key = np.where(ready, -counts, np.where(active, 0, 1))
+    rows = np.argsort(key, axis=1, kind="stable").tolist()
+    n_active = active.sum(axis=1).tolist()
+    n_ready = ready.sum(axis=1).tolist()
+    orders = [row[:na] for row, na in zip(rows, n_active)]
+    cold = [order[nr:] for order, nr in zip(orders, n_ready)]
+    return orders, cold
+
+
 def ordered_active_experts(
     counts: np.ndarray,
     prefetched: list[int],
@@ -31,20 +59,14 @@ def ordered_active_experts(
     transfer was issued during the attention phase, and ``resident`` the
     experts pinned in VRAM. With ``adjust=False`` the order is plain
     ascending expert id (the unorchestrated baseline of the Table 3
-    ablation).
+    ablation); otherwise it is :func:`ordered_step_experts` of the layer.
 
     Returns:
         The ids of the experts with routed tokens, in execution order.
     """
-    counts_list = np.asarray(counts).tolist()
-    active = [e for e, c in enumerate(counts_list) if c]
+    counts = np.asarray(counts)
     if not adjust:
-        return active
-    in_vram_first = set(prefetched) | set(resident)
-    ready = [e for e in active if e in in_vram_first]
-    cold = [e for e in active if e not in in_vram_first]
-    # Hot/resident experts: busiest first so cold transfers get cover.
-    # Cold experts keep their transfer (issue) order: ascending expert id
-    # is the order the builder issues on-demand transfers in.
-    ready.sort(key=lambda e: (-counts_list[e], e))
-    return ready + cold
+        return np.flatnonzero(counts).tolist()
+    in_vram = np.zeros(counts.shape, dtype=bool)
+    in_vram[list(set(prefetched) | set(resident))] = True
+    return ordered_step_experts(counts[None], in_vram[None])[0][0]

@@ -24,10 +24,13 @@ CPU expert computation), all on identical substrates.
 Emission runs in two passes per :meth:`PipelineBuilder.build` call:
 
 * **decide** walks (step, layer) in Python and makes every stateful
-  choice — routing stats, placement residency, which weights are already
-  in flight (``_ready``), the prefetcher's ``predict`` / ``observe``,
-  expert order, cold and disk transfers, Fiddler's CPU-vs-GPU choice.
-  It records small per-family tables: one row per layer unit (its
+  choice. What depends only on a step's routing and forecasts is
+  decided once per step for all its layers (:meth:`_plan_experts`):
+  routing stats, the prefetcher's ``predict_step`` / ``observe_step``,
+  expert order, cold experts. The residency and transfer bookkeeping
+  walks layer by layer: which weights are already in flight
+  (``_ready``), cold and disk transfers, frees, Fiddler's CPU-vs-GPU
+  choice. It records small per-family tables: one row per layer unit (its
   attention + gate/FFN block is a fixed per-layer op template), per
   weight transfer, per expert op, per CPU-expert round trip, per
   embed/head op, and the memory effects in attachment order. Each unit's
@@ -50,8 +53,6 @@ decision state resets between calls, while placement-derived tables
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -59,7 +60,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro.compression.sparse_attention import SparseAttentionConfig
-from repro.core.ordering import ordered_active_experts
+from repro.core.ordering import ordered_step_experts
 from repro.core.placement import DISK, VRAM, PlacementPlan
 from repro.core.prefetcher import ExpertPrefetcher
 from repro.hardware.costmodel import CostModel, OpCost
@@ -84,6 +85,7 @@ from repro.runtime.schedule import (
     PHASE_TRANSFER,
     RESOURCE_CODES,
     Schedule,
+    gc_paused,
 )
 
 QUANT_BYTES_FACTOR = 0.28  # 4-bit weights + group scale/zero metadata
@@ -159,24 +161,6 @@ def _row_tuples(values: np.ndarray, ids: list[int], start: int) -> list[tuple[in
         for i, row in zip(sel.tolist(), zip(*kept)):
             out[i] = row
     return out
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector for one emission pass.
-
-    Emission allocates about one container per op and none in a cycle, so
-    the collections its allocations would trigger free nothing, yet each
-    full one re-traverses every live schedule column.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 def _sorted_deps(deps) -> tuple[int, ...]:
@@ -314,6 +298,7 @@ class PipelineBuilder:
         self.features = features or PipelineFeatures()
         self.sparse_attention = sparse_attention or SparseAttentionConfig()
         self.n = workload.num_batches
+        self._dense = self.model.is_dense
         self._kv_bytes_per_token = self.model.kv_bytes_per_token()
         self._kv_store = placement.kv_level != "vram"
         # (rows, scale) -> per-batch gate / FFN durations.
@@ -351,6 +336,9 @@ class PipelineBuilder:
             {e for e in range(num_experts) if layer * stride + 2 + e in self._resident}
             for layer in range(model.num_layers)
         ]
+        self._resident_mask = np.zeros((model.num_layers, num_experts), dtype=bool)
+        for layer, experts in enumerate(self._resident_experts):
+            self._resident_mask[layer, list(experts)] = True
         if model.is_dense:
             self._static_hot = [0]
         elif self.features.cpu_experts:
@@ -476,7 +464,7 @@ class PipelineBuilder:
         Returns:
             The op id of each step's last op (the LM head).
         """
-        with _gc_paused():
+        with gc_paused():
             return self._decide_group(start)
 
     def _decide_group(self, start: int) -> list[int]:
@@ -486,7 +474,6 @@ class PipelineBuilder:
         # weight index -> op id of the transfer that made it VRAM-ready;
         # it only ever holds the weights of the next layer to decide.
         self._ready: dict[int, int] = {}
-        self._pending_hot: dict[int, list[int]] = {}
         self._last_compute: int | None = None
         self._last_transfer: int | None = None
         self._layer_first_compute: int | None = None
@@ -515,17 +502,26 @@ class PipelineBuilder:
             )
         )
         num_layers = self.oracle.num_layers
+        prefetcher = self.prefetcher
+        experts = not (model.is_dense or features.cpu_experts)
         heads: list[int] = []
         prev_tail: int | None = None
         for step in range(wl.num_steps):
-            if self.prefetcher is not None:
-                self.prefetcher.begin_step()
+            routing = self.oracle.step_routing(step, wl)
             new_tokens = wl.prompt_len if step == 0 else 1
             context = wl.prompt_len if step == 0 else wl.context_at(step)
             self._step = stp = self._step_costs(step, new_tokens, context)
             self._step_index = len(d.step_m)
             d.step_m.append(stp.m)
             d.step_durs.append(stp.attn_durs)
+            if self._predict:
+                self._hot = prefetcher.predict_step(routing.primaries)
+            else:
+                self._hot = [self._static_hot] * num_layers
+            if experts:
+                self._plan_experts(routing)
+            elif not self._dense:  # CPU experts read each layer's stats
+                routing.stats(self.n, model.num_experts)
             # Layer 0 weights for this step (for step 0; later steps were
             # prefetched at the tail of the previous step).
             self._issue_layer_transfers(0, ())
@@ -537,14 +533,18 @@ class PipelineBuilder:
                     embed_dur, () if prev_tail is None else (prev_tail,), _L_EMBED, step
                 ),
             )
-            for routing in self.oracle.step_routing(step, wl):
-                layer = routing.layer
-                barrier = self._decide_layer(step, routing, barrier)
+            for layer_routing in routing:
+                layer = layer_routing.layer
+                barrier = self._decide_layer(step, layer_routing, barrier)
                 if layer + 1 < num_layers:
                     self._issue_layer_transfers(layer + 1, self._prefetch_anchor(barrier))
             head = self._gpu_single(head_dur, barrier, _L_HEAD, step)
             if step + 1 < wl.num_steps:
-                self._issue_layer_transfers(0, self._prefetch_anchor((head,)))
+                self._issue_layer_transfers(
+                    0,
+                    self._prefetch_anchor((head,)),
+                    prefetcher.predict_first() if self._predict else None,
+                )
             prev_tail = head
             heads.append(head)
         if kv_keys and prev_tail is not None:
@@ -630,24 +630,24 @@ class PipelineBuilder:
         self._ready.update(zip(ws, ops))
         self._last_transfer = d.nops - 1
 
-    def _issue_layer_transfers(self, layer: int, deps: tuple) -> None:
-        """Prefetch attention/gate/expert weights for ``layer`` in order.
+    def _issue_layer_transfers(self, layer: int, deps: tuple, hot=None) -> None:
+        """Prefetch attention/gate/expert weights for ``layer`` in order:
+        the hot experts are the step's forecast for ``layer`` unless
+        ``hot`` overrides them (the next step's layer 0).
 
         Every pending weight shares the dependency prefix; a layer with a
         weight spilled to disk interleaves each disk read before its
         transfer.
         """
         if self._predict:
-            hot = self.prefetcher.predict(layer)
+            hot = self._hot[layer] if hot is None else hot
             ew = layer * self._stride + 2
             resident = self._resident
             pending = self._block_loads[layer] + [
                 ew + e for e in hot if ew + e not in resident
             ]
         else:
-            hot = self._static_hot
             pending = self._static_loads[layer]
-        self._pending_hot[layer] = hot
         ready = self._ready
         if ready:
             pending = [w for w in pending if w not in ready]
@@ -664,8 +664,7 @@ class PipelineBuilder:
     def _decide_layer(self, step: int, routing: LayerRouting, barrier):
         """Decide one MoE block (attention + gate + experts); returns the
         barrier (the block's last compute ops, ascending)."""
-        d, stp, n = self._d, self._step, self.n
-        model, features = self.model, self.features
+        d, stp, n, features = self._d, self._step, self.n, self.features
         layer = routing.layer
         wb = layer * self._stride
         ready = self._ready
@@ -694,13 +693,13 @@ class PipelineBuilder:
             # KV stays in VRAM: the cache growth lands on each attention op.
             key = self._extra_key()
             keys = range(key, key + n)
-            d.extra_tids.extend(f"kv.{layer}.{b}.s{step}" for b in range(n))
+            d.extra_tids.extend([f"kv.{layer}.{b}.s{step}" for b in range(n)])
             d.extra_nbytes.extend([stp.kv_alloc_delta] * n)
             d.effect(EV_ALLOC, range(first_attn, gate_base, m), keys)
             self._kv_keys.extend(keys)
 
         # Gate block (dense models: the single FFN processes every batch).
-        gate_dep = ready.get(wb + 2 if model.is_dense else wb + 1)
+        gate_dep = ready.get(wb + 2 if self._dense else wb + 1)
         gate_deps = () if gate_dep is None else (gate_dep,)
         if not features.overlap:
             gate_deps = self._no_overlap_deps(gate_deps, self._last_transfer)
@@ -713,7 +712,7 @@ class PipelineBuilder:
         self._last_compute = last_gate
 
         last_ops = None
-        if model.is_dense:
+        if self._dense:
             expert_ops = ()
         elif features.cpu_experts:
             expert_ops = self._decide_cpu_experts(step, routing, gate_base)
@@ -763,6 +762,28 @@ class PipelineBuilder:
             ops += [tail] * len(experts)
         self._d.effect(EV_FREE, ops, ws)
 
+    def _plan_experts(self, routing) -> None:
+        """Everything of a step's expert blocks that depends only on its
+        routing and forecasts: the step's stats, the prefetcher's
+        feedback, each layer's expert order and its cold experts with the
+        batch whose gate first routes to each."""
+        model, features, n = self.model, self.features, self.n
+        stats = self._stats = routing.stats(n, model.num_experts)
+        if self.prefetcher is not None:
+            self.prefetcher.observe_step(routing.assignments, stats.totals, self._hot)
+        self._duration_table(routing.layers[0])  # sized for materialize
+        if not (features.hot_prefetch or features.adjust_order):
+            return
+        in_vram = self._resident_mask.copy()
+        lengths = [len(hot) for hot in self._hot]
+        in_vram[
+            np.repeat(np.arange(len(lengths)), lengths),
+            np.fromiter(chain.from_iterable(self._hot), dtype=np.int64, count=sum(lengths)),
+        ] = True
+        self._orders, self._cold = ordered_step_experts(stats.totals, in_vram)
+        if n > 1 and features.hot_prefetch:
+            self._first_batch = (stats.counts > 0).argmax(axis=1).tolist()
+
     def _decide_experts(self, step: int, routing: LayerRouting, gate_base: int):
         """Decide one MoE layer's GPU experts; returns ``(last_ops, ops)``,
         ``last_ops`` mapping each routed expert to its last op.
@@ -774,23 +795,13 @@ class PipelineBuilder:
         """
         model, features = self.model, self.features
         layer = routing.layer
-        stats = routing.stats(self.n, model.num_experts)
-        predicted = self._pending_hot.get(layer, [])
-        if self.prefetcher is not None:
-            self.prefetcher.observe(
-                layer, routing.assignments, predicted, counts=stats.totals
-            )
-        resident = self._resident_experts[layer]
+        stats = self._stats.layers[layer]
         if features.hot_prefetch:
-            self._cold_transfers(stats, resident.union(predicted), layer, gate_base)
-        self._duration_table(routing)  # sized for materialize
+            self._cold_transfers(layer, gate_base)
         d = self._d
         base = d.nops
         if features.adjust_order:
-            order = ordered_active_experts(
-                stats.totals, predicted, resident=resident, adjust=True
-            )
-            experts = order
+            order = experts = self._orders[layer]
         else:
             order = None
             # One op per routed pair ``b * E + e`` (the expert id itself
@@ -822,18 +833,25 @@ class PipelineBuilder:
             gate_base + b for b in range(self.n) if counts[b * num_experts + e]
         )
 
-    def _cold_transfers(self, stats, skip: set, layer: int, gate_base: int) -> None:
-        """On-demand transfers for activated non-prefetched experts, in
-        ascending expert id (the order :func:`ordered_active_experts`
+    def _cold_transfers(self, layer: int, gate_base: int) -> None:
+        """On-demand transfers for the layer's activated non-prefetched
+        experts, in ascending expert id (the order the expert order
         assumes for cold experts), each fired off the first gate that
         routed tokens to it."""
+        cold = self._cold[layer]
+        if not cold:
+            return
         ready = self._ready
         ew = layer * self._stride + 2
-        cold = [e for e in stats.active if e not in skip and ew + e not in ready]
+        cold = [e for e in cold if ew + e not in ready]
         if not cold:
             return
         ws = [ew + e for e in cold]
-        firsts = [self._gates(stats, e, gate_base)[0] for e in cold]
+        if self.n == 1:
+            firsts = [gate_base] * len(cold)
+        else:
+            first = self._first_batch[layer]
+            firsts = [gate_base + first[e] for e in cold]
         if not self._on_disk.isdisjoint(ws):
             for w, gate in zip(ws, firsts):
                 self._load(w, (gate,), on_demand=True)
@@ -887,7 +905,7 @@ class PipelineBuilder:
         once; ``schedule`` must have the length the first of them was
         decided for.
         """
-        with _gc_paused():
+        with gc_paused():
             self._materialize(schedule)
 
     def _materialize(self, schedule: Schedule) -> None:

@@ -18,10 +18,11 @@ most tokens).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
-from repro.routing.trace import expert_token_counts, hot_experts
+from repro.routing.trace import hot_experts, top_experts
 
 
 class CorrelationTable:
@@ -52,50 +53,79 @@ class CorrelationTable:
     # ---- recording -----------------------------------------------------------
 
     def encode_paths(self, history: np.ndarray) -> np.ndarray:
-        """Base-E encode ``[n_tokens, path_length]`` histories to indices."""
-        idx = np.zeros(len(history), dtype=np.int64)
-        for col in range(history.shape[1]):
-            idx = idx * self.num_experts + history[:, col]
+        """Base-E encode ``[..., path_length]`` histories to indices."""
+        idx = np.zeros(history.shape[:-1], dtype=np.int64)
+        for col in range(history.shape[-1]):
+            idx = idx * self.num_experts + history[..., col]
         return idx
 
-    def record_step(self, assignments: list[np.ndarray]) -> None:
-        """Accumulate one step's routing (list of ``[n, k]`` per layer)."""
-        primaries = [np.asarray(a)[:, 0] for a in assignments]
-        for layer, assignment in enumerate(assignments):
-            self._marginal[layer] += expert_token_counts(
-                np.asarray(assignment), self.num_experts
-            )
-            if layer < self.path_length:
-                continue
-            if self.path_length == 1:
-                paths = primaries[layer - 1]
-            else:
-                history = np.stack(
-                    [
-                        primaries[layer - self.path_length + i]
-                        for i in range(self.path_length)
-                    ],
-                    axis=1,
-                )
-                paths = self.encode_paths(history)
-            flat = paths[:, None] * self.num_experts + np.asarray(assignment)
-            self._accumulate(layer, flat)
+    def _step_paths(self, primaries: np.ndarray) -> np.ndarray:
+        """``[layers - path_length, n_tokens]`` path index of every token
+        into layers ``path_length..``: its primaries at the preceding
+        ``path_length`` layers."""
+        p, depth = self.path_length, len(primaries)
+        if p == 1:
+            return primaries[:-1]
+        return self.encode_paths(
+            np.stack([primaries[i : depth - p + i] for i in range(p)], axis=-1)
+        )
 
-    def _accumulate(self, layer: int, flat: np.ndarray) -> None:
-        """Add one routed-token batch to ``counts[layer]`` via bincount.
-
-        ``np.bincount`` on the flattened (path, expert) indices is an
-        order-of-magnitude faster than ``np.add.at`` for large expert
-        counts (switch-base-128, path_length > 1).
-        """
-        table = self._counts[layer]
-        table += np.bincount(
-            flat.reshape(-1), minlength=table.size
-        ).reshape(table.shape)
-        if flat.size:
-            self._has_data[layer] = True
+    def record_step(self, assignments, totals: np.ndarray | None = None) -> None:
+        """Accumulate one step's routing (``[layers, n, k]``, or a list of
+        ``[n, k]`` per layer): every layer's marginal (``totals``, the
+        ``[layers, E]`` per-expert token counts, when known) and, from
+        layer ``path_length`` on, its (path, expert) counts, in one
+        ``bincount`` each."""
+        assignments = np.asarray(assignments)
+        num_layers, n = assignments.shape[:2]
+        num_experts, p = self.num_experts, self.path_length
+        if totals is None:
+            totals = np.bincount(
+                (np.arange(num_layers)[:, None, None] * num_experts + assignments).ravel(),
+                minlength=num_layers * num_experts,
+            ).reshape(num_layers, num_experts)
+        self._marginal += totals
+        if num_layers <= p:
+            return
+        rows = self._counts.shape[1]
+        paths = self._step_paths(assignments[:, :, 0]) + (
+            np.arange(p, num_layers)[:, None] * rows
+        )
+        flat = (paths[:, :, None] * num_experts + assignments[p:]).ravel()
+        self._counts += np.bincount(flat, minlength=self._counts.size).reshape(
+            self._counts.shape
+        )
+        if n:
+            self._has_data[p:] = True
 
     # ---- prediction ------------------------------------------------------------
+
+    def scores(self, first: int, paths: np.ndarray) -> np.ndarray:
+        """``[m, E]`` aggregated expert scores of layers ``first..first+m-1``
+        over their in-flight tokens, whose path indices are ``paths``
+        (``[m, n_tokens]``).
+
+        A layer's scores are the sum of its table rows over the tokens'
+        paths, computed as (path histogram) @ table; both are exact
+        integer sums in float64, so any summation order gives the same
+        bits. A layer without a predecessor path, without recorded data,
+        or whose tokens' paths were never seen falls back to its marginal
+        popularity.
+        """
+        m = len(paths)
+        layers = slice(first, first + m)
+        marginal = self._marginal[layers]
+        rows = self._counts.shape[1]
+        hist = np.bincount(
+            (np.arange(m)[:, None] * rows + paths).ravel(), minlength=m * rows
+        ).reshape(m, 1, rows)
+        scores = np.matmul(hist, self._counts[layers])[:, 0]
+        known = (
+            (np.arange(first, first + m) >= self.path_length)
+            & self._has_data[layers]
+            & (scores.sum(axis=1) != 0)
+        )
+        return np.where(known[:, None], scores, marginal)
 
     def tendencies(self, layer: int, history: np.ndarray | None) -> np.ndarray:
         """Aggregated expert scores for ``layer`` over all in-flight tokens.
@@ -103,20 +133,9 @@ class CorrelationTable:
         ``history`` is ``[n_tokens, path_length]`` primary experts from the
         preceding layers (None when unavailable, e.g. the first layers).
         """
-        if history is None or layer < self.path_length:
+        if history is None:
             return self._marginal[layer].copy()
-        if not self._has_data[layer]:
-            return self._marginal[layer].copy()
-        paths = history[:, 0] if self.path_length == 1 else self.encode_paths(history)
-        table = self._counts[layer]
-        # sum of gathered rows == (path histogram) @ table; both are exact
-        # integer sums in float64, so the matvec is bit-identical and far
-        # cheaper than materializing the [n_tokens, E] gather.
-        path_counts = np.bincount(paths, minlength=table.shape[0])
-        scores = path_counts @ table
-        if scores.sum() == 0:
-            return self._marginal[layer].copy()
-        return scores
+        return self.scores(layer, self.encode_paths(history)[None])[0]
 
     def predict_hot(self, layer: int, history: np.ndarray | None, k: int) -> list[int]:
         """Top-``k`` predicted-hot experts for the upcoming layer."""
@@ -124,7 +143,16 @@ class CorrelationTable:
 
 
 class ExpertPrefetcher:
-    """Stateful prefetcher driving hot-expert prediction during a run."""
+    """Stateful prefetcher driving hot-expert prediction during a run.
+
+    A run feeds it one step at a time: :meth:`predict_step` forecasts
+    every layer of the step from the table as it stands, then
+    :meth:`observe_step` scores those forecasts and learns the step's
+    routing. Within a step, layer ``l``'s forecast reads only table row
+    ``l`` and the routing of earlier layers, and learning layer ``l``
+    writes only row ``l``, so this equals predicting and observing layer
+    by layer.
+    """
 
     def __init__(
         self,
@@ -141,59 +169,39 @@ class ExpertPrefetcher:
         self.prefetch_k = prefetch_k if prefetch_k is not None else top_k
         self.online_update = online_update
         self.path_length = path_length
-        # Rolling primary-expert history of the current step's tokens.
-        self._history: list[np.ndarray] = []
         # Accuracy bookkeeping (paper Figure 13).
         self.stats = PrefetchStats(num_layers)
 
-    def warm_up(self, steps: list[list[np.ndarray]]) -> None:
-        """Build the correlation table from pre-run routing traces."""
-        for step in steps:
-            self.table.record_step(step)
+    def warm_up(self, steps) -> None:
+        """Build the correlation table from pre-run routing traces (each
+        a step's ``[layers, n, k]`` assignments), recorded as one step of
+        all their tokens: every count is a per-token sum."""
+        if len(steps):
+            self.table.record_step(np.concatenate([np.asarray(s) for s in steps], axis=1))
 
-    def begin_step(self) -> None:
-        self._history = []
+    def predict_first(self) -> list[int]:
+        """Hot experts to prefetch for layer 0 of the next step."""
+        return hot_experts(self.table._marginal[0], self.prefetch_k)
 
-    def predict(self, layer: int) -> list[int]:
-        """Hot experts to prefetch for ``layer`` given the step so far."""
-        history = None
-        if len(self._history) >= self.path_length:
-            if self.path_length == 1:
-                history = self._history[-1][:, None]
-            else:
-                history = np.stack(self._history[-self.path_length :], axis=1)
-        return self.table.predict_hot(layer, history, self.prefetch_k)
+    def predict_step(self, primaries: np.ndarray) -> list[list[int]]:
+        """Hot experts to prefetch for every layer of one step whose tokens
+        route to ``primaries`` (``[layers, n_tokens]`` primary experts);
+        layer ``l``'s forecast sees the routing of layers before ``l``."""
+        table, p = self.table, self.path_length
+        scores = table._marginal.copy()
+        if table.num_layers > p:
+            scores[p:] = table.scores(p, table._step_paths(primaries))
+        return top_experts(scores, self.prefetch_k).tolist()
 
-    def observe(
-        self,
-        layer: int,
-        assignments: np.ndarray,
-        predicted: list[int],
-        counts: np.ndarray | Sequence[int] | None = None,
+    def observe_step(
+        self, assignments: np.ndarray, totals: np.ndarray, predicted: list[list[int]]
     ) -> None:
-        """Feed back the gate's actual routing for ``layer``.
-
-        ``counts`` may pass a precomputed per-expert token histogram of
-        ``assignments`` (an array or int sequence; the schedule builder
-        reads it from the routing's stats) to skip the recount.
-        """
-        assignments = np.asarray(assignments)
-        self._history.append(assignments[:, 0])
-        if counts is None:
-            counts = expert_token_counts(assignments, self.table.num_experts)
-        self.stats.record(layer, counts, predicted, self.prefetch_k)
+        """Feed back one step's actual routing: ``[layers, n, k]``
+        assignments, their ``[layers, E]`` per-expert token counts, and the
+        experts prefetched for each layer."""
+        self.stats.record_step(totals, predicted, self.prefetch_k)
         if self.online_update:
-            self.table._marginal[layer] += np.asarray(counts)
-            if layer >= self.path_length and len(self._history) > self.path_length:
-                if self.path_length == 1:
-                    paths = self._history[-2]
-                else:
-                    history = np.stack(
-                        self._history[-self.path_length - 1 : -1], axis=1
-                    )
-                    paths = self.table.encode_paths(history)
-                flat = paths[:, None] * self.table.num_experts + assignments
-                self.table._accumulate(layer, flat)
+            self.table.record_step(assignments, totals)
 
 
 class PrefetchStats:
@@ -206,16 +214,28 @@ class PrefetchStats:
         self.participated = np.zeros(num_layers)  # predicted with >=1 token
         self.predicted_total = np.zeros(num_layers)
 
-    def record(
-        self, layer: int, counts: np.ndarray | Sequence[int], predicted: list[int], k: int
+    def record_step(
+        self, totals: np.ndarray, predicted: Sequence[Sequence[int]], k: int
     ) -> None:
-        if not predicted:
+        """Score one step: ``totals[l]`` is layer ``l``'s per-expert token
+        count, ``predicted[l]`` its (distinct) prefetched experts."""
+        lengths = np.fromiter(map(len, predicted), dtype=np.int64, count=len(predicted))
+        if not lengths.any():
             return
-        actual_hot = set(hot_experts(counts, k))
-        self.hot_hits[layer] += len(actual_hot.intersection(predicted))
-        self.hot_total[layer] += len(predicted)
-        self.participated[layer] += sum(1 for e in predicted if counts[e] > 0)
-        self.predicted_total[layer] += len(predicted)
+        totals = np.asarray(totals)
+        layers = np.repeat(np.arange(len(predicted)), lengths)
+        experts = np.fromiter(chain.from_iterable(predicted), dtype=np.int64)
+        hot = np.zeros(totals.shape, dtype=bool)
+        top = top_experts(totals, k)
+        hot[np.arange(len(totals))[:, None], top] = True
+        self.hot_hits += np.bincount(
+            layers, weights=hot[layers, experts], minlength=self.num_layers
+        )
+        self.participated += np.bincount(
+            layers, weights=totals[layers, experts] > 0, minlength=self.num_layers
+        )
+        self.hot_total += lengths
+        self.predicted_total += lengths
 
     def hot_accuracy(self) -> np.ndarray:
         """Per-layer fraction of prefetched experts that were truly hot."""

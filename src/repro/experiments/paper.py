@@ -36,6 +36,7 @@ from repro.hardware.spec import GB, GiB, ENVIRONMENTS
 from repro.model.config import MIXTRAL_8X7B, MODELS
 from repro.model.tokenizer import synthetic_corpus
 from repro.model.transformer import MoETransformer
+from repro.routing.oracle import StepStats
 from repro.routing.synthetic import RoutingModelConfig, SyntheticRouter
 from repro.routing.trace import ExpertTrace, StepTrace
 from repro.routing.workload import Workload
@@ -357,14 +358,10 @@ def _single_sequence_stats(scenario: Scenario):
     router = scenario.make_oracle().router
     rng = np.random.default_rng(11)
     for _ in range(16):
-        prefetcher.begin_step()
-        prev = None
-        for layer in range(scenario.model.num_layers):
-            predicted = prefetcher.predict(layer)
-            pool = router.sample_pool(layer, rng)
-            a = router.sample_layer(layer, prev, 1, rng, pool)
-            prefetcher.observe(layer, a, predicted)
-            prev = a[:, 0]
+        step = router.sample_step(1, rng)
+        predicted = prefetcher.predict_step(step[:, :, 0])
+        totals = StepStats.of(step, 1, scenario.model.num_experts).totals
+        prefetcher.observe_step(step, totals, predicted)
     return prefetcher.stats
 
 

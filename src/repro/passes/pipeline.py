@@ -24,7 +24,7 @@ from repro.obs import count, span
 from repro.passes.base import PassContext, SchedulePass
 from repro.passes.rewrite import OpMap
 from repro.runtime.executor import Executor
-from repro.runtime.schedule import Schedule
+from repro.runtime.schedule import Schedule, gc_paused
 from repro.runtime.timeline import Timeline
 
 # The default queue: coalescing first (fewer ops for the reorderers to
@@ -180,7 +180,7 @@ class PassPipeline:
         from repro.validation.pass_differential import check_conservation
 
         executor = Executor(hardware)
-        with span("passes.pipeline", {"passes": len(self.passes)}):
+        with gc_paused(), span("passes.pipeline", {"passes": len(self.passes)}):
             timeline = executor.run(schedule, capacities=capacities)
             baseline_makespan = timeline.makespan
             baseline_bubbles = analyze_bubbles(timeline).bubble_fraction

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.obs import count
+from repro.obs import count, span
 from repro.routing.synthetic import RoutingModelConfig, SyntheticRouter
 from repro.routing.trace import ExpertTrace
 from repro.routing.workload import Workload
@@ -59,20 +59,72 @@ class RoutingStats(NamedTuple):
 
     @classmethod
     def of(cls, assignments: np.ndarray, n: int, num_experts: int) -> "RoutingStats":
-        """Derive the stats with one ``bincount`` over ``assignments``."""
-        sizes = batch_slice_sizes(assignments.shape[0], n)
-        offsets = np.repeat(np.arange(n, dtype=np.int64) * num_experts, sizes)
-        counts2d = np.bincount(
-            (offsets[:, None] + assignments).ravel(), minlength=n * num_experts
-        ).reshape(n, num_experts)
-        totals = tuple(counts2d.sum(axis=0).tolist())
-        active = tuple(e for e, c in enumerate(totals) if c)
-        inactive = tuple(e for e, c in enumerate(totals) if not c)
+        """The stats of one layer's ``[n_tokens, top_k]`` assignments."""
+        return StepStats.of(assignments[None], n, num_experts).layers[0]
+
+
+class StepStats(NamedTuple):
+    """:class:`RoutingStats` of every layer of one step, with the arrays
+    they were derived from.
+
+    Attributes:
+        counts: ``[layers, n, E]`` tokens per (layer, batch, expert).
+        totals: ``[layers, E]`` tokens per (layer, expert).
+        layers: each layer's :class:`RoutingStats`.
+    """
+
+    counts: np.ndarray
+    totals: np.ndarray
+    layers: list[RoutingStats]
+
+    @classmethod
+    def of(cls, assignments, n: int, num_experts: int) -> "StepStats":
+        """Derive every layer's stats with one ``bincount`` from the
+        step's ``[layers, n_tokens, top_k]`` assignments (or a list of
+        each layer's ``[n_tokens, top_k]``, token counts varying)."""
+        num_layers = len(assignments)
+        width = n * num_experts
+        bases = np.arange(num_layers, dtype=np.int64) * width
+        batches = np.arange(n, dtype=np.int64) * num_experts
+        if isinstance(assignments, np.ndarray):
+            offsets = bases[:, None] + np.repeat(
+                batches, batch_slice_sizes(assignments.shape[1], n)
+            )
+            flat = (offsets[:, :, None] + assignments).ravel()
+        else:
+            flat = np.concatenate([
+                ((base + np.repeat(batches, batch_slice_sizes(len(a), n)))[:, None] + a).ravel()
+                for base, a in zip(bases.tolist(), assignments)
+            ])
+        counts = np.bincount(flat, minlength=num_layers * width).reshape(
+            num_layers, n, num_experts
+        )
+        totals = counts.sum(axis=1)
+        total_rows = [tuple(row) for row in totals.tolist()]
+        actives = _row_entries(totals != 0)
+        inactives = _row_entries(totals == 0)
         if n == 1:
-            return cls(totals, totals, active, active, inactive)
-        flat = counts2d.ravel()
-        pairs = tuple(np.flatnonzero(flat).tolist())
-        return cls(tuple(flat.tolist()), totals, pairs, active, inactive)
+            layers = [
+                RoutingStats(t, t, a, a, i)
+                for t, a, i in zip(total_rows, actives, inactives)
+            ]
+        else:
+            flat = counts.reshape(num_layers, width)
+            layers = [
+                RoutingStats(tuple(c), t, p, a, i)
+                for c, t, p, a, i in zip(
+                    flat.tolist(), total_rows, _row_entries(flat != 0), actives, inactives
+                )
+            ]
+        return cls(counts, totals, layers)
+
+
+def _row_entries(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Per row of a 2-D ``mask``, the ascending columns set in it."""
+    rows, cols = np.nonzero(mask)
+    ends = np.searchsorted(rows, np.arange(1, len(mask) + 1)).tolist()
+    cols = cols.tolist()
+    return [tuple(cols[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
@@ -109,14 +161,52 @@ class LayerRouting:
         return stats
 
 
+class StepRouting:
+    """Routing of every layer of one step: ``[layers, n_tokens, top_k]``
+    assignments (a list of per-layer arrays when token counts vary by
+    layer, as a recorded trace may) plus each layer's
+    :class:`LayerRouting` view of them.
+
+    Iterating yields the layers in order. :meth:`stats` derives every
+    layer's stats in one pass and keeps the last split, so the systems
+    sharing a memoized step share one derivation.
+    """
+
+    def __init__(self, assignments, scale: float = 1.0):
+        if not isinstance(assignments, np.ndarray) and len({a.shape for a in assignments}) == 1:
+            assignments = np.stack(assignments)
+        self.assignments = assignments
+        self.scale = scale
+        self.layers = [LayerRouting(layer, a, scale) for layer, a in enumerate(assignments)]
+        self._stats: StepStats | None = None
+
+    def __iter__(self) -> Iterator[LayerRouting]:
+        return iter(self.layers)
+
+    @property
+    def primaries(self) -> np.ndarray:
+        """``[layers, n_tokens]`` primary expert of every token."""
+        return self.assignments[:, :, 0]
+
+    def stats(self, n: int, num_experts: int) -> StepStats:
+        """Every layer's stats over ``n`` batch slices; each layer's
+        :meth:`LayerRouting.stats` then returns its entry."""
+        stats = self._stats
+        if stats is None or stats.counts.shape[1:] != (n, num_experts):
+            stats = self._stats = StepStats.of(self.assignments, n, num_experts)
+            for routing, layer_stats in zip(self.layers, stats.layers):
+                object.__setattr__(routing, "_stats", layer_stats)
+        return stats
+
+
 class RoutingOracle:
-    """Base interface: iterate per-layer routing for each generation step."""
+    """Base interface: the :class:`StepRouting` of each generation step."""
 
     num_layers: int
     num_experts: int
     top_k: int
 
-    def step_routing(self, step: int, workload: Workload) -> Iterator[LayerRouting]:
+    def step_routing(self, step: int, workload: Workload) -> StepRouting:
         raise NotImplementedError
 
 
@@ -176,7 +266,7 @@ class SyntheticOracle(RoutingOracle):
             return sampled, actual / sampled
         return workload.total_sequences, 1.0
 
-    def step_routing(self, step: int, workload: Workload) -> Iterator[LayerRouting]:
+    def step_routing(self, step: int, workload: Workload) -> StepRouting:
         n_tokens, scale = self.tokens_for_step(step, workload)
         key = (
             self.config,
@@ -189,19 +279,19 @@ class SyntheticOracle(RoutingOracle):
         cached = _STEP_ROUTING_MEMO.get(key)
         if cached is None:
             count("memo.step_routing.miss")
-            cached = []
-            for layer, assignments in self.router.stream(
-                n_tokens, seed=self.seed * 100_003 + step
-            ):
-                assignments.setflags(write=False)
-                cached.append(LayerRouting(layer, assignments, scale))
+            with span("routing.sample", {"step": step, "tokens": n_tokens}):
+                assignments = self.router.sample_step(
+                    n_tokens, np.random.default_rng(self.seed * 100_003 + step)
+                )
+            assignments.setflags(write=False)
+            cached = StepRouting(assignments, scale)
             if len(_STEP_ROUTING_MEMO) >= _STEP_ROUTING_MEMO_CAP:
                 _STEP_ROUTING_MEMO.popitem(last=False)
             _STEP_ROUTING_MEMO[key] = cached
         else:
             count("memo.step_routing.hit")
             _STEP_ROUTING_MEMO.move_to_end(key)
-        return iter(cached)
+        return cached
 
 
 class TraceOracle(RoutingOracle):
@@ -216,7 +306,6 @@ class TraceOracle(RoutingOracle):
         self.num_experts = trace.num_experts
         self.top_k = top_k
 
-    def step_routing(self, step: int, workload: Workload) -> Iterator[LayerRouting]:
+    def step_routing(self, step: int, workload: Workload) -> StepRouting:
         src = self.trace.steps[min(step, self.trace.num_steps - 1)]
-        for layer, assignments in enumerate(src.assignments):
-            yield LayerRouting(layer, assignments, 1.0)
+        return StepRouting(src.assignments)

@@ -81,7 +81,7 @@ class SyntheticRouter:
         self._hot_topk = np.argsort(-self.popularity, axis=1)[:, : config.top_k]
         self._log_pop = np.log(self.popularity + 1e-12)
         # Pool-selection logits with guaranteed-membership (top-k) slots
-        # already pinned to +inf; read-only in sample_pool.
+        # already pinned to +inf; read-only in sample_step.
         self._masked_log_pop = self._log_pop.copy()
         for layer in range(config.num_layers):
             self._masked_log_pop[layer][self._hot_topk[layer]] = np.inf
@@ -89,7 +89,6 @@ class SyntheticRouter:
         # pools recur across steps, and the derived tables are deterministic
         # functions of the pool, so caching preserves the sampled stream.
         self._pool_tables: dict = {}
-        self._arange_cache: dict[int, np.ndarray] = {}
 
     def _pool_table(self, layer: int, pool: np.ndarray, full_pool: bool):
         """(pool_pop, cdf, log_pop) for one (layer, pool).
@@ -114,32 +113,6 @@ class SyntheticRouter:
             self._pool_tables[key] = entry
         return entry
 
-    def _arange(self, n: int) -> np.ndarray:
-        cached = self._arange_cache.get(n)
-        if cached is None:
-            cached = self._arange_cache[n] = np.arange(n)
-        return cached
-
-    # ---- pools -----------------------------------------------------------------
-
-    def sample_pool(self, layer: int, rng: np.random.Generator) -> np.ndarray:
-        """Popularity-biased active-expert pool for one (step, layer).
-
-        The layer's top-k hottest experts are always in the pool: hot
-        experts are hot precisely because nearly every input routes some
-        tokens to them (this is what makes the paper's Figure 13 "green
-        line" sit at 100 % participation). The remaining slots are drawn
-        popularity-biased without replacement.
-        """
-        cfg = self.config
-        lo, hi = cfg.pool_bounds()
-        size = int(rng.integers(lo, hi + 1))
-        if size >= cfg.num_experts:
-            return np.arange(cfg.num_experts)
-        logits = self._masked_log_pop[layer]  # guaranteed membership: +inf
-        gumbel = -np.log(-np.log(rng.random(logits.shape) + 1e-12) + 1e-12)
-        return np.sort(np.argpartition(-(logits + gumbel), size - 1)[:size])
-
     def mean_pool_size(self) -> float:
         lo, hi = self.config.pool_bounds()
         return (lo + hi) / 2.0
@@ -153,110 +126,159 @@ class SyntheticRouter:
 
     # ---- sampling ----------------------------------------------------------------
 
-    def sample_layer(
-        self,
-        layer: int,
-        prev_primary: np.ndarray | None,
-        n_tokens: int,
-        rng: np.random.Generator | None = None,
-        pool: np.ndarray | None = None,
+    def sample_step(
+        self, n_tokens: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        """Assignments ``[n_tokens, top_k]`` for one layer.
+        """Assignments ``[num_layers, n_tokens, top_k]`` of one step.
 
-        ``prev_primary`` is each token's primary expert at the previous
-        layer (None for the first layer); ``pool`` restricts routing to a
-        per-step active set (None = all experts active).
+        Per layer the generator yields the pool size (one ``integers``
+        draw), then one block of uniforms: the pool's Gumbel noise (a
+        partial pool only), the primary draws, the chain-follow draws
+        (past layer 0, with correlation) and the secondary Gumbel noise
+        (top-k > 1). The transforms then run over a chunk of layers at
+        once; a chunk's uniforms fit in ``_CHUNK_DOUBLES``, so a decode
+        step is one chunk and prefill steps keep small temporaries.
         """
         cfg = self.config
         rng = rng or self._rng
-        full_pool = pool is None or len(pool) == cfg.num_experts
-        if pool is None:
-            pool = self._arange(cfg.num_experts)
-        pool_pop, cdf, log_pop = self._pool_table(layer, pool, full_pool)
-
-        idx = np.searchsorted(cdf, rng.random(n_tokens)).astype(np.int64, copy=False)
-        primary = idx if full_pool else pool[idx]
-        if prev_primary is not None and cfg.correlation > 0:
-            chained = self.chain_map[layer][prev_primary]
-            follow = rng.random(n_tokens) < cfg.correlation
-            if not full_pool:
-                in_pool = np.zeros(cfg.num_experts, dtype=bool)
-                in_pool[pool] = True
-                follow &= in_pool[chained]
-            primary = np.where(follow, chained, primary)
-        if cfg.top_k == 1:
-            return primary[:, None]
-        if full_pool:
-            pos = primary  # expert id == position in the identity pool
-        else:
-            # Position of each expert within the (sorted) pool, for the
-            # primary-expert mask of the secondary draw.
-            inv = np.empty(cfg.num_experts, dtype=np.int64)
-            inv[pool] = self._arange(len(pool))
-            pos = inv[primary]
-        extras = self._sample_secondary(
-            pool, log_pop, pos, cfg.top_k - 1, rng, self._arange(n_tokens)
-        )
-        return np.concatenate([primary[:, None], extras], axis=1)
-
-    def sample_step(
-        self, n_tokens: int, rng: np.random.Generator | None = None
-    ) -> list[np.ndarray]:
-        """Assignments for every layer of one generation step."""
-        rng = rng or self._rng
-        assignments: list[np.ndarray] = []
-        prev: np.ndarray | None = None
-        for layer in range(self.config.num_layers):
-            pool = self.sample_pool(layer, rng)
-            a = self.sample_layer(layer, prev, n_tokens, rng, pool)
-            assignments.append(a)
-            prev = a[:, 0]
-        return assignments
+        num_layers = cfg.num_layers
+        out = np.empty((num_layers, n_tokens, cfg.top_k), dtype=np.int64)
+        chunk = max(1, _CHUNK_DOUBLES // self._draw_width(n_tokens))
+        prev = None
+        for first in range(0, num_layers, chunk):
+            prev = self._sample_layers(
+                first, min(num_layers, first + chunk), n_tokens, rng, prev, out
+            )
+        return out
 
     def stream(self, n_tokens: int, seed: int):
-        """Layer-by-layer generator, keeping only O(n_tokens) state."""
-        rng = np.random.default_rng(seed)
-        prev: np.ndarray | None = None
-        for layer in range(self.config.num_layers):
-            pool = self.sample_pool(layer, rng)
-            a = self.sample_layer(layer, prev, n_tokens, rng, pool)
-            prev = a[:, 0]
-            yield layer, a
+        """``(layer, assignments)`` pairs of one step sampled from ``seed``."""
+        step = self.sample_step(n_tokens, np.random.default_rng(seed))
+        return enumerate(step)
 
-    # ---- helpers -------------------------------------------------------------------
+    def _draw_width(self, n: int) -> int:
+        """Most uniforms one layer of ``n`` tokens draws."""
+        cfg = self.config
+        return cfg.num_experts + n * (2 + (cfg.pool_bounds()[1] if cfg.top_k > 1 else 0))
+
+    def _sample_layers(self, first, stop, n, rng, prev, out) -> np.ndarray:
+        """Sample layers ``first..stop-1`` into ``out``; returns the last
+        layer's primary experts (``prev``: the previous layer's)."""
+        cfg = self.config
+        num_experts, extra = cfg.num_experts, cfg.top_k - 1
+        follows = cfg.correlation > 0
+        lo, hi = cfg.pool_bounds()
+        m = stop - first
+        buf = np.empty(m * self._draw_width(n))
+        sizes, gumbel_at, primary_at, secondary_at = [], [], [], []
+        at = 0
+        for layer in range(first, stop):
+            size = int(rng.integers(lo, hi + 1))
+            gumbel = num_experts if size < num_experts else 0
+            secondary = n * size if extra else 0
+            count = gumbel + n + (n if follows and layer > 0 else 0) + secondary
+            rng.random(out=buf[at : at + count])
+            sizes.append(size)
+            if gumbel:
+                gumbel_at.append(at)
+            primary_at.append(at + gumbel)  # the follow draws come next
+            secondary_at.append(at + count - secondary)
+            at += count
+        member = np.ones((m, num_experts), dtype=bool)
+        sizes = np.array(sizes)
+        partial = np.flatnonzero(sizes < num_experts)
+        if partial.size:
+            # Gumbel top-``size`` over the layer's log-popularity; its
+            # top-k hottest experts (logit +inf) are always members: hot
+            # experts are hot because nearly every input routes some
+            # tokens to them (Figure 13's participation near 100 %).
+            u = buf[np.array(gumbel_at)[:, None] + np.arange(num_experts)]
+            noise = -np.log(-np.log(u + 1e-12) + 1e-12)
+            order = np.argsort(
+                -(self._masked_log_pop[first + partial] + noise), axis=1, kind="stable"
+            )
+            rank = np.empty_like(order)
+            rank[np.arange(len(partial))[:, None], order] = np.arange(num_experts)
+            member[partial] = rank < sizes[partial, None]
+        # Member experts first, ascending: the pool in its first ``size`` slots.
+        pools = np.argsort(~member, axis=1, kind="stable")
+        if follows:
+            # Per layer, previous primary + E * follow -> the chained expert
+            # when followed and in the pool, else -1.
+            chained = self.chain_map[first:stop]
+            links = np.full((m, 2 * num_experts), -1, dtype=np.int64)
+            links[:, num_experts:] = np.where(
+                member[np.arange(m)[:, None], chained], chained, -1
+            )
+            shift = num_experts * (
+                buf[np.array(primary_at)[:, None] + np.arange(n, 2 * n)] < cfg.correlation
+            )
+        primary = np.empty((m, n), dtype=np.int64)
+        log_pops = []
+        for i, (size, at) in enumerate(zip(sizes.tolist(), primary_at)):
+            pool = pools[i, :size]
+            _, cdf, log_pop = self._pool_table(first + i, pool, size == num_experts)
+            log_pops.append(log_pop)
+            fresh = pool[cdf.searchsorted(buf[at : at + n])]
+            if prev is not None and follows:
+                link = links[i][prev + shift[i]]
+                fresh = np.where(link < 0, fresh, link)
+            primary[i] = prev = fresh
+        out[first:stop, :, 0] = primary
+        if extra:
+            self._sample_secondary(
+                sizes.tolist(), secondary_at, buf, member, pools, log_pops, primary,
+                out[first:stop],
+            )
+        return prev
 
     @staticmethod
-    def _sample_secondary(
-        pool: np.ndarray,
-        log_pop: np.ndarray,
-        primary_pos: np.ndarray,
-        extra: int,
-        rng: np.random.Generator,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Draw ``extra`` distinct secondary experts per token (pool only).
+    def _sample_secondary(sizes, offsets, buf, member, pools, log_pops, primary, out) -> None:
+        """Fill ``out[..., 1:]``: distinct secondary experts per token by
+        Gumbel top-k over each layer's pool log-popularity, the ``primary``
+        expert masked out. Layers of one pool size share one score array;
+        their rows are independent."""
+        n, extra = out.shape[1], out.shape[2] - 1
+        position = np.cumsum(member, axis=1) - 1  # expert -> slot in its pool
+        by_size: dict[int, list[int]] = {}
+        for i, size in enumerate(sizes):
+            by_size.setdefault(size, []).append(i)
+        groups = list(by_size.values())
+        if n >= _GROUP_TOKENS:  # large layers: one at a time, on views
+            groups = [[i] for rows in groups for i in rows]
+        for rows in groups:
+            g, size = len(rows), sizes[rows[0]]
+            if g == 1:
+                i = rows[0]
+                scores = buf[offsets[i] : offsets[i] + n * size].reshape(1, n, size)
+                log_pop = log_pops[i]
+                slots = position[i][primary[i]]
+            else:
+                rows = np.array(rows)
+                at = np.array(offsets)[rows]
+                scores = buf[at[:, None] + np.arange(n * size)].reshape(g, n, size)
+                log_pop = np.stack([log_pops[i] for i in rows.tolist()])[:, None, :]
+                slots = position[rows[:, None], primary[rows]].ravel()
+            np.add(scores, 1e-12, out=scores)
+            np.log(scores, out=scores)
+            np.negative(scores, out=scores)
+            np.add(scores, 1e-12, out=scores)
+            np.log(scores, out=scores)
+            np.subtract(log_pop, scores, out=scores)
+            scores = scores.reshape(g * n, size)
+            scores[np.arange(g * n), slots] = -np.inf
+            if extra == 1:
+                top = np.argmax(scores, axis=1)[:, None]
+            else:
+                top = np.argpartition(-scores, extra - 1, axis=1)[:, :extra]
+            if g == 1:
+                out[i, :, 1:] = pools[i][top]
+            else:
+                out[rows, :, 1:] = pools[rows[:, None, None], top.reshape(g, n, extra)]
 
-        Uses Gumbel top-k over the pool's log-popularity with the primary
-        expert (given as its position within the pool) masked out —
-        vectorized, popularity-biased, distinct picks. The per-token logit
-        matrix is never materialized: the shared log-popularity row
-        broadcasts against the per-token Gumbel noise, and the primary
-        mask lands on the noise matrix directly.
-        """
-        n_tokens = len(primary_pos)
-        if rows is None:
-            rows = np.arange(n_tokens)
-        # One buffer end to end: U -> Gumbel noise -> scores, in place.
-        scores = rng.random((n_tokens, len(pool)))
-        np.add(scores, 1e-12, out=scores)
-        np.log(scores, out=scores)
-        np.negative(scores, out=scores)
-        np.add(scores, 1e-12, out=scores)
-        np.log(scores, out=scores)
-        np.subtract(log_pop[None, :], scores, out=scores)
-        scores[rows, primary_pos] = -np.inf
-        if extra == 1:
-            top = np.argmax(scores, axis=1)[:, None]
-        else:
-            top = np.argpartition(-scores, extra - 1, axis=1)[:, :extra]
-        return pool[top].astype(np.int64, copy=False)
+
+# Uniforms per sampling chunk, 1 MB (see SyntheticRouter.sample_step),
+# and the tokens per layer from which secondary draws run one layer at a
+# time.
+_CHUNK_DOUBLES = 1 << 17
+_GROUP_TOKENS = 256

@@ -33,9 +33,13 @@ def hot_experts(counts: np.ndarray, k: int) -> list[int]:
 
     ``counts`` may be an array or an int sequence.
     """
-    counts = np.asarray(counts)
-    order = np.lexsort((np.arange(len(counts)), -counts))
-    return [int(e) for e in order[:k]]
+    return top_experts(np.asarray(counts), k).tolist()
+
+
+def top_experts(counts: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``counts`` (or scores), its ``k`` highest columns,
+    highest first, ties by column: :func:`hot_experts` row by row."""
+    return np.argsort(-counts, axis=-1, kind="stable")[..., :k]
 
 
 def coverage(counts: np.ndarray, experts: list[int]) -> float:

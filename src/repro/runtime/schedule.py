@@ -29,6 +29,8 @@ not write back; memory effects are attached when their op is authored.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -60,6 +62,26 @@ PHASE_OTHER = "other"
 # double count), so the free kind sorts first.
 EV_FREE = 0
 EV_ALLOC = 1
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector while building or rewriting
+    schedules.
+
+    Emission and the pass pipeline allocate about one container per op
+    and none in a cycle, so the collections their allocations would
+    trigger free nothing, yet each full one re-traverses every live
+    schedule column. Nested uses leave the collector as they found it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass(frozen=True)

@@ -349,7 +349,35 @@ def random_run_config(rng: np.random.Generator) -> RunConfig:
         correlation=float(rng.uniform(0.0, 0.9)),
         prefill_token_cap=int(rng.choice([64, 256, 2048])),
     )
-    return RunConfig(scenario=scenario, system=random_system_config(rng))
+    system = random_system_config(rng)
+    return RunConfig(
+        scenario=scenario,
+        system=random_prefetcher_options(rng, system, model["num_experts"]),
+    )
+
+
+def random_prefetcher_options(
+    rng: np.random.Generator, system: SystemConfig, num_experts: int
+) -> SystemConfig:
+    """Add a Klotski system's prefetcher knobs, drawn last in a case's
+    config so that every earlier draw replays unchanged.
+
+    Args:
+        rng: the case's seeded generator.
+        system: the drawn system config; any system other than the two
+            Klotski variants is returned as is, drawing nothing.
+        num_experts: the model's expert count (``prefetch_k``'s bound).
+
+    Returns:
+        ``system`` with ``path_length`` (1-3) and ``prefetch_k``
+        (1..num_experts) options for a Klotski variant.
+    """
+    if system.name not in ("klotski", "klotski(q)"):
+        return system
+    options = dict(system.options)
+    options["path_length"] = int(rng.integers(1, 4))
+    options["prefetch_k"] = int(rng.integers(1, num_experts + 1))
+    return dataclasses.replace(system, options=options)
 
 
 # ---- case execution ----------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.cluster import (
     compile_fault_plan,
 )
 from repro.cluster.routers import make_router
+from repro.errors import ConfigValidationError
 from repro.routing.workload import Workload
 from repro.serving.requests import Request
 from repro.serving.scheduler import ContinuousScheduler, GroupScheduler
@@ -503,3 +504,55 @@ def test_metric_arrays_are_cached_and_invalidated():
     report.records.append(report.records[0])
     assert report.latencies() is not first  # record-count change refreshes
     report.records.pop()
+
+
+class TestSimulatorReadsConfigFaults:
+    """A hand-built simulator runs with its config's ``faults`` and
+    ``retry`` unless told otherwise, and refuses an argument that
+    contradicts them."""
+
+    def test_faults_and_retry_come_from_the_config(self):
+        config = ClusterConfig(
+            slo_s=30.0, max_wait_s=5.0, faults="chaos", retry={"max_attempts": 4}
+        )
+        simulator = ClusterSimulator(build_fleet(2), make_router("round-robin"), config)
+        assert simulator.faults == FAULT_PRESETS.get("chaos")()
+        assert simulator.retry == RetryPolicy(max_attempts=4)
+
+    def test_config_faults_run_like_the_explicit_argument(self):
+        spec = [(0.1 * (i % 4), 32, 2) for i in range(40)]
+        chaos = FAULT_PRESETS.get("chaos")()
+        explicit = ClusterSimulator(
+            build_fleet(3), make_router("least-outstanding"),
+            ClusterConfig(slo_s=30.0, max_wait_s=5.0), faults=chaos,
+        ).run(build_requests(spec))
+        configured = ClusterSimulator(
+            build_fleet(3), make_router("least-outstanding"),
+            ClusterConfig(slo_s=30.0, max_wait_s=5.0, faults="chaos"),
+        ).run(build_requests(spec))
+        assert configured.to_dict() == explicit.to_dict()
+        assert configured.counters != ClusterSimulator(
+            build_fleet(3), make_router("least-outstanding"),
+            ClusterConfig(slo_s=30.0, max_wait_s=5.0),
+        ).run(build_requests(spec)).counters
+
+    def test_agreeing_argument_is_accepted(self):
+        config = ClusterConfig(faults="chaos", retry={"max_attempts": 4})
+        simulator = ClusterSimulator(
+            build_fleet(1), make_router("round-robin"), config,
+            faults=FAULT_PRESETS.get("chaos")(), retry=RetryPolicy(max_attempts=4),
+        )
+        assert simulator.faults == FAULT_PRESETS.get("chaos")()
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("cluster.faults", {"faults": None}),
+            ("cluster.faults", {"faults": FaultConfig()}),
+            ("cluster.retry", {"retry": RetryPolicy(max_attempts=9)}),
+        ],
+    )
+    def test_disagreeing_argument_raises_naming_the_field(self, field, kwargs):
+        config = ClusterConfig(faults="chaos", retry={"max_attempts": 4})
+        with pytest.raises(ConfigValidationError, match=field):
+            ClusterSimulator(build_fleet(1), make_router("round-robin"), config, **kwargs)

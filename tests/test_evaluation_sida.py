@@ -77,13 +77,15 @@ class TestOfflinePredictor:
             small_scenario, group, accuracy=1.0
         )
         oracle = small_scenario.make_oracle(batch_offset=0)
-        prefetcher.begin_step()
         from repro.routing.trace import expert_token_counts, hot_experts
 
-        for routing in oracle.step_routing(0, group):
-            predicted = prefetcher.predict(routing.layer)
-            counts = expert_token_counts(routing.assignments, oracle.num_experts)
-            assert predicted == hot_experts(counts, prefetcher.prefetch_k)
+        routing = oracle.step_routing(0, group)
+        predicted = prefetcher.predict_step(routing.primaries)
+        for layer_routing in routing:
+            counts = expert_token_counts(layer_routing.assignments, oracle.num_experts)
+            assert predicted[layer_routing.layer] == hot_experts(
+                counts, prefetcher.prefetch_k
+            )
 
     def test_accuracy_validated(self, small_scenario):
         with pytest.raises(ValueError):
@@ -96,8 +98,8 @@ class TestOfflinePredictor:
         prefetcher = OfflinePredictorPrefetcher(
             small_scenario, group, accuracy=0.0
         )
-        prefetcher.begin_step()
-        predicted = prefetcher.predict(0)
+        routing = small_scenario.make_oracle(batch_offset=0).step_routing(0, group)
+        predicted = prefetcher.predict_step(routing.primaries)[0]
         assert len(predicted) == prefetcher.prefetch_k
 
 

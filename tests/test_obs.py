@@ -395,6 +395,24 @@ class TestBuildStageSpans:
         assert every["core.prefetcher.warmup"] == warmups
         assert every["core.pipeline.decide"] == 1
 
+    @pytest.mark.parametrize("name", ["klotski", "accelerate"])
+    def test_one_routing_sample_span_per_sampled_step(self, small_scenario, name):
+        """Sampling opens one span per sampled step, never one per layer;
+        memo hits open none."""
+        from repro.api.registry import SYSTEMS
+        from repro.routing.oracle import clear_step_routing_memo
+
+        clear_step_routing_memo()
+        obs.enable()
+        SYSTEMS.get(name)().run(small_scenario)
+        SYSTEMS.get(name)().run(small_scenario)  # every step a memo hit
+        obs.disable()
+        samples = [r for r in tracer.spans_snapshot() if r[NAME] == "routing.sample"]
+        misses = obs.counters_snapshot()["memo.step_routing.miss"]
+        workload = small_scenario.workload
+        steps = workload.gen_len * (1 if name == "klotski" else workload.num_batches)
+        assert len(samples) == misses == steps
+
     def test_child_time_sums_direct_children(self):
         obs.enable()
         for _ in range(2):

@@ -107,10 +107,16 @@ class TestPrefetchFailureInjection:
     class _AlwaysWrongPrefetcher(ExpertPrefetcher):
         """Predicts the coldest experts — the paper's worst case (§7)."""
 
-        def predict(self, layer):
+        def _coldest(self, layer):
             scores = self.table.tendencies(layer, None)
             order = np.argsort(scores)
             return [int(e) for e in order[: self.prefetch_k]]
+
+        def predict_step(self, primaries):
+            return [self._coldest(layer) for layer in range(len(primaries))]
+
+        def predict_first(self):
+            return self._coldest(0)
 
     def test_wrong_predictions_slow_but_correct(self, small_scenario):
         model = small_scenario.model

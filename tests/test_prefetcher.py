@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.prefetcher import CorrelationTable, ExpertPrefetcher
+from repro.routing.oracle import StepStats
 from repro.routing.synthetic import RoutingModelConfig, SyntheticRouter
+from tests.routing_reference import sample_layer
 
 
 def correlated_router(correlation=0.9, layers=6, experts=8, top_k=2, seed=0):
@@ -65,13 +67,14 @@ class TestExpertPrefetcher:
         """Drive the prefetcher through sampled steps; return accuracies."""
         rng = np.random.default_rng(seed)
         for _ in range(steps):
-            prefetcher.begin_step()
-            prev = None
+            layers, prev = [], None
             for layer in range(router.config.num_layers):
-                predicted = prefetcher.predict(layer)
-                a = router.sample_layer(layer, prev, n_tokens, rng)
-                prefetcher.observe(layer, a, predicted)
-                prev = a[:, 0]
+                layers.append(sample_layer(router, layer, prev, n_tokens, rng))
+                prev = layers[-1][:, 0]
+            step = np.stack(layers)
+            predicted = prefetcher.predict_step(step[:, :, 0])
+            totals = StepStats.of(step, 1, router.config.num_experts).totals
+            prefetcher.observe_step(step, totals, predicted)
 
     def test_warm_up_then_high_participation(self):
         router = correlated_router()
@@ -115,8 +118,7 @@ class TestExpertPrefetcher:
         prefetcher.table.record_step(
             [np.array([[i % 8, (i + 1) % 8] for i in range(32)])] * 4
         )
-        prefetcher.begin_step()
-        assert len(prefetcher.predict(0)) == 4
+        assert len(prefetcher.predict_first()) == 4
 
     def test_path_length_two(self):
         router = correlated_router(correlation=0.9)

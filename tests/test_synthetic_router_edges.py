@@ -11,6 +11,11 @@ unchanged draw stream. These tests pin that promise at the seams:
   i.e. the cache must never consume RNG draws or alter results;
 * the guaranteed-membership pool invariants survive the masked-logit
   Gumbel top-k implementation.
+
+The per-layer draws (``sample_pool`` / ``sample_layer`` /
+``sample_secondary``) live in ``routing_reference``, which
+``test_routing_differential`` holds bit for bit to the router's
+step-level ``sample_step``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.routing.synthetic import RoutingModelConfig, SyntheticRouter
+from tests.routing_reference import sample_layer, sample_pool, sample_secondary
 
 
 def make_config(**overrides) -> RoutingModelConfig:
@@ -58,7 +64,7 @@ def test_secondary_paths_match_reference(extra):
     log_pop = np.log(rng_pool.dirichlet(np.ones(len(pool))) + 1e-12)
     primary_pos = rng_pool.integers(0, len(pool), size=32)
 
-    produced = SyntheticRouter._sample_secondary(
+    produced = sample_secondary(
         pool, log_pop, primary_pos, extra, np.random.default_rng(42)
     )
     expected = reference_secondary(
@@ -79,7 +85,7 @@ def test_secondary_never_repeats_primary_or_itself():
     pool = np.arange(8)
     log_pop = np.log(np.full(8, 1 / 8))
     primary_pos = rng.integers(0, 8, size=64)
-    extras = SyntheticRouter._sample_secondary(
+    extras = sample_secondary(
         pool, log_pop, primary_pos, 3, np.random.default_rng(9)
     )
     for i in range(64):
@@ -146,7 +152,7 @@ class TestPoolInvariants:
         rng = np.random.default_rng(1)
         for layer in range(router.config.num_layers):
             for _ in range(20):
-                pool = router.sample_pool(layer, rng)
+                pool = sample_pool(router, layer, rng)
                 lo, hi = router.config.pool_bounds()
                 assert lo <= len(pool) <= hi
                 assert set(router._hot_topk[layer].tolist()) <= set(pool.tolist())
@@ -154,12 +160,12 @@ class TestPoolInvariants:
 
     def test_top_k_one_returns_single_column(self):
         router = SyntheticRouter(make_config(top_k=1))
-        out = router.sample_layer(0, None, 10, np.random.default_rng(0))
+        out = sample_layer(router, 0, None, 10, np.random.default_rng(0))
         assert out.shape == (10, 1)
 
     def test_full_pool_shortcut_matches_identity(self):
         router = SyntheticRouter(
             make_config(min_active_fraction=1.0, max_active_fraction=1.0)
         )
-        pool = router.sample_pool(0, np.random.default_rng(0))
+        pool = sample_pool(router, 0, np.random.default_rng(0))
         assert np.array_equal(pool, np.arange(router.config.num_experts))

@@ -497,3 +497,33 @@ class TestValidateCLI:
 
     def test_validate_single_engine(self, capsys):
         assert main(["validate", "--fuzz", "4", "--engine", "legacy"]) == 0
+
+
+def test_fuzz_draws_klotski_prefetcher_knobs():
+    """Klotski cases reach every path length and prefetch width."""
+    from repro.validation.fuzz import random_run_config
+
+    drawn = set()
+    for seed in range(300):
+        config = random_run_config(np.random.default_rng(seed))
+        if config.system.name.startswith("klotski"):
+            options = config.system.options
+            experts = config.scenario.model["num_experts"]
+            assert 1 <= options["prefetch_k"] <= experts
+            drawn.add((options["path_length"], options["prefetch_k"] > 1))
+    assert drawn == {(p, wide) for p in (1, 2, 3) for wide in (False, True)}
+
+
+def test_fuzz_prefetcher_knobs_are_the_last_draws(monkeypatch):
+    """Adding the knobs left every earlier draw of a case unchanged."""
+    from repro.validation import fuzz
+
+    with_knobs = [fuzz.random_run_config(np.random.default_rng(s)) for s in range(60)]
+    monkeypatch.setattr(fuzz, "random_prefetcher_options", lambda rng, system, e: system)
+    without = [fuzz.random_run_config(np.random.default_rng(s)) for s in range(60)]
+    for a, b in zip(with_knobs, without):
+        assert a.scenario == b.scenario
+        assert a.system.name == b.system.name
+        extra = {k: v for k, v in a.system.options.items() if k not in b.system.options}
+        assert set(extra) <= {"path_length", "prefetch_k"}
+        assert {k: a.system.options[k] for k in b.system.options} == b.system.options
