@@ -220,10 +220,18 @@ class RoutingOracle:
 _STEP_ROUTING_MEMO: OrderedDict = OrderedDict()
 _STEP_ROUTING_MEMO_CAP = 96
 
+# Routers by config. A router's tables (popularity, chain map, the pool
+# tables it caches as it samples) are pure functions of its config, so
+# the oracles of one config (every system and batch stream of a
+# comparison, and the warm-up) share one router and its warm caches.
+_ROUTERS: dict = {}
+
 
 def clear_step_routing_memo() -> None:
-    """Drop the process-wide step-routing memo (test/benchmark hygiene)."""
+    """Drop the process-wide step-routing memo and the shared routers
+    (test/benchmark hygiene)."""
     _STEP_ROUTING_MEMO.clear()
+    _ROUTERS.clear()
 
 
 class SyntheticOracle(RoutingOracle):
@@ -253,9 +261,16 @@ class SyntheticOracle(RoutingOracle):
 
     @property
     def router(self) -> SyntheticRouter:
-        """The synthetic router (built on first use)."""
+        """The synthetic router of this config (built on first use and
+        shared by every oracle of the config; callers pass their own
+        generator to it)."""
         if self._router is None:
-            self._router = SyntheticRouter(self.config)
+            router = _ROUTERS.get(self.config)
+            if router is None:
+                if len(_ROUTERS) >= _STEP_ROUTING_MEMO_CAP:
+                    _ROUTERS.clear()
+                router = _ROUTERS[self.config] = SyntheticRouter(self.config)
+            self._router = router
         return self._router
 
     def tokens_for_step(self, step: int, workload: Workload) -> tuple[int, float]:
