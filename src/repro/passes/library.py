@@ -16,7 +16,7 @@ accepting.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.api.registry import register_pass
 from repro.passes.base import PassContext, PassResult, SchedulePass
@@ -53,52 +53,46 @@ class CoalesceTransfersPass(SchedulePass):
     def apply(self, ctx: PassContext) -> PassResult | None:
         schedule = ctx.schedule
         n = len(schedule)
-        res = schedule._res
         deps = schedule._deps
+        res = np.array(schedule._res, dtype=np.int64)
         starts, ends = ctx.timeline.starts, ctx.timeline.ends
-        dependents = [0] * n
-        for dep_ids in deps:
-            for d in dep_ids:
-                dependents[d] += 1
-
-        streams: dict[int, list[int]] = {code: [] for code in TRANSFER_CODES}
-        for op in range(n):
-            if res[op] in streams:
-                streams[res[op]].append(op)
+        dependents = np.bincount(schedule.deps_csr()[1], minlength=n)
+        start_at, end_at = starts.tolist(), ends.tolist()
 
         chain_of = [-1] * n  # op -> chain head (chain members only)
         chains: dict[int, list[int]] = {}
-        for stream in streams.values():
-            # Chains grow along consecutive stream ops, so the candidate's
-            # predecessor in the stream is always the current chain tail.
-            for prev, op in zip(stream, stream[1:]):
-                if starts[op] != ends[prev]:
-                    continue  # the stream idled between them
-                consumed = dependents[prev]
-                if consumed and not (consumed == 1 and prev in deps[op]):
+        for code in TRANSFER_CODES:
+            stream = np.flatnonzero(res == code)
+            prev, nxt = stream[:-1], stream[1:]
+            # A pair can merge only if the stream did not idle between
+            # them and at most one op (then it must be the next one)
+            # waits on prev's completion; the chain test below runs on
+            # these candidates only, in stream order.
+            ok = (starts[nxt] == ends[prev]) & (dependents[prev] <= 1)
+            for prev_op, op in zip(prev[ok].tolist(), nxt[ok].tolist()):
+                if dependents[prev_op] and prev_op not in deps[op]:
                     continue  # something else waits on prev's completion
-                head = chain_of[prev] if chain_of[prev] != -1 else prev
-                members = chains.get(head, [head])
+                # Chains grow along consecutive stream ops, so the
+                # candidate's predecessor is always the current chain tail.
+                head = chain_of[prev_op] if chain_of[prev_op] != -1 else prev_op
+                head_start = start_at[head]
                 if any(
-                    d not in members and ends[d] > starts[head]
+                    d != head and chain_of[d] != head and end_at[d] > head_start
                     for d in deps[op]
                 ):
                     continue  # an external dep would delay the merged start
-                chain = chains.setdefault(head, [head])
-                chain.append(op)
+                chains.setdefault(head, [head]).append(op)
                 chain_of[head] = head
                 chain_of[op] = head
 
         if not chains:
             return None
-        groups: list[tuple[int, ...]] = []
-        for op in range(n):
-            head = chain_of[op]
-            if head == -1:
-                groups.append((op,))
-            elif head == op:
-                groups.append(tuple(chains[op]))
-            # non-head chain members fold into their head's group
+        # Non-head chain members fold into their head's group.
+        groups = [
+            tuple(chains[op]) if op in chains else (op,)
+            for op, head in enumerate(chain_of)
+            if head == -1 or head == op
+        ]
         # Chains on different streams interleave in op-id space, so head
         # order alone can put a merged group before one it depends on.
         ordered = order_groups(schedule, groups)
@@ -126,21 +120,13 @@ class RetimePrefetchPass(SchedulePass):
     def apply(self, ctx: PassContext) -> PassResult | None:
         schedule = ctx.schedule
         n = len(schedule)
-        res = schedule._res
-        starts = ctx.timeline.starts
-        need = [math.inf] * n
-        for op, dep_ids in enumerate(schedule._deps):
-            start = float(starts[op])
-            for d in dep_ids:
-                if start < need[d]:
-                    need[d] = start
-
-        def priority(op: int, ready: float) -> tuple:
-            if res[op] in TRANSFER_CODES:
-                return (need[op], op)
-            return (0.0, op)  # compute streams stay in issue order
-
-        order = greedy_order(schedule, priority)
+        dep_ptr, dep_ids = schedule.deps_csr()
+        dep_owner = np.repeat(np.arange(n), np.diff(dep_ptr))
+        need = np.full(n, np.inf)
+        np.minimum.at(need, dep_ids, ctx.timeline.starts[dep_owner])
+        transfer = np.isin(np.array(schedule._res), list(TRANSFER_CODES))
+        # Compute streams rank 0.0 everywhere, so they stay in issue order.
+        order = greedy_order(schedule, np.where(transfer, need, 0.0))
         if order == list(range(n)):
             return None
         return PassResult(*permute_schedule(schedule, order))
@@ -163,7 +149,7 @@ class FillBubblesPass(SchedulePass):
     def apply(self, ctx: PassContext) -> PassResult | None:
         schedule = ctx.schedule
         n = len(schedule)
-        order = greedy_order(schedule, lambda op, ready: (ready, op))
+        order = greedy_order(schedule)
         if order == list(range(n)):
             return None
         return PassResult(*permute_schedule(schedule, order))

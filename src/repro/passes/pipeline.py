@@ -230,7 +230,8 @@ class PassPipeline:
 
         ctx = PassContext(cur_sched, cur_timeline, hardware)
         try:
-            result = p.apply(ctx)
+            with span("passes.rewrite"):
+                result = p.apply(ctx)
         except ScheduleError as exc:
             return reject(f"pass raised: {exc}")
         if result is None:
@@ -239,7 +240,10 @@ class PassPipeline:
                 makespan_after=None, bubble_after=None, ops_after=None,
                 wall_ms=(time.perf_counter() - t0) * 1e3, **before,
             ), None
-        violations = check_conservation(cur_sched, result.schedule, result.op_map)
+        with span("passes.conservation"):
+            violations = check_conservation(
+                cur_sched, result.schedule, result.op_map
+            )
         if violations:
             return reject(f"conservation: {violations[0]}")
         try:
@@ -293,6 +297,7 @@ def _compose(op_map: OpMap | None, step_map: OpMap) -> OpMap:
     if op_map is None:
         return step_map
     return tuple(
-        tuple(orig for member in group for orig in op_map[member])
+        op_map[group[0]] if len(group) == 1
+        else tuple(orig for member in group for orig in op_map[member])
         for group in step_map
     )

@@ -7,17 +7,87 @@ dependency ids and re-attaching memory effects. Every helper returns the
 rewritten schedule together with an ``op_map`` (new op id -> tuple of
 original op ids) that the :mod:`repro.validation.pass_differential`
 harness uses to prove op-multiset conservation.
+
+The helpers work on columns: a rewrite's groups become CSR arrays, each
+rebuilt column is one gather, and dependencies are remapped through the
+schedule's dependency CSR. ``tests/pass_reference.py`` keeps the per-op
+formulations they are held to.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Sequence
+import math
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ScheduleError
-from repro.runtime.schedule import RESOURCES, Schedule
+from repro.runtime.schedule import RESOURCES, Schedule, render_labels
 
 OpMap = tuple[tuple[int, ...], ...]
+
+
+def group_csr(groups: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, members)`` int64 arrays of rewrite groups:
+    group ``j`` lists ``members[indptr[j]:indptr[j + 1]]``."""
+    g = len(groups)
+    indptr = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=g), out=indptr[1:])
+    members = np.fromiter(
+        chain.from_iterable(groups), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, members
+
+
+def first_unassignable(members: np.ndarray, n: int) -> int:
+    """Position of the first member that is out of ``range(n)`` or lists
+    an op an earlier position already took (-1: none)."""
+    bad = (members < 0) | (members >= n)
+    # Stable sort: every repeat after a value's first position is taken.
+    order = np.argsort(members, kind="stable")
+    ranked = members[order]
+    bad[order[1:][ranked[1:] == ranked[:-1]]] = True
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
+def split_rows(flat: list, indptr: list) -> list[tuple]:
+    """``flat`` cut into one tuple per CSR row."""
+    return [tuple(flat[a:b]) for a, b in zip(indptr, indptr[1:])]
+
+
+def _remap_deps(
+    schedule: Schedule, members: np.ndarray, owner: np.ndarray,
+    old_to_new: np.ndarray, g: int,
+) -> list[tuple[int, ...]]:
+    """Each group's sorted, deduplicated dependencies in new op ids,
+    dependencies inside the group dropped."""
+    dep_ptr, dep_ids = schedule.deps_csr()
+    counts = np.diff(dep_ptr)[members]
+    total = int(counts.sum())
+    # Gather every member's CSR row: position k of the flattened rows
+    # reads dep_ids[dep_ptr[member] + (k - row start)].
+    row_start = np.cumsum(counts) - counts
+    take = np.repeat(dep_ptr[members] - row_start, counts) + np.arange(total)
+    dep_owner = np.repeat(owner, counts)
+    mapped = old_to_new[dep_ids[take]]
+    # Sorted, deduplicated (group, dependency group) keys.
+    keys = np.sort((dep_owner * g + mapped)[mapped != dep_owner])
+    keys = keys[np.append(True, keys[1:] != keys[:-1])] if len(keys) else keys
+    indptr = np.zeros(g + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // g, minlength=g), out=indptr[1:])
+    return split_rows((keys % g).tolist(), indptr.tolist())
+
+
+def _group_labels(labels, plans, heads, merged) -> list[str]:
+    """Rebuilt rows' labels: each head's label, ``(+k)`` on a group
+    that folds in ``k`` more ops."""
+    source = render_labels(labels, plans)
+    out = list(map(source.__getitem__, heads.tolist()))
+    for j, extra in merged:
+        out[j] = f"{out[j]}(+{extra})"
+    return out
 
 
 def rebuild_schedule(
@@ -36,83 +106,77 @@ def rebuild_schedule(
         ``(rewritten, op_map)`` where ``op_map[j] == groups[j]``.
 
     Raises:
-        ScheduleError: when ``groups`` is not a partition or a merged
-            group mixes resources.
+        ScheduleError: when ``groups`` is not a partition, holds an
+            empty group, or a merged group mixes resources.
     """
     n = len(schedule)
-    old_to_new = [-1] * n
-    for j, group in enumerate(groups):
-        for member in group:
-            if not 0 <= member < n or old_to_new[member] != -1:
-                raise ScheduleError(
-                    f"rewrite groups are not a partition (op {member})"
-                )
-            old_to_new[member] = j
-    if sum(len(g) for g in groups) != n:
+    g = len(groups)
+    indptr, members = group_csr(groups)
+    bad = first_unassignable(members, n)
+    if bad >= 0:
+        raise ScheduleError(
+            f"rewrite groups are not a partition (op {int(members[bad])})"
+        )
+    if len(members) != n:
         raise ScheduleError("rewrite groups do not cover every op")
+    sizes = np.diff(indptr)
+    if g and sizes.min() == 0:
+        raise ScheduleError(f"rewrite group {int(np.argmin(sizes))} is empty")
 
-    res = schedule._res
+    owner = np.repeat(np.arange(g, dtype=np.int64), sizes)
+    heads = members[indptr[:-1]]
+    res = np.array(schedule._res, dtype=np.int64)
+    mixed = res[members] != res[heads[owner]]
+    if mixed.any():
+        pos = int(np.argmax(mixed))
+        j = int(owner[pos])
+        raise ScheduleError(
+            f"merged group {j} mixes resources "
+            f"({RESOURCES[res[heads[j]]]} vs {RESOURCES[res[members[pos]]]})"
+        )
+    old_to_new = np.empty(n, dtype=np.int64)
+    old_to_new[members] = owner
+
+    head_ids = heads.tolist()
     dur = schedule._dur
-    deps = schedule._deps
-    labels = schedule._rendered_labels()
-    layers = schedule._layers
-    phases = schedule._phases
-    batches = schedule._batches
-
-    new_res: list[int] = []
-    new_dur: list[float] = []
-    new_deps: list[tuple[int, ...]] = []
-    new_labels: list[str] = []
-    new_layers: list[int] = []
-    new_phases: list[str] = []
-    new_batches: list[int] = []
-    for j, group in enumerate(groups):
-        head = group[0]
-        code = res[head]
+    # 0.0 + d, as the sequential sum below starts from 0.0.
+    new_dur = (np.array(dur, dtype=np.float64)[heads] + 0.0).tolist()
+    merged = []
+    for j in np.flatnonzero(sizes > 1).tolist():
+        # Sequential sum: matches the float arithmetic of executing the
+        # members back to back, so a gapless merge is bit-neutral.
         duration = 0.0
-        dep_ids: set[int] = set()
-        for member in group:
-            if res[member] != code:
-                raise ScheduleError(
-                    f"merged group {j} mixes resources "
-                    f"({RESOURCES[code]} vs {RESOURCES[res[member]]})"
-                )
-            # Sequential sum: matches the float arithmetic of executing
-            # the members back to back, so a gapless merge is bit-neutral.
+        for member in groups[j]:
             duration += dur[member]
-            for d in deps[member]:
-                mapped = old_to_new[d]
-                if mapped != j:
-                    dep_ids.add(mapped)
-        label = labels[head]
-        if len(group) > 1:
-            label = f"{label}(+{len(group) - 1})"
-        new_res.append(code)
-        new_dur.append(duration)
-        new_deps.append(tuple(sorted(dep_ids)))
-        new_labels.append(label)
-        new_layers.append(layers[head])
-        new_phases.append(phases[head])
-        new_batches.append(batches[head])
+        new_dur[j] = duration
+        merged.append((j, len(groups[j]) - 1))
 
     rewritten = Schedule()
     # Re-attach memory effects in the original attachment order (the
-    # compiled event stream sorts stably by (op, kind), so per-op replay
+    # frozen event stream sorts stably by (op, kind), so per-op replay
     # order is preserved). Merged groups pool their members' effects:
     # allocs move to the merged op's start and frees to its end, which
     # can only raise the replayed peak — never hide an OOM.
     rewritten.extend_raw(
-        new_res, new_dur, new_deps, new_labels, new_layers, new_phases,
-        new_batches,
+        res[heads].tolist(),
+        new_dur,
+        _remap_deps(schedule, members, owner, old_to_new, g),
+        (
+            _group_labels,
+            (schedule._labels, tuple(schedule._label_plans), heads, merged),
+        ),
+        list(map(schedule._layers.__getitem__, head_ids)),
+        list(map(schedule._phases.__getitem__, head_ids)),
+        list(map(schedule._batches.__getitem__, head_ids)),
         effects=(
-            [old_to_new[o] for o in schedule._ev_op],
+            old_to_new[np.array(schedule._ev_op, dtype=np.int64)].tolist(),
             schedule._ev_kind,
             schedule._ev_pool,
             schedule._ev_tensor,
             schedule._ev_nbytes,
         ),
     )
-    return rewritten, tuple(tuple(g) for g in groups)
+    return rewritten, tuple(map(tuple, groups))
 
 
 def order_groups(
@@ -128,11 +192,23 @@ def order_groups(
     Cross-chain dependency cycles (legal in the condensation even though
     the op graph is acyclic) have no valid order; the caller should
     treat None as "nothing to rewrite".
+
+    When every group's dependencies map to itself or earlier groups, the
+    given order is already topological, and as the lexicographically
+    smallest topological order it is the one Kahn's min-heap returns;
+    that case returns the groups unchanged without running it.
     """
-    group_of = {}
-    for j, group in enumerate(groups):
-        for member in group:
-            group_of[member] = j
+    n = len(schedule)
+    indptr, members = group_csr(groups)
+    owner = np.repeat(np.arange(len(groups), dtype=np.int64), np.diff(indptr))
+    group_of = np.full(n, len(groups), dtype=np.int64)  # past every group
+    group_of[members] = owner
+    dep_ptr, dep_ids = schedule.deps_csr()
+    dep_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(dep_ptr))
+    if (group_of[dep_ids] <= group_of[dep_owner]).all():
+        return list(map(tuple, groups))
+
+    group_of = group_of.tolist()
     indegree = [0] * len(groups)
     successors: list[set[int]] = [set() for _ in groups]
     for j, group in enumerate(groups):
@@ -170,56 +246,70 @@ def permute_schedule(
 
 
 def greedy_order(
-    schedule: Schedule, priority: Callable[[int, float], tuple]
+    schedule: Schedule, priority: Sequence[float] | None = None
 ) -> list[int]:
     """Deterministic event-driven list scheduling over the dep graph.
 
     Re-derives a global issue order by simulating the executor's FIFO
     semantics: repeatedly emit, across resources, the candidate op with
-    the earliest feasible start. Candidates within one resource are
-    ranked by ``priority(op_id, ready_time)``, called once when the op's
-    dependencies complete (``ready_time`` is the max dep end under the
-    new order). The result is topologically valid by construction.
+    the earliest feasible start (ties broken by resource, then op id).
+    Candidates within one resource are ranked by ``(priority[op], op)``
+    — a static per-op key — or, when ``priority`` is None, by
+    ``(ready_time, op)``, where ``ready_time`` is the max dep end under
+    the new order. The result is topologically valid by construction.
     """
     n = len(schedule)
-    deps = schedule._deps
     durations = schedule._dur
     res = schedule._res
-    indegree = [len(d) for d in deps]
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    for op, dep_ids in enumerate(deps):
-        for d in dep_ids:
-            dependents[d].append(op)
+    dep_ptr, dep_ids = schedule.deps_csr()
+    indegree = np.diff(dep_ptr).tolist()
+    # Dependents CSR: a stable sort of the dep column keeps each op's
+    # dependents in ascending id order.
+    by_dep = np.argsort(dep_ids, kind="stable")
+    dependent_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dep_ids, minlength=n), out=dependent_ptr[1:])
+    dep_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(dep_ptr))
+    dependents = split_rows(dep_owner[by_dep].tolist(), dependent_ptr.tolist())
+    rank = None if priority is None else np.asarray(priority, dtype=np.float64).tolist()
+    push, pop = heapq.heappush, heapq.heappop
+
     ready_time = [0.0] * n
-    heaps: list[list[tuple]] = [[] for _ in range(len(RESOURCES))]
+    num_res = len(RESOURCES)
+    heaps: list[list[tuple]] = [[] for _ in range(num_res)]
     for op in range(n):
         if indegree[op] == 0:
-            heapq.heappush(heaps[res[op]], (priority(op, 0.0), op))
-    avail = [0.0] * len(RESOURCES)
+            push(heaps[res[op]], (0.0 if rank is None else rank[op], op))
+    avail = [0.0] * num_res
+    # Each resource's next emission as (start, resource, op); an empty
+    # resource holds a key no real candidate loses to. Only the emitting
+    # resource and resources whose heap top changed are refreshed.
+    idle = (math.inf, num_res, -1)
+    cand = [(0.0, r, heap[0][1]) if heap else idle for r, heap in enumerate(heaps)]
     order: list[int] = []
+    emit = order.append
     for _ in range(n):
-        best_key = None
-        best_res = -1
-        for r, heap in enumerate(heaps):
-            if not heap:
-                continue
-            op = heap[0][1]
-            start = max(avail[r], ready_time[op])
-            key = (start, r, op)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_res = r
-        start, r, op = best_key[0], best_res, heaps[best_res][0][1]
-        heapq.heappop(heaps[r])
+        start, r, op = min(cand)
+        heap = heaps[r]
+        pop(heap)
         end = start + durations[op]
         avail[r] = end
-        order.append(op)
+        emit(op)
         for succ in dependents[op]:
             if ready_time[succ] < end:
                 ready_time[succ] = end
             indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(
-                    heaps[res[succ]], (priority(succ, ready_time[succ]), succ)
-                )
+            if not indegree[succ]:
+                ready = ready_time[succ]
+                s_res = res[succ]
+                s_heap = heaps[s_res]
+                push(s_heap, (ready if rank is None else rank[succ], succ))
+                if s_res != r and s_heap[0][1] == succ:
+                    s_avail = avail[s_res]
+                    cand[s_res] = (ready if ready > s_avail else s_avail, s_res, succ)
+        if heap:
+            top = heap[0][1]
+            ready = ready_time[top]
+            cand[r] = (ready if ready > end else end, r, top)
+        else:
+            cand[r] = idle
     return order

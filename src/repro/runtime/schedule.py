@@ -21,7 +21,7 @@ objects unless somebody asks for them.
 executor's columns on the schedule itself — integer resource codes,
 float64 durations, and flat alloc/free event arrays with pool codes —
 until the next mutation; :meth:`Schedule.deps_csr` encodes the
-dependencies as CSR arrays on demand.
+dependencies as CSR arrays, kept on a frozen schedule once asked for.
 
 Because materialized :class:`Op` objects are a *view*, mutating one does
 not write back; memory effects are attached when their op is authored.
@@ -115,6 +115,17 @@ class Op:
             raise ScheduleError("op duration must be non-negative")
 
 
+def render_labels(labels: list, plans) -> list[str]:
+    """A schedule's label column with its deferred label plans
+    (``(start, count, render, args)`` entries) rendered in."""
+    if not plans:
+        return labels
+    labels = list(labels)
+    for start, count, render, args in plans:
+        labels[start : start + count] = render(*args)
+    return labels
+
+
 class Schedule:
     """An append-only, dependency-checked op list (structure-of-arrays)."""
 
@@ -138,6 +149,7 @@ class Schedule:
         self._label_plans: list[tuple] = []
         # Caches cleared by every mutation (see _invalidate).
         self._ops_cache: list[Op] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
         self._frozen = False
 
     def __len__(self) -> int:
@@ -185,16 +197,13 @@ class Schedule:
 
     def _rendered_labels(self) -> list[str]:
         """Labels with deferred block labels rendered in."""
-        if not self._label_plans:
-            return self._labels
-        labels = list(self._labels)
-        for start, count, render, args in self._label_plans:
-            labels[start : start + count] = render(*args)
-        return labels
+        return render_labels(self._labels, self._label_plans)
 
     def _invalidate(self) -> None:
-        """Drop the op views and the frozen columns after a mutation."""
+        """Drop the op views, the dependency CSR and the frozen columns
+        after a mutation."""
         self._ops_cache = None
+        self._csr = None
         self._frozen = False
 
     def add(
@@ -349,9 +358,15 @@ class Schedule:
     def deps_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` int64 arrays of the dependency lists.
 
-        Built on every call and never kept: ``indptr`` has
-        ``len(self) + 1`` row pointers, ``indices`` the dependency op ids.
+        ``indptr`` has ``len(self) + 1`` row pointers, ``indices`` the
+        dependency op ids. A frozen schedule keeps them, read-only, until
+        the next mutation (the pass pipeline reads them several times
+        per schedule); otherwise, :meth:`freeze`'s validation included,
+        they are built per call, so schedules that are only executed do
+        not hold them.
         """
+        if self._csr is not None:
+            return self._csr
         n = len(self._deps)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(
@@ -361,6 +376,10 @@ class Schedule:
         indices = np.fromiter(
             chain.from_iterable(self._deps), dtype=np.int64, count=int(indptr[-1])
         )
+        if self._frozen:
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            self._csr = (indptr, indices)
         return indptr, indices
 
     def freeze(self) -> "Schedule":

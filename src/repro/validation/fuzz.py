@@ -55,6 +55,7 @@ from repro.api import (
     build_requests,
     build_scenario,
     build_system,
+    pass_names,
     router_names,
     run_cluster,
     scheduler_names,
@@ -87,7 +88,8 @@ class FuzzConfig:
             byte-for-byte determinism; failures still carry replayable
             config blobs with the fault spec inline.
         passes: when True, every pipeline case additionally runs the
-            schedule-optimization pass pipeline through
+            schedule-optimization pass pipeline, under a queue drawn as
+            a subset and order of the ``PASSES`` registry, through
             :func:`~repro.validation.run_pass_differential` — proving
             op-multiset conservation, timeline invariants, and makespan
             monotonicity on fuzzed schedules (``validate --passes``).
@@ -380,6 +382,24 @@ def random_prefetcher_options(
     return dataclasses.replace(system, options=options)
 
 
+def random_pass_queue(rng: np.random.Generator) -> tuple[str, ...]:
+    """Sample a pass queue: a non-empty subset of the ``PASSES`` registry
+    in a random order, drawn last in a pipeline case so that every
+    earlier draw replays unchanged.
+
+    Args:
+        rng: the case's seeded generator.
+
+    Returns:
+        Registered pass names; a newly registered pass is drawn without
+        touching this module.
+    """
+    names = pass_names()
+    order = rng.permutation(len(names))
+    size = int(rng.integers(1, len(names) + 1))
+    return tuple(names[i] for i in order[:size])
+
+
 # ---- case execution ----------------------------------------------------------
 
 
@@ -417,7 +437,9 @@ def run_pipeline_case(
         label: replay coordinates prefixed to failure tags (the campaign
             runner passes ``--seed``/case-index information here).
         passes: additionally push the schedule through the optimizer
-            pass pipeline and record any pass-differential violations.
+            pass pipeline, with a queue drawn by
+            :func:`random_pass_queue`, and record any pass-differential
+            violations.
     """
     rng = np.random.default_rng(case_seed)
     sampled = random_run_config(rng)
@@ -472,13 +494,15 @@ def run_pipeline_case(
     if passes:
         from repro.validation.pass_differential import run_pass_differential
 
+        queue = random_pass_queue(rng)
         diff = run_pass_differential(
-            schedule, scenario.hardware, capacities=capacities
+            schedule, scenario.hardware, passes=queue, capacities=capacities
         )
         report.record(
             f"{tag} [passes]",
             config,
             violations=[str(v) for v in diff.violations],
+            queue=list(queue),
             passes=list(diff.pipeline.accepted),
         )
 

@@ -17,30 +17,134 @@ cases) and used by the property-based pass-safety test suite.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+import operator
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.hardware.spec import HardwareSpec
 from repro.passes import PassPipeline, PipelineResult
-from repro.passes.rewrite import OpMap
+from repro.passes.rewrite import OpMap, first_unassignable, group_csr
 from repro.runtime.schedule import RESOURCES, Schedule
 from repro.validation.invariants import Violation, check_timeline
 
 
-def _effects_by_op(schedule: Schedule) -> dict[int, Counter]:
-    effects: dict[int, Counter] = {}
-    for op, kind, pool, tensor, nbytes in zip(
-        schedule._ev_op, schedule._ev_kind, schedule._ev_pool,
-        schedule._ev_tensor, schedule._ev_nbytes,
+def _effect_columns(schedule: Schedule, op_ids, num_ops: int, codes: dict) -> np.ndarray:
+    """A schedule's memory effects as a ``[5, events]`` int64 array of
+    (output op, kind, pool code, tensor code, nbytes) rows, sorted by
+    that key; ``op_ids`` maps each event's op to its output op, and
+    events whose op falls outside ``range(num_ops)`` are dropped."""
+    ops = np.array(schedule._ev_op, dtype=np.int64)
+    keep = (ops >= 0) & (ops < num_ops)
+    rows = np.array(
+        [
+            ops,
+            np.array(schedule._ev_kind, dtype=np.int64),
+            list(map(codes.__getitem__, schedule._ev_pool)),
+            list(map(codes.__getitem__, schedule._ev_tensor)),
+            np.array(schedule._ev_nbytes, dtype=np.int64),
+        ],
+        dtype=np.int64,
+    ).reshape(5, len(ops))[:, keep]
+    if op_ids is not None:
+        rows[0] = op_ids[rows[0]]
+    return rows[:, np.lexsort(rows[::-1])]
+
+
+def _effects_differ(
+    original: Schedule, optimized: Schedule, old_to_new, num_ops: int
+) -> np.ndarray:
+    """Per output op: does its memory-effect multiset differ from the
+    union of its group's?"""
+    names = chain(
+        original._ev_pool, original._ev_tensor,
+        optimized._ev_pool, optimized._ev_tensor,
+    )
+    codes = {name: code for code, name in enumerate(dict.fromkeys(names))}
+    old = _effect_columns(original, old_to_new, len(original), codes)
+    new = _effect_columns(optimized, None, num_ops, codes)
+    differ = np.bincount(old[0], minlength=num_ops) != np.bincount(
+        new[0], minlength=num_ops
+    )
+    # Sorted by op first, the events of ops with equal counts align row
+    # for row once the ops whose counts differ are dropped from both.
+    old = old[:, ~differ[old[0]]]
+    new = new[:, ~differ[new[0]]]
+    differ[old[0][(old != new).any(axis=0)]] = True
+    return differ
+
+
+def _group_violations(
+    original: Schedule, optimized: Schedule, new_id: int, group, effects_differ: bool
+) -> list[Violation]:
+    """The conservation violations of one output op, in check order."""
+    if not group:
+        return [Violation("conservation", f"output op {new_id} has an empty group")]
+    violations = []
+    head = group[0]
+    if optimized._res[new_id] != original._res[head] or any(
+        original._res[m] != original._res[head] for m in group
     ):
-        effects.setdefault(op, Counter())[(kind, pool, tensor, nbytes)] += 1
-    return effects
+        violations.append(
+            Violation(
+                "conservation",
+                f"output op {new_id} changed resource "
+                f"({RESOURCES[optimized._res[new_id]]} vs group of "
+                f"{RESOURCES[original._res[head]]})",
+            )
+        )
+    duration = 0.0
+    for m in group:
+        duration += original._dur[m]
+    if optimized._dur[new_id] != duration:
+        violations.append(
+            Violation(
+                "conservation",
+                f"output op {new_id} duration {optimized._dur[new_id]!r}"
+                f" != group sum {duration!r}",
+            )
+        )
+    if optimized._phases[new_id] != original._phases[head]:
+        violations.append(
+            Violation(
+                "conservation",
+                f"output op {new_id} changed phase "
+                f"{original._phases[head]!r} -> "
+                f"{optimized._phases[new_id]!r}",
+            )
+        )
+    if len(group) == 1 and (
+        optimized._layers[new_id] != original._layers[head]
+        or optimized._batches[new_id] != original._batches[head]
+    ):
+        violations.append(
+            Violation(
+                "conservation",
+                f"output op {new_id} changed layer/batch attribution",
+            )
+        )
+    if effects_differ:
+        violations.append(
+            Violation(
+                "conservation",
+                f"output op {new_id} changed its memory-effect multiset",
+            )
+        )
+    return violations
 
 
 def check_conservation(
     original: Schedule, optimized: Schedule, op_map: OpMap | None
 ) -> list[Violation]:
     """Check that ``optimized`` conserves the op multiset of ``original``.
+
+    ``op_map`` must partition the original ops, and every output op must
+    conserve its group's resource, duration (a bitwise sequential sum),
+    phase, singleton layer/batch and memory-effect multiset. The checks
+    run on columns — gathers through the op map, one lexsort of each
+    side's effect stream — and messages are built for the failing
+    output ops only, in output-op then check order.
 
     Args:
         original: the pre-pass schedule.
@@ -50,93 +154,89 @@ def check_conservation(
     Returns:
         Violations (empty when the rewrite conserves everything).
     """
-    if op_map is None:
-        op_map = tuple((i,) for i in range(len(original)))
-    violations: list[Violation] = []
     n = len(original)
-    if len(op_map) != len(optimized):
+    if op_map is None:
+        op_map = tuple((i,) for i in range(n))
+    g = len(op_map)
+    if g != len(optimized):
         return [
             Violation(
                 "conservation",
-                f"op_map has {len(op_map)} groups for "
-                f"{len(optimized)} output ops",
+                f"op_map has {g} groups for {len(optimized)} output ops",
             )
         ]
-    seen = [False] * n
-    for group in op_map:
-        for member in group:
-            if not 0 <= member < n or seen[member]:
-                violations.append(
-                    Violation(
-                        "conservation",
-                        f"original op {member} missing or duplicated in op_map",
-                    )
-                )
-                return violations
-            seen[member] = True
-    if not all(seen):
-        missing = seen.index(False)
+    indptr, members = group_csr(op_map)
+    bad = first_unassignable(members, n)
+    if bad >= 0:
         return [
             Violation(
-                "conservation", f"original op {missing} dropped by the rewrite"
+                "conservation",
+                f"original op {int(members[bad])} missing or duplicated in op_map",
+            )
+        ]
+    if len(members) != n:
+        seen = np.zeros(n, dtype=bool)
+        seen[members] = True
+        return [
+            Violation(
+                "conservation",
+                f"original op {int(np.argmin(seen))} dropped by the rewrite",
             )
         ]
 
-    old_effects = _effects_by_op(original)
-    new_effects = _effects_by_op(optimized)
-    for new_id, group in enumerate(op_map):
-        head = group[0]
-        if optimized._res[new_id] != original._res[head] or any(
-            original._res[m] != original._res[head] for m in group
-        ):
-            violations.append(
-                Violation(
-                    "conservation",
-                    f"output op {new_id} changed resource "
-                    f"({RESOURCES[optimized._res[new_id]]} vs group of "
-                    f"{RESOURCES[original._res[head]]})",
-                )
-            )
+    if n == 0:  # every group is empty
+        return [
+            v for j in range(g)
+            for v in _group_violations(original, optimized, j, op_map[j], False)
+        ]
+    sizes = np.diff(indptr)
+    owner = np.repeat(np.arange(g, dtype=np.int64), sizes)
+    old_to_new = np.empty(n, dtype=np.int64)
+    old_to_new[members] = owner
+    empty = sizes == 0
+    # Empty groups borrow op 0 as a stand-in head; they fail on their own.
+    heads = np.where(empty, 0, members[np.minimum(indptr[:-1], n - 1)])
+    single = sizes == 1
+
+    old_res = np.array(original._res, dtype=np.int64)
+    failing = np.array(optimized._res, dtype=np.int64) != old_res[heads]
+    failing[owner[old_res[members] != old_res[heads[owner]]]] = True
+    old_dur = np.array(original._dur, dtype=np.float64)
+    failing[single] |= np.array(optimized._dur, dtype=np.float64)[single] != (
+        old_dur[heads[single]]
+    )
+    for j in np.flatnonzero(sizes > 1).tolist():
         duration = 0.0
-        for m in group:
+        for m in op_map[j]:
             duration += original._dur[m]
-        if optimized._dur[new_id] != duration:
-            violations.append(
-                Violation(
-                    "conservation",
-                    f"output op {new_id} duration {optimized._dur[new_id]!r}"
-                    f" != group sum {duration!r}",
-                )
+        failing[j] |= optimized._dur[j] != duration
+    failing |= np.fromiter(
+        map(
+            operator.ne,
+            optimized._phases,
+            map(original._phases.__getitem__, heads.tolist()),
+        ),
+        dtype=bool,
+        count=g,
+    )
+    for new_col, old_col in (
+        (optimized._layers, original._layers),
+        (optimized._batches, original._batches),
+    ):
+        failing[single] |= np.array(new_col, dtype=np.int64)[single] != np.array(
+            old_col, dtype=np.int64
+        )[heads[single]]
+    effects_differ = _effects_differ(original, optimized, old_to_new, g)
+    failing |= effects_differ | empty
+
+    violations: list[Violation] = []
+    for new_id in np.flatnonzero(failing).tolist():
+        violations.extend(
+            _group_violations(
+                original, optimized, new_id, op_map[new_id],
+                bool(effects_differ[new_id]),
             )
-        if optimized._phases[new_id] != original._phases[head]:
-            violations.append(
-                Violation(
-                    "conservation",
-                    f"output op {new_id} changed phase "
-                    f"{original._phases[head]!r} -> "
-                    f"{optimized._phases[new_id]!r}",
-                )
-            )
-        if len(group) == 1 and (
-            optimized._layers[new_id] != original._layers[head]
-            or optimized._batches[new_id] != original._batches[head]
-        ):
-            violations.append(
-                Violation(
-                    "conservation",
-                    f"output op {new_id} changed layer/batch attribution",
-                )
-            )
-        merged = Counter()
-        for m in group:
-            merged.update(old_effects.get(m, ()))
-        if new_effects.get(new_id, Counter()) != merged:
-            violations.append(
-                Violation(
-                    "conservation",
-                    f"output op {new_id} changed its memory-effect multiset",
-                )
-            )
+        )
     return violations
 
 

@@ -99,6 +99,11 @@ class TestRebuildSchedule:
         with pytest.raises(ScheduleError, match="mixes resources"):
             rebuild_schedule(s, [(0, 3), (1,), (2,)])
 
+    def test_empty_group_rejected(self):
+        s = chain_schedule()
+        with pytest.raises(ScheduleError, match="rewrite group 1 is empty"):
+            rebuild_schedule(s, [(0, 1), (), (2,), (3,)])
+
     def test_permute_is_singleton_rebuild(self):
         s = bubbly_schedule()
         out, op_map = permute_schedule(s, [0, 2, 1, 3])
@@ -139,7 +144,7 @@ class TestOrderGroups:
 class TestGreedyOrder:
     def test_orders_are_topologically_valid(self):
         s = bubbly_schedule()
-        order = greedy_order(s, lambda op, ready: (ready, op))
+        order = greedy_order(s)
         seen = set()
         for op in order:
             assert all(d in seen for d in s._deps[op])
@@ -148,10 +153,8 @@ class TestGreedyOrder:
 
     def test_priority_reorders_within_stream(self):
         s = bubbly_schedule()
-        urgency = {1: 1.0, 2: 0.0}  # transfer op -> urgency
-        order = greedy_order(
-            s, lambda op, ready: (urgency.get(op, 0.0), op)
-        )
+        urgency = [0.0, 1.0, 0.0, 0.0]  # op -> static rank
+        order = greedy_order(s, urgency)
         assert order.index(2) < order.index(1)
 
 
@@ -184,6 +187,14 @@ class TestCheckConservation:
         out._invalidate()
         violations = check_conservation(s, out, op_map)
         assert any("memory-effect" in str(v) for v in violations)
+
+    def test_empty_group_is_a_violation(self):
+        s = chain_schedule()
+        out, _ = rebuild_schedule(s, [(0, 1), (2,), (3,)])
+        violations = check_conservation(s, out, ((0, 1), (), (2, 3)))
+        assert [str(v) for v in violations][0] == (
+            "[conservation] output op 1 has an empty group"
+        )
 
 
 class TestFreezeValidation:
@@ -237,6 +248,24 @@ class DropOpPass(SchedulePass):
         del sub._layers[-1], sub._phases[-1], sub._batches[-1]
         sub._invalidate()
         return PassResult(sub, groups)
+
+
+class EmptyGroupPass(SchedulePass):
+    """Rebuilds with an empty rewrite group (caught by rebuild_schedule)."""
+
+    name = "empty-group"
+
+    def apply(self, ctx):
+        return PassResult(*rebuild_schedule(ctx.schedule, ((0,), (), (1,))))
+
+
+class EmptyOpMapPass(SchedulePass):
+    """Returns an op map holding an empty group (caught by conservation)."""
+
+    name = "empty-op-map"
+
+    def apply(self, ctx):
+        return PassResult(ctx.schedule, ((0, 1), ()))
 
 
 class SlowdownPass(SchedulePass):
@@ -300,6 +329,39 @@ class TestPassPipeline:
         assert decision.status == "rejected"
         assert decision.reason.startswith("conservation:")
         assert result.schedule is not None and len(result.schedule) == 4
+
+    def test_empty_group_rejected_not_raised(self):
+        """An empty rewrite group rejects the candidate with a reason
+        instead of escaping the pipeline as an IndexError."""
+        s = Schedule()
+        a = s.transfer_in(1.0, "w")
+        s.transfer_in(0.0, "w2", deps=[a])  # (0, 1) conserves everything
+        result = PassPipeline([EmptyGroupPass(), EmptyOpMapPass()]).run(
+            s, make_hw()
+        )
+        assert [(d.status, d.reason) for d in result.decisions] == [
+            ("rejected", "pass raised: rewrite group 1 is empty"),
+            ("rejected", "conservation: [conservation] output op 1 has an empty group"),
+        ]
+        assert result.schedule is s
+
+    def test_spans_split_rewrite_conservation_and_replay(self):
+        """One rewrite span per pass attempt and one conservation span per
+        candidate, so a profile separates check, rewrite and replay."""
+        from repro import obs
+        from repro.obs.tracer import NAME
+
+        obs.enable()
+        try:
+            PassPipeline().run(chain_schedule(), make_hw())
+            names = [record[NAME] for record in obs.spans_snapshot()]
+        finally:
+            obs.disable()
+        # coalesce merges the chain; the reorderers find nothing to do.
+        assert names.count("passes.apply") == 3
+        assert names.count("passes.rewrite") == 3
+        assert names.count("passes.conservation") == 1
+        assert names.count("executor.timing_pass") == 2  # baseline + candidate
 
     def test_makespan_regression_rejected(self):
         s = Schedule()

@@ -9,6 +9,7 @@ including the CLI entry point.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -421,6 +422,31 @@ class TestFuzz:
         assert "sida" not in drawn
         assert _unpinned_systems(drawn) == ["unpinned"]
 
+    def test_every_registered_pass_is_drawn_in_any_order(self):
+        """``validate --passes`` queues are subsets and orders of the
+        ``PASSES`` registry: every pass and every order of the full
+        registry is reached, including bubble filling before coalescing
+        (merged groups over a permuted schedule)."""
+        from repro.api import pass_names
+
+        queues = _drawn_pass_queues()
+        assert {name for queue in queues for name in queue} == set(pass_names())
+        assert all(queue and len(set(queue)) == len(queue) for queue in queues)
+        full = {queue for queue in queues if len(queue) == len(pass_names())}
+        assert len(full) == math.factorial(len(pass_names()))
+        assert any(
+            "fill-bubbles" in q and "coalesce-transfers" in q
+            and q.index("fill-bubbles") < q.index("coalesce-transfers")
+            for q in queues
+        )
+
+    def test_pass_coverage_reaches_a_newly_registered_pass(self, monkeypatch):
+        from repro.api.registry import PASSES
+        from repro.passes.library import FillBubblesPass
+
+        monkeypatch.setitem(PASSES._entries, "unpinned", FillBubblesPass)
+        assert "unpinned" in {name for q in _drawn_pass_queues() for name in q}
+
     def test_report_summary_lists_failures(self):
         report = FuzzReport(cases=1, violations=["boom"], diffs=["drift"])
         text = report.summary()
@@ -434,6 +460,14 @@ def _drawn_system_names() -> set[str]:
 
     rng = np.random.default_rng(0)
     return {random_system_config(rng).name for _ in range(400)}
+
+
+def _drawn_pass_queues() -> set[tuple[str, ...]]:
+    """Pass queues 400 fuzz draws reach."""
+    from repro.validation.fuzz import random_pass_queue
+
+    rng = np.random.default_rng(0)
+    return {random_pass_queue(rng) for _ in range(400)}
 
 
 def _unpinned_systems(drawn: set[str]) -> list[str]:
