@@ -351,11 +351,55 @@ def random_run_config(rng: np.random.Generator) -> RunConfig:
         correlation=float(rng.uniform(0.0, 0.9)),
         prefill_token_cap=int(rng.choice([64, 256, 2048])),
     )
-    system = random_system_config(rng)
+    scenario, system = random_offload_point(rng, scenario, random_system_config(rng))
     return RunConfig(
         scenario=scenario,
         system=random_prefetcher_options(rng, system, model["num_experts"]),
     )
+
+
+def random_offload_point(
+    rng: np.random.Generator, scenario: ScenarioConfig, system: SystemConfig
+) -> tuple[ScenarioConfig, SystemConfig]:
+    """Move half of the Klotski and Fiddler cases to the offload extremes
+    the uniform hardware draw misses, drawn right after the system (so
+    every earlier draw replays unchanged) and before its prefetcher knobs.
+
+    A Klotski case keeps its weights out of spare VRAM on a machine whose
+    DRAM holds only part of the model, so the placement spills weights
+    to disk; a Fiddler case gets a CPU fast and a host link slow enough
+    that experts run on the CPU. Other systems draw but change nothing.
+
+    Args:
+        rng: the case's seeded generator.
+        scenario: the drawn scenario; its inline machine may change.
+        system: the drawn system config; a Klotski variant's options may
+            change.
+
+    Returns:
+        The ``(scenario, system)`` pair.
+    """
+    u, scale = float(rng.random()), float(rng.uniform(0.2, 0.9))
+    if u >= 0.5 or system.name not in ("klotski", "klotski(q)", "fiddler"):
+        return scenario, system
+    model = ModelConfig(**scenario.model)
+    env = dict(scenario.env)
+    if system.name == "fiddler":
+        # VRAM a few times the model plus its prefill activations: the
+        # expert cache (a tenth of VRAM) then leaves experts in DRAM.
+        tokens = scenario.batch_size * scenario.prompt_len
+        act = tokens * (4 * model.hidden_size + model.num_heads * scenario.prompt_len)
+        env["vram_bytes"] = int(4 * (model.total_bytes() + act * model.dtype_bytes))
+        env["cpu"] = dataclasses.asdict(
+            ComputeSpec("fuzz-fast-cpu", 50e12 * scale, 2000 * scale * GB, kernel_overhead_s=1e-6)
+        )
+        env["pcie_h2d"] = dataclasses.asdict(LinkSpec("h2d", 0.05 * scale * GB))
+    else:
+        env["dram_bytes"] = max(int(model.total_bytes() * scale), 1 << 16)
+        system = dataclasses.replace(
+            system, options={**system.options, "use_spare_vram": False}
+        )
+    return dataclasses.replace(scenario, env=env), system
 
 
 def random_prefetcher_options(

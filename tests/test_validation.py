@@ -561,3 +561,29 @@ def test_fuzz_prefetcher_knobs_are_the_last_draws(monkeypatch):
         extra = {k: v for k, v in a.system.options.items() if k not in b.system.options}
         assert set(extra) <= {"path_length", "prefetch_k"}
         assert {k: a.system.options[k] for k in b.system.options} == b.system.options
+
+
+def test_fuzz_reaches_disk_reads_and_cpu_experts():
+    """The pipeline cases of ``--seed 0`` build schedules that read a
+    spilled weight from disk and that run a Fiddler expert on the CPU,
+    so the fuzzer reaches both builder branches."""
+    from repro.api import build_scenario, build_system
+    from repro.errors import ReproError
+    from repro.runtime.schedule import CPU, DISK_IO, RESOURCE_CODES
+    from repro.validation.fuzz import random_run_config
+
+    wanted = {RESOURCE_CODES[DISK_IO], RESOURCE_CODES[CPU]}
+    reached = set()
+    for i in range(100):
+        if (i + 1) % FuzzConfig().cluster_every == 0:
+            continue
+        case_seed = int(np.random.default_rng([0, i]).integers(0, 2**63))
+        config = random_run_config(np.random.default_rng(case_seed))
+        try:
+            built = build_system(config.system).build(build_scenario(config.scenario))
+        except (ReproError, ValueError):
+            continue
+        reached |= wanted.intersection(built.schedule._res)
+        if reached == wanted:
+            break
+    assert reached == wanted
