@@ -19,30 +19,25 @@ import numpy as np
 
 def ordered_step_experts(
     counts: np.ndarray, in_vram: np.ndarray
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Order the activated experts of every layer of a step at once.
 
     ``counts`` is ``[layers, E]`` tokens per expert across the group and
     ``in_vram`` the ``[layers, E]`` mask of experts prefetched or pinned
     in VRAM. One stable sort orders each layer: in-VRAM experts busiest
     first (ties by id) so their long aggregate compute buys time for
-    cold transfers, then cold experts in ascending id — the order the
-    builder issues their on-demand transfers in.
+    cold transfers, then cold experts (active, not in VRAM) in ascending
+    id — the order the builder issues their on-demand transfers in.
 
     Returns:
-        Per layer, the ids of its experts with routed tokens in execution
-        order, and its cold ones (active, not in VRAM) ascending.
+        A ``[layers, E]`` array whose row ``l`` starts with the ids of
+        layer ``l``'s experts with routed tokens in execution order, and
+        each layer's count of those experts.
     """
     counts = np.asarray(counts)
     active = counts > 0
-    ready = active & in_vram
-    key = np.where(ready, -counts, np.where(active, 0, 1))
-    rows = np.argsort(key, axis=1, kind="stable").tolist()
-    n_active = active.sum(axis=1).tolist()
-    n_ready = ready.sum(axis=1).tolist()
-    orders = [row[:na] for row, na in zip(rows, n_active)]
-    cold = [order[nr:] for order, nr in zip(orders, n_ready)]
-    return orders, cold
+    key = np.where(active & in_vram, -counts, np.where(active, 0, 1))
+    return np.argsort(key, axis=1, kind="stable"), active.sum(axis=1)
 
 
 def ordered_active_experts(
@@ -69,4 +64,5 @@ def ordered_active_experts(
         return np.flatnonzero(counts).tolist()
     in_vram = np.zeros(counts.shape, dtype=bool)
     in_vram[list(set(prefetched) | set(resident))] = True
-    return ordered_step_experts(counts[None], in_vram[None])[0][0]
+    order, active = ordered_step_experts(counts[None], in_vram[None])
+    return order[0, : active[0]].tolist()

@@ -23,39 +23,43 @@ CPU expert computation), all on identical substrates.
 
 Emission runs in two passes per :meth:`PipelineBuilder.build` call:
 
-* **decide** walks (step, layer) in Python and makes every stateful
-  choice. What depends only on a step's routing and forecasts is
-  decided once per step for all its layers (:meth:`_plan_experts`):
-  routing stats, the prefetcher's ``predict_step`` / ``observe_step``,
-  expert order, cold experts. The residency and transfer bookkeeping
-  walks layer by layer: which weights are already in flight
-  (``_ready``), cold and disk transfers, frees, Fiddler's CPU-vs-GPU
-  choice. It records small per-family tables: one row per layer unit (its
-  attention + gate/FFN block is a fixed per-layer op template), per
-  weight transfer, per expert op, per CPU-expert round trip, per
-  embed/head op, and the memory effects in attachment order. Each unit's
-  op count is known when it is decided, so op ids — and the
-  dependencies between them — are offsets from the unit's first op.
-* **materialize** turns those tables into the schedule's columns for the
-  whole call at once with numpy: resources, durations (per-step and
-  per-weight tables, the per-builder expert-duration tables), layers,
-  phases, batches, dependency tuples, deferred labels (rendered only
-  when someone reads them), and the memory-effect stream, appended with
-  one :meth:`Schedule.extend_raw` call.
+* **decide** makes one array pass per step (:meth:`_decide_step`). A
+  step repeats one per-layer op template — attention block, gates (or
+  dense FFNs), cold on-demand transfers, expert ops, immediate frees,
+  next-layer prefetch — between an embed and an LM-head op, and the
+  template's sizes follow from the step's tables alone: the routing
+  counts, the prefetcher's forecasts (one ``predict_step`` /
+  ``observe_step`` per step), the expert order and cold set, and the
+  resident and on-disk weight masks. The pass sizes every segment of
+  the step (a disk-spilled weight adds its read before its copy),
+  places all of the step's ops with one cumsum, and records the ops'
+  columns, their ``(op, dependency)`` pairs and their memory effects as
+  arrays. The ``[layers, stride]`` matrix of the transfer that made each
+  weight slot ready gives attention, gate and expert dependencies and
+  the frees; without overlap (Accelerate-style synchronous loading) the
+  last transfer and compute before an op are searches over the step's
+  sorted transfer and compute ops. Only the layer-0 weights prefetched
+  at a step's tail, the last head, transfer and compute ops, and the
+  group's KV tensors carry over to the next step.
+* **materialize** concatenates the arrays of every group decided since
+  the last call, puts the columns in op order, turns the dependency
+  pairs into sorted deduplicated tuples, orders the memory effects into
+  attachment order (frees in release order) with one lexsort, and
+  appends everything with one :meth:`Schedule.extend_raw` call; labels
+  stay deferred until someone reads them.
 
-The output is row-for-row what per-op emission produces; the
-``tests/goldens/pipeline-*-small.rows.json`` goldens pin every column.
-One builder serves a whole run: sequential systems call :meth:`build`
-once per batch with a new oracle (and prefetcher), so only the per-group
-decision state resets between calls, while placement-derived tables
-(weight bytes and transfer times, residency, split shapes) persist.
+The ``tests/goldens/pipeline-*-small.rows.json`` goldens pin every column,
+and ``tests/test_emission_differential.py`` holds the pass to the per-layer
+decider it replaced. One builder serves a whole run: sequential systems
+call :meth:`decide` once per batch with a new oracle (and prefetcher) and
+materialize once, so only the per-group decision state resets between
+calls, while placement-derived tables (weight bytes and transfer times,
+residency, split shapes) persist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -138,36 +142,50 @@ def _render_labels(codes, xs, layers, batches, steps, tids) -> list[str]:
         )
     ]
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(lo[i], hi[i])``."""
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    return np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
 
-def _row_tuples(values: np.ndarray, ids: list[int], start: int) -> list[tuple[int, ...]]:
-    """Per row of ``values``, its sorted distinct op ids (-1: absent), as
-    :func:`_sorted_deps` would give them; ``ids[i]`` is op ``start + i``.
 
-    Rows sharing a pattern of kept columns (bit-packed to one opaque key of
-    any width) are zipped into tuples at once.
+def _dep_tuples(rows: np.ndarray, deps: np.ndarray, count: int, ids: np.ndarray) -> np.ndarray:
+    """Per row ``0..count-1``, the sorted distinct ``deps`` paired with it
+    as a tuple of ``ids`` (an object array, so equal op ids share one int
+    object), in an object array.
+
+    The rows are ordered by dependency count; each count's entries are
+    gathered from ``ids`` at once and grouped into tuples of that width.
     """
-    rows = np.sort(values, axis=1)
-    keep = rows >= 0
-    keep[:, :-1] &= rows[:, :-1] != rows[:, 1:]
-    packed = np.packbits(keep, axis=1)
-    _, first, group = np.unique(
-        packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
-    )
-    out: list[tuple[int, ...]] = [()] * len(rows)
-    op = ids.__getitem__
-    for g, i in enumerate(first.tolist()):
-        sel = np.flatnonzero(group == g)
-        kept = (map(op, (rows[sel, j] - start).tolist()) for j in np.flatnonzero(keep[i]))
-        for i, row in zip(sel.tolist(), zip(*kept)):
-            out[i] = row
-    return out
+    key = np.sort(rows * len(ids) + deps)
+    if key.size:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    rows, deps = np.divmod(key, len(ids))
+    lengths = np.bincount(rows, minlength=count)
+    by_length = np.argsort(lengths, kind="stable")
+    sizes = lengths[by_length]
+    starts = np.cumsum(lengths) - lengths
+    flat = ids[deps[_ranges(starts[by_length], starts[by_length] + sizes)]].tolist()
+    out: list[tuple] = []
+    bounds = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
+    ends = np.cumsum(sizes).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        width = int(sizes[lo])
+        if width == 0:
+            out += [()] * (hi - lo)
+        else:
+            out += zip(*[iter(flat[ends[lo] - width : ends[hi - 1]])] * width)
+    tuples = np.empty(count, dtype=object)
+    tuples[by_length] = _objects(out)
+    return tuples
 
 
-def _sorted_deps(deps) -> tuple[int, ...]:
-    """Canonical (sorted, deduplicated) dependency tuple."""
-    if len(deps) <= 1:
-        return tuple(deps)
-    return tuple(sorted(set(deps)))
+def _objects(items: list) -> np.ndarray:
+    """A 1-D object array of ``items`` (tuples stay single elements)."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 @dataclass(frozen=True)
@@ -208,69 +226,83 @@ class _StepCosts:
     kv_alloc_delta: int
 
 
+
+
+# A CPU round trip's resources and label codes.
+_TRIP_RES = np.array([_D2H, _CPU, _H2D])
+_TRIP_LABELS = np.array([_L_D2H_HID, _L_CPU_EXP, _L_H2D_HID])
+
+# Columns of the unit table: one row per layer unit (a layer of a step).
+(_U_START, _U_STEP, _U_LAYER, _U_M, _U_LAST_ATTN, _U_LAST_GATE, _U_TAIL, _U_NEXT,
+ _U_BLO, _U_BHI, _U_NOD) = range(11)
+
+
 class _Decisions:
     """What the decide pass records until the next materialize.
 
-    Per op family, records (tuples) or columns (parallel lists) in
-    decision order; op ids are absolute (``start`` is the length of the
-    schedule the decisions were made for) and a *run* is a contiguous
-    block of op ids from its first op. Memory effects are flat
-    ``(op, kind, key)`` columns in attachment order, where a key is a
-    weight index or ``len(tids) + i`` for the i-th ``extra`` tensor (KV
-    growth, the resident blob). Decide appends each layer's frees in
-    release order when the layer ends (see
-    :meth:`PipelineBuilder._free_ready`).
+    Op ids are absolute (``start`` is the length of the schedule the
+    decisions were made for). Each step appends arrays:
+
+    * ``units``: a ``[layers, 11]`` unit table (see the ``_U_*``
+      columns): first op, step, layer, attention-block shape ``m``, the
+      last attention and gate ops, the tail (the layer's last compute op
+      of its barrier), the first op after the layer's experts, the
+      previous layer's barrier as an op range (the first layer's: the
+      embed) and, without overlap, the last transfer before the unit;
+      plus the unit's ``[stride]`` row of the ready-transfer matrix and
+      of each expert slot's last op (-1: none);
+    * ``steps``: the step's embed, head and durations;
+    * ``transfers``: copy ops, weights, stream, step and the op the copy
+      (or its disk read) waits on; ``cols``: whole ``(op, resource,
+      duration, layer, phase, batch, label code, x, step)`` columns of
+      the other ops but embeds and heads (``x``: expert or weight index,
+      see :data:`_LABELS`);
+    * ``pairs`` ``(op, dependency)``, ``ranges`` ``(op, first, end)``
+      dependency ranges and ``prefix`` ``(unit, dependency)`` additions
+      to a unit's attention prefix;
+    * ``effects`` ``(op, kind, key, order, rank)`` memory effects other
+      than transfer allocations and layer frees, where a key is a
+      weight index or ``len(tids) + i`` for the i-th ``extra`` tensor
+      (KV growth, the resident blob) and ``(order, rank)`` sorts every
+      effect into the order per-op authoring attaches them in.
     """
 
     def __init__(self, start: int):
         self.start = start
         self.nops = start  # the next op id
-        # Per step: attention-block ops per batch and their n * m durations.
-        self.step_m: list[int] = []
-        self.step_durs: list[list[float]] = []
-        # Layer units, n * m attention-block ops then n gate (or dense FFN)
-        # ops: (first op, layer, step, steps index, attention deps, gate
-        # deps, gate / FFN durations).
-        self.units: list[tuple] = []
-        # Embed / head / init ops: (op, duration, deps, label code, step).
-        self.singles: list[tuple] = []
-        # Transfer runs on one resource: first op, length, resource; and
-        # per transfer its weight and deps.
-        self.x_base: list[int] = []
-        self.x_len: list[int] = []
-        self.x_res: list[int] = []
-        self.x_w: list[int] = []
-        self.x_deps: list[tuple] = []
-        # Expert blocks, a layer's GPU experts: (first op, layer, step,
-        # first gate op, token scale, routing stats, expert-major order
-        # (None: one op per routed pair), {weight: ready transfer op}, the
-        # last transfer before them without overlap (else -1)).
-        self.experts: list[tuple] = []
-        # CPU-expert systems: GPU experts (op, layer, step, expert,
-        # duration, deps) and CPU round trips (first op, layer, step,
-        # expert, deps, token count, scale).
-        self.gpu_experts: list[tuple] = []
-        self.cpu: list[tuple] = []
-        # Memory effects, flat.
-        self.ev_op: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_key: list[int] = []
+        self.nunits = 0
+        self.nruns = 0
+        self.units: list[np.ndarray] = []
+        self.ready: list[np.ndarray] = []
+        self.last: list[np.ndarray] = []
+        self.steps: list[tuple] = []
+        self.transfers: list[tuple] = []
+        self.cols: list[tuple] = []
+        self.trips: list[tuple] = []
+        self.pairs: list[tuple] = []
+        self.ranges: list[tuple] = []
+        self.prefix: list[tuple] = []
+        self.run_pairs: list[tuple] = []
+        self.run_ranges: list[tuple] = []
+        self.effects: list[tuple] = []
         self.extra_tids: list[str] = []
         self.extra_nbytes: list[int] = []
 
-    def transfer(self, base: int, ws, res: int, deps) -> None:
-        """Record a run of transfers of weights ``ws`` from op ``base``."""
-        self.x_base.append(base)
-        self.x_len.append(len(ws))
-        self.x_res.append(res)
-        self.x_w.extend(ws)
-        self.x_deps.extend(deps)
-
-    def effect(self, kind: int, ops, keys) -> None:
+    def effect(self, ops, kind: int, keys, order, rank=0) -> None:
         """Attach effects of one kind to ``ops``, key for key."""
-        self.ev_op.extend(ops)
-        self.ev_kind.extend([kind] * len(keys))
-        self.ev_key.extend(keys)
+        self.effects.append((ops, kind, keys, order, rank))
+
+
+class _Group:
+    """Decision state one step hands to the next within a batch group."""
+
+    def __init__(self, stride: int):
+        # Op of the transfer that made each layer-0 weight slot ready at
+        # the previous step's tail (-1: none).
+        self.carry = np.full(stride, -1, dtype=np.int64)
+        self.head = -1  # the previous step's LM head
+        self.last_transfer = -1  # the last weight copy issued
+        self.kv_keys: list[int] = []
 
 
 class PipelineBuilder:
@@ -304,59 +336,72 @@ class PipelineBuilder:
         # (rows, scale) -> per-batch gate / FFN durations.
         self._block_durs: dict[tuple[int, float], list[float]] = {}
         # (scale, on_cpu) -> expert duration by routed token count.
-        self._dur_tables: dict[tuple[float, bool], list[float]] = {}
+        self._dur_tables: dict[tuple[float, bool], np.ndarray] = {}
+        # Attention-block shape m -> the layer unit's op template.
+        self._templates: dict[int, tuple] = {}
+        # (step, rows, scale) -> the step's costs and unit durations.
+        self._step_memo: dict[tuple, tuple] = {}
+        self._kv_names: dict[int, list[str]] = {}
         self._weight_tables()
         self._pending: _Decisions | None = None
 
     def _weight_tables(self) -> None:
         """Per-weight tables, indexed ``w = layer * stride + slot`` (slot 0
-        attention, 1 gate, ``2 + e`` expert ``e``)."""
-        model, placement = self.model, self.placement
-        num_experts = model.num_experts
+        attention, 1 gate, ``2 + e`` expert ``e``; a dense FFN is slot 2),
+        and the static prefetch candidates."""
+        model, placement, features = self.model, self.placement, self.features
+        num_layers, num_experts = model.num_layers, model.num_experts
         self._stride = stride = num_experts + 2
         tids: list[str] = []
-        for layer in range(model.num_layers):
+        for layer in range(num_layers):
             tids += [attn_id(layer), gate_id(layer)]
             tids += [expert_id(layer, e) for e in range(num_experts)]
         self._tids = tids
         nbytes = [self.inventory.nbytes(t) if t in self.inventory else 0 for t in tids]
-        if self.features.quantize:  # attention and experts, not gates
+        if features.quantize:  # attention and experts, not gates
             nbytes = [
                 nb if w % stride == 1 else int(nb * QUANT_BYTES_FACTOR)
                 for w, nb in enumerate(nbytes)
             ]
         self._nbytes = nbytes
         transfer_time, pinned = self.cost.transfer_time, placement.pinned
-        self._h2d_durs = [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes]
-        self._disk_durs = [transfer_time(nb, "disk", "dram") for nb in nbytes]
-        level = placement.location.get
-        self._resident = {w for w, t in enumerate(tids) if level(t) == VRAM}
-        self._on_disk = {w for w, t in enumerate(tids) if level(t) == DISK}
-        self._resident_experts = [
-            {e for e in range(num_experts) if layer * stride + 2 + e in self._resident}
-            for layer in range(model.num_layers)
-        ]
-        self._resident_mask = np.zeros((model.num_layers, num_experts), dtype=bool)
-        for layer, experts in enumerate(self._resident_experts):
-            self._resident_mask[layer, list(experts)] = True
+        self._h2d_durs = np.array(
+            [transfer_time(nb, "dram", "vram", pinned=pinned) for nb in nbytes]
+        )
+        self._disk_durs = np.array([transfer_time(nb, "disk", "dram") for nb in nbytes])
+        levels = [placement.location.get(t) for t in tids]
+        self._resident = np.array([lv == VRAM for lv in levels]).reshape(num_layers, stride)
+        # Ops per transfer: a spilled weight's disk read, then its copy.
+        self._cost = 1 + np.array([lv == DISK for lv in levels], dtype=np.int64)
         if model.is_dense:
-            self._static_hot = [0]
-        elif self.features.cpu_experts:
-            self._static_hot = []
-        elif not self.features.hot_prefetch:
-            self._static_hot = list(range(num_experts))
+            static_hot = [0]
+        elif features.cpu_experts:
+            static_hot = []
+        elif not features.hot_prefetch:
+            static_hot = list(range(num_experts))
         else:
-            self._static_hot = list(range(min(model.top_k, num_experts)))
-        # Per layer: non-resident attention (+ gate) weights, and those
-        # plus the static hot experts, in prefetch order.
-        self._block_loads = [
-            [w for w in ([wb] if model.is_dense else [wb, wb + 1]) if w not in self._resident]
-            for wb in range(0, model.num_layers * stride, stride)
-        ]
-        self._static_loads = [
-            loads + [w for w in (wb + 2 + e for e in self._static_hot) if w not in self._resident]
-            for loads, wb in zip(self._block_loads, range(0, model.num_layers * stride, stride))
-        ]
+            static_hot = list(range(min(model.top_k, num_experts)))
+        self._static_hot = static_hot
+        # Prefetch candidates, in issue order: the attention (and gate)
+        # weights, then the hot experts; rows are layers 0..L-1, then
+        # layer 0 again (the next step's, prefetched at a step's tail).
+        self._block_slots = np.array([0] if model.is_dense else [0, 1], dtype=np.int64)
+        self._gate_slot = 2 if model.is_dense else 1
+        self._pf_layers = np.append(np.arange(num_layers), 0)
+        slots = np.concatenate([self._block_slots, np.array(static_hot, dtype=np.int64) + 2])
+        self._static_pf = self._candidates(np.broadcast_to(slots, (num_layers + 1, len(slots))))
+        in_vram = self._resident[:, 2:].copy()
+        in_vram[:, static_hot] = True
+        self._static_in_vram = in_vram
+        expert_w = self._pf_layers[:num_layers, None] * stride + 2 + np.arange(num_experts)
+        self._cold_cost = self._cost[expert_w]
+
+    def _candidates(self, slots: np.ndarray) -> tuple:
+        """``[layers + 1, k]`` candidate slots with their weights, whether
+        to transfer them (not resident, not padding) and ops per transfer."""
+        layers = self._pf_layers[:, None]
+        w = layers * self._stride + slots
+        return slots, w, (slots >= 0) & ~self._resident[layers, slots], self._cost[w]
 
     # ---- per-step and per-routing costs -----------------------------------------
 
@@ -412,9 +457,7 @@ class PipelineBuilder:
             durs = self._block_durs[key] = [by_size[size] for size in sizes]
         return durs
 
-    def _duration_table(
-        self, routing: LayerRouting, on_cpu: bool = False
-    ) -> list[float]:
+    def _duration_table(self, routing: LayerRouting, on_cpu: bool = False) -> np.ndarray:
         """Expert durations indexed by routed token count for ``routing``.
 
         Entry ``c`` costs ``max(1, c * scale)`` tokens. One vectorized
@@ -424,17 +467,57 @@ class PipelineBuilder:
         each expert at most once per top-k slot, so no count exceeds the
         assignment size.
         """
-        key = (routing.scale, on_cpu)
+        scale, size = routing.scale, routing.assignments.size
+        key = (scale, on_cpu)
         table = self._dur_tables.get(key)
-        size = routing.assignments.size
         if table is None or len(table) <= size:
-            table = self.cost.expert_times(
-                np.maximum(1.0, np.arange(size + 1) * routing.scale),
+            table = self._dur_tables[key] = self.cost.expert_times(
+                np.maximum(1.0, np.arange(size + 1) * scale),
                 quantize=self.features.quantize,
                 on_cpu=on_cpu,
-            ).tolist()
-            self._dur_tables[key] = table
+            )
         return table
+
+    def _step_tables(self, step: int, routing) -> tuple:
+        """A step's :class:`_StepCosts`, its units' ``[1 or layers,
+        n * (m + 1)]`` durations and its embed duration (memoized while
+        layers share a token count, as every synthetic step does)."""
+        a, scale = routing.assignments, routing.scale
+        key = (step, a.shape[1], scale) if isinstance(a, np.ndarray) else None
+        tables = self._step_memo.get(key)
+        if tables is None:
+            wl, model = self.workload, self.model
+            new_tokens = wl.prompt_len if step == 0 else 1
+            context = wl.prompt_len if step == 0 else wl.context_at(step)
+            stp = self._step_costs(step, new_tokens, context)
+            rows = [a.shape[1]] if key else [len(x) for x in a]
+            durs = np.array([stp.attn_durs + self._gate_or_ffn_durs(r, scale) for r in rows])
+            embed = self.cost.gpu_time(OpCost(
+                0.0, wl.total_sequences * new_tokens * model.hidden_size * model.dtype_bytes, 1
+            ))
+            tables = (stp, durs, embed)
+            if key:
+                self._step_memo[key] = tables
+        return tables
+
+    def _template(self, m: int) -> tuple:
+        """The layer unit's op template for attention blocks of ``m`` ops
+        (``n * m`` attention-block ops, then ``n`` gate or dense FFN ops):
+        per-op label code, resource, phase and batch arrays and the
+        offsets of the kv loads, attention ops, kv stores and gates."""
+        template = self._templates.get(m)
+        if template is None:
+            n, block = self.n, _ATTN_BLOCKS[m]
+            gate = (_L_FFN, _GPU, _P_EXPERT) if self._dense else (_L_GATE, _GPU, _P_GATE)
+            rows = [entry[:3] for _ in range(n) for entry in block] + [gate] * n
+            code, res, phase = (np.array(c, dtype=np.int64) for c in zip(*rows))
+            batch = np.concatenate([np.repeat(np.arange(n), m), np.arange(n)])
+            template = self._templates[m] = (
+                code, res, phase, batch, np.flatnonzero(code == _L_KVLOAD),
+                np.flatnonzero(code == _L_ATTN), np.flatnonzero(code == _L_KVSTORE),
+                np.arange(n * m, n * (m + 1)),
+            )
+        return template
 
     # ---- build ------------------------------------------------------------------
 
@@ -470,15 +553,7 @@ class PipelineBuilder:
     def _decide_group(self, start: int) -> list[int]:
         if self._pending is None:
             self._pending = _Decisions(start)
-        d = self._d = self._pending
-        # weight index -> op id of the transfer that made it VRAM-ready;
-        # it only ever holds the weights of the next layer to decide.
-        self._ready: dict[int, int] = {}
-        self._last_compute: int | None = None
-        self._last_transfer: int | None = None
-        self._layer_first_compute: int | None = None
-        kv_keys: list[int] = []
-        self._kv_keys = kv_keys
+        d = self._pending
         features, model, wl = self.features, self.model, self.workload
         self._predict = (
             self.prefetcher is not None
@@ -486,415 +561,358 @@ class PipelineBuilder:
             and not (model.is_dense or features.cpu_experts)
         )
         if d.nops == 0:  # sequential systems share one resident blob per run
-            d.singles.append((0, 0.0, (), _L_INIT, -1))
+            zero = np.zeros(1, dtype=np.int64)
+            d.cols.append((zero, _GPU, 0.0, -1, _P_OTHER, -1, _L_INIT, -1, -1))
             d.nops = 1
-            d.effect(EV_ALLOC, (0,), (self._extra_key(),))
+            d.effect(zero, EV_ALLOC, len(self._tids), -1)
             d.extra_tids.append("resident+workspace")
             d.extra_nbytes.append(
                 self.placement.resident_bytes + self.placement.activation_reserve_bytes
             )
         tokens = wl.total_sequences  # the head computes last-position logits
-        head_dur = self.cost.gpu_time(
+        self._head_dur = self.cost.gpu_time(
             OpCost(
                 2.0 * model.hidden_size * model.vocab_size * tokens,
                 model.vocab_size * tokens * model.dtype_bytes,
                 2,
             )
         )
-        num_layers = self.oracle.num_layers
-        prefetcher = self.prefetcher
-        experts = not (model.is_dense or features.cpu_experts)
-        heads: list[int] = []
-        prev_tail: int | None = None
-        for step in range(wl.num_steps):
-            routing = self.oracle.step_routing(step, wl)
-            new_tokens = wl.prompt_len if step == 0 else 1
-            context = wl.prompt_len if step == 0 else wl.context_at(step)
-            self._step = stp = self._step_costs(step, new_tokens, context)
-            self._step_index = len(d.step_m)
-            d.step_m.append(stp.m)
-            d.step_durs.append(stp.attn_durs)
-            if self._predict:
-                self._hot = prefetcher.predict_step(routing.primaries)
-            else:
-                self._hot = [self._static_hot] * num_layers
-            if experts:
-                self._plan_experts(routing)
-            elif not self._dense:  # CPU experts read each layer's stats
-                routing.stats(self.n, model.num_experts)
-            # Layer 0 weights for this step (for step 0; later steps were
-            # prefetched at the tail of the previous step).
-            self._issue_layer_transfers(0, ())
-            embed_dur = self.cost.gpu_time(
-                OpCost(0.0, tokens * new_tokens * model.hidden_size * model.dtype_bytes, 1)
-            )
-            barrier = (
-                self._gpu_single(
-                    embed_dur, () if prev_tail is None else (prev_tail,), _L_EMBED, step
-                ),
-            )
-            for layer_routing in routing:
-                layer = layer_routing.layer
-                barrier = self._decide_layer(step, layer_routing, barrier)
-                if layer + 1 < num_layers:
-                    self._issue_layer_transfers(layer + 1, self._prefetch_anchor(barrier))
-            head = self._gpu_single(head_dur, barrier, _L_HEAD, step)
-            if step + 1 < wl.num_steps:
-                self._issue_layer_transfers(
-                    0,
-                    self._prefetch_anchor((head,)),
-                    prefetcher.predict_first() if self._predict else None,
-                )
-            prev_tail = head
-            heads.append(head)
-        if kv_keys and prev_tail is not None:
+        group = _Group(self._stride)
+        heads = [self._decide_step(step, group) for step in range(wl.num_steps)]
+        if group.kv_keys and heads:
             # The group's KV cache is released when its generation completes
             # (sequential systems reuse the space for the next batch).
-            d.effect(EV_FREE, [prev_tail] * len(kv_keys), kv_keys)
+            keys = np.array(group.kv_keys, dtype=np.int64)
+            d.effect(
+                np.full(len(keys), heads[-1]), EV_FREE, keys, 2 * heads[-1] + 1,
+                np.arange(len(keys)),
+            )
         return heads
 
-    # ---- decision helpers ---------------------------------------------------------
+    def _decide_step(self, step: int, g: _Group) -> int:
+        """Decide every layer of one step at once; returns its LM head.
 
-    def _extra_key(self) -> int:
-        """Effect key of the next ``extra`` tensor."""
-        return len(self._tids) + len(self._d.extra_tids)
-
-    def _gpu_single(self, duration: float, deps, label: int, step: int) -> int:
-        """Embed / head op; waits for every transfer issued so far in
-        synchronous (no-overlap, Accelerate-style) execution."""
-        d = self._d
-        op = d.nops
-        d.nops += 1
-        d.singles.append(
-            (op, duration, self._no_overlap_deps(tuple(deps), self._last_transfer), label, step)
-        )
-        self._last_compute = op
-        return op
-
-    def _prefetch_anchor(self, barrier) -> tuple[int, ...]:
-        """Dependency controlling when next-layer prefetch may start.
-
-        With overlap, the next layer's weights start streaming once the
-        current layer's computation begins (double buffering: at most two
-        layers of weights are in flight); without overlap (Accelerate-like
-        synchronous loading) transfers wait for the layer barrier.
+        The step's ops run: the layer-0 top-up transfers, the embed, per
+        layer its unit, cold transfers, experts and the next layer's
+        prefetch, then the head and the next step's layer-0 prefetch.
         """
-        if self.features.overlap:
-            first = self._layer_first_compute
-            return () if first is None else (first,)
-        return tuple(barrier)
-
-    def _no_overlap_deps(self, deps: tuple, running: int | None) -> tuple[int, ...]:
-        """``deps`` plus, in synchronous execution, the ``running`` op
-        (the last compute for transfers, the last transfer for compute)."""
-        if not self.features.overlap and running is not None:
-            deps += (running,)
-        return _sorted_deps(deps)
-
-    def _load(self, w: int, deps: tuple, *, on_demand: bool) -> int | None:
-        """Bring weight ``w`` to VRAM (after a disk read if it is spilled);
-        returns the transfer op, or None if resident.
-
-        ``on_demand`` routes the copy through the dedicated on-demand CUDA
-        stream (paper §8), so gate-triggered expert transfers do not block
-        the weight-prefetch stream head-of-line.
-        """
-        if w in self._resident:
-            return None
-        ready = self._ready.get(w)
-        if ready is not None:
-            return ready
-        d = self._d
-        deps = self._no_overlap_deps(deps, self._last_compute)
-        if w in self._on_disk:
-            d.transfer(d.nops, (w,), _DISK, (deps,))
-            deps = (d.nops,)
-            d.nops += 1
-        op = d.nops
-        d.nops += 1
-        d.transfer(op, (w,), _H2D_OD if on_demand else _H2D, (deps,))
-        d.effect(EV_ALLOC, (op,), (w,))
-        self._ready[w] = op
-        self._last_transfer = op
-        return op
-
-    def _load_run(self, ws: list[int], res: int, deps: list[tuple]) -> None:
-        """Transfer weights ``ws`` (none resident, ready or on disk) back to
-        back on one stream, with per-transfer ``deps``."""
-        d = self._d
-        base = d.nops
-        d.nops += len(ws)
-        d.transfer(base, ws, res, deps)
-        ops = range(base, d.nops)
-        d.effect(EV_ALLOC, ops, ws)
-        self._ready.update(zip(ws, ops))
-        self._last_transfer = d.nops - 1
-
-    def _issue_layer_transfers(self, layer: int, deps: tuple, hot=None) -> None:
-        """Prefetch attention/gate/expert weights for ``layer`` in order:
-        the hot experts are the step's forecast for ``layer`` unless
-        ``hot`` overrides them (the next step's layer 0).
-
-        Every pending weight shares the dependency prefix; a layer with a
-        weight spilled to disk interleaves each disk read before its
-        transfer.
-        """
-        if self._predict:
-            hot = self._hot[layer] if hot is None else hot
-            ew = layer * self._stride + 2
-            resident = self._resident
-            pending = self._block_loads[layer] + [
-                ew + e for e in hot if ew + e not in resident
-            ]
-        else:
-            pending = self._static_loads[layer]
-        ready = self._ready
-        if ready:
-            pending = [w for w in pending if w not in ready]
-        if not pending:
-            return
-        if not self._on_disk.isdisjoint(pending):
-            for w in pending:
-                self._load(w, deps, on_demand=False)
-            return
-        self._load_run(
-            pending, _H2D, [self._no_overlap_deps(deps, self._last_compute)] * len(pending)
-        )
-
-    def _decide_layer(self, step: int, routing: LayerRouting, barrier):
-        """Decide one MoE block (attention + gate + experts); returns the
-        barrier (the block's last compute ops, ascending)."""
-        d, stp, n, features = self._d, self._step, self.n, self.features
-        layer = routing.layer
-        wb = layer * self._stride
-        ready = self._ready
-
-        # Attention block: n batches of m ops each. The barrier ascends and
-        # with overlap the attention transfer precedes or follows all of it.
-        attn_dep = ready.get(wb)
-        attn_deps = tuple(barrier)
-        if attn_dep is None:
-            pass
-        elif not barrier or attn_dep > barrier[-1]:
-            attn_deps += (attn_dep,)
-        elif attn_dep < barrier[0]:
-            attn_deps = (attn_dep,) + attn_deps
-        else:
-            attn_deps = _sorted_deps(attn_deps + (attn_dep,))
-        if not features.overlap:
-            attn_deps = self._no_overlap_deps(attn_deps, self._last_transfer)
+        d, n, features, model = self._pending, self.n, self.features, self.model
+        stride, resident, overlap = self._stride, self._resident, features.overlap
+        routing = self.oracle.step_routing(step, self.workload)
+        stp, unit_durs, embed_dur = self._step_tables(step, routing)
         m = stp.m
-        base = d.nops
-        first_attn = base + 1 if m == 3 else base
-        gate_base = base + n * m
+        num_layers = len(routing.layers)
+        layer_ids = np.arange(num_layers)
+        unit = n * (m + 1)
+        attn_at = self._template(m)[5]
+        gpu_experts = not (self._dense or features.cpu_experts)
+        cpu = features.cpu_experts and not self._dense
+        last_step = step + 1 == self.workload.num_steps
+
+        # ---- the step's tables ------------------------------------------------
+        hot = self.prefetcher.predict_step(routing.primaries) if self._predict else None
+        if gpu_experts or cpu:
+            stats = routing.stats(n, model.num_experts)
+            counts, totals = stats.counts, stats.totals
+            widest = self._widest_layer(routing)
+            gpu_durs = self._duration_table(widest)
+        cold = None
+        if gpu_experts:
+            if self.prefetcher is not None:
+                self.prefetcher.observe_step(
+                    routing.assignments, totals,
+                    hot if hot is not None else [self._static_hot] * num_layers,
+                )
+            active = totals > 0
+            if hot is None:
+                in_vram = self._static_in_vram
+            else:
+                hot_experts = self._hot_matrix(hot)
+                in_vram = resident[:, 2:].copy()
+                r, c = np.nonzero(hot_experts >= 0)
+                in_vram[r, hot_experts[r, c]] = True
+            if features.hot_prefetch:
+                cold = active & ~in_vram
+        # Prefetch candidates: rows 0..L-1 this step's layers (row 0 tops
+        # layer 0 up), row L the next step's layer 0.
+        if hot is None:
+            slots, pf_w, pf_ok, pf_cost = self._static_pf
+        else:
+            tail_hot = [] if last_step else self.prefetcher.predict_first()
+            hot_experts = self._hot_matrix(hot + [tail_hot])
+            slots, pf_w, pf_ok, pf_cost = self._candidates(np.concatenate(
+                [np.broadcast_to(self._block_slots, (num_layers + 1, len(self._block_slots))),
+                 np.where(hot_experts >= 0, hot_experts + 2, -1)],
+                axis=1,
+            ))
+        pf_ok = pf_ok.copy()
+        pf_ok[0] &= g.carry[slots[0]] < 0
+        if last_step:
+            pf_ok[-1] = False
+        pf_cum = np.cumsum(pf_ok * pf_cost, axis=1)
+        if cold is not None:
+            # Layer 0's cold experts skip those tail-prefetched or topped up.
+            ready0 = g.carry >= 0
+            ready0[slots[0][pf_ok[0]]] = True
+            cold[0] &= ~ready0[2:]
+            cold_cum = np.cumsum(cold * self._cold_cost, axis=1)
+
+        # ---- expert segments -----------------------------------------------------
+        if gpu_experts and features.adjust_order:
+            # Expert-major: in-VRAM experts busiest first, then cold ones
+            # ascending (see repro.core.ordering).
+            order, x_count = ordered_step_experts(totals, in_vram)
+            x_layer, x_pos = np.nonzero(np.arange(order.shape[1]) < x_count[:, None])
+            x_expert = order[x_layer, x_pos]
+            x_tokens = totals[x_layer, x_expert]
+        elif gpu_experts:
+            # Batch-major: one op per routed (batch, expert) pair.
+            x_layer, x_batch, x_expert = np.nonzero(counts)
+            x_count = np.bincount(x_layer, minlength=num_layers)
+            x_pos = np.arange(len(x_layer)) - (np.cumsum(x_count) - x_count)[x_layer]
+            x_tokens = counts[x_layer, x_batch, x_expert]
+        elif cpu:
+            # Fiddler: a non-resident expert runs on the CPU when that beats
+            # moving it; a CPU round trip is 3 ops, a load 2 (3 from disk).
+            x_layer, x_expert = np.nonzero(totals)
+            x_tokens = totals[x_layer, x_expert]
+            x_w = x_layer * stride + 2 + x_expert
+            cpu_durs = self._duration_table(widest, on_cpu=True)
+            on_cpu = ~resident[x_layer, x_expert + 2] & (
+                cpu_durs[x_tokens] <= self._h2d_durs[x_w] + gpu_durs[x_tokens]
+            )
+            loaded = ~(resident[x_layer, x_expert + 2] | on_cpu)
+            x_size = np.where(on_cpu, 3, 1 + loaded * self._cost[x_w])
+            x_count = np.bincount(x_layer, weights=x_size, minlength=num_layers).astype(np.int64)
+        else:
+            x_count = np.zeros(num_layers, dtype=np.int64)
+
+        # ---- place every op of the step with one cumsum -------------------------
+        # Segments: top-up, embed, per layer (unit, cold, experts,
+        # prefetch of the next layer), head, tail.
+        nseg = 4 * num_layers + 4
+        seg = np.zeros(nseg, dtype=np.int64)
+        pf_seg = self._pf_segments(num_layers)
+        seg[pf_seg] = pf_cum[:, -1]
+        seg[1] = seg[nseg - 2] = 1
+        seg[2 : nseg - 2 : 4] = unit
+        if cold is not None:
+            seg[3 : nseg - 1 : 4] = cold_cum[:, -1]
+        seg[4 : nseg : 4] = x_count
+        first = np.cumsum(seg) - seg + d.nops
+        d.nops = int(first[-1] + seg[-1])
+        embed, head = int(first[1]), int(first[nseg - 2])
+        ustart = first[2 : nseg - 2 : 4]
+        xstart = first[4 : nseg : 4]
+        gate_base = ustart + n * m
         last_gate = gate_base + n - 1
-        self._layer_first_compute = first_attn
+        first_attn = ustart + attn_at[0]
+        pairs, ranges = d.pairs, d.ranges
+
+        # ---- transfers and the ready matrix --------------------------------------
+        ready = np.full((num_layers, stride), -1, dtype=np.int64)
+        ready[0] = g.carry
+        r, c = np.nonzero(pf_ok)
+        pf_copy = first[pf_seg[r]] + pf_cum[r, c] - 1
+        now = r < num_layers
+        ready[r[now], slots[r[now], c[now]]] = pf_copy[now]
+        g.carry = np.full(stride, -1, dtype=np.int64)
+        g.carry[slots[num_layers, c[~now]]] = pf_copy[~now]
+        # Each row of prefetch candidates is one run of transfers sharing
+        # its dependencies: prefetches fire off the current layer's first
+        # attention (the tail off the last layer's), the top-up off
+        # nothing; without overlap, they wait on the current layer's
+        # barrier and last compute op (the top-up on the last head, the
+        # tail on this one).
+        run = d.nruns + np.arange(num_layers + 1)
+        d.nruns += num_layers + 1
+        d.transfers.append((pf_copy, pf_w[r, c], _H2D, step, run[r]))
+        if overlap:
+            d.run_pairs.append((run[1:], first_attn))
+        else:
+            d.run_pairs.append((run[[0, -1]] if g.head >= 0 else run[-1:], np.array([g.head, head][g.head < 0 :])))
+        copies = [pf_copy]
+        if cold is not None:
+            # Cold experts stream on demand off the first gate routing to
+            # them (without overlap, also after the last gate).
+            cl, ce = np.nonzero(cold)
+            cold_copy = first[3 + 4 * cl] + cold_cum[cl, ce] - 1
+            ready[cl, ce + 2] = cold_copy
+            gates = gate_base[cl] + (counts[cl, :, ce] > 0).argmax(axis=1) if n > 1 else gate_base[cl]
+            cold_w = cl * stride + 2 + ce
+            d.transfers.append((cold_copy, cold_w, _H2D_OD, step, -1))
+            copies.append(cold_copy)
+            cold_run = cold_copy - self._cost[cold_w] + 1
+            pairs.append((cold_run, gates))
+            if not overlap:
+                pairs.append((cold_run, last_gate[cl]))
+
+        # ---- experts, barriers and tails --------------------------------------------
+        # A layer ends in its barrier — the last op of each expert, else
+        # its gates — which the next layer's attention waits on; its tail
+        # (last barrier op) frees what the layer leaves loaded.
+        b_lo, b_hi, tail = gate_base, gate_base + n, last_gate
+        last = np.full((num_layers, stride), -1, dtype=np.int64)
+        lc_after = last_gate  # the last compute op of each layer
+        if gpu_experts:
+            x_ops = xstart[x_layer] + x_pos
+            if features.adjust_order:
+                last[x_layer, x_expert + 2] = x_ops
+                if n == 1:
+                    pairs.append((x_ops, gate_base[x_layer]))
+                else:
+                    xi, xb = np.nonzero(counts[x_layer, :, x_expert])
+                    pairs.append((x_ops[xi], gate_base[x_layer[xi]] + xb))
+                d.cols.append((
+                    x_ops, _GPU, gpu_durs[x_tokens], x_layer, _P_EXPERT, -1, _L_EXP, x_expert, step,
+                ))
+            else:
+                np.maximum.at(last, (x_layer, x_expert + 2), x_ops)
+                pairs.append((x_ops, gate_base[x_layer] + x_batch))
+                d.cols.append((
+                    x_ops, _GPU, gpu_durs[x_tokens], x_layer, _P_EXPERT, x_batch, _L_EXP_B,
+                    x_expert, step,
+                ))
+            op = ready[x_layer, x_expert + 2]
+            pairs.append((x_ops[op >= 0], op[op >= 0]))
+            some = x_count > 0
+            b_lo = np.where(some, xstart, gate_base)
+            b_hi = np.where(some, xstart + x_count, b_hi)
+            tail = lc_after = b_hi - 1
+        elif cpu:
+            x_end = xstart[x_layer] + np.cumsum(x_size) - (np.cumsum(x_count) - x_count)[x_layer] - 1
+            x_start = x_end - x_size + 1
+            gpu, trip, load = np.flatnonzero(~on_cpu), np.flatnonzero(on_cpu), np.flatnonzero(loaded)
+            d.cols.append((
+                x_end[gpu], _GPU, gpu_durs[x_tokens[gpu]], x_layer[gpu], _P_EXPERT, -1, _L_EXP,
+                x_expert[gpu], step,
+            ))
+            d.trips.append((
+                x_start[trip], x_layer[trip], x_expert[trip], x_tokens[trip],
+                cpu_durs[x_tokens[trip]], routing.scale, step,
+            ))
+            # Each expert's first op waits on the gates routing to it, and
+            # so does a loaded expert's GPU op, after its copy.
+            xi, xb = np.nonzero(counts[x_layer, :, x_expert])
+            gates = gate_base[x_layer[xi]] + xb
+            pairs.append((x_start[xi], gates))
+            also = loaded[xi]
+            pairs.append((x_end[xi[also]], gates[also]))
+            l_w, l_end = x_w[load], x_end[load]
+            d.transfers.append((l_end - 1, l_w, _H2D_OD, step, -1))
+            pairs.append((l_end, l_end - 1))
+            d.effect(l_end, EV_FREE, l_w, 2 * l_end)
+            copies.append(l_end - 1)
+            gpu_end = np.where(on_cpu, -1, x_end)
+            if not overlap:
+                # The last compute before each load: the layer's previous
+                # GPU expert, else its last gate.
+                before = np.maximum.accumulate(np.concatenate([[-1], gpu_end[:-1]]))[load]
+                pairs.append((x_start[load], np.maximum(before, last_gate[x_layer[load]])))
+            tail, lc_after = last_gate.copy(), last_gate.copy()
+            np.maximum.at(tail, x_layer, x_end)
+            np.maximum.at(lc_after, x_layer, gpu_end)
+            # Barrier: the last op of every expert (the gates if none).
+            none = x_count == 0
+            bar_layer = np.concatenate([np.repeat(layer_ids[none], n), x_layer])
+            bar_ops = np.concatenate([(gate_base[none, None] + np.arange(n)).ravel(), x_end])
+            by_layer = np.argsort(bar_layer, kind="stable")
+            bar_layer, bar_ops = bar_layer[by_layer], bar_ops[by_layer]
+            b_lo = b_hi = np.zeros(num_layers, dtype=np.int64)
+            after = bar_layer < num_layers - 1
+            d.prefix.append((d.nunits + bar_layer[after] + 1, bar_ops[after]))
+            pairs.append((np.full(int((~after).sum()), head), bar_ops[~after]))
+            if not overlap:
+                d.run_pairs.append((run[bar_layer[after] + 1], bar_ops[after]))
+        if not cpu:
+            ranges.append((np.array([head]), b_lo[-1:], b_hi[-1:]))
+            if not overlap:
+                d.run_ranges.append((run[1:-1], b_lo[:-1], b_hi[:-1]))
+        if not overlap:
+            d.run_pairs.append((run[1:-1], lc_after[:-1]))
+
+        # ---- the unit table ------------------------------------------------------------
+        units = np.empty((num_layers, 11), dtype=np.int64)
+        units[:, _U_START] = ustart
+        units[:, _U_STEP] = step
+        units[:, _U_LAYER] = layer_ids
+        units[:, _U_M] = m
+        units[:, _U_LAST_ATTN] = ustart + attn_at[-1]
+        units[:, _U_LAST_GATE] = last_gate
+        units[:, _U_TAIL] = tail
+        units[:, _U_NEXT] = first[5 : nseg - 2 : 4]
+        units[0, _U_BLO], units[0, _U_BHI] = embed, embed + 1
+        units[1:, _U_BLO] = b_lo[:-1]
+        units[1:, _U_BHI] = b_hi[:-1]
+        if cpu:
+            units[1:, _U_BHI] = units[1:, _U_BLO]
+        d.units.append(units)
+        d.ready.append(ready)
+        d.last.append(last)
+        d.steps.append((embed, head, embed_dur, step, m, unit_durs, d.nunits, num_layers))
+        d.nunits += num_layers
+        if g.head >= 0:
+            pairs.append((np.array([embed]), np.array([g.head])))
         if not self._kv_store and stp.kv_alloc_delta > 0:
             # KV stays in VRAM: the cache growth lands on each attention op.
-            key = self._extra_key()
-            keys = range(key, key + n)
-            d.extra_tids.extend([f"kv.{layer}.{b}.s{step}" for b in range(n)])
-            d.extra_nbytes.extend([stp.kv_alloc_delta] * n)
-            d.effect(EV_ALLOC, range(first_attn, gate_base, m), keys)
-            self._kv_keys.extend(keys)
+            key = len(self._tids) + len(d.extra_tids)
+            keys = np.arange(key, key + num_layers * n)
+            names = self._kv_names.get(step)
+            if names is None:
+                names = self._kv_names[step] = [
+                    f"kv.{layer}.{b}.s{step}" for layer in range(num_layers) for b in range(n)
+                ]
+            d.extra_tids += names
+            d.extra_nbytes += [stp.kv_alloc_delta] * len(keys)
+            ops = (ustart[:, None] + attn_at).ravel()
+            d.effect(ops, EV_ALLOC, keys, 2 * ops)
+            g.kv_keys += keys.tolist()
 
-        # Gate block (dense models: the single FFN processes every batch).
-        gate_dep = ready.get(wb + 2 if self._dense else wb + 1)
-        gate_deps = () if gate_dep is None else (gate_dep,)
-        if not features.overlap:
-            gate_deps = self._no_overlap_deps(gate_deps, self._last_transfer)
-        rows, scale = routing.assignments.shape[0], routing.scale
-        d.units.append((
-            base, layer, step, self._step_index, attn_deps, gate_deps,
-            self._block_durs.get((rows, scale)) or self._gate_or_ffn_durs(rows, scale),
-        ))
-        d.nops = gate_base + n
-        self._last_compute = last_gate
-
-        last_ops = None
-        if self._dense:
-            expert_ops = ()
-        elif features.cpu_experts:
-            expert_ops = self._decide_cpu_experts(step, routing, gate_base)
+        # ---- synchronous execution --------------------------------------------------
+        if not overlap:
+            # Every compute op but kv loads and stores and CPU round trips
+            # waits on the last transfer before it.
+            moved = np.sort(np.concatenate([[g.last_transfer]] + copies))
+            units[:, _U_NOD] = moved[np.searchsorted(moved, ustart) - 1]
+            waiters = np.array([embed, head])
+            if gpu_experts:
+                waiters = np.concatenate([waiters, x_ops])
+            elif cpu:
+                waiters = np.concatenate([waiters, x_end[gpu]])
+            before = moved[np.searchsorted(moved, waiters) - 1]
+            pairs.append((waiters[before >= 0], before[before >= 0]))
+            g.last_transfer = int(moved[-1])
         else:
-            last_ops, expert_ops = self._decide_experts(step, routing, gate_base)
-        if ready:
-            self._free_ready(
-                ready, wb, first_attn + m * (n - 1), last_gate,
-                expert_ops[-1] if expert_ops else last_gate, last_ops,
-            )
-        self._ready = {}
-        return expert_ops or range(gate_base, gate_base + n)
+            units[:, _U_NOD] = -1
+        g.head = head
+        return head
 
-    def _free_ready(self, ready, wb: int, last_attn: int, last_gate: int, tail: int, last_ops):
-        """Free every weight still ready at the end of the layer whose
-        weights start at ``wb``, in release order: routed experts after
-        their last op (``last_ops``: expert -> op, None without an expert
-        block), batch-major's unrouted loaded experts by id, the
-        attention, the gate, then any leftover experts by id at the
-        layer ``tail``."""
-        ew = wb + 2
-        if last_ops:
-            routed = [e for e in last_ops if ew + e in ready]
-            if self.n > 1 and not self.features.adjust_order:
-                # Batch-major: an expert's last op is in the last batch
-                # routing to it, not where the expert first appears.
-                routed.sort(key=last_ops.__getitem__)
-            ops = list(map(last_ops.__getitem__, routed))
-            ws = [ew + e for e in routed]
-            experts = [w for w in ready if w >= ew and w - ew not in last_ops]
-        else:
-            ws, ops = [], []
-            experts = [w for w in ready if w >= ew]
-        experts.sort()
-        if experts and last_ops is not None and not self.features.adjust_order:
-            ws += experts
-            ops += [tail] * len(experts)
-            experts = ()
-        if wb in ready:
-            ws.append(wb)
-            ops.append(last_attn)
-        if wb + 1 in ready:
-            ws.append(wb + 1)
-            ops.append(last_gate)
-        if experts:
-            ws += experts
-            ops += [tail] * len(experts)
-        self._d.effect(EV_FREE, ops, ws)
+    # ---- step tables --------------------------------------------------------------
 
-    def _plan_experts(self, routing) -> None:
-        """Everything of a step's expert blocks that depends only on its
-        routing and forecasts: the step's stats, the prefetcher's
-        feedback, each layer's expert order and its cold experts with the
-        batch whose gate first routes to each."""
-        model, features, n = self.model, self.features, self.n
-        stats = self._stats = routing.stats(n, model.num_experts)
-        if self.prefetcher is not None:
-            self.prefetcher.observe_step(routing.assignments, stats.totals, self._hot)
-        self._duration_table(routing.layers[0])  # sized for materialize
-        if not (features.hot_prefetch or features.adjust_order):
-            return
-        in_vram = self._resident_mask.copy()
-        lengths = [len(hot) for hot in self._hot]
-        in_vram[
-            np.repeat(np.arange(len(lengths)), lengths),
-            np.fromiter(chain.from_iterable(self._hot), dtype=np.int64, count=sum(lengths)),
-        ] = True
-        self._orders, self._cold = ordered_step_experts(stats.totals, in_vram)
-        if n > 1 and features.hot_prefetch:
-            self._first_batch = (stats.counts > 0).argmax(axis=1).tolist()
+    @staticmethod
+    def _hot_matrix(hot) -> np.ndarray:
+        """Per-layer hot experts as a ``[layers, k]`` array (-1: padding,
+        should forecasts differ in length)."""
+        try:
+            return np.array(hot, dtype=np.int64).reshape(len(hot), -1)
+        except ValueError:
+            out = np.full((len(hot), max(map(len, hot))), -1, dtype=np.int64)
+            for layer, experts in enumerate(hot):
+                out[layer, : len(experts)] = experts
+            return out
 
-    def _decide_experts(self, step: int, routing: LayerRouting, gate_base: int):
-        """Decide one MoE layer's GPU experts; returns ``(last_ops, ops)``,
-        ``last_ops`` mapping each routed expert to its last op.
+    @staticmethod
+    def _widest_layer(routing) -> LayerRouting:
+        """The layer of a step with the most routed assignments."""
+        if isinstance(routing.assignments, np.ndarray):
+            return routing.layers[0]
+        return max(routing.layers, key=lambda layer: layer.assignments.size)
 
-        Records the layer's expert block — its order (expert-major) or
-        nothing more than its routing (batch-major: one op per routed
-        (batch, expert) pair) — with the transfers ready for it, so
-        materialize derives durations and dependencies.
-        """
-        model, features = self.model, self.features
-        layer = routing.layer
-        stats = self._stats.layers[layer]
-        if features.hot_prefetch:
-            self._cold_transfers(layer, gate_base)
-        d = self._d
-        base = d.nops
-        if features.adjust_order:
-            order = experts = self._orders[layer]
-        else:
-            order = None
-            # One op per routed pair ``b * E + e`` (the expert id itself
-            # with one batch); a later pair of the same expert overwrites
-            # its last op.
-            experts = stats.pairs
-            if self.n > 1:
-                experts = [p % model.num_experts for p in experts]
-        count = len(experts)
-        last_ops = dict(zip(experts, range(base, base + count)))
-        nod = self._last_transfer
-        d.experts.append((
-            base, layer, step, gate_base, routing.scale, stats, order, self._ready,
-            -1 if features.overlap or nod is None else nod,
-        ))
-        d.nops += count
-        if count:
-            self._last_compute = d.nops - 1
-        return last_ops, range(base, d.nops)
-
-    def _gates(self, stats, e: int, gate_base: int) -> tuple[int, ...]:
-        """Gate ops of the batches that routed tokens to active expert
-        ``e``, ascending."""
-        if self.n == 1:
-            return (gate_base,)
-        num_experts = self.model.num_experts
-        counts = stats.counts
-        return tuple(
-            gate_base + b for b in range(self.n) if counts[b * num_experts + e]
-        )
-
-    def _cold_transfers(self, layer: int, gate_base: int) -> None:
-        """On-demand transfers for the layer's activated non-prefetched
-        experts, in ascending expert id (the order the expert order
-        assumes for cold experts), each fired off the first gate that
-        routed tokens to it."""
-        cold = self._cold[layer]
-        if not cold:
-            return
-        ready = self._ready
-        ew = layer * self._stride + 2
-        cold = [e for e in cold if ew + e not in ready]
-        if not cold:
-            return
-        ws = [ew + e for e in cold]
-        if self.n == 1:
-            firsts = [gate_base] * len(cold)
-        else:
-            first = self._first_batch[layer]
-            firsts = [gate_base + first[e] for e in cold]
-        if not self._on_disk.isdisjoint(ws):
-            for w, gate in zip(ws, firsts):
-                self._load(w, (gate,), on_demand=True)
-            return
-        if self.features.overlap or self._last_compute is None:
-            deps = [(g,) for g in firsts]
-        else:
-            deps = [_sorted_deps((g, self._last_compute)) for g in firsts]
-        self._load_run(ws, _H2D_OD, deps)
-
-    def _decide_cpu_experts(self, step: int, routing: LayerRouting, gate_base: int) -> list[int]:
-        """Fiddler-style: run DRAM-resident experts on the CPU when faster."""
-        d = self._d
-        layer = routing.layer
-        stats = routing.stats(self.n, self.model.num_experts)
-        gpu_durs = self._duration_table(routing)
-        cpu_durs = self._duration_table(routing, on_cpu=True)
-        resident = self._resident_experts[layer]
-        h2d_durs = self._h2d_durs
-        ew = layer * self._stride + 2
-        ops: list[int] = []
-        for e in stats.active:
-            count = stats.totals[e]
-            deps = self._gates(stats, e, gate_base)
-            if e not in resident:
-                if cpu_durs[count] <= h2d_durs[ew + e] + gpu_durs[count]:
-                    # Hidden states down, CPU compute, hidden states up.
-                    d.cpu.append((d.nops, layer, step, e, deps, count, routing.scale))
-                    d.nops += 3
-                    ops.append(d.nops - 1)
-                    continue
-                deps = (self._load(ew + e, deps, on_demand=True),) + deps
-            op = d.nops
-            d.nops += 1
-            d.gpu_experts.append((
-                op, layer, step, e, gpu_durs[count],
-                self._no_overlap_deps(deps, self._last_transfer),
-            ))
-            self._last_compute = op
-            if self._ready.pop(ew + e, None) is not None:
-                d.effect(EV_FREE, (op,), (ew + e,))
-            ops.append(op)
-        return ops
+    @staticmethod
+    def _pf_segments(num_layers: int) -> np.ndarray:
+        """Segment of each prefetch-candidate row: the top-up, the
+        prefetch of layers 1..L-1 and the tail."""
+        return np.concatenate([[0], np.arange(5, 4 * num_layers + 1, 4), [4 * num_layers + 3]])
 
     # ---- materialize pass -----------------------------------------------------------
 
@@ -916,38 +934,73 @@ class PipelineBuilder:
             raise ValueError(
                 f"decided for a schedule of {d.start} ops, got {len(schedule)}"
             )
-        total = d.nops - d.start
-        ids = list(range(d.start, d.nops))  # one int object per op id
-        families = [
-            rows
-            for rows in (
-                self._unit_rows(d, ids),
-                self._single_rows(d),
-                self._transfer_rows(d),
-                self._expert_rows(d, ids),
-                self._gpu_expert_rows(d),
-                self._cpu_rows(d, ids),
-            )
-            if rows is not None
-        ]
-        positions = np.concatenate([f[0] for f in families]) - d.start
-        if positions.size != total:  # pragma: no cover - a decide-pass bug
-            raise AssertionError(f"materialized {positions.size} of {total} ops")
+        start, total = d.start, d.nops - d.start
+        ids = np.arange(start, d.nops).astype(object)  # one int object per op id
+        units, ready, last = (np.concatenate(x) for x in (d.units, d.ready, d.last))
+        cols, pairs, effects = list(d.cols), list(d.pairs), list(d.effects)
+
+        # Embeds and heads.
+        embeds, heads, embed_durs, steps, *_ = zip(*d.steps)
+        cols.append((
+            np.array(embeds + heads), _GPU,
+            np.array(embed_durs + (self._head_dur,) * len(heads)), -1, _P_OTHER, -1,
+            np.repeat([_L_EMBED, _L_HEAD], len(heads)), -1, np.array(steps + steps),
+        ))
+        # Transfers: a spilled weight's disk read, then its copy, which
+        # allocates the weight.
+        copy, w, res, step, run = _columns(d.transfers)
+        disk = self._cost[w] == 2
+        layer = w // self._stride
+        cols.append((copy, res, self._h2d_durs[w], layer, _P_TRANSFER, -1, _L_H2D, w, step))
+        cols.append((
+            copy[disk] - 1, _DISK, self._disk_durs[w[disk]], layer[disk], _P_TRANSFER, -1,
+            _L_DISK, w[disk], step[disk],
+        ))
+        pairs.append((copy[disk], copy[disk] - 1))
+        effects.append((copy, EV_ALLOC, w, 2 * copy, 0))
+        if d.trips:
+            cols.append(self._trip_rows(d, pairs))
+        # A run's transfers share its dependency tuple.
+        in_run = run >= 0
+        run_ops, run = (copy - disk)[in_run] - start, run[in_run]
+        rows, deps = _pairs(d.run_pairs, d.run_ranges)
+        run_deps = _dep_tuples(rows, deps - start, d.nruns, ids)[run]
+        effects.append(self._frees(units, ready, last))
+
+        ops, res, dur, layers, phases, batches, codes, xs, steps = _columns(cols)
+        unit_ops, unit_cols, dep_ops, unit_deps = self._unit_rows(d, units, ready, ids)
+        other = ops - start
+        ops = np.concatenate([unit_ops, other])
+        if ops.size != total:  # pragma: no cover - a decide-pass bug
+            raise AssertionError(f"materialized {ops.size} of {total} ops")
         order = np.empty(total, dtype=np.int64)
-        order[positions] = np.arange(total)
+        order[ops] = np.arange(total)
         res, dur, layers, phases, batches, codes, xs, steps = (
-            np.concatenate([f[i] for f in families])[order] for i in range(1, 9)
+            np.concatenate([u, c])[order]
+            for u, c in zip(unit_cols, (res, dur, layers, phases, batches, codes, xs, steps))
         )
-        deps = list(chain.from_iterable(f[9] for f in families))
-        keys = d.ev_key
+        # The other ops' dependencies, from pairs and ranges.
+        alone = np.ones(total, dtype=bool)
+        alone[run_ops] = False
+        other = other[alone[other]]
+        rows, on = _pairs(pairs, d.ranges)
+        slot = np.empty(total, dtype=np.int64)
+        slot[other] = np.arange(len(other))
+        deps = np.empty(total, dtype=object)
+        deps[dep_ops] = _objects(unit_deps)
+        deps[run_ops] = run_deps
+        deps[other] = _dep_tuples(slot[rows - start], on - start, len(other), ids)
+        ev_op, ev_kind, ev_key, ev_order, ev_rank = _columns(effects)
+        attach = np.lexsort((ev_rank, ev_order))
+        keys = ev_key[attach]
         # Equal durations, op ids and byte counts share one Python object,
         # as they do when ops are authored one by one.
         palette, index = np.unique(dur, return_inverse=True)
         nbytes = self._nbytes + d.extra_nbytes
         schedule.extend_raw(
             res.tolist(),
-            list(map(palette.tolist().__getitem__, index.tolist())),
-            list(itemgetter(*order.tolist())(deps)) if total > 1 else deps,
+            palette.astype(object)[index].tolist(),
+            deps.tolist(),
             (
                 _render_labels,
                 (
@@ -959,260 +1012,143 @@ class PipelineBuilder:
             _PHASES[phases].tolist(),
             batches.tolist(),
             effects=(
-                list(map(ids.__getitem__, (np.array(d.ev_op) - d.start).tolist())),
-                d.ev_kind,
+                ids[ev_op[attach] - start].tolist(),
+                ev_kind[attach].tolist(),
                 ["vram"] * len(keys),
-                list(map((self._tids + d.extra_tids).__getitem__, keys)),
-                list(map(nbytes.__getitem__, keys)),
+                np.array(self._tids + d.extra_tids, dtype=object)[keys].tolist(),
+                np.array(nbytes, dtype=object)[keys].tolist(),
             ),
         )
 
-    @staticmethod
-    def _rows(ids, res, dur, layers, phases, batches, codes, xs, steps, deps) -> tuple:
-        """One family's columns: int64 arrays (scalars broadcast), float64
-        durations, and the dependency tuples."""
-        count = len(ids)
-
-        def col(values, dtype=np.int64):
-            arr = np.asarray(values, dtype=dtype)
-            return np.broadcast_to(arr, (count,)) if arr.ndim == 0 else arr
-
-        return (
-            col(ids), col(res), col(dur, np.float64), col(layers), col(phases),
-            col(batches), col(codes), col(xs), col(steps), deps,
-        )
-
-    @staticmethod
-    def _run_ids(bases, lengths) -> np.ndarray:
-        """Op ids of contiguous runs starting at ``bases``."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        starts = np.cumsum(lengths) - lengths
-        return np.repeat(np.asarray(bases, dtype=np.int64) - starts, lengths) + np.arange(
-            int(lengths.sum())
-        )
-
-    def _unit_rows(self, d: _Decisions, ids: list[int]) -> tuple | None:
-        """Attention + gate/FFN blocks of every layer unit.
-
-        Units of one attention shape (``m`` ops per batch) share a
-        per-layer template of ``n * (m + 1)`` op offsets; a template op
-        depends on the unit's attention or gate prefix (or nothing) plus
-        at most one op of the same unit.
-        """
-        if not d.units:
-            return None
-        n = self.n
-        gate = (_L_FFN, _GPU, _P_EXPERT) if self.model.is_dense else (_L_GATE, _GPU, _P_GATE)
-        bases, layers, steps, step_index, attn_deps, gate_deps, gate_durs = zip(*d.units)
-        bases, layers, steps, step_index = (
-            np.array(c, dtype=np.int64) for c in (bases, layers, steps, step_index)
-        )
-        unit_m = np.array(d.step_m, dtype=np.int64)[step_index]
-        parts = []
-        for m in np.unique(unit_m).tolist():
-            sel = np.flatnonzero(unit_m == m)
-            picked = sel.tolist()
-            units = len(picked)
-            # Per template op: batch, label, resource, phase, prefix (0
-            # none, 1 attention, 2 gate) and a dependency on an op of the
-            # same unit (its offset; -1: none).
-            block = _ATTN_BLOCKS[m]
-            attn_at = [j for j, entry in enumerate(block) if entry[0] == _L_ATTN][0]
-            template = [
-                (b, code, res, phase, int(attn), m * b + j - 1 if prev else -1)
-                for b in range(n)
-                for j, (code, res, phase, attn, prev) in enumerate(block)
-            ]
-            template += [(b, *gate, 2, m * b + attn_at) for b in range(n)]
-            width = len(template)
-            t_batch, t_code, t_res, t_phase, t_prefix, t_local = (
-                np.array(c, dtype=np.int64) for c in zip(*template)
-            )
-            base = bases[sel]
-            if units == len(bases):
-                prefixes = [[()] * units, attn_deps, gate_deps]
-            else:
-                prefixes = [
-                    [()] * units,
-                    [attn_deps[u] for u in picked],
-                    [gate_deps[u] for u in picked],
-                ]
-            unit_index = np.repeat(np.arange(units), width)
-            local = np.tile(t_local, units)
-            deps = [
-                prefixes[p][u] + (ids[a],) if a >= 0 else prefixes[p][u]
-                for p, u, a in zip(
-                    np.tile(t_prefix, units).tolist(),
-                    unit_index.tolist(),
-                    np.where(local >= 0, base[unit_index] + local - d.start, -1).tolist(),
-                )
-            ]
-            step_durs = d.step_durs
-            durs = np.hstack([
-                np.array([step_durs[s] for s in step_index[sel].tolist()]),
-                np.array([gate_durs[u] for u in picked]),
-            ])
-            parts.append(
-                self._rows(
-                    (base[:, None] + np.arange(width)).ravel(),
-                    np.tile(t_res, units),
-                    durs.ravel(),
-                    layers[sel][unit_index],
-                    np.tile(t_phase, units),
-                    np.tile(t_batch, units),
-                    np.tile(t_code, units),
-                    -1,
-                    steps[sel][unit_index],
-                    deps,
-                )
-            )
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(
-            np.concatenate([p[i] for p in parts]) for i in range(9)
-        ) + ([dep for p in parts for dep in p[9]],)
-
-    def _single_rows(self, d: _Decisions) -> tuple | None:
-        if not d.singles:
-            return None
-        ops, durs, deps, labels, steps = zip(*d.singles)
-        return self._rows(ops, _GPU, durs, -1, _P_OTHER, -1, labels, -1, steps, deps)
-
-    def _transfer_rows(self, d: _Decisions) -> tuple | None:
-        if not d.x_base:
-            return None
-        w = np.array(d.x_w, dtype=np.int64)
-        res = np.repeat(d.x_res, d.x_len)
-        disk = res == _DISK
-        return self._rows(
-            self._run_ids(d.x_base, d.x_len),
-            res,
-            np.where(disk, np.array(self._disk_durs)[w], np.array(self._h2d_durs)[w]),
-            w // self._stride,
-            _P_TRANSFER,
-            -1,
-            np.where(disk, _L_DISK, _L_H2D),
-            w,
-            -1,
-            d.x_deps,
-        )
-
-    def _expert_blocks(self, d: _Decisions) -> tuple:
-        """Every expert block's ops, flattened: ``(block, position in
-        block, expert, batch (-1 expert-major), token count)`` arrays
-        plus each block's routing counts as ``[blocks, n, E]``."""
-        n, num_experts = self.n, self.model.num_experts
-        stats, orders = [b[5] for b in d.experts], [b[6] for b in d.experts]
-        counts = np.fromiter(
-            chain.from_iterable(s.counts for s in stats), dtype=np.int64
-        ).reshape(len(stats), n, num_experts)
-        if orders[0] is not None:  # expert-major: one op per active expert
-            lengths = [len(order) for order in orders]
-            experts = np.fromiter(chain.from_iterable(orders), dtype=np.int64)
-            block = np.repeat(np.arange(len(lengths)), lengths)
-            batches = np.full(len(experts), -1, dtype=np.int64)
-            tokens = counts.sum(axis=1)[block, experts]
-        else:  # batch-major: one op per routed (batch, expert) pair
-            lengths = [len(s.pairs) for s in stats]
-            pairs = np.fromiter(chain.from_iterable(s.pairs for s in stats), dtype=np.int64)
-            block = np.repeat(np.arange(len(lengths)), lengths)
-            batches, experts = np.divmod(pairs, num_experts)
-            tokens = counts.reshape(len(lengths), -1)[block, pairs]
-        lengths = np.asarray(lengths, dtype=np.int64)
-        position = np.arange(len(experts)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        return block, position, experts, batches, tokens, counts
-
-    def _expert_rows(self, d: _Decisions, ids: list[int]) -> tuple | None:
-        """GPU expert ops of every expert block, with their dependencies.
-
-        Durations come from the builder's per-``scale`` duration tables;
-        each op waits for the gates of the batches it serves, its
-        expert's transfer if one is in flight and, without overlap, the
-        last transfer issued before it — sorted, as the ops are issued.
-        """
-        if not d.experts:
-            return None
-        block, position, experts, batches, tokens, counts = self._expert_blocks(d)
-        bases, layers, steps, gate_bases, scales, _, orders, readies, nods = zip(*d.experts)
-        bases, layers, steps, gate_bases, nods = (
-            np.array(c, dtype=np.int64) for c in (bases, layers, steps, gate_bases, nods)
-        )
-        durs = np.empty(len(experts))
-        scales = np.array(scales)[block]
-        for scale in np.unique(scales).tolist():
-            mask = scales == scale
-            durs[mask] = np.asarray(self._dur_tables[(scale, False)])[tokens[mask]]
-        gate_bases = gate_bases[block]
-        if orders[0] is not None:  # every batch routing to the expert
-            routed = counts.transpose(0, 2, 1)[block, experts] > 0
-            gates = np.where(routed, gate_bases[:, None] + np.arange(self.n), -1)
-        else:
-            gates = (gate_bases + batches)[:, None]
-        transfers = self._ready_slots(readies, layers)
-        columns = np.column_stack([gates, transfers[block, experts + 2], nods[block]])
-        return self._rows(
-            bases[block] + position,
-            _GPU,
-            durs,
-            layers[block],
-            _P_EXPERT,
-            batches,
-            np.where(batches < 0, _L_EXP, _L_EXP_B),
-            experts,
-            steps[block],
-            _row_tuples(columns, ids, d.start),
-        )
-
-    def _ready_slots(self, readies: list[dict], layers: list[int]) -> np.ndarray:
-        """``[len(readies), stride]`` ready transfer op per weight slot of
-        each ``{weight: op}`` map's layer (-1: none)."""
-        slots = np.full((len(readies), self._stride), -1, dtype=np.int64)
-        counts = [len(r) for r in readies]
-        if sum(counts):
-            rows = np.repeat(np.arange(len(readies)), counts)
-            ws = np.fromiter(chain.from_iterable(readies), dtype=np.int64)
-            ops = np.fromiter(chain.from_iterable(r.values() for r in readies), dtype=np.int64)
-            slots[rows, ws - np.asarray(layers, dtype=np.int64)[rows] * self._stride] = ops
-        return slots
-
-    def _gpu_expert_rows(self, d: _Decisions) -> tuple | None:
-        if not d.gpu_experts:
-            return None
-        ops, layers, steps, experts, durs, deps = zip(*d.gpu_experts)
-        return self._rows(
-            ops, _GPU, durs, layers, _P_EXPERT, -1, _L_EXP, experts, steps, deps
-        )
-
-    def _cpu_rows(self, d: _Decisions, ids: list[int]) -> tuple | None:
-        if not d.cpu:
-            return None
-        bases, layers, steps, experts, deps, counts, scales = zip(*d.cpu)
+    def _trip_rows(self, d: _Decisions, pairs: list) -> tuple:
+        """CPU round trips' columns (hidden states down, CPU compute,
+        hidden states up), each op waiting on the one before."""
+        starts, layer, expert, tokens, cpu_durs, scale, step = _columns(d.trips)
         model = self.model
-        counts, scales = np.array(counts), np.array(scales)
-        hidden_bytes = (counts * scales * model.hidden_size * model.dtype_bytes).astype(np.int64)
-        transfer_time = self.cost.transfer_time
-        moves = {
-            nb: (transfer_time(nb, "vram", "dram"), 0.0, transfer_time(nb, "dram", "vram"))
-            for nb in set(hidden_bytes.tolist())
-        }
-        durs = np.array([moves[nb] for nb in hidden_bytes.tolist()])
-        for scale in np.unique(scales).tolist():
-            mask = scales == scale
-            durs[mask, 1] = np.asarray(self._dur_tables[(scale, True)])[counts[mask]]
-        count = len(bases)
-        return self._rows(
-            (np.array(bases)[:, None] + np.arange(3)).ravel(),
-            np.tile([_D2H, _CPU, _H2D], count),
-            durs.ravel(),
-            np.repeat(layers, 3),
-            _P_EXPERT,
-            -1,
-            np.tile([_L_D2H_HID, _L_CPU_EXP, _L_H2D_HID], count),
-            np.repeat(experts, 3),
-            np.repeat(steps, 3),
-            [
-                dep
-                for op, first in zip(bases, deps)
-                for dep in (first, (ids[op - d.start],), (ids[op + 1 - d.start],))
-            ],
+        nbytes = (tokens * scale * model.hidden_size * model.dtype_bytes).astype(np.int64)
+        ops = starts[:, None] + np.arange(3)
+        pairs.append((ops[:, 1:].ravel(), ops[:, :2].ravel()))
+        durs = np.column_stack([
+            self.cost.transfer_times(nbytes, "vram", "dram"), cpu_durs,
+            self.cost.transfer_times(nbytes, "dram", "vram"),
+        ])
+        count = len(starts)
+        return (
+            ops.ravel(), np.tile(_TRIP_RES, count), durs.ravel(), np.repeat(layer, 3), _P_EXPERT,
+            -1, np.tile(_TRIP_LABELS, count), np.repeat(expert, 3), np.repeat(step, 3),
         )
+
+    def _frees(self, units, ready, last) -> tuple:
+        """Free every weight still ready at the end of its layer, in
+        release order: routed experts after their last op, then the
+        attention, the gate and any other experts by id at the layer's
+        tail (batch-major order frees those other experts first)."""
+        unit, slot = np.nonzero(ready >= 0)
+        routed = last[unit, slot]
+        op = np.where(
+            slot == 0, units[unit, _U_LAST_ATTN],
+            np.where(slot == self._gate_slot, units[unit, _U_LAST_GATE], units[unit, _U_TAIL]),
+        )
+        kind = np.where(slot == 0, 1, np.where(slot == self._gate_slot, 2, 3))
+        if not (self._dense or self.features.cpu_experts or self.features.adjust_order):
+            kind = np.where(kind == 3, 0, kind) + 1
+        is_routed = routed >= 0
+        op[is_routed] = routed[is_routed]
+        kind[is_routed] = 0
+        w = units[unit, _U_LAYER] * self._stride + slot
+        return (
+            op, EV_FREE, w, 2 * units[unit, _U_NEXT] - 1,
+            (kind << 40) + np.where(is_routed, op, w),
+        )
+
+    def _unit_rows(self, d: _Decisions, units, ready, ids: np.ndarray) -> tuple:
+        """Every layer unit's ops: their op ids (from ``d.start``) and
+        columns (but the first), and op ids with dependency tuples.
+
+        A unit's attention ops share one prefix (the previous layer's
+        barrier, the attention weight's transfer and, without overlap,
+        the last transfer before the unit) and its gates another (the
+        gate weight's transfer and that last transfer); a kv load's
+        attention, a kv store and a gate also wait on the op of their
+        batch before them.
+        """
+        n, start = self.n, d.start
+        count = len(units)
+        index = np.arange(count)
+        lo, hi, nod = units[:, _U_BLO], units[:, _U_BHI], units[:, _U_NOD]
+        attn, gate = ready[:, 0], ready[:, self._gate_slot]
+        rows = [np.repeat(2 * index, hi - lo), 2 * index[attn >= 0], 2 * index[gate >= 0] + 1,
+                2 * index[nod >= 0], 2 * index[nod >= 0] + 1]
+        deps = [_ranges(lo, hi), attn[attn >= 0], gate[gate >= 0], nod[nod >= 0], nod[nod >= 0]]
+        for unit, dep in d.prefix:
+            rows.append(2 * unit)
+            deps.append(dep)
+        prefixes = _dep_tuples(np.concatenate(rows), np.concatenate(deps) - start, 2 * count, ids)
+        col_ops, cols, dep_ops, tuples = [], [], [], []
+        by_m: dict[int, list] = {}
+        for embed, head, embed_dur, step, m, durs, first, num_layers in d.steps:
+            by_m.setdefault(m, []).append((first, num_layers, durs))
+        for m, steps in by_m.items():
+            code, res, phase, batch, kvload_at, attn_at, kvstore_at, gate_at = self._template(m)
+            width, firsts, lengths = len(code), *(np.array(c) for c in list(zip(*steps))[:2])
+            sel = _ranges(firsts, firsts + lengths)
+            base = units[sel, _U_START] - start
+            col_ops.append((base[:, None] + np.arange(width)).ravel())
+            cols.append((
+                np.tile(res, len(sel)),
+                np.concatenate(
+                    [np.broadcast_to(x, (k, width)) for _, k, x in steps]
+                ).ravel(),
+                np.repeat(units[sel, _U_LAYER], width), np.tile(phase, len(sel)),
+                np.tile(batch, len(sel)), np.tile(code, len(sel)), np.full(len(sel) * width, -1),
+                np.repeat(units[sel, _U_STEP], width),
+            ))
+            attn_ops = (base[:, None] + attn_at).ravel()
+            attn_obj = ids[attn_ops].tolist()
+            shared = prefixes[np.repeat(2 * sel, n)].tolist()
+            if m == 3:
+                dep_ops.append(attn_ops - 1)
+                tuples += [()] * len(attn_ops)
+                shared = list(map(tuple.__add__, shared, zip(ids[attn_ops - 1].tolist())))
+            dep_ops.append(attn_ops)
+            tuples += shared
+            if m >= 2:
+                dep_ops.append(attn_ops + 1)
+                tuples += zip(attn_obj)
+            dep_ops.append((base[:, None] + gate_at).ravel())
+            tuples += map(tuple.__add__, prefixes[np.repeat(2 * sel + 1, n)].tolist(), zip(attn_obj))
+        return (
+            np.concatenate(col_ops), [np.concatenate(c) for c in zip(*cols)],
+            np.concatenate(dep_ops), tuples,
+        )
+
+
+def _pairs(pairs: list[tuple], ranges: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, dependency)`` arrays of ``(rows, deps)`` pairs and ``(rows,
+    first, end)`` dependency ranges."""
+    rows, deps = [r for r, _ in pairs], [x for _, x in pairs]
+    for r, lo, hi in ranges:
+        rows.append(np.repeat(r, hi - lo))
+        deps.append(_ranges(lo, hi))
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(rows), np.concatenate(deps)
+
+
+def _columns(records: list[tuple]) -> list[np.ndarray]:
+    """Concatenate records of equal-length columns, column by column; a
+    scalar stands for a column of the record's length (that of its first
+    column, always an array)."""
+    lengths = [len(record[0]) for record in records]
+    ends = np.cumsum(lengths).tolist()
+    out = []
+    for column in zip(*records):
+        arrays = [i for i, v in enumerate(column) if type(v) is np.ndarray]
+        if len(arrays) == len(column):
+            out.append(np.concatenate(column))
+            continue
+        values = np.repeat([0 if type(v) is np.ndarray else v for v in column], lengths)
+        for i in arrays:
+            values[ends[i] - lengths[i] : ends[i]] = column[i]
+        out.append(values)
+    return out

@@ -125,6 +125,12 @@ class CostModel:
     def cpu_time(self, cost: OpCost) -> float:
         return self.hardware.cpu.compute_time(cost.flops, cost.bytes_moved, cost.kernels)
 
+    def transfer_times(self, nbytes: np.ndarray, src: str, dst: str) -> np.ndarray:
+        """Unpinned :meth:`transfer_time` for an array of byte counts,
+        elementwise in the scalar path's IEEE operation order."""
+        link = self.hardware.link_for(src, dst)
+        return np.where(nbytes > 0, link.latency_s + nbytes / link.bandwidth_bytes_per_s, 0.0)
+
     def transfer_time(self, nbytes: int, src: str, dst: str, *, pinned: bool = False) -> float:
         key = (nbytes, src, dst, pinned)
         cached = self._transfer_cache.get(key)

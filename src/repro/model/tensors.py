@@ -73,15 +73,16 @@ class TensorInventory:
     def _build(self) -> None:
         cfg = self.config
         self._add(TensorSpec(EMBED, EMBED, -1, cfg.bytes_of(cfg.embedding_params())))
+        attn_bytes, gate_bytes, expert_bytes = (
+            cfg.attention_bytes(), cfg.gate_bytes(), cfg.expert_bytes()
+        )
         for layer in range(cfg.num_layers):
-            self._add(TensorSpec(attn_id(layer), ATTN, layer, cfg.attention_bytes()))
+            self._add(TensorSpec(attn_id(layer), ATTN, layer, attn_bytes))
             if not cfg.is_dense:
-                self._add(TensorSpec(gate_id(layer), GATE, layer, cfg.gate_bytes()))
+                self._add(TensorSpec(gate_id(layer), GATE, layer, gate_bytes))
             for expert in range(cfg.num_experts):
                 self._add(
-                    TensorSpec(
-                        expert_id(layer, expert), EXPERT, layer, cfg.expert_bytes(), expert
-                    )
+                    TensorSpec(expert_id(layer, expert), EXPERT, layer, expert_bytes, expert)
                 )
 
     def _add(self, spec: TensorSpec) -> None:

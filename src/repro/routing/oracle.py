@@ -63,25 +63,27 @@ class RoutingStats(NamedTuple):
         return StepStats.of(assignments[None], n, num_experts).layers[0]
 
 
-class StepStats(NamedTuple):
-    """:class:`RoutingStats` of every layer of one step, with the arrays
-    they were derived from.
+class StepStats:
+    """Token counts of every layer of one step split into ``n`` batch
+    slices, with each layer's :class:`RoutingStats` derived on first use.
 
     Attributes:
         counts: ``[layers, n, E]`` tokens per (layer, batch, expert).
         totals: ``[layers, E]`` tokens per (layer, expert).
-        layers: each layer's :class:`RoutingStats`.
     """
 
-    counts: np.ndarray
-    totals: np.ndarray
-    layers: list[RoutingStats]
+    __slots__ = ("counts", "totals", "_layers")
+
+    def __init__(self, counts: np.ndarray, totals: np.ndarray):
+        self.counts = counts
+        self.totals = totals
+        self._layers: list[RoutingStats] | None = None
 
     @classmethod
     def of(cls, assignments, n: int, num_experts: int) -> "StepStats":
-        """Derive every layer's stats with one ``bincount`` from the
-        step's ``[layers, n_tokens, top_k]`` assignments (or a list of
-        each layer's ``[n_tokens, top_k]``, token counts varying)."""
+        """Count every layer with one ``bincount`` from the step's
+        ``[layers, n_tokens, top_k]`` assignments (or a list of each
+        layer's ``[n_tokens, top_k]``, token counts varying)."""
         num_layers = len(assignments)
         width = n * num_experts
         bases = np.arange(num_layers, dtype=np.int64) * width
@@ -99,24 +101,31 @@ class StepStats(NamedTuple):
         counts = np.bincount(flat, minlength=num_layers * width).reshape(
             num_layers, n, num_experts
         )
-        totals = counts.sum(axis=1)
-        total_rows = [tuple(row) for row in totals.tolist()]
-        actives = _row_entries(totals != 0)
-        inactives = _row_entries(totals == 0)
-        if n == 1:
-            layers = [
-                RoutingStats(t, t, a, a, i)
-                for t, a, i in zip(total_rows, actives, inactives)
-            ]
-        else:
-            flat = counts.reshape(num_layers, width)
-            layers = [
-                RoutingStats(tuple(c), t, p, a, i)
-                for c, t, p, a, i in zip(
-                    flat.tolist(), total_rows, _row_entries(flat != 0), actives, inactives
-                )
-            ]
-        return cls(counts, totals, layers)
+        return cls(counts, counts.sum(axis=1))
+
+    @property
+    def layers(self) -> list[RoutingStats]:
+        """Each layer's :class:`RoutingStats`."""
+        if self._layers is None:
+            num_layers, n, num_experts = self.counts.shape
+            total_rows = [tuple(row) for row in self.totals.tolist()]
+            actives = _row_entries(self.totals != 0)
+            inactives = _row_entries(self.totals == 0)
+            if n == 1:
+                self._layers = [
+                    RoutingStats(t, t, a, a, i)
+                    for t, a, i in zip(total_rows, actives, inactives)
+                ]
+            else:
+                flat = self.counts.reshape(num_layers, n * num_experts)
+                self._layers = [
+                    RoutingStats(tuple(c), t, p, a, i)
+                    for c, t, p, a, i in zip(
+                        flat.tolist(), total_rows, _row_entries(flat != 0), actives,
+                        inactives,
+                    )
+                ]
+        return self._layers
 
 
 def _row_entries(mask: np.ndarray) -> list[tuple[int, ...]]:
@@ -167,9 +176,9 @@ class StepRouting:
     layer, as a recorded trace may) plus each layer's
     :class:`LayerRouting` view of them.
 
-    Iterating yields the layers in order. :meth:`stats` derives every
-    layer's stats in one pass and keeps the last split, so the systems
-    sharing a memoized step share one derivation.
+    Iterating yields the layers in order. :meth:`stats` counts every
+    layer in one pass and keeps the last split, so the systems sharing a
+    memoized step share one count.
     """
 
     def __init__(self, assignments, scale: float = 1.0):
@@ -189,13 +198,11 @@ class StepRouting:
         return self.assignments[:, :, 0]
 
     def stats(self, n: int, num_experts: int) -> StepStats:
-        """Every layer's stats over ``n`` batch slices; each layer's
-        :meth:`LayerRouting.stats` then returns its entry."""
+        """Every layer's stats over ``n`` batch slices (the last split is
+        kept)."""
         stats = self._stats
         if stats is None or stats.counts.shape[1:] != (n, num_experts):
             stats = self._stats = StepStats.of(self.assignments, n, num_experts)
-            for routing, layer_stats in zip(self.layers, stats.layers):
-                object.__setattr__(routing, "_stats", layer_stats)
         return stats
 
 

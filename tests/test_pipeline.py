@@ -324,15 +324,16 @@ class TestBuilderReuse:
 
 @pytest.mark.parametrize("width", [1, 3, 62, 63, 64, 65, 130])
 def test_row_tuples_matches_sorted_deps_at_any_width(width):
-    from repro.core.pipeline import _row_tuples, _sorted_deps
+    from repro.core.pipeline import _dep_tuples
 
     rng = np.random.default_rng(width)
     values = rng.integers(-1, 40, size=(300, width))
     values[rng.random(values.shape) < 0.7] = -1
-    ids = list(range(100, 140))
-    got = _row_tuples(values, ids, 0)
-    assert got == [
-        tuple(ids[v] for v in _sorted_deps([v for v in row if v >= 0]))
+    ids = np.arange(100, 140).astype(object)
+    rows, cols = np.nonzero(values >= 0)
+    got = _dep_tuples(rows, values[rows, cols], len(values), ids)
+    assert got.tolist() == [
+        tuple(ids[v] for v in sorted({v for v in row if v >= 0}))
         for row in values.tolist()
     ]
 
