@@ -17,6 +17,7 @@ import warnings
 from repro.api.config import RunConfig, ScenarioConfig, ServeConfig, SystemConfig
 from repro.api.registry import ARRIVALS
 from repro.errors import ReproDeprecationWarning
+from repro.obs import span
 
 
 def build_scenario(config: ScenarioConfig):
@@ -202,6 +203,7 @@ def run_cluster(
     # expensive half.
     if requests is None:
         requests = build_requests(run)
-    replicas = build_fleet(run, shared_cache=shared_cache)
-    simulator = ClusterSimulator(replicas, cluster.build_router(), cluster)
+    with span("cluster.fleet_build", {"replicas": cluster.replicas}):
+        replicas = build_fleet(run, shared_cache=shared_cache)
+        simulator = ClusterSimulator(replicas, cluster.build_router(), cluster)
     return simulator.run(requests, engine=engine)

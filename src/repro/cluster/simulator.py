@@ -259,7 +259,7 @@ class ClusterSimulator:
             )
         self._consumed = True
         with span(
-            "cluster.run",
+            "cluster.simulator.run",
             {
                 "replicas": len(self.replicas),
                 "requests": len(requests),

@@ -16,13 +16,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.bubbles import analyze_bubbles
 from repro.api.registry import PASSES
 from repro.errors import OutOfMemoryError, ScheduleError
 from repro.hardware.spec import HardwareSpec
 from repro.obs import count, span
 from repro.passes.base import PassContext, SchedulePass
-from repro.passes.rewrite import OpMap
+from repro.passes.rewrite import OpMap, group_csr
 from repro.runtime.executor import Executor
 from repro.runtime.schedule import Schedule, gc_paused
 from repro.runtime.timeline import Timeline
@@ -97,7 +99,7 @@ class PipelineResult:
     baseline_bubble_fraction: float
 
     def __post_init__(self):
-        self._old_to_new: dict[int, int] | None = None
+        self._groups: tuple | None = None  # the op map as group CSR arrays
 
     @property
     def makespan(self) -> float:
@@ -111,13 +113,13 @@ class PipelineResult:
         """Final-schedule op id holding original op ``old_id``."""
         if self.op_map is None:
             return old_id
-        if self._old_to_new is None:
-            self._old_to_new = {
-                old: new
-                for new, group in enumerate(self.op_map)
-                for old in group
-            }
-        return self._old_to_new[old_id]
+        if self._groups is None:
+            self._groups = group_csr(self.op_map)
+        indptr, members = self._groups
+        at = np.flatnonzero(members == old_id)
+        if not len(at):
+            raise KeyError(old_id)
+        return int(np.searchsorted(indptr, at[0], side="right")) - 1
 
     def to_dict(self) -> dict:
         final_bubbles = analyze_bubbles(self.timeline)

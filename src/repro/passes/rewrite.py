@@ -60,9 +60,10 @@ def split_rows(flat: list, indptr: list) -> list[tuple]:
 def _remap_deps(
     schedule: Schedule, members: np.ndarray, owner: np.ndarray,
     old_to_new: np.ndarray, g: int,
-) -> list[tuple[int, ...]]:
+) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, np.ndarray]]:
     """Each group's sorted, deduplicated dependencies in new op ids,
-    dependencies inside the group dropped."""
+    dependencies inside the group dropped, as tuples and as the CSR
+    ``(indptr, indices)`` they are cut from."""
     dep_ptr, dep_ids = schedule.deps_csr()
     counts = np.diff(dep_ptr)[members]
     total = int(counts.sum())
@@ -77,7 +78,8 @@ def _remap_deps(
     keys = keys[np.append(True, keys[1:] != keys[:-1])] if len(keys) else keys
     indptr = np.zeros(g + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // g, minlength=g), out=indptr[1:])
-    return split_rows((keys % g).tolist(), indptr.tolist())
+    indices = keys % g
+    return split_rows(indices.tolist(), indptr.tolist()), (indptr, indices)
 
 
 def _group_labels(labels, plans, heads, merged) -> list[str]:
@@ -151,6 +153,7 @@ def rebuild_schedule(
         new_dur[j] = duration
         merged.append((j, len(groups[j]) - 1))
 
+    deps, csr = _remap_deps(schedule, members, owner, old_to_new, g)
     rewritten = Schedule()
     # Re-attach memory effects in the original attachment order (the
     # frozen event stream sorts stably by (op, kind), so per-op replay
@@ -160,7 +163,7 @@ def rebuild_schedule(
     rewritten.extend_raw(
         res[heads].tolist(),
         new_dur,
-        _remap_deps(schedule, members, owner, old_to_new, g),
+        deps,
         (
             _group_labels,
             (schedule._labels, tuple(schedule._label_plans), heads, merged),
@@ -176,6 +179,9 @@ def rebuild_schedule(
             schedule._ev_nbytes,
         ),
     )
+    # The candidate's validation and invariant checks read this CSR
+    # instead of rebuilding it from the tuples cut from it.
+    rewritten.adopt_deps_csr(*csr)
     return rewritten, tuple(map(tuple, groups))
 
 

@@ -38,6 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import ScheduleError
+from repro.obs import span
 
 GPU = "gpu"
 CPU = "cpu"
@@ -339,21 +340,22 @@ class Schedule:
         Raises:
             ScheduleError: naming the first offending op.
         """
-        if self._dur and min(self._dur) < 0:
-            bad = next(i for i, d in enumerate(self._dur) if d < 0)
-            raise ScheduleError(
-                f"op {bad} has negative duration {self._dur[bad]!r}"
-            )
-        # Range-check every dep at once over transient CSR arrays; argmax
-        # finds the first offender in (op, position-in-deps) order.
-        indptr, indices = self.deps_csr()
-        owners = np.repeat(np.arange(len(self._deps)), np.diff(indptr))
-        bad_mask = (indices < 0) | (indices >= owners)
-        if bad_mask.any():
-            pos = int(np.argmax(bad_mask))
-            op_id, bad = int(owners[pos]), int(indices[pos])
-            kind = "forward or self" if bad >= op_id else "negative"
-            raise ScheduleError(f"op {op_id} has {kind} dependency {bad}")
+        with span("runtime.schedule.validate", {"ops": len(self._dur)}):
+            if self._dur and min(self._dur) < 0:
+                bad = next(i for i, d in enumerate(self._dur) if d < 0)
+                raise ScheduleError(
+                    f"op {bad} has negative duration {self._dur[bad]!r}"
+                )
+            # Range-check every dep at once over transient CSR arrays;
+            # argmax finds the first offender in (op, position) order.
+            indptr, indices = self.deps_csr()
+            owners = np.repeat(np.arange(len(self._deps)), np.diff(indptr))
+            bad_mask = (indices < 0) | (indices >= owners)
+            if bad_mask.any():
+                pos = int(np.argmax(bad_mask))
+                op_id, bad = int(owners[pos]), int(indices[pos])
+                kind = "forward or self" if bad >= op_id else "negative"
+                raise ScheduleError(f"op {op_id} has {kind} dependency {bad}")
 
     def deps_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` int64 arrays of the dependency lists.
@@ -361,9 +363,10 @@ class Schedule:
         ``indptr`` has ``len(self) + 1`` row pointers, ``indices`` the
         dependency op ids. A frozen schedule keeps them, read-only, until
         the next mutation (the pass pipeline reads them several times
-        per schedule); otherwise, :meth:`freeze`'s validation included,
-        they are built per call, so schedules that are only executed do
-        not hold them.
+        per schedule), as does one handed its CSR by
+        :meth:`adopt_deps_csr`; otherwise, :meth:`freeze`'s validation
+        included, they are built per call, so schedules that are only
+        executed do not hold them.
         """
         if self._csr is not None:
             return self._csr
@@ -381,6 +384,18 @@ class Schedule:
             indices.flags.writeable = False
             self._csr = (indptr, indices)
         return indptr, indices
+
+    def adopt_deps_csr(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Keep ``(indptr, indices)``, read-only, as :meth:`deps_csr` until
+        the next mutation.
+
+        For a caller that cut the dependency tuples from this very CSR
+        (a pass rewrite does), so validating and checking the schedule
+        does not rebuild it.
+        """
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self._csr = (indptr, indices)
 
     def freeze(self) -> "Schedule":
         """Validate once and store the executor's columns on the schedule.

@@ -147,7 +147,8 @@ class Scheduler:
         self.sim = sim
 
     def run(self, requests: list[Request]) -> ClusterReport:
-        return self.sim._run(requests, self)
+        with span("serving.scheduler.run", {"scheduler": self.name}):
+            return self.sim._run(requests, self)
 
     def close(self, report: ClusterReport) -> None:
         """Final fix-ups of the report before the loop fills its stats."""

@@ -444,3 +444,60 @@ class TestBuildStageSpans:
             "core.pipeline.decide", "core.pipeline.materialize",
         }
         assert 0.5 < build["covered"] <= 1.0
+
+
+class TestStageCoverage:
+    """Named spans account for the wall time of a traced cell: the
+    pipeline stages, schedule validation, fleet building, the cluster
+    simulator, its scheduler and the report's metrics each open one span
+    per call."""
+
+    @staticmethod
+    def covered(run) -> float:
+        from time import perf_counter
+
+        obs.enable()
+        t0 = perf_counter()
+        run()
+        wall = perf_counter() - t0
+        obs.disable()
+        top = [r for r in tracer.spans_snapshot() if r[DEPTH] == 0]
+        return sum(r[END] - r[START] for r in top) / wall
+
+    SCENARIO = {
+        "model": "mixtral-8x7b", "env": "env1", "batch_size": 8, "prompt_len": 64,
+        "gen_len": 2, "seed": 3,
+    }
+
+    def test_named_spans_cover_a_pipeline_cell(self):
+        from repro.api import RunConfig, build_scenario, build_system
+
+        config = RunConfig.from_dict(
+            {"scenario": {**self.SCENARIO, "n": 4}, "system": {"name": "klotski"}}
+        )
+        scenario = build_scenario(config.scenario)
+        assert self.covered(lambda: build_system(config.system).run_safe(scenario)) >= 0.95
+        names = {r[NAME] for r in tracer.spans_snapshot()}
+        assert {"system.build", "runtime.schedule.validate"} <= names
+
+    def test_named_spans_cover_a_fleet_cell(self):
+        from repro.api import RunConfig
+        from repro.api.run import build_requests, run_cluster
+        from repro.cluster.replica import clear_group_timing_memo
+
+        config = RunConfig.from_dict({
+            "scenario": self.SCENARIO,
+            "system": {"name": "klotski"},
+            "cluster": {"replicas": 4, "group_batches": 2, "max_wait_s": 2.0,
+                        "scheduler": "continuous", "engine": "serial"},
+            "serve": {"arrival": "poisson", "requests": 400, "rate_per_s": 50.0},
+        })
+        requests = build_requests(config)
+        clear_group_timing_memo()
+        assert self.covered(lambda: run_cluster(config, requests=requests).to_dict()) >= 0.95
+        names = [r[NAME] for r in tracer.spans_snapshot()]
+        for name in (
+            "cluster.fleet_build", "cluster.simulator.run", "serving.scheduler.run",
+            "cluster.report.metrics",
+        ):
+            assert names.count(name) == 1

@@ -104,6 +104,21 @@ class TestRebuildSchedule:
         with pytest.raises(ScheduleError, match="rewrite group 1 is empty"):
             rebuild_schedule(s, [(0, 1), (), (2,), (3,)])
 
+    def test_rewrite_hands_its_dependency_csr_to_the_candidate(self):
+        s = chain_schedule()
+        out, _ = rebuild_schedule(s, [(0, 1), (2,), (3,)])
+        indptr, indices = out.deps_csr()
+        assert out.deps_csr()[0] is indptr  # kept, not rebuilt
+        assert (indptr.tolist(), indices.tolist()) == ([0, 0, 1, 2], [0, 1])
+        assert out._deps == [tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:])]
+        out.freeze()
+        assert out.deps_csr()[1] is indices
+
+    def test_executed_schedules_keep_no_dependency_csr(self):
+        s = chain_schedule()
+        Executor(make_hw()).run(s)
+        assert s._csr is None
+
     def test_permute_is_singleton_rebuild(self):
         s = bubbly_schedule()
         out, op_map = permute_schedule(s, [0, 2, 1, 3])
@@ -306,6 +321,21 @@ class TestPassPipeline:
         assert result.makespan == result.baseline_makespan
         assert result.remap_op(0) == result.remap_op(2) == 0
         assert result.remap_op(3) == 1
+
+    def test_remap_op_matches_a_dict_over_a_two_pass_map(self):
+        from repro.core.engine import KlotskiSystem
+        from tests.test_goldens import _scenario
+
+        scenario = _scenario()
+        schedule = KlotskiSystem().build(scenario).schedule
+        result = PassPipeline().run(schedule, scenario.hardware)
+        assert len(result.accepted) == 2
+        expected = {old: new for new, group in enumerate(result.op_map) for old in group}
+        assert [result.remap_op(op) for op in range(len(schedule))] == [
+            expected[op] for op in range(len(schedule))
+        ]
+        with pytest.raises(KeyError):
+            result.remap_op(len(schedule))
 
     def test_noop_on_nothing_to_rewrite(self):
         s = Schedule()
