@@ -166,18 +166,18 @@ def _dep_tuples(rows: np.ndarray, deps: np.ndarray, count: int, ids: np.ndarray)
     rows, deps = np.divmod(key, len(ids))
     lengths = np.bincount(rows, minlength=count)
     by_length = np.argsort(lengths, kind="stable")
-    sizes = lengths[by_length]
     starts = np.cumsum(lengths) - lengths
-    flat = ids[deps[_ranges(starts[by_length], starts[by_length] + sizes)]].tolist()
-    out: list[tuple] = []
-    bounds = np.flatnonzero(np.diff(sizes, prepend=-1, append=-1)).tolist()
-    ends = np.cumsum(sizes).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        width = int(sizes[lo])
+    per_width = np.bincount(lengths)
+    widths = np.flatnonzero(per_width)
+    out: list[tuple] = [()] * int(per_width[0]) if per_width[0] else []
+    lo = int(per_width[0])
+    for width, rows_of_width in zip(widths.tolist(), per_width[widths].tolist()):
         if width == 0:
-            out += [()] * (hi - lo)
-        else:
-            out += zip(*[iter(flat[ends[lo] - width : ends[hi - 1]])] * width)
+            continue
+        first = starts[by_length[lo : lo + rows_of_width]]
+        flat = ids[deps[(first[:, None] + np.arange(width)).ravel()]].tolist()
+        out += zip(*[iter(flat)] * width)
+        lo += rows_of_width
     tuples = np.empty(count, dtype=object)
     tuples[by_length] = _objects(out)
     return tuples
@@ -241,7 +241,8 @@ class _Decisions:
     """What the decide pass records until the next materialize.
 
     Op ids are absolute (``start`` is the length of the schedule the
-    decisions were made for). Each step appends arrays:
+    decisions were made for); ``init`` marks the resident blob's op 0.
+    Each step appends arrays:
 
     * ``units``: a ``[layers, 11]`` unit table (see the ``_U_*``
       columns): first op, step, layer, attention-block shape ``m``, the
@@ -249,48 +250,47 @@ class _Decisions:
       of its barrier), the first op after the layer's experts, the
       previous layer's barrier as an op range (the first layer's: the
       embed) and, without overlap, the last transfer before the unit;
-      plus the unit's ``[stride]`` row of the ready-transfer matrix and
-      of each expert slot's last op (-1: none);
-    * ``steps``: the step's embed, head and durations;
-    * ``transfers``: copy ops, weights, stream, step and the op the copy
-      (or its disk read) waits on; ``cols``: whole ``(op, resource,
-      duration, layer, phase, batch, label code, x, step)`` columns of
-      the other ops but embeds and heads (``x``: expert or weight index,
-      see :data:`_LABELS`);
-    * ``pairs`` ``(op, dependency)``, ``ranges`` ``(op, first, end)``
-      dependency ranges and ``prefix`` ``(unit, dependency)`` additions
-      to a unit's attention prefix;
-    * ``effects`` ``(op, kind, key, order, rank)`` memory effects other
-      than transfer allocations and layer frees, where a key is a
-      weight index or ``len(tids) + i`` for the i-th ``extra`` tensor
-      (KV growth, the resident blob) and ``(order, rank)`` sorts every
-      effect into the order per-op authoring attaches them in.
+      plus the unit's ``[stride]`` row of the ready-transfer matrix
+      (``ready``) and of each expert slot's last op (``last``; -1: none);
+    * ``steps``: the step's embed, head, durations and units;
+    * op rows: ``prefetches`` (copy ops, weights, runs) on the prefetch
+      stream, ``on_demand`` (copy ops, weights) on the on-demand stream,
+      ``experts`` (GPU expert ops, durations, layers, experts, batches)
+      and ``trips`` (CPU round trips); a transfer's disk read is the op
+      before its copy;
+    * dependencies: ``pairs`` ``(op, dependency)``, ``ranges`` ``(op,
+      first, end)``, ``prefix`` ``(unit, dependency)`` additions to a
+      unit's attention prefix and ``run_pairs`` / ``run_ranges``, those of
+      a prefetch run (a run's transfers share one dependency tuple);
+    * memory effects besides transfer allocations and layer frees:
+      ``allocs`` (KV growth), ``frees`` (CPU-path experts) and per group
+      ``releases`` (its KV at its last head), keyed by weight index or
+      ``len(tids) + i`` for the i-th ``extra`` tensor.
     """
 
     def __init__(self, start: int):
         self.start = start
         self.nops = start  # the next op id
-        self.nunits = 0
-        self.nruns = 0
+        self.init = False
+        self.nunits = self.nruns = 0
         self.units: list[np.ndarray] = []
         self.ready: list[np.ndarray] = []
         self.last: list[np.ndarray] = []
         self.steps: list[tuple] = []
-        self.transfers: list[tuple] = []
-        self.cols: list[tuple] = []
+        self.prefetches: list[tuple] = []
+        self.on_demand: list[tuple] = []
+        self.experts: list[tuple] = []
         self.trips: list[tuple] = []
         self.pairs: list[tuple] = []
         self.ranges: list[tuple] = []
         self.prefix: list[tuple] = []
         self.run_pairs: list[tuple] = []
         self.run_ranges: list[tuple] = []
-        self.effects: list[tuple] = []
+        self.allocs: list[tuple] = []
+        self.frees: list[tuple] = []
+        self.releases: list[tuple] = []
         self.extra_tids: list[str] = []
         self.extra_nbytes: list[int] = []
-
-    def effect(self, ops, kind: int, keys, order, rank=0) -> None:
-        """Attach effects of one kind to ``ops``, key for key."""
-        self.effects.append((ops, kind, keys, order, rank))
 
 
 class _Group:
@@ -561,10 +561,8 @@ class PipelineBuilder:
             and not (model.is_dense or features.cpu_experts)
         )
         if d.nops == 0:  # sequential systems share one resident blob per run
-            zero = np.zeros(1, dtype=np.int64)
-            d.cols.append((zero, _GPU, 0.0, -1, _P_OTHER, -1, _L_INIT, -1, -1))
+            d.init = True
             d.nops = 1
-            d.effect(zero, EV_ALLOC, len(self._tids), -1)
             d.extra_tids.append("resident+workspace")
             d.extra_nbytes.append(
                 self.placement.resident_bytes + self.placement.activation_reserve_bytes
@@ -582,11 +580,7 @@ class PipelineBuilder:
         if group.kv_keys and heads:
             # The group's KV cache is released when its generation completes
             # (sequential systems reuse the space for the next batch).
-            keys = np.array(group.kv_keys, dtype=np.int64)
-            d.effect(
-                np.full(len(keys), heads[-1]), EV_FREE, keys, 2 * heads[-1] + 1,
-                np.arange(len(keys)),
-            )
+            d.releases.append((heads[-1], np.array(group.kv_keys, dtype=np.int64)))
         return heads
 
     def _decide_step(self, step: int, g: _Group) -> int:
@@ -726,7 +720,7 @@ class PipelineBuilder:
         # tail on this one).
         run = d.nruns + np.arange(num_layers + 1)
         d.nruns += num_layers + 1
-        d.transfers.append((pf_copy, pf_w[r, c], _H2D, step, run[r]))
+        d.prefetches.append((pf_copy, pf_w[r, c], run[r], step))
         if overlap:
             d.run_pairs.append((run[1:], first_attn))
         else:
@@ -740,7 +734,7 @@ class PipelineBuilder:
             ready[cl, ce + 2] = cold_copy
             gates = gate_base[cl] + (counts[cl, :, ce] > 0).argmax(axis=1) if n > 1 else gate_base[cl]
             cold_w = cl * stride + 2 + ce
-            d.transfers.append((cold_copy, cold_w, _H2D_OD, step, -1))
+            d.on_demand.append((cold_copy, cold_w, step))
             copies.append(cold_copy)
             cold_run = cold_copy - self._cost[cold_w] + 1
             pairs.append((cold_run, gates))
@@ -763,16 +757,11 @@ class PipelineBuilder:
                 else:
                     xi, xb = np.nonzero(counts[x_layer, :, x_expert])
                     pairs.append((x_ops[xi], gate_base[x_layer[xi]] + xb))
-                d.cols.append((
-                    x_ops, _GPU, gpu_durs[x_tokens], x_layer, _P_EXPERT, -1, _L_EXP, x_expert, step,
-                ))
+                d.experts.append((x_ops, gpu_durs[x_tokens], x_layer, x_expert, None, step))
             else:
                 np.maximum.at(last, (x_layer, x_expert + 2), x_ops)
                 pairs.append((x_ops, gate_base[x_layer] + x_batch))
-                d.cols.append((
-                    x_ops, _GPU, gpu_durs[x_tokens], x_layer, _P_EXPERT, x_batch, _L_EXP_B,
-                    x_expert, step,
-                ))
+                d.experts.append((x_ops, gpu_durs[x_tokens], x_layer, x_expert, x_batch, step))
             op = ready[x_layer, x_expert + 2]
             pairs.append((x_ops[op >= 0], op[op >= 0]))
             some = x_count > 0
@@ -783,9 +772,8 @@ class PipelineBuilder:
             x_end = xstart[x_layer] + np.cumsum(x_size) - (np.cumsum(x_count) - x_count)[x_layer] - 1
             x_start = x_end - x_size + 1
             gpu, trip, load = np.flatnonzero(~on_cpu), np.flatnonzero(on_cpu), np.flatnonzero(loaded)
-            d.cols.append((
-                x_end[gpu], _GPU, gpu_durs[x_tokens[gpu]], x_layer[gpu], _P_EXPERT, -1, _L_EXP,
-                x_expert[gpu], step,
+            d.experts.append((
+                x_end[gpu], gpu_durs[x_tokens[gpu]], x_layer[gpu], x_expert[gpu], None, step,
             ))
             d.trips.append((
                 x_start[trip], x_layer[trip], x_expert[trip], x_tokens[trip],
@@ -799,9 +787,9 @@ class PipelineBuilder:
             also = loaded[xi]
             pairs.append((x_end[xi[also]], gates[also]))
             l_w, l_end = x_w[load], x_end[load]
-            d.transfers.append((l_end - 1, l_w, _H2D_OD, step, -1))
+            d.on_demand.append((l_end - 1, l_w, step))
             pairs.append((l_end, l_end - 1))
-            d.effect(l_end, EV_FREE, l_w, 2 * l_end)
+            d.frees.append((l_end, l_w))
             copies.append(l_end - 1)
             gpu_end = np.where(on_cpu, -1, x_end)
             if not overlap:
@@ -865,7 +853,7 @@ class PipelineBuilder:
             d.extra_tids += names
             d.extra_nbytes += [stp.kv_alloc_delta] * len(keys)
             ops = (ustart[:, None] + attn_at).ravel()
-            d.effect(ops, EV_ALLOC, keys, 2 * ops)
+            d.allocs.append((ops, keys))
             g.kv_keys += keys.tolist()
 
         # ---- synchronous execution --------------------------------------------------
@@ -937,37 +925,61 @@ class PipelineBuilder:
         start, total = d.start, d.nops - d.start
         ids = np.arange(start, d.nops).astype(object)  # one int object per op id
         units, ready, last = (np.concatenate(x) for x in (d.units, d.ready, d.last))
-        cols, pairs, effects = list(d.cols), list(d.pairs), list(d.effects)
+        pairs = list(d.pairs)
 
-        # Embeds and heads.
-        embeds, heads, embed_durs, steps, *_ = zip(*d.steps)
-        cols.append((
-            np.array(embeds + heads), _GPU,
-            np.array(embed_durs + (self._head_dur,) * len(heads)), -1, _P_OTHER, -1,
-            np.repeat([_L_EMBED, _L_HEAD], len(heads)), -1, np.array(steps + steps),
-        ))
-        # Transfers: a spilled weight's disk read, then its copy, which
-        # allocates the weight.
-        copy, w, res, step, run = _columns(d.transfers)
+        # Embeds and heads (and the resident blob's op 0).
+        embeds, heads, embed_durs, step_ids = (list(c) for c in list(zip(*d.steps))[:4])
+        init = [start] if d.init else []
+        families = [_family(
+            np.array(embeds + heads + init), _GPU,
+            np.array(embed_durs + [self._head_dur] * len(heads) + [0.0] * len(init)),
+            -1, _P_OTHER, -1,
+            np.array([_L_EMBED] * len(embeds) + [_L_HEAD] * len(heads) + [_L_INIT] * len(init)),
+            -1, np.array(step_ids + step_ids + [-1] * len(init)),
+        )]
+        # Transfers, prefetch stream then on-demand: a spilled weight's
+        # disk read, then its copy, which allocates the weight.
+        pf_copy, pf_w, run, pf_step = _stack(d.prefetches, 4)
+        od_copy, od_w, od_step = _stack(d.on_demand, 3)
+        copy, w, step = (np.concatenate(c) for c in ((pf_copy, od_copy), (pf_w, od_w), (pf_step, od_step)))
+        res = np.repeat([_H2D, _H2D_OD], [len(pf_copy), len(od_copy)])
         disk = self._cost[w] == 2
         layer = w // self._stride
-        cols.append((copy, res, self._h2d_durs[w], layer, _P_TRANSFER, -1, _L_H2D, w, step))
-        cols.append((
+        families.append(_family(
+            copy, res, self._h2d_durs[w], layer, _P_TRANSFER, -1, _L_H2D, w, step,
+        ))
+        families.append(_family(
             copy[disk] - 1, _DISK, self._disk_durs[w[disk]], layer[disk], _P_TRANSFER, -1,
             _L_DISK, w[disk], step[disk],
         ))
         pairs.append((copy[disk], copy[disk] - 1))
-        effects.append((copy, EV_ALLOC, w, 2 * copy, 0))
-        if d.trips:
-            cols.append(self._trip_rows(d, pairs))
-        # A run's transfers share its dependency tuple.
-        in_run = run >= 0
-        run_ops, run = (copy - disk)[in_run] - start, run[in_run]
+        # A prefetch run's transfers share its dependency tuple.
+        run_ops = pf_copy - disk[: len(pf_copy)] - start
         rows, deps = _pairs(d.run_pairs, d.run_ranges)
         run_deps = _dep_tuples(rows, deps - start, d.nruns, ids)[run]
-        effects.append(self._frees(units, ready, last))
+        # GPU experts and CPU round trips.
+        x_ops, x_dur, x_layer, x_expert, x_batch, x_step = _stack(d.experts, 6)
+        batch_major = x_batch is not None
+        families.append(_family(
+            x_ops, _GPU, x_dur, x_layer, _P_EXPERT, x_batch if batch_major else -1,
+            _L_EXP_B if batch_major else _L_EXP, x_expert, x_step,
+        ))
+        if d.trips:
+            families.append(self._trip_rows(d, pairs))
+        effects = [(copy, EV_ALLOC, w, 2 * copy, 0), self._frees(units, ready, last)]
+        if init:
+            effects.append((np.array(init), EV_ALLOC, np.array([len(self._tids)]), -1, 0))
+        for records, kind in ((d.allocs, EV_ALLOC), (d.frees, EV_FREE)):
+            if records:
+                ops, keys = _stack(records, 2)
+                effects.append((ops, kind, keys, 2 * ops, 0))
+        if d.releases:
+            keys, group_heads = _stack([(k, h) for h, k in d.releases], 2)
+            effects.append((group_heads, EV_FREE, keys, 2 * group_heads + 1, np.arange(len(keys))))
 
-        ops, res, dur, layers, phases, batches, codes, xs, steps = _columns(cols)
+        ops, res, dur, layers, phases, batches, codes, xs, steps = (
+            np.concatenate(c) for c in zip(*families)
+        )
         unit_ops, unit_cols, dep_ops, unit_deps = self._unit_rows(d, units, ready, ids)
         other = ops - start
         ops = np.concatenate([unit_ops, other])
@@ -990,7 +1002,9 @@ class PipelineBuilder:
         deps[dep_ops] = _objects(unit_deps)
         deps[run_ops] = run_deps
         deps[other] = _dep_tuples(slot[rows - start], on - start, len(other), ids)
-        ev_op, ev_kind, ev_key, ev_order, ev_rank = _columns(effects)
+        ev_op, ev_kind, ev_key, ev_order, ev_rank = (
+            np.concatenate(c) for c in zip(*(_family(*e) for e in effects))
+        )
         attach = np.lexsort((ev_rank, ev_order))
         keys = ev_key[attach]
         # Equal durations, op ids and byte counts share one Python object,
@@ -1023,7 +1037,7 @@ class PipelineBuilder:
     def _trip_rows(self, d: _Decisions, pairs: list) -> tuple:
         """CPU round trips' columns (hidden states down, CPU compute,
         hidden states up), each op waiting on the one before."""
-        starts, layer, expert, tokens, cpu_durs, scale, step = _columns(d.trips)
+        starts, layer, expert, tokens, cpu_durs, scale, step = _stack(d.trips, 7)
         model = self.model
         nbytes = (tokens * scale * model.hidden_size * model.dtype_bytes).astype(np.int64)
         ops = starts[:, None] + np.arange(3)
@@ -1033,9 +1047,10 @@ class PipelineBuilder:
             self.cost.transfer_times(nbytes, "dram", "vram"),
         ])
         count = len(starts)
-        return (
-            ops.ravel(), np.tile(_TRIP_RES, count), durs.ravel(), np.repeat(layer, 3), _P_EXPERT,
-            -1, np.tile(_TRIP_LABELS, count), np.repeat(expert, 3), np.repeat(step, 3),
+        return _family(
+            ops.ravel(), np.tile(_TRIP_RES, count), durs.ravel(), np.repeat(layer, 3),
+            _P_EXPERT, -1, np.tile(_TRIP_LABELS, count), np.repeat(expert, 3),
+            np.repeat(step, 3),
         )
 
     def _frees(self, units, ready, last) -> tuple:
@@ -1094,11 +1109,13 @@ class PipelineBuilder:
             sel = _ranges(firsts, firsts + lengths)
             base = units[sel, _U_START] - start
             col_ops.append((base[:, None] + np.arange(width)).ravel())
+            if all(len(x) == 1 for _, _, x in steps):
+                durs = np.repeat(np.concatenate([x for _, _, x in steps]), lengths, axis=0)
+            else:  # trace steps whose layers differ in token count
+                durs = np.concatenate([np.broadcast_to(x, (k, width)) for _, k, x in steps])
             cols.append((
                 np.tile(res, len(sel)),
-                np.concatenate(
-                    [np.broadcast_to(x, (k, width)) for _, k, x in steps]
-                ).ravel(),
+                durs.ravel(),
                 np.repeat(units[sel, _U_LAYER], width), np.tile(phase, len(sel)),
                 np.tile(batch, len(sel)), np.tile(code, len(sel)), np.full(len(sel) * width, -1),
                 np.repeat(units[sel, _U_STEP], width),
@@ -1127,7 +1144,8 @@ def _pairs(pairs: list[tuple], ranges: list[tuple]) -> tuple[np.ndarray, np.ndar
     """``(row, dependency)`` arrays of ``(rows, deps)`` pairs and ``(rows,
     first, end)`` dependency ranges."""
     rows, deps = [r for r, _ in pairs], [x for _, x in pairs]
-    for r, lo, hi in ranges:
+    if ranges:
+        r, lo, hi = (np.concatenate(c) for c in zip(*ranges))
         rows.append(np.repeat(r, hi - lo))
         deps.append(_ranges(lo, hi))
     if not rows:
@@ -1135,20 +1153,27 @@ def _pairs(pairs: list[tuple], ranges: list[tuple]) -> tuple[np.ndarray, np.ndar
     return np.concatenate(rows), np.concatenate(deps)
 
 
-def _columns(records: list[tuple]) -> list[np.ndarray]:
-    """Concatenate records of equal-length columns, column by column; a
-    scalar stands for a column of the record's length (that of its first
-    column, always an array)."""
+def _stack(records: list[tuple], width: int) -> list:
+    """Concatenate ``width``-field records field by field: arrays join; a
+    scalar field (a step, a scale) repeats over its record's length, that
+    of its first field; a None field stays None."""
+    if not records:
+        return [np.zeros(0, dtype=np.int64)] * width
     lengths = [len(record[0]) for record in records]
-    ends = np.cumsum(lengths).tolist()
     out = []
-    for column in zip(*records):
-        arrays = [i for i, v in enumerate(column) if type(v) is np.ndarray]
-        if len(arrays) == len(column):
-            out.append(np.concatenate(column))
-            continue
-        values = np.repeat([0 if type(v) is np.ndarray else v for v in column], lengths)
-        for i in arrays:
-            values[ends[i] - lengths[i] : ends[i]] = column[i]
-        out.append(values)
+    for field in zip(*records):
+        if field[0] is None:
+            out.append(None)
+        elif isinstance(field[0], np.ndarray):
+            out.append(np.concatenate(field))
+        else:
+            out.append(np.repeat(field, lengths))
     return out
+
+
+def _family(ops: np.ndarray, *columns) -> tuple:
+    """``ops`` with its other columns, scalars broadcast to its length."""
+    count = len(ops)
+    return (ops,) + tuple(
+        c if isinstance(c, np.ndarray) else np.full(count, c) for c in columns
+    )
