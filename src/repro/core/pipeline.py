@@ -781,8 +781,11 @@ class PipelineBuilder:
             ))
             # Each expert's first op waits on the gates routing to it, and
             # so does a loaded expert's GPU op, after its copy.
-            xi, xb = np.nonzero(counts[x_layer, :, x_expert])
-            gates = gate_base[x_layer[xi]] + xb
+            if n == 1:
+                xi, gates = np.arange(len(x_layer)), gate_base[x_layer]
+            else:
+                xi, xb = np.nonzero(counts[x_layer, :, x_expert])
+                gates = gate_base[x_layer[xi]] + xb
             pairs.append((x_start[xi], gates))
             also = loaded[xi]
             pairs.append((x_end[xi[also]], gates[also]))
@@ -791,26 +794,28 @@ class PipelineBuilder:
             pairs.append((l_end, l_end - 1))
             d.frees.append((l_end, l_w))
             copies.append(l_end - 1)
-            gpu_end = np.where(on_cpu, -1, x_end)
-            if not overlap:
-                # The last compute before each load: the layer's previous
-                # GPU expert, else its last gate.
-                before = np.maximum.accumulate(np.concatenate([[-1], gpu_end[:-1]]))[load]
-                pairs.append((x_start[load], np.maximum(before, last_gate[x_layer[load]])))
-            tail, lc_after = last_gate.copy(), last_gate.copy()
-            np.maximum.at(tail, x_layer, x_end)
-            np.maximum.at(lc_after, x_layer, gpu_end)
+            some = x_count > 0
+            tail = np.where(some, xstart + x_count - 1, last_gate)
             # Barrier: the last op of every expert (the gates if none).
-            none = x_count == 0
-            bar_layer = np.concatenate([np.repeat(layer_ids[none], n), x_layer])
-            bar_ops = np.concatenate([(gate_base[none, None] + np.arange(n)).ravel(), x_end])
-            by_layer = np.argsort(bar_layer, kind="stable")
-            bar_layer, bar_ops = bar_layer[by_layer], bar_ops[by_layer]
+            bar_layer, bar_ops = x_layer, x_end
+            if not some.all():
+                none = ~some
+                bar_layer = np.concatenate([np.repeat(layer_ids[none], n), x_layer])
+                bar_ops = np.concatenate([(gate_base[none, None] + np.arange(n)).ravel(), x_end])
+                by_layer = np.argsort(bar_layer, kind="stable")
+                bar_layer, bar_ops = bar_layer[by_layer], bar_ops[by_layer]
             b_lo = b_hi = np.zeros(num_layers, dtype=np.int64)
             after = bar_layer < num_layers - 1
             d.prefix.append((d.nunits + bar_layer[after] + 1, bar_ops[after]))
             pairs.append((np.full(int((~after).sum()), head), bar_ops[~after]))
             if not overlap:
+                # A layer's last compute: its last GPU expert, else its
+                # last gate; each load also waits on the one before it.
+                gpu_end = np.where(on_cpu, -1, x_end)
+                lc_after = last_gate.copy()
+                np.maximum.at(lc_after, x_layer, gpu_end)
+                before = np.maximum.accumulate(np.concatenate([[-1], gpu_end[:-1]]))[load]
+                pairs.append((x_start[load], np.maximum(before, last_gate[x_layer[load]])))
                 d.run_pairs.append((run[bar_layer[after] + 1], bar_ops[after]))
         if not cpu:
             ranges.append((np.array([head]), b_lo[-1:], b_hi[-1:]))
