@@ -120,16 +120,12 @@ _LABELS = (
 (_L_INIT, _L_EMBED, _L_HEAD, _L_H2D, _L_DISK, _L_KVLOAD, _L_ATTN, _L_KVSTORE,
  _L_GATE, _L_FFN, _L_EXP_B, _L_EXP, _L_D2H_HID, _L_CPU_EXP, _L_H2D_HID) = range(15)
 
-# A batch's attention block by its op count: (label, resource, phase,
-# waits on the unit's attention prefix, waits on the op before it).
+# A batch's attention block by its op count: (label, resource, phase) of
+# the kv load (KV streamed from DRAM), the attention and the kv store.
 _ATTN_BLOCKS = {
-    1: ((_L_ATTN, _GPU, _P_ATTN, True, False),),
-    2: ((_L_ATTN, _GPU, _P_ATTN, True, False), (_L_KVSTORE, _D2H, _P_KV, False, True)),
-    3: (
-        (_L_KVLOAD, _H2D, _P_KV, False, False),
-        (_L_ATTN, _GPU, _P_ATTN, True, True),
-        (_L_KVSTORE, _D2H, _P_KV, False, True),
-    ),
+    1: ((_L_ATTN, _GPU, _P_ATTN),),
+    2: ((_L_ATTN, _GPU, _P_ATTN), (_L_KVSTORE, _D2H, _P_KV)),
+    3: ((_L_KVLOAD, _H2D, _P_KV), (_L_ATTN, _GPU, _P_ATTN), (_L_KVSTORE, _D2H, _P_KV)),
 }
 
 
@@ -141,6 +137,7 @@ def _render_labels(codes, xs, layers, batches, steps, tids) -> list[str]:
             codes.tolist(), xs.tolist(), layers.tolist(), batches.tolist(), steps.tolist()
         )
     ]
+
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The concatenated ``arange(lo[i], hi[i])``."""
@@ -167,17 +164,15 @@ def _dep_tuples(rows: np.ndarray, deps: np.ndarray, count: int, ids: np.ndarray)
     lengths = np.bincount(rows, minlength=count)
     by_length = np.argsort(lengths, kind="stable")
     starts = np.cumsum(lengths) - lengths
-    per_width = np.bincount(lengths)
-    widths = np.flatnonzero(per_width)
-    out: list[tuple] = [()] * int(per_width[0]) if per_width[0] else []
-    lo = int(per_width[0])
-    for width, rows_of_width in zip(widths.tolist(), per_width[widths].tolist()):
-        if width == 0:
-            continue
-        first = starts[by_length[lo : lo + rows_of_width]]
+    per_width = np.bincount(lengths, minlength=1)
+    out: list[tuple] = [()] * int(per_width[0])
+    lo = len(out)
+    for width in (np.flatnonzero(per_width[1:]) + 1).tolist():
+        hi = lo + int(per_width[width])
+        first = starts[by_length[lo:hi]]
         flat = ids[deps[(first[:, None] + np.arange(width)).ravel()]].tolist()
         out += zip(*[iter(flat)] * width)
-        lo += rows_of_width
+        lo = hi
     tuples = np.empty(count, dtype=object)
     tuples[by_length] = _objects(out)
     return tuples
@@ -341,6 +336,7 @@ class PipelineBuilder:
         self._templates: dict[int, tuple] = {}
         # (step, rows, scale) -> the step's costs and unit durations.
         self._step_memo: dict[tuple, tuple] = {}
+        # step -> the names of its KV growth tensors (KV kept in VRAM).
         self._kv_names: dict[int, list[str]] = {}
         self._weight_tables()
         self._pending: _Decisions | None = None
@@ -393,15 +389,14 @@ class PipelineBuilder:
         in_vram = self._resident[:, 2:].copy()
         in_vram[:, static_hot] = True
         self._static_in_vram = in_vram
-        expert_w = self._pf_layers[:num_layers, None] * stride + 2 + np.arange(num_experts)
-        self._cold_cost = self._cost[expert_w]
+        self._cold_cost = self._cost.reshape(num_layers, stride)[:, 2:]
 
     def _candidates(self, slots: np.ndarray) -> tuple:
         """``[layers + 1, k]`` candidate slots with their weights, whether
-        to transfer them (not resident, not padding) and ops per transfer."""
+        to transfer them (not resident) and ops per transfer."""
         layers = self._pf_layers[:, None]
         w = layers * self._stride + slots
-        return slots, w, (slots >= 0) & ~self._resident[layers, slots], self._cost[w]
+        return slots, w, ~self._resident[layers, slots], self._cost[w]
 
     # ---- per-step and per-routing costs -----------------------------------------
 
@@ -504,17 +499,17 @@ class PipelineBuilder:
         """The layer unit's op template for attention blocks of ``m`` ops
         (``n * m`` attention-block ops, then ``n`` gate or dense FFN ops):
         per-op label code, resource, phase and batch arrays and the
-        offsets of the kv loads, attention ops, kv stores and gates."""
+        offsets of the attention ops and the gates (a kv load is the op
+        before its attention, a kv store the op after)."""
         template = self._templates.get(m)
         if template is None:
             n, block = self.n, _ATTN_BLOCKS[m]
             gate = (_L_FFN, _GPU, _P_EXPERT) if self._dense else (_L_GATE, _GPU, _P_GATE)
-            rows = [entry[:3] for _ in range(n) for entry in block] + [gate] * n
+            rows = [entry for _ in range(n) for entry in block] + [gate] * n
             code, res, phase = (np.array(c, dtype=np.int64) for c in zip(*rows))
             batch = np.concatenate([np.repeat(np.arange(n), m), np.arange(n)])
             template = self._templates[m] = (
-                code, res, phase, batch, np.flatnonzero(code == _L_KVLOAD),
-                np.flatnonzero(code == _L_ATTN), np.flatnonzero(code == _L_KVSTORE),
+                code, res, phase, batch, np.flatnonzero(code == _L_ATTN),
                 np.arange(n * m, n * (m + 1)),
             )
         return template
@@ -598,7 +593,7 @@ class PipelineBuilder:
         num_layers = len(routing.layers)
         layer_ids = np.arange(num_layers)
         unit = n * (m + 1)
-        attn_at = self._template(m)[5]
+        attn_at = self._template(m)[4]
         gpu_experts = not (self._dense or features.cpu_experts)
         cpu = features.cpu_experts and not self._dense
         last_step = step + 1 == self.workload.num_steps
@@ -621,10 +616,12 @@ class PipelineBuilder:
             if hot is None:
                 in_vram = self._static_in_vram
             else:
-                hot_experts = self._hot_matrix(hot)
+                # The next step's layer-0 forecast; the last step issues
+                # no tail, so any forecast of the same width stands in.
+                tail_hot = hot[0] if last_step else self.prefetcher.predict_first()
+                hot_experts = np.array(hot + [tail_hot], dtype=np.int64)
                 in_vram = resident[:, 2:].copy()
-                r, c = np.nonzero(hot_experts >= 0)
-                in_vram[r, hot_experts[r, c]] = True
+                in_vram[layer_ids[:, None], hot_experts[:-1]] = True
             if features.hot_prefetch:
                 cold = active & ~in_vram
         # Prefetch candidates: rows 0..L-1 this step's layers (row 0 tops
@@ -632,11 +629,9 @@ class PipelineBuilder:
         if hot is None:
             slots, pf_w, pf_ok, pf_cost = self._static_pf
         else:
-            tail_hot = [] if last_step else self.prefetcher.predict_first()
-            hot_experts = self._hot_matrix(hot + [tail_hot])
             slots, pf_w, pf_ok, pf_cost = self._candidates(np.concatenate(
                 [np.broadcast_to(self._block_slots, (num_layers + 1, len(self._block_slots))),
-                 np.where(hot_experts >= 0, hot_experts + 2, -1)],
+                 hot_experts + 2],
                 axis=1,
             ))
         pf_ok = pf_ok.copy()
@@ -724,7 +719,9 @@ class PipelineBuilder:
         if overlap:
             d.run_pairs.append((run[1:], first_attn))
         else:
-            d.run_pairs.append((run[[0, -1]] if g.head >= 0 else run[-1:], np.array([g.head, head][g.head < 0 :])))
+            d.run_pairs.append((run[-1:], np.array([head])))
+            if g.head >= 0:
+                d.run_pairs.append((run[:1], np.array([g.head])))
         copies = [pf_copy]
         if cold is not None:
             # Cold experts stream on demand off the first gate routing to
@@ -881,18 +878,6 @@ class PipelineBuilder:
         return head
 
     # ---- step tables --------------------------------------------------------------
-
-    @staticmethod
-    def _hot_matrix(hot) -> np.ndarray:
-        """Per-layer hot experts as a ``[layers, k]`` array (-1: padding,
-        should forecasts differ in length)."""
-        try:
-            return np.array(hot, dtype=np.int64).reshape(len(hot), -1)
-        except ValueError:
-            out = np.full((len(hot), max(map(len, hot))), -1, dtype=np.int64)
-            for layer, experts in enumerate(hot):
-                out[layer, : len(experts)] = experts
-            return out
 
     @staticmethod
     def _widest_layer(routing) -> LayerRouting:
@@ -1109,7 +1094,7 @@ class PipelineBuilder:
         for embed, head, embed_dur, step, m, durs, first, num_layers in d.steps:
             by_m.setdefault(m, []).append((first, num_layers, durs))
         for m, steps in by_m.items():
-            code, res, phase, batch, kvload_at, attn_at, kvstore_at, gate_at = self._template(m)
+            code, res, phase, batch, attn_at, gate_at = self._template(m)
             width, firsts, lengths = len(code), *(np.array(c) for c in list(zip(*steps))[:2])
             sel = _ranges(firsts, firsts + lengths)
             base = units[sel, _U_START] - start
