@@ -485,55 +485,58 @@ class ClusterReport:
 
     def to_dict(self) -> dict:
         with span("cluster.report.metrics", {"records": len(self.records)}):
-            # Fault-related keys (availability, per-request outcome/attempts)
-            # are emitted only when fault injection actually ran: fault-free
-            # report dicts — and the goldens hashing them — stay identical.
-            faulted = bool(self.availability)
+            return self._to_dict()
 
-            def request_entry(r: RequestRecord) -> dict:
-                entry = {
-                    "request_id": r.request.request_id,
-                    "replica_id": r.replica_id,
-                    "arrival_s": r.request.arrival_s,
-                    "start_s": r.start_s,
-                    "completion_s": r.completion_s,
-                    "ttft_s": r.ttft_s,
-                    "latency_s": r.latency_s,
-                }
-                if faulted:
-                    entry["outcome"] = r.outcome
-                    entry["attempts"] = r.attempts
-                return entry
+    def _to_dict(self) -> dict:
+        # Fault-related keys (availability, per-request outcome/attempts)
+        # are emitted only when fault injection actually ran: fault-free
+        # report dicts — and the goldens hashing them — stay identical.
+        faulted = bool(self.availability)
 
-            out = {
-                "router": self.router,
-                "slo_s": self.slo_s,
-                "num_replicas": len(self.replicas),
-                "num_requests": len(self.records),
-                "makespan_s": self.makespan_s,
-                "generated_tokens": self.generated_tokens,
-                "throughput_tok_s": self.throughput,
-                "goodput_tok_s": self.goodput,
-                "slo_attainment": self.slo_attainment,
-                "mean_latency_s": self.mean_latency_s,
-                "p50_latency_s": self.percentile_latency(50),
-                "p95_latency_s": self.percentile_latency(95),
-                "p99_latency_s": self.percentile_latency(99),
-                "mean_ttft_s": self.mean_ttft_s,
-                "p95_ttft_s": self.percentile_ttft(95),
-                "cost_usd": self.cost_usd(),
-                "cost_per_token_usd": self.cost_per_token(),
-                "expert_misses": self.expert_misses,
-                "counters": {k: self.counters[k] for k in sorted(self.counters)},
-                "replicas": [r.to_dict(self.makespan_s) for r in self.replicas],
-                "requests": [request_entry(r) for r in self.records],
+        def request_entry(r: RequestRecord) -> dict:
+            entry = {
+                "request_id": r.request.request_id,
+                "replica_id": r.replica_id,
+                "arrival_s": r.request.arrival_s,
+                "start_s": r.start_s,
+                "completion_s": r.completion_s,
+                "ttft_s": r.ttft_s,
+                "latency_s": r.latency_s,
             }
             if faulted:
-                out["availability"] = self.availability
-            # Scheduler keys follow the same conditional-emission discipline
-            # as the fault keys: the default group scheduler's report dicts —
-            # and the fleet goldens hashing them — stay byte-identical.
-            if self.scheduler != "group":
-                out["scheduler"] = self.scheduler
-                out["slo_classes"] = self.slo_class_metrics()
-            return out
+                entry["outcome"] = r.outcome
+                entry["attempts"] = r.attempts
+            return entry
+
+        out = {
+            "router": self.router,
+            "slo_s": self.slo_s,
+            "num_replicas": len(self.replicas),
+            "num_requests": len(self.records),
+            "makespan_s": self.makespan_s,
+            "generated_tokens": self.generated_tokens,
+            "throughput_tok_s": self.throughput,
+            "goodput_tok_s": self.goodput,
+            "slo_attainment": self.slo_attainment,
+            "mean_latency_s": self.mean_latency_s,
+            "p50_latency_s": self.percentile_latency(50),
+            "p95_latency_s": self.percentile_latency(95),
+            "p99_latency_s": self.percentile_latency(99),
+            "mean_ttft_s": self.mean_ttft_s,
+            "p95_ttft_s": self.percentile_ttft(95),
+            "cost_usd": self.cost_usd(),
+            "cost_per_token_usd": self.cost_per_token(),
+            "expert_misses": self.expert_misses,
+            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "replicas": [r.to_dict(self.makespan_s) for r in self.replicas],
+            "requests": [request_entry(r) for r in self.records],
+        }
+        if faulted:
+            out["availability"] = self.availability
+        # Scheduler keys follow the same conditional-emission discipline
+        # as the fault keys: the default group scheduler's report dicts —
+        # and the fleet goldens hashing them — stay byte-identical.
+        if self.scheduler != "group":
+            out["scheduler"] = self.scheduler
+            out["slo_classes"] = self.slo_class_metrics()
+        return out

@@ -996,11 +996,11 @@ class PipelineBuilder:
             np.concatenate(c) for c in zip(*(_family(*e) for e in effects))
         )
         attach = np.lexsort((ev_rank, ev_order))
-        keys = ev_key[attach]
+        keys, ev_op, ev_kind = ev_key[attach], ev_op[attach], ev_kind[attach]
         # Equal durations, op ids and byte counts share one Python object,
         # as they do when ops are authored one by one.
         palette, index = np.unique(dur, return_inverse=True)
-        nbytes = self._nbytes + d.extra_nbytes
+        nbytes = np.array(self._nbytes + d.extra_nbytes, dtype=object)[keys]
         schedule.extend_raw(
             res.tolist(),
             palette.astype(object)[index].tolist(),
@@ -1016,11 +1016,15 @@ class PipelineBuilder:
             _PHASES[phases].tolist(),
             batches.tolist(),
             effects=(
-                ids[ev_op[attach] - start].tolist(),
-                ev_kind[attach].tolist(),
+                ids[ev_op - start].tolist(),
+                ev_kind.tolist(),
                 ["vram"] * len(keys),
                 np.array(self._tids + d.extra_tids, dtype=object)[keys].tolist(),
-                np.array(nbytes, dtype=object)[keys].tolist(),
+                nbytes.tolist(),
+            ),
+            arrays=(
+                res, dur, ev_op, ev_kind, np.zeros(len(keys), dtype=np.int16),
+                nbytes.astype(np.int64), ("vram",) if len(keys) else (),
             ),
         )
 

@@ -151,6 +151,9 @@ class Schedule:
         # Caches cleared by every mutation (see _invalidate).
         self._ops_cache: list[Op] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        # The executor inputs of the rows, as arrays handed over by
+        # extend_raw (see there) for freeze; None: convert the lists.
+        self._arrays: tuple | None = None
         self._frozen = False
 
     def __len__(self) -> int:
@@ -205,6 +208,7 @@ class Schedule:
         after a mutation."""
         self._ops_cache = None
         self._csr = None
+        self._arrays = None
         self._frozen = False
 
     def add(
@@ -259,6 +263,7 @@ class Schedule:
         batches: list[int],
         *,
         effects: tuple | None = None,
+        arrays: tuple | None = None,
     ) -> int:
         """Bulk-append pre-validated rows; returns the first new op id.
 
@@ -276,6 +281,12 @@ class Schedule:
         attaches memory effects in order, as parallel ``(op_ids, kinds,
         pools, tensor_ids, nbytes)`` lists (kinds :data:`EV_ALLOC` /
         :data:`EV_FREE`).
+
+        ``arrays`` optionally hands :meth:`freeze` the same rows' executor
+        inputs as arrays — ``(resources, durations, effect op ids,
+        kinds, pool codes, nbytes, pool names)`` — so freezing an
+        emptily started schedule does not convert the lists again; the
+        next mutation drops them.
         """
         base = len(self._dur)
         k = len(durations)
@@ -301,6 +312,8 @@ class Schedule:
             self._ev_tensor.extend(tensor_ids)
             self._ev_nbytes.extend(nbytes)
         self._invalidate()
+        if base == 0:
+            self._arrays = arrays
         return base
 
     def _add_effects(
@@ -420,16 +433,21 @@ class Schedule:
         if self._frozen:
             return self
         self.validate()
-        self.resources = np.array(self._res, dtype=np.int16)
-        self.durations = np.array(self._dur, dtype=np.float64)
-        ev_op = np.array(self._ev_op, dtype=np.int64)
-        ev_kind = np.array(self._ev_kind, dtype=np.int8)
-        ev_nbytes = np.array(self._ev_nbytes, dtype=np.int64)
-        pool_codes: dict[str, int] = {}
-        codes = np.array(
-            [pool_codes.setdefault(pool, len(pool_codes)) for pool in self._ev_pool],
-            dtype=np.int16,
-        )
+        if self._arrays is None:
+            pool_codes: dict[str, int] = {}
+            codes = [pool_codes.setdefault(pool, len(pool_codes)) for pool in self._ev_pool]
+            self._arrays = (
+                self._res, self._dur, self._ev_op, self._ev_kind, codes, self._ev_nbytes,
+                tuple(pool_codes),
+            )
+        res, dur, ev_op, ev_kind, codes, ev_nbytes, self.pool_names = self._arrays
+        self._arrays = None
+        self.resources = np.asarray(res, dtype=np.int16)
+        self.durations = np.asarray(dur, dtype=np.float64)
+        ev_op = np.asarray(ev_op, dtype=np.int64)
+        ev_kind = np.asarray(ev_kind, dtype=np.int8)
+        ev_nbytes = np.asarray(ev_nbytes, dtype=np.int64)
+        codes = np.asarray(codes, dtype=np.int16)
         # lexsort is stable, so the trailing append index keeps attachment
         # order within each (op, kind) group.
         order = np.lexsort((np.arange(len(ev_op)), ev_kind, ev_op))
@@ -439,6 +457,5 @@ class Schedule:
         self.ev_delta = np.where(
             self.ev_kind == EV_ALLOC, ev_nbytes[order], -ev_nbytes[order]
         )
-        self.pool_names = tuple(pool_codes)
         self._frozen = True
         return self
