@@ -64,13 +64,7 @@ class Scenario:
         return CostModel(self.model, self.hardware)
 
     def inventory(self) -> TensorInventory:
-        """The model's weight tensors, built on first use and kept on the
-        scenario (treat as read-only)."""
-        inventory = self.__dict__.get("_inventory")
-        if inventory is None:
-            inventory = TensorInventory(self.model)
-            object.__setattr__(self, "_inventory", inventory)
-        return inventory
+        return TensorInventory(self.model)
 
     def with_workload(self, workload: Workload) -> "Scenario":
         return replace(self, workload=workload)
