@@ -228,8 +228,8 @@ _TRIP_RES = np.array([_D2H, _CPU, _H2D])
 _TRIP_LABELS = np.array([_L_D2H_HID, _L_CPU_EXP, _L_H2D_HID])
 
 # Columns of the unit table: one row per layer unit (a layer of a step).
-(_U_START, _U_STEP, _U_LAYER, _U_M, _U_LAST_ATTN, _U_LAST_GATE, _U_TAIL, _U_NEXT,
- _U_BLO, _U_BHI, _U_NOD) = range(11)
+(_U_START, _U_STEP, _U_LAYER, _U_LAST_ATTN, _U_LAST_GATE, _U_TAIL, _U_NEXT, _U_BLO,
+ _U_BHI, _U_NOD) = range(10)
 
 
 class _Decisions:
@@ -239,12 +239,12 @@ class _Decisions:
     decisions were made for); ``init`` marks the resident blob's op 0.
     Each step appends arrays:
 
-    * ``units``: a ``[layers, 11]`` unit table (see the ``_U_*``
-      columns): first op, step, layer, attention-block shape ``m``, the
-      last attention and gate ops, the tail (the layer's last compute op
-      of its barrier), the first op after the layer's experts, the
-      previous layer's barrier as an op range (the first layer's: the
-      embed) and, without overlap, the last transfer before the unit;
+    * ``units``: a ``[layers, 10]`` unit table (see the ``_U_*``
+      columns): first op, step, layer, the last attention and gate ops,
+      the tail (the last op of the layer's barrier), the first op after
+      the layer's experts, the previous layer's barrier as an op range
+      (the first layer's: the embed) and, without overlap, the last
+      transfer before the unit;
       plus the unit's ``[stride]`` row of the ready-transfer matrix
       (``ready``) and of each expert slot's last op (``last``; -1: none);
     * ``steps``: the step's embed, head, durations and units;
@@ -822,11 +822,10 @@ class PipelineBuilder:
             d.run_pairs.append((run[1:-1], lc_after[:-1]))
 
         # ---- the unit table ------------------------------------------------------------
-        units = np.empty((num_layers, 11), dtype=np.int64)
+        units = np.empty((num_layers, 10), dtype=np.int64)
         units[:, _U_START] = ustart
         units[:, _U_STEP] = step
         units[:, _U_LAYER] = layer_ids
-        units[:, _U_M] = m
         units[:, _U_LAST_ATTN] = ustart + attn_at[-1]
         units[:, _U_LAST_GATE] = last_gate
         units[:, _U_TAIL] = tail
